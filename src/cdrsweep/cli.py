@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -200,13 +201,26 @@ def _print_resolved(command: str, res: dict) -> None:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Replace path with text through a temp file unique to this write.
+
+    Concurrent writers never share a temp file, and on any failure the temp
+    file is removed and path keeps its old content.
+    """
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            # mkstemp creates the file 0600; give it the mode open(path) would
+            os.fchmod(fd, 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _out_path(res: dict, name: str) -> Path:
@@ -340,11 +354,9 @@ def _cmd_simulate(res: dict) -> int:
                     f"predicted policy needs window_len={res['window_len']} slots of "
                     f"history before slot {start}")
             params, norm = _load_model(res["model"])
-            preds = np.stack([
-                training.predict_next(
-                    params, norm,
-                    series.counts[j - res["window_len"]:j].astype(np.float64))
-                for j in range(start, start + n_sim)])
+            windows = np.stack([series.counts[j - res["window_len"]:j]
+                                for j in range(start, start + n_sim)])
+            preds = training.predict_next(params, norm, windows)
             policy_objs.append(simulator.PerSlotPolicy.from_values(
                 "predicted", preds, np.random.default_rng(predicted_ties)))
 

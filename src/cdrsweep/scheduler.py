@@ -52,7 +52,7 @@ class SectorRanking:
         return tuple(SECTOR_LABELS[s] for s in self.order)
 
 
-def rank_sectors(pred, rng: np.random.Generator | None = None,
+def rank_sectors(pred, rng: np.random.Generator,
                  source: str = "predicted") -> SectorRanking:
     """Descending sort of the 4 predicted values; ties shuffled uniformly.
 
@@ -65,8 +65,8 @@ def rank_sectors(pred, rng: np.random.Generator | None = None,
         raise ValueError(f"expected {len(SECTOR_LABELS)} values, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise NonFiniteInputError(f"predictions must be finite, got {values}")
-    if rng is None:
-        rng = np.random.default_rng()
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a seeded numpy Generator, got {rng!r}")
 
     by_value = np.argsort(-values, kind="stable")
     groups: list[list[int]] = [[int(by_value[0])]]

@@ -11,7 +11,6 @@ arrival streams and identical per-UE detection luck (common random numbers).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .ingest import SECTOR_LABELS
 from .scheduler import (
     BURST_DURATION_US,
     BURST_PERIOD_US,
+    SSB_SLOTS,
     SectorRanking,
     SweepSchedule,
     build_schedule,
@@ -187,17 +187,40 @@ def _draw_arrivals(cfg: SimConfig, rng: np.random.Generator):
     return times[order], sectors[order]
 
 
-def _offsets_per_slot(cfg: SimConfig, policy) -> list:
-    """For each 10-minute slot: per-sector sorted slot-start offsets (lists)."""
-    table = []
+def _offset_table(cfg: SimConfig, policy):
+    """Each slot's per-sector SSB offsets as one inf-padded array.
+
+    offsets[k, s, :counts[k, s]] are the ascending start offsets of the SSB
+    slots aimed at sector s under slot k's schedule.
+    """
+    offsets = np.full((cfg.n_slots, N_SECTORS, SSB_SLOTS), np.inf)
+    counts = np.empty((cfg.n_slots, N_SECTORS), dtype=np.int64)
     for k in range(cfg.n_slots):
         sched = policy.schedule_for_slot(k)
-        per_sector = [list(sched.sector_offsets_us(s)) for s in range(N_SECTORS)]
-        if any(not offs for offs in per_sector):
-            raise InvalidConfigError(
-                f"slot {k}: schedule leaves a sector without any SSB")
-        table.append(per_sector)
-    return table
+        for s in range(N_SECTORS):
+            offs = sched.sector_offsets_us(s)
+            if offs.size == 0:
+                raise InvalidConfigError(
+                    f"slot {k}: schedule leaves a sector without any SSB")
+            offsets[k, s, :offs.size] = offs
+            counts[k, s] = offs.size
+    return offsets, counts
+
+
+def _slot_ends(n_slots: int, bursts_per_slot: float) -> np.ndarray:
+    """ends[k]: the first burst b whose slot int(b / bursts_per_slot) is past k.
+
+    Found with the same float division the slot lookup uses, so the two never
+    disagree on which slot a burst belongs to. The last slot never ends.
+    """
+    k = np.arange(1, n_slots, dtype=np.float64)
+    first = np.ceil(k * bursts_per_slot).astype(np.int64)
+    # k * bursts_per_slot is rounded: step onto the exact boundary
+    while np.any(late := (first - 1) / bursts_per_slot >= k):
+        first[late] -= 1
+    while np.any(early := first / bursts_per_slot < k):
+        first[early] += 1
+    return np.append(first, np.iinfo(np.int64).max)
 
 
 def simulate(cfg: SimConfig, policy) -> SimReport:
@@ -207,10 +230,16 @@ def simulate(cfg: SimConfig, policy) -> SimReport:
     policies under the same seed. Bursts start every burst_period_us from
     time 0; a UE arriving near the horizon is still followed until detection
     under the final slot's schedule.
+
+    All UEs are resolved at once: a UE whose needed-th opportunity is the
+    j-th SSB aimed at its sector counted from the start of its arrival burst
+    detects in burst + j // n at position j % n, n being that sector's SSB
+    count in the slot. Only UEs whose jump leaves the slot are stepped to the
+    next slot's first burst and resolved again.
     """
     arrival_seq, detect_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     arrivals, sectors = _draw_arrivals(cfg, np.random.default_rng(arrival_seq))
-    offsets_table = _offsets_per_slot(cfg, policy)
+    offsets, counts = _offset_table(cfg, policy)
     last_slot = cfg.n_slots - 1
 
     n = arrivals.shape[0]
@@ -219,24 +248,27 @@ def simulate(cfg: SimConfig, policy) -> SimReport:
 
     period = cfg.burst_period_us
     bursts_per_slot = cfg.slot_us / period
-    delays = np.empty(n)
-    for i in range(n):
-        t = arrivals[i]
-        s = int(sectors[i])
-        k = int(needed[i])
-        b = int(t // period)
-        while True:
-            slot_idx = min(int(b / bursts_per_slot), last_slot)
-            offs = offsets_table[slot_idx][s]
-            burst_start = b * period
-            phase = t - burst_start
-            lo = bisect_left(offs, phase) if phase > 0 else 0
-            avail = len(offs) - lo
-            if k <= avail:
-                delays[i] = burst_start + offs[lo + k - 1] - t
-                break
-            k -= avail
-            b += 1
+    ends = _slot_ends(cfg.n_slots, bursts_per_slot)
+
+    burst = (arrivals // period).astype(np.int64)
+    slot = np.minimum((burst / bursts_per_slot).astype(np.int64), last_slot)
+    phase = arrivals - burst * period
+    # SSBs of the arrival burst that start before the arrival count as used
+    j = (offsets[slot, sectors] < phase[:, None]).sum(axis=1) + needed - 1
+    n_sector = counts[slot, sectors]
+
+    crossing = np.flatnonzero(j // n_sector >= ends[slot] - burst)
+    while crossing.size:
+        b, s = burst[crossing], slot[crossing]
+        j[crossing] -= (ends[s] - b) * n_sector[crossing]
+        b = ends[s]
+        s = np.minimum((b / bursts_per_slot).astype(np.int64), last_slot)
+        burst[crossing], slot[crossing] = b, s
+        n_sector[crossing] = counts[s, sectors[crossing]]
+        crossing = crossing[j[crossing] // n_sector[crossing] >= ends[s] - b]
+
+    burst += j // n_sector
+    delays = burst * period + offsets[slot, sectors, j % n_sector] - arrivals
 
     return SimReport(policy=policy.name, seed=cfg.seed, sectors=sectors,
                      arrival_us=arrivals, delay_us=delays)
@@ -347,12 +379,17 @@ def compare(reports) -> Comparison:
 
 def report_csv(reports) -> str:
     """Per-UE rows across runs: policy,seed,ue_id,sector,arrival_us,delay_us."""
-    lines = ["policy,seed,ue_id,sector,arrival_us,delay_us"]
+    chunks = ["policy,seed,ue_id,sector,arrival_us,delay_us\n"]
     for rep in reports:
-        for i in range(rep.n_ues):
-            lines.append(f"{rep.policy},{rep.seed},{i},{SECTOR_LABELS[int(rep.sectors[i])]},"
-                         f"{rep.arrival_us[i]:.3f},{rep.delay_us[i]:.3f}")
-    return "\n".join(lines) + "\n"
+        # one %-format per run renders all its rows without a string per row
+        row = f"{rep.policy},{rep.seed},".replace("%", "%%") + "%d,%s,%.3f,%.3f\n"
+        fields = [None] * (4 * rep.n_ues)
+        fields[0::4] = range(rep.n_ues)
+        fields[1::4] = [SECTOR_LABELS[s] for s in rep.sectors.tolist()]
+        fields[2::4] = rep.arrival_us.tolist()
+        fields[3::4] = rep.delay_us.tolist()
+        chunks.append((row * rep.n_ues) % tuple(fields))
+    return "".join(chunks)
 
 
 def summary_csv(reports) -> str:

@@ -18,6 +18,7 @@ from . import gru
 from .errors import (
     DivergedLossError,
     EmptySplitError,
+    NonFiniteInputError,
     ShapeMismatchError,
     TraceMismatchError,
 )
@@ -37,6 +38,9 @@ class Normalizer:
         self.scale = np.asarray(self.scale, dtype=np.float64)
         if self.offset.shape != self.scale.shape:
             raise ShapeMismatchError("offset and scale must have the same shape")
+        if not (np.all(np.isfinite(self.offset)) and np.all(np.isfinite(self.scale))):
+            raise NonFiniteInputError(
+                f"offset and scale must be finite, got {self.offset} and {self.scale}")
         if np.any(self.scale <= 0):
             raise ValueError("scale entries must be strictly positive")
 
@@ -426,12 +430,18 @@ class EvalResult:
 
 
 def predict_next(p: GruParams, norm: Normalizer, window: np.ndarray) -> np.ndarray:
-    """One-step forecast from a raw-count window of shape (window_len, 4)."""
+    """One-step forecast from a raw-count window of shape (window_len, 4).
+
+    A stack of windows, shape (N, window_len, 4), gives all N forecasts,
+    shape (N, 4), from one batched forward pass.
+    """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != p.input_dim:
-        raise ShapeMismatchError(f"window must be (T, {p.input_dim}), got {window.shape}")
-    y_hat = _forward_batch(p, norm.normalize(window)[None, :, :])["y_hat"][0]
-    return norm.denormalize(y_hat)
+    if window.ndim not in (2, 3) or window.shape[-1] != p.input_dim:
+        raise ShapeMismatchError(
+            f"window must be (T, {p.input_dim}) or (N, T, {p.input_dim}), got {window.shape}")
+    stack = window if window.ndim == 3 else window[None, :, :]
+    y_hat = _forward_batch(p, norm.normalize(stack))["y_hat"]
+    return norm.denormalize(y_hat if window.ndim == 3 else y_hat[0])
 
 
 def evaluate(p: GruParams, norm: Normalizer, dataset: WindowedDataset) -> EvalResult:

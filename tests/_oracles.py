@@ -91,3 +91,47 @@ def expected_wait_brute(offsets, period, n_grid=2_000_000):
             nxt = period + offs[0]
         total += nxt - phase
     return total / n_grid
+
+
+def simulate_scalar(arrivals, sectors, needed, offsets_table, burst_period_us, slot_us):
+    """Per-UE access delays, one UE and one burst at a time.
+
+    offsets_table[k][s] lists the ascending SSB start offsets aimed at
+    sector s under slot k's schedule; needed[i] is the index (from 1) of the
+    matching opportunity on which UE i finally detects. Bursts after the
+    last slot keep its schedule.
+    """
+    from bisect import bisect_left
+
+    last_slot = len(offsets_table) - 1
+    bursts_per_slot = slot_us / burst_period_us
+    delays = []
+    for t, s, k in zip(arrivals, sectors, needed):
+        b = int(t // burst_period_us)
+        while True:
+            slot_idx = min(int(b / bursts_per_slot), last_slot)
+            offs = offsets_table[slot_idx][s]
+            burst_start = b * burst_period_us
+            phase = t - burst_start
+            lo = bisect_left(offs, phase) if phase > 0 else 0
+            avail = len(offs) - lo
+            if k <= avail:
+                delays.append(burst_start + offs[lo + k - 1] - t)
+                break
+            k -= avail
+            b += 1
+    return delays
+
+
+def report_csv_scalar(runs, labels="ABCD"):
+    """Per-UE CSV rows, one f-string per row.
+
+    runs holds (policy, seed, sectors, arrival_us, delay_us) tuples whose
+    last three entries are equal-length sequences.
+    """
+    lines = ["policy,seed,ue_id,sector,arrival_us,delay_us"]
+    for policy, seed, sectors, arrival_us, delay_us in runs:
+        for i in range(len(delay_us)):
+            lines.append(f"{policy},{seed},{i},{labels[int(sectors[i])]},"
+                         f"{arrival_us[i]:.3f},{delay_us[i]:.3f}")
+    return "\n".join(lines) + "\n"

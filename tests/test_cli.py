@@ -1,11 +1,13 @@
 """End-to-end tests that drive the command line in subprocesses."""
 
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdrsweep import demo_raw_lines, synthetic_series, write_sector_series
+from cdrsweep import cli, demo_raw_lines, synthetic_series, write_sector_series
 from _cli import run_cli
 
 
@@ -143,6 +145,18 @@ def test_eval_reports_persistence_ratio(workdir):
     assert header == "seq_index,sector,prediction,truth"
 
 
+def test_eval_rejects_a_model_with_a_non_finite_normalizer(workdir):
+    head, scale_row = (workdir / "model.txt").read_text().split("norm_scale 4\n")
+    values = scale_row.splitlines()[0].split()
+    (workdir / "nan_model.txt").write_text(
+        head + "norm_scale 4\n" + " ".join(["nan"] + values[1:]) + "\nend\n")
+    proc = run_cli(["eval", "--model", "nan_model.txt", "--series", "series.csv",
+                    "--window-len", "24", "--out", "nan_eval.csv"], cwd=workdir)
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
+    assert not (workdir / "nan_eval.csv").exists()
+
+
 def test_simulate_writes_three_reports(workdir):
     args = ["simulate", "--series", "series.csv", "--model", "model.txt",
             "--window-len", "24", "--n-seeds", "2", "--sim-slots", "4",
@@ -221,3 +235,35 @@ def test_fixture_series_with_shares(workdir, tmp_path):
 def test_unknown_subcommand_exits_2(workdir):
     proc = run_cli(["frobnicate"], cwd=workdir)
     assert proc.returncode == 2
+
+
+def test_atomic_write_failing_partway_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    cli._write_atomic(target, "old\n")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    real_open = open
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError):
+        cli._write_atomic(target, "new,content\n" * 1000)
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

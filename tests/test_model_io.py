@@ -5,6 +5,7 @@ from cdrsweep import (
     BadMagicError,
     DimensionMismatchError,
     ModelFormatError,
+    NonFiniteInputError,
     Normalizer,
     TruncatedFileError,
     VersionMismatchError,
@@ -107,3 +108,13 @@ def test_normalizer_dim_must_match_input_dim():
     bad = Normalizer(offset=np.zeros(3), scale=np.ones(3))
     with pytest.raises(DimensionMismatchError):
         dumps_model(p, bad)
+
+
+def test_non_finite_normalizer_rejected():
+    p, norm = make_pair(h=2)
+    text = dumps_model(p, norm)
+    head, scale_row = text.split("norm_scale 4\n")
+    values = scale_row.splitlines()[0].split()
+    bad = head + "norm_scale 4\n" + " ".join(["nan"] + values[1:]) + "\nend\n"
+    with pytest.raises(NonFiniteInputError):
+        loads_model(bad)

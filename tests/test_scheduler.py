@@ -146,3 +146,10 @@ def test_ranking_invariants_enforced():
         SweepSchedule(slots=(0,) * 13)
     with pytest.raises(ValueError):
         SweepSchedule(slots=(0,) * 13 + (9,))
+
+
+def test_rank_sectors_needs_a_generator():
+    with pytest.raises(TypeError):
+        rank_sectors([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(TypeError):
+        rank_sectors([1.0, 2.0, 3.0, 4.0], None)

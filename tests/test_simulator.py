@@ -22,7 +22,7 @@ from cdrsweep import (
     summary_csv,
 )
 
-from _oracles import expected_wait_brute
+from _oracles import expected_wait_brute, report_csv_scalar, simulate_scalar
 
 SLOT_DUR = 250.0 / 14
 
@@ -308,3 +308,137 @@ def test_report_csv_layout():
     summary = summary_csv([report]).splitlines()
     assert summary[0] == "policy,mean_us,median_us,p95_us,n"
     assert summary[1].split(",")[4] == str(report.n_ues)
+
+
+def scalar_run(cfg, policy):
+    """simulate() through the scalar oracle: the same arrival and detection
+    streams, then one UE and one burst at a time."""
+    arrival_seq, detect_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    arrivals, sectors = sim_mod._draw_arrivals(cfg, np.random.default_rng(arrival_seq))
+    needed = np.random.default_rng(detect_seq).geometric(cfg.detect_prob,
+                                                         size=arrivals.shape[0])
+    table = [[policy.schedule_for_slot(k).sector_offsets_us(s).tolist()
+              for s in range(4)] for k in range(cfg.n_slots)]
+    delays = simulate_scalar(arrivals.tolist(), sectors.tolist(), needed.tolist(),
+                             table, cfg.burst_period_us, cfg.slot_us)
+    return arrivals, sectors, np.array(delays)
+
+
+def assert_matches_scalar(cfg, policy):
+    report = simulate(cfg, policy)
+    arrivals, sectors, delays = scalar_run(cfg, policy)
+    assert np.array_equal(report.arrival_us, arrivals)
+    assert np.array_equal(report.sectors, sectors)
+    assert report.delay_us.dtype == delays.dtype
+    assert np.array_equal(report.delay_us, delays)  # bit for bit, not to a tolerance
+    return report
+
+
+def slots_crossed(cfg, report):
+    """UEs that detect in a later slot than the one they arrived in."""
+    bursts_per_slot = cfg.slot_us / cfg.burst_period_us
+    last = cfg.n_slots - 1
+
+    def slot_of(t):
+        burst = (t // cfg.burst_period_us).astype(np.int64)
+        return np.minimum((burst / bursts_per_slot).astype(np.int64), last)
+
+    return int(np.sum(slot_of(report.arrival_us + report.delay_us)
+                      != slot_of(report.arrival_us)))
+
+
+# slot lengths in bursts: whole, fractional, shorter than one burst, default
+BURSTS_PER_SLOT = (3.0, 7.5, 0.75, 50.000123, sim_mod.SLOT_US / 20_000.0)
+
+
+@pytest.mark.parametrize("detect_prob", [1.0, 0.5, 0.1, 0.03])
+def test_simulate_matches_scalar_oracle_bit_for_bit(detect_prob):
+    rng = np.random.default_rng(round(detect_prob * 1000))
+    crossed = n_ues = 0
+    for trial in range(12):
+        slot_us = BURSTS_PER_SLOT[trial % len(BURSTS_PER_SLOT)] * 20_000.0
+        n_slots = int(rng.integers(1, 7))
+        horizon_us = (n_slots - rng.uniform(0.0, 0.9)) * slot_us
+        shares = rng.dirichlet(np.ones(4))
+        per_slot = rng.uniform(0.5, 1.5, size=(n_slots, 1))
+        rates = per_slot * shares * (300.0 / (horizon_us / 1e6))
+        cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=horizon_us,
+                        detect_prob=detect_prob, seed=int(rng.integers(2**63)),
+                        slot_us=slot_us)
+        # small integer values per slot: many ties, broken by the policy's rng
+        tied = rng.integers(0, 3, size=(cfg.n_slots, 4)).astype(np.float64)
+        for policy in (PerSlotPolicy.from_values("tied", tied, rng),
+                       StaticPolicy(rank_sectors(rng.uniform(0, 1, 4), rng))):
+            report = assert_matches_scalar(cfg, policy)
+            crossed += slots_crossed(cfg, report)
+            n_ues += report.n_ues
+    assert n_ues > 2_000
+    assert crossed > 0
+
+
+@pytest.mark.parametrize("bursts_per_slot", [7.5, sim_mod.SLOT_US / 20_000.0])
+@pytest.mark.parametrize("detect_prob", [1.0, 0.3])
+def test_simulate_matches_scalar_oracle_on_planted_edges(monkeypatch, bursts_per_slot,
+                                                         detect_prob):
+    period = 20_000.0
+    slot_us = bursts_per_slot * period
+    values = np.array([[9.0, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 9.0], [5.0, 5.0, 1.0, 1.0]])
+    policy = PerSlotPolicy.from_values("edges", values, np.random.default_rng(0))
+    # bursts at phase 0, and the last burst of each of the first two slots
+    first_bursts = [0, int(np.ceil(bursts_per_slot)), int(np.ceil(2 * bursts_per_slot))]
+    last_bursts = [b - 1 for b in first_bursts[1:]]
+    phases = [0.0, SLOT_DUR, SLOT_DUR + 0.01, 13 * SLOT_DUR, 13 * SLOT_DUR + 1e-6, 249.0,
+              19_999.0]
+    times = [b * period + ph for b in first_bursts + last_bursts for ph in phases]
+    times += [slot_us, 2 * slot_us, slot_us - 1.0]
+    times = np.repeat(times, 4)
+    sectors = np.tile(np.arange(4), times.size // 4)
+    planted_arrivals(monkeypatch, times, sectors)
+    cfg = SimConfig(arrival_rates_per_s=np.zeros((3, 4)), horizon_us=3 * slot_us,
+                    detect_prob=detect_prob, seed=3, slot_us=slot_us)
+    report = assert_matches_scalar(cfg, policy)
+    assert slots_crossed(cfg, report) > 0
+
+
+@pytest.mark.parametrize("detect_prob", [1.0, 0.3])
+def test_simulate_matches_scalar_oracle_where_a_slot_start_rounds(monkeypatch, detect_prob):
+    # 1.1 bursts per slot: 170 * 1.1 rounds up to just above 187, yet
+    # int(187 / 1.1) == 170, so burst 187 already belongs to slot 170
+    slot_us = 22_000.0
+    bursts_per_slot = slot_us / 20_000.0
+    assert int(187 / bursts_per_slot) == 170 and 170 * bursts_per_slot > 187
+    n_slots = 172
+    values = np.array([np.roll([4.0, 3.0, 2.0, 1.0], k) for k in range(n_slots)])
+    policy = PerSlotPolicy.from_values("rotating", values, np.random.default_rng(0))
+    times = [b * 20_000.0 + ph for b in range(184, 189)
+             for ph in (0.0, 5 * SLOT_DUR + 1.0, 13 * SLOT_DUR + 1.0)]
+    times = np.repeat(times, 4)
+    planted_arrivals(monkeypatch, times, np.tile(np.arange(4), times.size // 4))
+    cfg = SimConfig(arrival_rates_per_s=np.zeros((n_slots, 4)),
+                    horizon_us=n_slots * slot_us, detect_prob=detect_prob, seed=8,
+                    slot_us=slot_us)
+    assert_matches_scalar(cfg, policy)
+
+
+def test_report_csv_matches_scalar_renderer_byte_for_byte():
+    # .0005 rounding edges (exact and inexact in binary), zero, and > 1e10
+    arrivals = np.array([0.0, 0.0005, 1.0005, 2.0625, 0.0015, 2.675, 1e10 + 0.0005,
+                         123456789012.3455, 5e15 + 0.5, 999.9995])
+    delays = np.array([0.0, 1.0005, 0.0625, 0.0005, 1e11 + 0.0625, 3.0005, 12.5,
+                       0.125, 19_999.9995, 1e12])
+    sectors = np.array([0, 1, 2, 3, 3, 2, 1, 0, 0, 3])
+    reports = [SimReport(policy=name, seed=seed, sectors=sectors[::step],
+                         arrival_us=arrivals[::step], delay_us=delays[::step])
+               for name, seed, step in (("sequential", 0, 1),
+                                        ("predicted", 2**63 + 11, 2),
+                                        ("100%d", 7, 3))]
+    reports.append(SimReport(policy="empty", seed=1, sectors=np.empty(0, dtype=np.int64),
+                             arrival_us=np.empty(0), delay_us=np.empty(0)))
+    runs = [(r.policy, r.seed, r.sectors.tolist(), r.arrival_us.tolist(),
+             r.delay_us.tolist()) for r in reports]
+    assert report_csv(reports) == report_csv_scalar(runs)
+
+    sim = [simulate(uniform_cfg(seed=9, total_rate=2.0, detect_prob=0.5),
+                    StaticPolicy(sequential_ranking()))]
+    assert report_csv(sim) == report_csv_scalar(
+        [(r.policy, r.seed, r.sectors, r.arrival_us, r.delay_us) for r in sim])

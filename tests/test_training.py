@@ -4,7 +4,9 @@ import pytest
 from cdrsweep import (
     DivergedLossError,
     EmptySplitError,
+    NonFiniteInputError,
     Normalizer,
+    PerSlotPolicy,
     SectorSeries,
     ShapeMismatchError,
     TraceMismatchError,
@@ -19,6 +21,7 @@ from cdrsweep import (
     make_windows,
     mse,
     predict_next,
+    synthetic_series,
 )
 from cdrsweep.training import _backward_batch, _forward_batch
 
@@ -63,6 +66,14 @@ def test_normalizer_minmax_and_roundtrip():
 
     with pytest.raises(ValueError):
         Normalizer(offset=np.zeros(4), scale=np.array([1.0, 0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalizer_rejects_non_finite_values(bad):
+    with pytest.raises(NonFiniteInputError):
+        Normalizer(offset=np.zeros(4), scale=np.array([bad, 1.0, 1.0, 1.0]))
+    with pytest.raises(NonFiniteInputError):
+        Normalizer(offset=np.array([0.0, 0.0, bad, 0.0]), scale=np.ones(4))
 
 
 def test_backward_matches_central_differences():
@@ -289,3 +300,28 @@ def test_predict_next_denormalizes_and_validates():
     assert np.max(np.abs(pred - norm.offset)) < 1e-12
     with pytest.raises(ShapeMismatchError):
         predict_next(p, norm, np.zeros((10, 3)))
+
+
+def test_predict_next_on_a_stack_matches_per_window_calls():
+    # the criterion 8 fixture: a skewed-load series and its trained forecaster
+    series = synthetic_series(2016, seed=99, shares=(0.1, 0.1, 0.1, 0.7))
+    ds = make_windows(series, window_len=144, train_fraction=0.9)
+    p, norm, _ = fit(ds, TrainConfig(seed=0), hidden_dim=16)
+    counts = series.counts.astype(float)
+    start = counts.shape[0] - 36
+    windows = np.stack([counts[j - 144:j] for j in range(start, start + 36)])
+
+    stacked = predict_next(p, norm, windows)
+    one_by_one = np.stack([predict_next(p, norm, w) for w in windows])
+    assert stacked.shape == (36, 4)
+    assert np.max(np.abs(stacked - one_by_one)) <= 1e-12 * np.max(np.abs(one_by_one))
+
+    from_stack = PerSlotPolicy.from_values("predicted", stacked, np.random.default_rng(7))
+    from_calls = PerSlotPolicy.from_values("predicted", one_by_one, np.random.default_rng(7))
+    assert ([from_stack.schedule_for_slot(k) for k in range(36)]
+            == [from_calls.schedule_for_slot(k) for k in range(36)])
+
+    with pytest.raises(ShapeMismatchError):
+        predict_next(p, norm, windows[..., :3])
+    with pytest.raises(ShapeMismatchError):
+        predict_next(p, norm, windows[None])
