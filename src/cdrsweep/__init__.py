@@ -82,7 +82,6 @@ from .simulator import (
 )
 from .training import (
     EvalResult,
-    Gradients,
     Normalizer,
     TrainConfig,
     TrainReport,

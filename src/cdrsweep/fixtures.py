@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadSharesError
-from .ingest import SECTOR_LABELS, SLOT_MS, SectorMap, SectorSeries
+from .ingest import SLOT_MS, SectorMap, SectorSeries, check_shares
 
 DEFAULT_SQUARES = (5060, 5061, 5160, 5161)
 
@@ -52,15 +51,6 @@ def demo_raw_lines() -> list[str]:
     return lines
 
 
-def _check_shares(shares) -> np.ndarray:
-    shares = np.asarray(shares, dtype=np.float64)
-    if shares.shape != (len(SECTOR_LABELS),) or not np.all(np.isfinite(shares)):
-        raise BadSharesError(f"need {len(SECTOR_LABELS)} finite shares, got {shares}")
-    if np.any(shares < 0) or abs(shares.sum() - 1.0) > 1e-9:
-        raise BadSharesError(f"shares must be non-negative and sum to 1, got {shares}")
-    return shares
-
-
 def synthetic_series(n_slots: int = 2016, seed: int = 2013,
                      shares=None) -> SectorSeries:
     """Seeded counts with a daily sinusoid per sector plus Poisson noise.
@@ -81,7 +71,7 @@ def synthetic_series(n_slots: int = 2016, seed: int = 2013,
         phase = np.array([0.0, 0.9, 2.1, 4.0])
         lam = base + amp * 0.5 * (1.0 + np.sin(angle[:, None] + phase))
     else:
-        shares = _check_shares(shares)
+        shares = check_shares(shares)
         total = 20.0 + 18.0 * (1.0 + np.sin(angle + 1.3))
         lam = total[:, None] * shares
 

@@ -13,6 +13,11 @@ the candidate through the gated state h_tilde = h[t-1] * r[t]:
     z = tanh(W_z h_tilde + R_z x + b_z)
     u = sigmoid(W_u h[t-1] + R_u x + b_u)
 
+Every function takes an optional leading batch axis: one sequence is a
+(T, D) input with (H,) states, a batch is (B, T, D) with (B, H) states, and
+the same step body serves both. In code the gate pre-activations are
+written row-wise, h[t-1] @ W_r.T + x @ R_r.T + b_r and so on.
+
 All operations here are pure functions of their arguments; training-time
 mutation lives in the trainer module.
 """
@@ -127,7 +132,10 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
 
 @dataclass
 class StepTrace:
-    """Every intermediate value of one recurrence step, retained for BPTT."""
+    """Every intermediate value of one recurrence step, retained for BPTT.
+
+    Each array is (H,) or (D,) for one sequence, (B, H) or (B, D) for a batch.
+    """
 
     x: np.ndarray
     h_prev: np.ndarray
@@ -149,54 +157,59 @@ class ForwardTrace:
 
 
 def _check_step_dims(p: GruParams, h_prev: np.ndarray, x: np.ndarray) -> None:
-    if h_prev.shape != (p.hidden_dim,):
+    h, d = p.hidden_dim, p.input_dim
+    if (h_prev.shape[-1:] != (h,) or x.shape[-1:] != (d,)
+            or h_prev.shape[:-1] != x.shape[:-1] or x.ndim > 2):
         raise DimensionMismatchError(
-            f"hidden state has shape {h_prev.shape}, expected ({p.hidden_dim},)")
-    if x.shape != (p.input_dim,):
-        raise DimensionMismatchError(
-            f"input has shape {x.shape}, expected ({p.input_dim},)")
+            f"hidden state has shape {h_prev.shape} and input {x.shape}, "
+            f"expected ({h},) and ({d},), or (B, {h}) and (B, {d})")
 
 
 def gru_step(p: GruParams, h_prev: np.ndarray, x: np.ndarray) -> StepTrace:
-    """One recurrence step; returns the full trace for later backprop."""
+    """One recurrence step; returns the full trace for later backprop.
+
+    h_prev and x are one sequence's (H,) and (D,) vectors, or (B, H) and
+    (B, D) rows, one per batch member.
+    """
     h_prev = np.asarray(h_prev, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     _check_step_dims(p, h_prev, x)
 
-    r = sigmoid(p.W_r @ h_prev + p.R_r @ x + p.b_r)
+    r = sigmoid(h_prev @ p.W_r.T + x @ p.R_r.T + p.b_r)
     h_tilde = h_prev * r
-    z = np.tanh(p.W_z @ h_tilde + p.R_z @ x + p.b_z)
-    u = sigmoid(p.W_u @ h_prev + p.R_u @ x + p.b_u)
+    z = np.tanh(h_tilde @ p.W_z.T + x @ p.R_z.T + p.b_z)
+    u = sigmoid(h_prev @ p.W_u.T + x @ p.R_u.T + p.b_u)
     h = (1.0 - u) * h_prev + u * z
     return StepTrace(x=x, h_prev=h_prev, r=r, h_tilde=h_tilde, z=z, u=u, h=h)
 
 
 def readout(p: GruParams, h: np.ndarray) -> np.ndarray:
-    """Affine map from hidden state to the output vector (no activation)."""
+    """Affine map from hidden state, (H,) or (B, H), to the output (no activation)."""
     h = np.asarray(h, dtype=np.float64)
-    if h.shape != (p.hidden_dim,):
+    if h.ndim not in (1, 2) or h.shape[-1] != p.hidden_dim:
         raise DimensionMismatchError(
-            f"hidden state has shape {h.shape}, expected ({p.hidden_dim},)")
-    return p.W_out @ h + p.b_out
+            f"hidden state has shape {h.shape}, "
+            f"expected ({p.hidden_dim},) or (B, {p.hidden_dim})")
+    return h @ p.W_out.T + p.b_out
 
 
 def forward(p: GruParams, h0: np.ndarray, xs) -> ForwardTrace:
     """Fold gru_step over an input sequence and read out the final state.
 
-    xs is a sequence of input vectors (or a (T, input_dim) array). h0 is the
-    initial hidden state. Deterministic: identical arguments produce
-    bit-identical traces.
+    xs is one sequence of input vectors, a (T, input_dim) array with h0 of
+    shape (H,), or a batch of them, (B, T, input_dim) with h0 of shape
+    (B, H). Deterministic: identical arguments produce bit-identical traces.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 1:
         xs = xs.reshape(1, -1)
-    if xs.shape[0] == 0:
+    if xs.shape[-2] == 0:
         raise EmptySequenceError("input sequence is empty")
 
     trace = ForwardTrace()
     h = np.asarray(h0, dtype=np.float64)
-    for t in range(xs.shape[0]):
-        step = gru_step(p, h, xs[t])
+    for t in range(xs.shape[-2]):
+        step = gru_step(p, h, xs[..., t, :])
         trace.steps.append(step)
         h = step.h
     trace.y_hat = readout(p, h)

@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import (
+    BadSharesError,
     EmptyInputError,
     SeriesFormatError,
     SeriesTooShortError,
@@ -29,6 +30,16 @@ SLOT_MS = 600_000
 ACTIVITY_NAMES = ("sms_in", "sms_out", "call_in", "call_out", "internet")
 # square_id, slot_start, country code, then the five activity fields
 _MAX_FIELDS = 3 + len(ACTIVITY_NAMES)
+
+
+def check_shares(shares) -> np.ndarray:
+    """Per-sector shares as a float array: finite, non-negative, summing to 1."""
+    shares = np.asarray(shares, dtype=np.float64)
+    if shares.shape != (len(SECTOR_LABELS),) or not np.all(np.isfinite(shares)):
+        raise BadSharesError(f"need {len(SECTOR_LABELS)} finite shares, got {shares}")
+    if np.any(shares < 0) or abs(shares.sum() - 1.0) > 1e-9:
+        raise BadSharesError(f"shares must be non-negative and sum to 1, got {shares}")
+    return shares
 
 
 @dataclass

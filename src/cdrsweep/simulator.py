@@ -15,12 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadSharesError,
-    InvalidConfigError,
-    MismatchedConfigsError,
-)
-from .ingest import SECTOR_LABELS
+from .errors import InvalidConfigError, MismatchedConfigsError
+from .ingest import SECTOR_LABELS, check_shares
 from .scheduler import (
     BURST_DURATION_US,
     BURST_PERIOD_US,
@@ -282,11 +278,7 @@ def expected_delay_static(schedule: SweepSchedule, sector_shares,
     the wait to the next matching slot start integrates piecewise to
     gap^2 / 2 terms. Shares weight the per-sector means.
     """
-    shares = np.asarray(sector_shares, dtype=np.float64)
-    if shares.shape != (N_SECTORS,) or not np.all(np.isfinite(shares)):
-        raise BadSharesError(f"need {N_SECTORS} finite shares, got {sector_shares}")
-    if np.any(shares < 0) or abs(shares.sum() - 1.0) > 1e-9:
-        raise BadSharesError(f"shares must be non-negative and sum to 1, got {shares}")
+    shares = check_shares(sector_shares)
 
     p = burst_period_us
     total = 0.0

@@ -2,9 +2,11 @@
 
 backward() differentiates one retained ForwardTrace exactly, step by step in
 reverse, following the same gate structure the forward pass used (including
-the h_tilde = h_prev * r path into the candidate). fit() runs the batched
-equivalent for speed; tests pin the two paths against each other and against
-central finite differences.
+the h_tilde = h_prev * r path into the candidate). It is the only reverse
+pass: fit() runs it on (B, T, D) batches, the gradient check on single
+(T, D) sequences. Gradients come back as a GruParams of the same shapes.
+Tests pin forward() to the scalar reference in tests/_oracles.py and
+backward() to central finite differences.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     ShapeMismatchError,
     TraceMismatchError,
 )
-from .gru import PARAM_FIELDS, ForwardTrace, GruParams
+from .gru import ForwardTrace, GruParams
 from .ingest import SECTOR_LABELS, WindowedDataset
 
 
@@ -85,36 +87,6 @@ class TrainConfig:
             raise ValueError("gradient_clip_norm must be positive or None")
 
 
-@dataclass
-class Gradients:
-    """One array per GruParams field, same shapes."""
-
-    W_r: np.ndarray
-    R_r: np.ndarray
-    b_r: np.ndarray
-    W_z: np.ndarray
-    R_z: np.ndarray
-    b_z: np.ndarray
-    W_u: np.ndarray
-    R_u: np.ndarray
-    b_u: np.ndarray
-    W_out: np.ndarray
-    b_out: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, p: GruParams) -> "Gradients":
-        return cls(**{name: np.zeros_like(arr) for name, arr in p.arrays().items()})
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_FIELDS}
-
-    def global_norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(a * a)) for a in self.arrays().values())))
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays().values())
-
-
 def mse(y_hat: np.ndarray, y: np.ndarray) -> float:
     """Mean over all elements of the squared differences."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
@@ -124,57 +96,72 @@ def mse(y_hat: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((y_hat - y) ** 2))
 
 
-def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, Gradients]:
-    """Exact MSE gradients for one sequence via reverse accumulation.
+def global_norm(g: GruParams) -> float:
+    """Euclidean norm of all gradient entries taken together."""
+    return float(np.sqrt(sum(float(np.sum(a * a)) for a in g.arrays().values())))
 
-    The trace must come from forward() under the same parameters; every gate
-    value is reused rather than recomputed.
+
+def all_finite(g: GruParams) -> bool:
+    return all(np.all(np.isfinite(a)) for a in g.arrays().values())
+
+
+def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, GruParams]:
+    """Exact gradient of the MSE over all elements of y, by reverse accumulation.
+
+    y is one sequence's (O,) target or a batch's (B, O) targets; the trace
+    must come from forward() under the same parameters and batch shape, and
+    every gate value in it is reused rather than recomputed. For a batch the
+    gradient is the mean of the per-sequence gradients.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (p.output_dim,):
-        raise TraceMismatchError(f"target has shape {y.shape}, expected ({p.output_dim},)")
+    if y.ndim not in (1, 2) or y.shape[-1] != p.output_dim:
+        raise TraceMismatchError(
+            f"target has shape {y.shape}, expected ({p.output_dim},) or (B, {p.output_dim})")
     if not trace.steps:
         raise TraceMismatchError("trace has no steps")
-    for step in trace.steps:
-        if step.h.shape != (p.hidden_dim,) or step.x.shape != (p.input_dim,):
-            raise TraceMismatchError("trace dimensions do not match parameters")
+    h_shape, x_shape = y.shape[:-1] + (p.hidden_dim,), y.shape[:-1] + (p.input_dim,)
+    if any(step.h.shape != h_shape or step.x.shape != x_shape for step in trace.steps):
+        raise TraceMismatchError("trace dimensions do not match parameters and target")
 
-    g = Gradients.zeros_like(p)
-    o = p.output_dim
-
+    g = GruParams(**{name: np.zeros_like(arr) for name, arr in p.arrays().items()})
     y_hat = trace.y_hat
     loss = mse(y_hat, y)
-    d_y = 2.0 * (y_hat - y) / o
+    # one sequence is a batch of one: (1, n) rows make every weight gradient a GEMM
+    rows_h, rows_x = (-1, p.hidden_dim), (-1, p.input_dim)
+    d_y = (2.0 * (y_hat - y) / y_hat.size).reshape(-1, p.output_dim)
 
-    h_last = trace.h_last
-    g.W_out += np.outer(d_y, h_last)
-    g.b_out += d_y
-    dh = p.W_out.T @ d_y
+    g.W_out += d_y.T @ trace.h_last.reshape(rows_h)
+    g.b_out += d_y.sum(axis=0)
+    dh = d_y @ p.W_out
 
     for step in reversed(trace.steps):
-        du = dh * (step.z - step.h_prev)
-        dz = dh * step.u
-        dh_prev = dh * (1.0 - step.u)
+        x = step.x.reshape(rows_x)
+        h_prev, h_tilde = step.h_prev.reshape(rows_h), step.h_tilde.reshape(rows_h)
+        r, z, u = step.r, step.z, step.u
 
-        da_u = du * step.u * (1.0 - step.u)
-        g.W_u += np.outer(da_u, step.h_prev)
-        g.R_u += np.outer(da_u, step.x)
-        g.b_u += da_u
-        dh_prev += p.W_u.T @ da_u
+        du = dh * (z - h_prev)
+        dz = dh * u
+        dh_prev = dh * (1.0 - u)
 
-        da_z = dz * (1.0 - step.z ** 2)
-        g.W_z += np.outer(da_z, step.h_tilde)
-        g.R_z += np.outer(da_z, step.x)
-        g.b_z += da_z
-        dh_tilde = p.W_z.T @ da_z
-        dh_prev += dh_tilde * step.r
-        dr = dh_tilde * step.h_prev
+        da_u = du * u * (1.0 - u)
+        g.W_u += da_u.T @ h_prev
+        g.R_u += da_u.T @ x
+        g.b_u += da_u.sum(axis=0)
+        dh_prev += da_u @ p.W_u
 
-        da_r = dr * step.r * (1.0 - step.r)
-        g.W_r += np.outer(da_r, step.h_prev)
-        g.R_r += np.outer(da_r, step.x)
-        g.b_r += da_r
-        dh_prev += p.W_r.T @ da_r
+        da_z = dz * (1.0 - z ** 2)
+        g.W_z += da_z.T @ h_tilde
+        g.R_z += da_z.T @ x
+        g.b_z += da_z.sum(axis=0)
+        dh_tilde = da_z @ p.W_z
+        dh_prev += dh_tilde * r
+        dr = dh_tilde * h_prev
+
+        da_r = dr * r * (1.0 - r)
+        g.W_r += da_r.T @ h_prev
+        g.R_r += da_r.T @ x
+        g.b_r += da_r.sum(axis=0)
+        dh_prev += da_r @ p.W_r
 
         dh = dh_prev
 
@@ -223,91 +210,6 @@ def grad_check(p: GruParams, sample, epsilon: float) -> float:
     return max(grad_check_by_tensor(p, sample, epsilon).values())
 
 
-# ---------------------------------------------------------------------------
-# Batched fast path used by fit(); numerically identical to folding the
-# single-sequence ops over each batch member and averaging.
-
-def _forward_batch(p: GruParams, X: np.ndarray) -> dict:
-    """X: (B, T, D). Hidden state starts at zero for every sequence."""
-    B, T, _ = X.shape
-    H = p.hidden_dim
-    h = np.zeros((B, H))
-    h_prevs = np.empty((T, B, H))
-    rs = np.empty((T, B, H))
-    h_tildes = np.empty((T, B, H))
-    zs = np.empty((T, B, H))
-    us = np.empty((T, B, H))
-    for t in range(T):
-        x_t = X[:, t, :]
-        h_prevs[t] = h
-        r = gru.sigmoid(h @ p.W_r.T + x_t @ p.R_r.T + p.b_r)
-        h_tilde = h * r
-        z = np.tanh(h_tilde @ p.W_z.T + x_t @ p.R_z.T + p.b_z)
-        u = gru.sigmoid(h @ p.W_u.T + x_t @ p.R_u.T + p.b_u)
-        h = (1.0 - u) * h + u * z
-        rs[t], h_tildes[t], zs[t], us[t] = r, h_tilde, z, u
-    y_hat = h @ p.W_out.T + p.b_out
-    return {"X": X, "h_prevs": h_prevs, "rs": rs, "h_tildes": h_tildes,
-            "zs": zs, "us": us, "h_last": h, "y_hat": y_hat}
-
-
-def _backward_batch(p: GruParams, cache: dict, Y: np.ndarray) -> tuple[float, Gradients]:
-    """Gradient of the batch-mean MSE; equals the mean of per-sequence gradients."""
-    X = cache["X"]
-    B, T, _ = X.shape
-    y_hat = cache["y_hat"]
-    loss = float(np.mean((y_hat - Y) ** 2))
-
-    g = Gradients.zeros_like(p)
-    d_y = 2.0 * (y_hat - Y) / y_hat.size
-
-    g.W_out += d_y.T @ cache["h_last"]
-    g.b_out += d_y.sum(axis=0)
-    dh = d_y @ p.W_out
-
-    for t in range(T - 1, -1, -1):
-        x_t = X[:, t, :]
-        h_prev = cache["h_prevs"][t]
-        r, h_tilde = cache["rs"][t], cache["h_tildes"][t]
-        z, u = cache["zs"][t], cache["us"][t]
-
-        du = dh * (z - h_prev)
-        dz = dh * u
-        dh_prev = dh * (1.0 - u)
-
-        da_u = du * u * (1.0 - u)
-        g.W_u += da_u.T @ h_prev
-        g.R_u += da_u.T @ x_t
-        g.b_u += da_u.sum(axis=0)
-        dh_prev += da_u @ p.W_u
-
-        da_z = dz * (1.0 - z ** 2)
-        g.W_z += da_z.T @ h_tilde
-        g.R_z += da_z.T @ x_t
-        g.b_z += da_z.sum(axis=0)
-        dh_tilde = da_z @ p.W_z
-        dh_prev += dh_tilde * r
-        dr = dh_tilde * h_prev
-
-        da_r = dr * r * (1.0 - r)
-        g.W_r += da_r.T @ h_prev
-        g.R_r += da_r.T @ x_t
-        g.b_r += da_r.sum(axis=0)
-        dh_prev += da_r @ p.W_r
-
-        dh = dh_prev
-
-    return loss, g
-
-
-def _clip_global_norm(g: Gradients, max_norm: float) -> None:
-    norm = g.global_norm()
-    if norm > max_norm:
-        factor = max_norm / norm
-        for arr in g.arrays().values():
-            arr *= factor
-
-
 class _Adam:
     def __init__(self, p: GruParams, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
@@ -315,7 +217,7 @@ class _Adam:
         self.m = {k: np.zeros_like(v) for k, v in p.arrays().items()}
         self.v = {k: np.zeros_like(v) for k, v in p.arrays().items()}
 
-    def update(self, p: GruParams, g: Gradients) -> None:
+    def update(self, p: GruParams, g: GruParams) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -333,7 +235,7 @@ class _Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def update(self, p: GruParams, g: Gradients) -> None:
+    def update(self, p: GruParams, g: GruParams) -> None:
         for name, grad in g.arrays().items():
             getattr(p, name)[...] -= self.lr * grad
 
@@ -388,14 +290,19 @@ def fit(dataset: WindowedDataset, cfg: TrainConfig,
         idx = batch_rng.integers(0, dataset.n_train, size=cfg.batch_size)
         # a diverging run overflows on purpose before it is caught below
         with np.errstate(over="ignore", invalid="ignore"):
-            cache = _forward_batch(p, xn[idx])
-            loss, g = _backward_batch(p, cache, yn[idx])
-        if not np.isfinite(loss) or not g.all_finite():
+            trace = gru.forward(p, np.zeros((cfg.batch_size, hidden_dim)), xn[idx])
+            loss, g = backward(p, trace, yn[idx])
+            norm_g = global_norm(g)
+        if not np.isfinite(loss) or not all_finite(g):
+            last = repr(report.losses[-1]) if report.losses else "none"
             raise DivergedLossError(
                 f"non-finite loss/gradient at step {step} "
-                f"(epoch {step // cfg.steps_per_epoch}, loss={loss})")
-        if cfg.gradient_clip_norm is not None:
-            _clip_global_norm(g, cfg.gradient_clip_norm)
+                f"(epoch {step // cfg.steps_per_epoch}, loss={loss}, "
+                f"last finite loss={last}, pre-clip gradient norm={norm_g})")
+        if cfg.gradient_clip_norm is not None and norm_g > cfg.gradient_clip_norm:
+            factor = cfg.gradient_clip_norm / norm_g
+            for arr in g.arrays().values():
+                arr *= factor
         opt.update(p, g)
         report.losses.append(float(loss))
 
@@ -439,9 +346,8 @@ def predict_next(p: GruParams, norm: Normalizer, window: np.ndarray) -> np.ndarr
     if window.ndim not in (2, 3) or window.shape[-1] != p.input_dim:
         raise ShapeMismatchError(
             f"window must be (T, {p.input_dim}) or (N, T, {p.input_dim}), got {window.shape}")
-    stack = window if window.ndim == 3 else window[None, :, :]
-    y_hat = _forward_batch(p, norm.normalize(stack))["y_hat"]
-    return norm.denormalize(y_hat if window.ndim == 3 else y_hat[0])
+    h0 = np.zeros(window.shape[:-2] + (p.hidden_dim,))
+    return norm.denormalize(gru.forward(p, h0, norm.normalize(window)).y_hat)
 
 
 def evaluate(p: GruParams, norm: Normalizer, dataset: WindowedDataset) -> EvalResult:
@@ -454,8 +360,8 @@ def evaluate(p: GruParams, norm: Normalizer, dataset: WindowedDataset) -> EvalRe
     if test_x.shape[0] == 0:
         raise EmptySplitError("test split is empty")
 
-    y_hat = _forward_batch(p, norm.normalize(test_x))["y_hat"]
-    preds = norm.denormalize(y_hat)
+    h0 = np.zeros((test_x.shape[0], p.hidden_dim))
+    preds = norm.denormalize(gru.forward(p, h0, norm.normalize(test_x)).y_hat)
 
     err = (preds - test_y) ** 2
     persisted = test_x[:, -1, :]

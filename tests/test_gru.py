@@ -82,23 +82,27 @@ def test_forward_matches_scalar_oracle():
 def test_forward_is_a_fold_of_steps():
     rng = np.random.default_rng(3)
     p = init_params(2, 4, 2, rng)
-    xs = rng.normal(size=(5, 2))
-    trace = forward(p, np.zeros(4), xs)
+    for batch in [(), (3,)]:  # one sequence, then a batch of three
+        xs = rng.normal(size=batch + (5, 2))
+        trace = forward(p, np.zeros(batch + (4,)), xs)
 
-    h = np.zeros(4)
-    for t in range(5):
-        h = gru_step(p, h, xs[t]).h
-        assert np.array_equal(trace.steps[t].h, h)
-    assert np.array_equal(trace.y_hat, readout(p, h))
+        h = np.zeros(batch + (4,))
+        for t in range(5):
+            h = gru_step(p, h, xs[..., t, :]).h
+            assert np.array_equal(trace.steps[t].h, h)
+        assert np.array_equal(trace.y_hat, readout(p, h))
+        assert trace.y_hat.shape == batch + (2,)
 
 
 def test_forward_records_hidden_chain():
     rng = np.random.default_rng(11)
     p = init_params(3, 2, 3, rng)
-    xs = rng.normal(size=(4, 3))
-    trace = forward(p, np.zeros(2), xs)
-    for a, b in zip(trace.steps, trace.steps[1:]):
-        assert np.array_equal(a.h, b.h_prev)
+    for batch in [(), (5,)]:
+        xs = rng.normal(size=batch + (4, 3))
+        trace = forward(p, np.zeros(batch + (2,)), xs)
+        for a, b in zip(trace.steps, trace.steps[1:]):
+            assert np.array_equal(a.h, b.h_prev)
+            assert a.h.shape == batch + (2,)
 
 
 def test_empty_sequence_rejected():
@@ -115,6 +119,18 @@ def test_step_rejects_wrong_shapes():
         gru_step(p, np.zeros(4), np.zeros(2))
     with pytest.raises(DimensionMismatchError):
         readout(p, np.zeros(3))
+    # a batch: the leading axes of state and input must agree, and be one axis
+    assert gru_step(p, np.zeros((2, 4)), np.zeros((2, 3))).h.shape == (2, 4)
+    with pytest.raises(DimensionMismatchError):
+        gru_step(p, np.zeros((2, 4)), np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatchError):
+        gru_step(p, np.zeros(4), np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        gru_step(p, np.zeros((1, 2, 4)), np.zeros((1, 2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        forward(p, np.zeros(4), np.zeros((2, 5, 3)))
+    with pytest.raises(DimensionMismatchError):
+        readout(p, np.zeros((2, 3)))
 
 
 def test_validate_catches_bad_shapes_and_nan():

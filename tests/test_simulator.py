@@ -20,6 +20,7 @@ from cdrsweep import (
     sequential_ranking,
     simulate,
     summary_csv,
+    synthetic_series,
 )
 
 from _oracles import expected_wait_brute, report_csv_scalar, simulate_scalar
@@ -251,6 +252,42 @@ def test_bad_shares_rejected():
         expected_delay_static(SweepSchedule(slots=(0, 1, 2) * 4 + (0, 1)),
                               [0.25, 0.25, 0.25, 0.25])
     assert expected_delay_static(lonely, [1.0, 0.0, 0.0, 0.0]) > 0
+
+
+@pytest.mark.parametrize("shares", [
+    [0.25, 0.25, np.nan, 0.5],
+    [0.5, 0.5, 0.5, -0.5],
+    [0.5, 0.5, 0.0],
+    [0.3, 0.3, 0.3, 0.3],
+])
+def test_synthetic_series_rejects_bad_shares(shares):
+    # the same check guards expected_delay_static (test_bad_shares_rejected)
+    with pytest.raises(BadSharesError):
+        synthetic_series(10, seed=0, shares=shares)
+    with pytest.raises(BadSharesError):
+        expected_delay_static(build_schedule(sequential_ranking()), shares)
+
+
+def test_paired_ci_is_narrower_than_unpaired():
+    # common random numbers: both policies see the same arrivals per seed,
+    # so the per-seed means move together and their differences vary less
+    shares = np.array([0.1, 0.1, 0.1, 0.7])
+    seq = StaticPolicy(sequential_ranking())
+    skewed = StaticPolicy(rank_sectors(shares, np.random.default_rng(0)), name="skewed")
+    reports = []
+    for seed in range(20):
+        cfg = SimConfig(arrival_rates_per_s=shares * 0.5, horizon_us=sim_mod.SLOT_US,
+                        seed=seed)
+        reports += [simulate(cfg, seq), simulate(cfg, skewed)]
+    row = compare(reports).rows[1]
+
+    means_a = np.array([r.mean_us for r in reports[0::2]])
+    means_b = np.array([r.mean_us for r in reports[1::2]])
+    n = len(means_a)
+    unpaired = 2 * 1.96 * np.sqrt(np.var(means_a, ddof=1) / n + np.var(means_b, ddof=1) / n)
+    paired = row.ci_hi_us - row.ci_lo_us
+    assert abs(row.mean_diff_us - float(np.mean(means_b - means_a))) < 1e-9
+    assert 0 < paired < unpaired, (paired, unpaired)
 
 
 def test_compare_pairs_by_seed():

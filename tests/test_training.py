@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,8 @@ from cdrsweep import (
     predict_next,
     synthetic_series,
 )
-from cdrsweep.training import _backward_batch, _forward_batch
 
-from _oracles import mse_scalar
+from _oracles import forward_scalar, mse_scalar, weights_as_lists
 from test_gru import zero_params
 
 
@@ -122,6 +123,13 @@ def test_backward_rejects_mismatched_target_and_trace():
     other = init_params(2, 5, 2, rng)
     with pytest.raises(TraceMismatchError):
         backward(other, trace, np.zeros(2))
+    # a batched trace needs one target row per batch member
+    batched = forward(p, np.zeros((4, 3)), rng.normal(size=(4, 5, 2)))
+    for target in (np.zeros(2), np.zeros((3, 2)), np.zeros((1, 4, 2))):
+        with pytest.raises(TraceMismatchError):
+            backward(p, batched, target)
+    with pytest.raises(TraceMismatchError):
+        backward(p, trace, np.zeros((1, 2)))
 
 
 def test_grad_check_accepts_healthy_model():
@@ -157,11 +165,11 @@ def test_batched_forward_matches_per_sequence():
     rng = np.random.default_rng(9)
     p = init_params(4, 5, 4, rng)
     X = rng.normal(size=(7, 6, 4))
-    out = _forward_batch(p, X)
+    out = forward(p, np.zeros((7, 5)), X)
     for b in range(7):
-        trace = forward(p, np.zeros(5), X[b])
-        assert np.max(np.abs(out["y_hat"][b] - trace.y_hat)) < 1e-12
-        assert np.max(np.abs(out["h_last"][b] - trace.h_last)) < 1e-12
+        ref_y, ref_h = forward_scalar(weights_as_lists(p), [0.0] * 5, X[b].tolist())
+        assert np.max(np.abs(out.y_hat[b] - np.array(ref_y))) < 1e-12
+        assert np.max(np.abs(out.h_last[b] - np.array(ref_h))) < 1e-12
 
 
 def test_batched_backward_is_mean_of_sequence_gradients():
@@ -169,8 +177,25 @@ def test_batched_backward_is_mean_of_sequence_gradients():
     p = init_params(3, 4, 3, rng)
     X = rng.normal(size=(5, 6, 3))
     Y = rng.normal(size=(5, 3))
+    h0 = np.zeros((5, 4))
 
-    loss_b, g_b = _backward_batch(p, _forward_batch(p, X), Y)
+    loss_b, g_b = backward(p, forward(p, h0, X), Y)
+
+    # central differences of the batch-mean MSE, written out longhand
+    eps = 1e-6
+    for name, arr in p.arrays().items():
+        analytic = getattr(g_b, name)
+        flat = arr.reshape(-1)
+        for idx in range(flat.size):
+            saved = flat[idx]
+            flat[idx] = saved + eps
+            up = mse(forward(p, h0, X).y_hat, Y)
+            flat[idx] = saved - eps
+            down = mse(forward(p, h0, X).y_hat, Y)
+            flat[idx] = saved
+            numeric = (up - down) / (2 * eps)
+            a = analytic.reshape(-1)[idx]
+            assert abs(a - numeric) <= 1e-6 * max(1.0, abs(a), abs(numeric)), name
 
     per_seq_losses = []
     sums = {name: np.zeros_like(arr) for name, arr in p.arrays().items()}
@@ -231,8 +256,12 @@ def test_fit_diverges_cleanly_at_huge_learning_rate():
     cfg = TrainConfig(epochs=2, steps_per_epoch=50, batch_size=8,
                       learning_rate=1e6, optimizer="sgd",
                       gradient_clip_norm=None, seed=0)
-    with pytest.raises(DivergedLossError):
+    with pytest.raises(DivergedLossError) as caught:
         fit(ds, cfg, hidden_dim=6)
+    message = str(caught.value)
+    assert re.search(r"at step \d+ \(epoch \d+,", message), message
+    assert re.search(r"last finite loss=(none|\d\S*)", message), message
+    assert "pre-clip gradient norm=" in message, message
 
 
 def test_fit_rejects_bad_config_and_empty_split():
