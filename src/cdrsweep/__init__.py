@@ -72,7 +72,6 @@ from .simulator import (
     PerSlotPolicy,
     SimConfig,
     SimReport,
-    StaticPolicy,
     compare,
     expected_delay_static,
     rates_from_counts,

@@ -318,6 +318,10 @@ def _cmd_eval(res: dict) -> int:
 
 
 def _cmd_simulate(res: dict) -> int:
+    for dest in ("n_seeds", "sim_slots"):
+        if res[dest] < 1:
+            raise InvalidConfigError(
+                f"--{dest.replace('_', '-')} must be at least 1, got {res[dest]}")
     series = _load_series(res["series"])
     policies = res["policies"]
     if not policies:
@@ -342,10 +346,11 @@ def _cmd_simulate(res: dict) -> int:
     policy_objs = []
     for name in policies:
         if name == "sequential":
-            policy_objs.append(simulator.StaticPolicy(scheduler.sequential_ranking()))
+            policy_objs.append(
+                simulator.PerSlotPolicy.from_ranking(scheduler.sequential_ranking()))
         elif name == "oracle":
             policy_objs.append(simulator.PerSlotPolicy.from_values(
-                "oracle", truth, np.random.default_rng(oracle_ties), source="oracle"))
+                "oracle", truth, np.random.default_rng(oracle_ties)))
         else:
             if res["model"] is None:
                 raise InvalidConfigError("the predicted policy needs --model")

@@ -104,7 +104,6 @@ class SweepSchedule:
     """
 
     slots: tuple
-    burst_duration_us: float = BURST_DURATION_US
 
     def __post_init__(self):
         if len(self.slots) != SSB_SLOTS:
@@ -114,7 +113,7 @@ class SweepSchedule:
 
     @property
     def slot_duration_us(self) -> float:
-        return self.burst_duration_us / SSB_SLOTS
+        return BURST_DURATION_US / SSB_SLOTS
 
     def offsets_us(self) -> np.ndarray:
         return np.arange(SSB_SLOTS) * self.slot_duration_us

@@ -20,7 +20,6 @@ from .ingest import SECTOR_LABELS, check_shares
 from .scheduler import (
     BURST_DURATION_US,
     BURST_PERIOD_US,
-    SSB_SLOTS,
     SectorRanking,
     SweepSchedule,
     build_schedule,
@@ -45,7 +44,6 @@ class SimConfig:
     detect_prob: float = 1.0
     seed: int = 0
     burst_period_us: float = BURST_PERIOD_US
-    burst_duration_us: float = BURST_DURATION_US
     slot_us: float = SLOT_US
 
     def __post_init__(self):
@@ -63,10 +61,12 @@ class SimConfig:
             raise InvalidConfigError(f"horizon must be positive, got {self.horizon_us}")
         if not 0.0 < self.detect_prob <= 1.0:
             raise InvalidConfigError(f"detect_prob must be in (0, 1], got {self.detect_prob}")
-        if not self.burst_duration_us < self.burst_period_us:
-            raise InvalidConfigError("burst_duration must be smaller than burst_period")
-        if self.slot_us <= 0:
-            raise InvalidConfigError("slot_us must be positive")
+        for name in ("burst_period_us", "slot_us"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidConfigError(f"{name} must be finite and positive, got {value}")
+        if not BURST_DURATION_US < self.burst_period_us:
+            raise InvalidConfigError(f"burst_period_us must exceed {BURST_DURATION_US}")
 
     @property
     def n_slots(self) -> int:
@@ -88,40 +88,42 @@ def rates_from_counts(counts, mean_total_rate_per_s: float) -> np.ndarray:
     return counts * (mean_total_rate_per_s / mean_total)
 
 
-class StaticPolicy:
-    """The same schedule for every burst."""
-
-    def __init__(self, ranking: SectorRanking, name: str | None = None):
-        self.name = name if name is not None else ranking.source
-        self._schedule = build_schedule(ranking)
-
-    def schedule_for_slot(self, slot_idx: int) -> SweepSchedule:
-        return self._schedule
-
-
 class PerSlotPolicy:
-    """A precomputed schedule per 10-minute slot (prediction- or truth-driven)."""
+    """A sweep policy: one schedule for every 10-minute slot, or one per slot.
+
+    Built once: offsets[i, s, :counts[i, s]] are the ascending start offsets
+    of the SSBs aimed at sector s under schedule i; the rest of a row is inf.
+    """
 
     def __init__(self, name: str, schedules):
         self.name = name
-        self._schedules = list(schedules)
-        if not self._schedules:
+        self.schedules = tuple(schedules)
+        if not self.schedules:
             raise InvalidConfigError("need at least one schedule")
+        slots = np.array([sched.slots for sched in self.schedules])
+        aimed = slots[:, None, :] == np.arange(N_SECTORS)[:, None]
+        self.counts = aimed.sum(axis=2)
+        empty = np.argwhere(self.counts == 0)
+        if empty.size:
+            i, s = empty[0]
+            raise InvalidConfigError(
+                f"schedule {i} leaves sector {SECTOR_LABELS[s]} without any SSB")
+        # every schedule's SSBs start at the same offsets; sorting moves the
+        # ones aimed at each sector to the front of its row, in order
+        self.offsets = np.sort(
+            np.where(aimed, self.schedules[0].offsets_us(), np.inf), axis=2)
 
     @classmethod
-    def from_values(cls, name: str, values_per_slot, rng: np.random.Generator,
-                    source: str = "predicted") -> "PerSlotPolicy":
+    def from_ranking(cls, ranking: SectorRanking, name: str | None = None) -> "PerSlotPolicy":
+        """One schedule for every slot; named after the ranking's source by default."""
+        return cls(name if name is not None else ranking.source, [build_schedule(ranking)])
+
+    @classmethod
+    def from_values(cls, name: str, values_per_slot,
+                    rng: np.random.Generator) -> "PerSlotPolicy":
         """Rank each slot's 4-vector and build its schedule; ties use rng."""
         values_per_slot = np.atleast_2d(np.asarray(values_per_slot, dtype=np.float64))
-        scheds = [build_schedule(rank_sectors(v, rng, source=source))
-                  for v in values_per_slot]
-        return cls(name, scheds)
-
-    def schedule_for_slot(self, slot_idx: int) -> SweepSchedule:
-        if slot_idx >= len(self._schedules):
-            raise InvalidConfigError(
-                f"no schedule for slot {slot_idx} (have {len(self._schedules)})")
-        return self._schedules[slot_idx]
+        return cls(name, [build_schedule(rank_sectors(v, rng)) for v in values_per_slot])
 
 
 @dataclass
@@ -183,26 +185,6 @@ def _draw_arrivals(cfg: SimConfig, rng: np.random.Generator):
     return times[order], sectors[order]
 
 
-def _offset_table(cfg: SimConfig, policy):
-    """Each slot's per-sector SSB offsets as one inf-padded array.
-
-    offsets[k, s, :counts[k, s]] are the ascending start offsets of the SSB
-    slots aimed at sector s under slot k's schedule.
-    """
-    offsets = np.full((cfg.n_slots, N_SECTORS, SSB_SLOTS), np.inf)
-    counts = np.empty((cfg.n_slots, N_SECTORS), dtype=np.int64)
-    for k in range(cfg.n_slots):
-        sched = policy.schedule_for_slot(k)
-        for s in range(N_SECTORS):
-            offs = sched.sector_offsets_us(s)
-            if offs.size == 0:
-                raise InvalidConfigError(
-                    f"slot {k}: schedule leaves a sector without any SSB")
-            offsets[k, s, :offs.size] = offs
-            counts[k, s] = offs.size
-    return offsets, counts
-
-
 def _slot_ends(n_slots: int, bursts_per_slot: float) -> np.ndarray:
     """ends[k]: the first burst b whose slot int(b / bursts_per_slot) is past k.
 
@@ -219,13 +201,15 @@ def _slot_ends(n_slots: int, bursts_per_slot: float) -> np.ndarray:
     return np.append(first, np.iinfo(np.int64).max)
 
 
-def simulate(cfg: SimConfig, policy) -> SimReport:
+def simulate(cfg: SimConfig, policy: PerSlotPolicy) -> SimReport:
     """Run one (config, policy) pair; deterministic given cfg.seed.
 
     The substream split keeps arrivals and detection draws identical across
     policies under the same seed. Bursts start every burst_period_us from
     time 0; a UE arriving near the horizon is still followed until detection
-    under the final slot's schedule.
+    under the final slot's schedule. Slot k uses the policy's schedule k; a
+    single schedule serves every slot, and any other policy needs at least
+    cfg.n_slots schedules.
 
     All UEs are resolved at once: a UE whose needed-th opportunity is the
     j-th SSB aimed at its sector counted from the start of its arrival burst
@@ -233,9 +217,15 @@ def simulate(cfg: SimConfig, policy) -> SimReport:
     count in the slot. Only UEs whose jump leaves the slot are stepped to the
     next slot's first burst and resolved again.
     """
+    offsets, counts = policy.offsets, policy.counts
+    if counts.shape[0] == 1:
+        offsets = np.broadcast_to(offsets, (cfg.n_slots,) + offsets.shape[1:])
+        counts = np.broadcast_to(counts, (cfg.n_slots, N_SECTORS))
+    elif counts.shape[0] < cfg.n_slots:
+        raise InvalidConfigError(
+            f"{counts.shape[0]} schedules of {policy.name!r} cannot cover {cfg.n_slots} slots")
     arrival_seq, detect_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     arrivals, sectors = _draw_arrivals(cfg, np.random.default_rng(arrival_seq))
-    offsets, counts = _offset_table(cfg, policy)
     last_slot = cfg.n_slots - 1
 
     n = arrivals.shape[0]

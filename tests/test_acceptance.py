@@ -16,7 +16,6 @@ import pytest
 from cdrsweep import (
     PerSlotPolicy,
     SimConfig,
-    StaticPolicy,
     TrainConfig,
     build_schedule,
     evaluate,
@@ -178,7 +177,7 @@ def test_criterion_7_simulator_matches_closed_form():
             cfg = SimConfig(arrival_rates_per_s=shares * total_rate,
                             horizon_us=horizon_us, detect_prob=1.0,
                             seed=1000 + trial)
-            report = simulate(cfg, StaticPolicy(ranking, name="cal"))
+            report = simulate(cfg, PerSlotPolicy.from_ranking(ranking, name="cal"))
             assert report.n_ues > 90_000
             want = expected_delay_static(schedule, shares)
             rel = abs(report.mean_us - want) / want
@@ -208,13 +207,11 @@ def test_criterion_8_predicted_order_cuts_delay():
         rates = rates_from_counts(truth, 0.15)
         tie_a, tie_b, run_src = np.random.SeedSequence(777).spawn(3)
         policies = (
-            StaticPolicy(sequential_ranking()),
+            PerSlotPolicy.from_ranking(sequential_ranking()),
             PerSlotPolicy.from_values("predicted", preds,
-                                      np.random.default_rng(tie_a),
-                                      source="predicted"),
+                                      np.random.default_rng(tie_a)),
             PerSlotPolicy.from_values("oracle", truth,
-                                      np.random.default_rng(tie_b),
-                                      source="oracle"),
+                                      np.random.default_rng(tie_b)),
         )
         run_seeds = np.random.default_rng(run_src).integers(
             0, 2**63, size=30, dtype=np.uint64)

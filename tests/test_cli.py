@@ -179,6 +179,18 @@ def test_simulate_rejects_unknown_policy(workdir):
     assert "sideways" in proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--n-seeds", "0"), ("--n-seeds", "-1"),
+                                         ("--sim-slots", "0")])
+def test_simulate_rejects_run_counts_below_one(workdir, tmp_path, flag, value):
+    counts = {"--n-seeds": "2", "--sim-slots": "4", flag: value}
+    proc = run_cli(["simulate", "--series", str(workdir / "series.csv"),
+                    "--model", str(workdir / "model.txt"), "--window-len", "24"]
+                   + [arg for pair in counts.items() for arg in pair], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert flag in proc.stderr
+    assert not list(tmp_path.glob("sim_*.csv"))
+
+
 def test_config_file_sits_between_flags_and_defaults(workdir, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("# small run\nepochs=1\nsteps=4\nhidden=5\nwindow_len=24\n")

@@ -9,7 +9,6 @@ from cdrsweep import (
     PerSlotPolicy,
     SimConfig,
     SimReport,
-    StaticPolicy,
     SweepSchedule,
     build_schedule,
     compare,
@@ -36,8 +35,8 @@ def uniform_cfg(seed=0, total_rate=0.5, horizon_slots=1, detect_prob=1.0):
 
 
 def d_first_policy():
-    return StaticPolicy(rank_sectors([3.0, 3.0, 3.0, 5.0], np.random.default_rng(0)),
-                        name="d_first")
+    return PerSlotPolicy.from_ranking(
+        rank_sectors([3.0, 3.0, 3.0, 5.0], np.random.default_rng(0)), name="d_first")
 
 
 def planted_arrivals(monkeypatch, times, sectors):
@@ -54,7 +53,7 @@ def test_ue_at_burst_start_with_matching_first_slot(monkeypatch):
 
 def test_ue_at_burst_start_under_sequential_waits_three_slots(monkeypatch):
     planted_arrivals(monkeypatch, [0.0], [3])
-    report = simulate(uniform_cfg(), StaticPolicy(sequential_ranking()))
+    report = simulate(uniform_cfg(), PerSlotPolicy.from_ranking(sequential_ranking()))
     assert abs(report.delay_us[0] - 3 * SLOT_DUR) < 1e-9
     assert abs(report.delay_us[0] - 53.5714285) < 1e-3
 
@@ -62,7 +61,7 @@ def test_ue_at_burst_start_under_sequential_waits_three_slots(monkeypatch):
 def test_ue_just_after_last_sector_slot_catches_next_burst(monkeypatch):
     # sector D's last SSB under sequential sits at offset 11 * slot
     planted_arrivals(monkeypatch, [11 * SLOT_DUR + 0.01], [3])
-    report = simulate(uniform_cfg(), StaticPolicy(sequential_ranking()))
+    report = simulate(uniform_cfg(), PerSlotPolicy.from_ranking(sequential_ranking()))
     expected = (20_000.0 + 3 * SLOT_DUR) - (11 * SLOT_DUR + 0.01)
     assert abs(report.delay_us[0] - expected) < 1e-9
     assert report.delay_us[0] < 20_000.0 + 250.0
@@ -71,7 +70,7 @@ def test_ue_just_after_last_sector_slot_catches_next_burst(monkeypatch):
 def test_mid_burst_arrival_picks_next_matching_slot(monkeypatch):
     # arrival between the two A-slots of a sequential burst
     planted_arrivals(monkeypatch, [2 * SLOT_DUR, 4.5 * SLOT_DUR], [0, 0])
-    report = simulate(uniform_cfg(), StaticPolicy(sequential_ranking()))
+    report = simulate(uniform_cfg(), PerSlotPolicy.from_ranking(sequential_ranking()))
     assert abs(report.delay_us[0] - 2 * SLOT_DUR) < 1e-9   # waits for slot 4
     assert abs(report.delay_us[1] - 3.5 * SLOT_DUR) < 1e-9  # waits for slot 8
 
@@ -79,7 +78,7 @@ def test_mid_burst_arrival_picks_next_matching_slot(monkeypatch):
 def test_every_sampled_delay_matches_the_static_rule():
     cfg = uniform_cfg(seed=42, total_rate=2.0)
     sched = build_schedule(sequential_ranking())
-    report = simulate(cfg, StaticPolicy(sequential_ranking()))
+    report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
     assert report.n_ues > 100
     period = cfg.burst_period_us
     for t, s, d in zip(report.arrival_us, report.sectors, report.delay_us):
@@ -93,8 +92,8 @@ def test_every_sampled_delay_matches_the_static_rule():
 
 def test_simulation_is_deterministic_and_arrivals_are_paired():
     cfg = uniform_cfg(seed=7, total_rate=1.0)
-    a = simulate(cfg, StaticPolicy(sequential_ranking()))
-    b = simulate(cfg, StaticPolicy(sequential_ranking()))
+    a = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
+    b = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
     assert np.array_equal(a.arrival_us, b.arrival_us)
     assert np.array_equal(a.delay_us, b.delay_us)
 
@@ -106,9 +105,9 @@ def test_simulation_is_deterministic_and_arrivals_are_paired():
 
 def test_detection_failures_stretch_delays():
     sure = simulate(uniform_cfg(seed=3, total_rate=1.0),
-                    StaticPolicy(sequential_ranking()))
+                    PerSlotPolicy.from_ranking(sequential_ranking()))
     flaky = simulate(uniform_cfg(seed=3, total_rate=1.0, detect_prob=0.4),
-                     StaticPolicy(sequential_ranking()))
+                     PerSlotPolicy.from_ranking(sequential_ranking()))
     assert np.array_equal(sure.arrival_us, flaky.arrival_us)
     assert flaky.mean_us > sure.mean_us
     assert np.all(flaky.delay_us >= sure.delay_us - 1e-9)
@@ -119,8 +118,8 @@ def test_dominance_of_earlier_first_slot():
     # all arrivals in sector A: A-first beats A-last with matched arrivals
     rates = np.array([[1.0, 0.0, 0.0, 0.0]])
     cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=sim_mod.SLOT_US, seed=5)
-    a_first = simulate(cfg, StaticPolicy(sequential_ranking()))
-    a_last = simulate(cfg, StaticPolicy(
+    a_first = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
+    a_last = simulate(cfg, PerSlotPolicy.from_ranking(
         rank_sectors([0.0, 3.0, 2.0, 1.0], np.random.default_rng(0)), name="a_last"))
     assert a_first.mean_us < a_last.mean_us
     only_a = [1.0, 0.0, 0.0, 0.0]
@@ -132,7 +131,7 @@ def test_dominance_of_earlier_first_slot():
 def test_zero_rates_give_empty_report():
     cfg = SimConfig(arrival_rates_per_s=np.zeros((1, 4)),
                     horizon_us=sim_mod.SLOT_US, seed=0)
-    report = simulate(cfg, StaticPolicy(sequential_ranking()))
+    report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
     assert report.n_ues == 0
     assert np.isnan(report.mean_us)
     text = summary_csv([report])
@@ -142,8 +141,7 @@ def test_zero_rates_give_empty_report():
 def test_per_slot_policy_switches_schedules(monkeypatch):
     # two slots: first favors A, second favors D; same phase in each slot
     values = np.array([[9.0, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 9.0]])
-    policy = PerSlotPolicy.from_values("oracle", values, np.random.default_rng(0),
-                                       source="oracle")
+    policy = PerSlotPolicy.from_values("oracle", values, np.random.default_rng(0))
     t2 = sim_mod.SLOT_US + 0.0  # first burst of slot 1
     planted_arrivals(monkeypatch, [0.0, t2], [0, 0])
     cfg = SimConfig(arrival_rates_per_s=np.zeros((2, 4)),
@@ -152,21 +150,17 @@ def test_per_slot_policy_switches_schedules(monkeypatch):
     assert report.delay_us[0] == 0.0              # A leads slot 0's schedule
     assert report.delay_us[1] > 2 * SLOT_DUR - 1e-9  # A is ranked behind C,D now
 
+    # two schedules cannot cover a third slot
+    cfg = SimConfig(arrival_rates_per_s=np.zeros((3, 4)),
+                    horizon_us=3 * sim_mod.SLOT_US, seed=0)
     with pytest.raises(InvalidConfigError):
-        policy.schedule_for_slot(2)
+        simulate(cfg, policy)
 
 
 def test_simulate_rejects_schedules_missing_a_sector():
     lopsided = SweepSchedule(slots=(0, 1, 2) * 4 + (0, 1))  # sector D never swept
-
-    class Bad:
-        name = "bad"
-
-        def schedule_for_slot(self, k):
-            return lopsided
-
     with pytest.raises(InvalidConfigError):
-        simulate(uniform_cfg(), Bad())
+        PerSlotPolicy("bad", [lopsided])
 
 
 def test_config_validation():
@@ -182,10 +176,15 @@ def test_config_validation():
     with pytest.raises(InvalidConfigError):
         SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=1e6,
                   burst_period_us=100.0)
+    for bad in ({"burst_period_us": np.inf}, {"burst_period_us": np.nan},
+                {"burst_period_us": -20_000.0}, {"slot_us": np.nan},
+                {"slot_us": np.inf}, {"slot_us": 0.0}, {"slot_us": -1.0}):
+        with pytest.raises(InvalidConfigError):
+            SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=1e6, **bad)
     # two rate rows cannot cover three slots
     cfg = SimConfig(arrival_rates_per_s=np.ones((2, 4)), horizon_us=3 * sim_mod.SLOT_US)
     with pytest.raises(InvalidConfigError):
-        simulate(cfg, StaticPolicy(sequential_ranking()))
+        simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
 
 
 def test_rates_from_counts_scales_to_target_mean():
@@ -227,7 +226,7 @@ def test_monte_carlo_tracks_the_closed_form():
     shares = rng.dirichlet(np.ones(4) * 3)
     sched_rng = np.random.default_rng(18)
     ranking = rank_sectors(sched_rng.uniform(0, 5, 4), sched_rng)
-    policy = StaticPolicy(ranking, name="static")
+    policy = PerSlotPolicy.from_ranking(ranking, name="static")
     sched = build_schedule(ranking)
 
     cfg = SimConfig(arrival_rates_per_s=(shares * 50.0).reshape(1, 4),
@@ -272,8 +271,9 @@ def test_paired_ci_is_narrower_than_unpaired():
     # common random numbers: both policies see the same arrivals per seed,
     # so the per-seed means move together and their differences vary less
     shares = np.array([0.1, 0.1, 0.1, 0.7])
-    seq = StaticPolicy(sequential_ranking())
-    skewed = StaticPolicy(rank_sectors(shares, np.random.default_rng(0)), name="skewed")
+    seq = PerSlotPolicy.from_ranking(sequential_ranking())
+    skewed = PerSlotPolicy.from_ranking(rank_sectors(shares, np.random.default_rng(0)),
+                                        name="skewed")
     reports = []
     for seed in range(20):
         cfg = SimConfig(arrival_rates_per_s=shares * 0.5, horizon_us=sim_mod.SLOT_US,
@@ -323,8 +323,8 @@ def test_compare_pairs_by_seed():
 def test_identical_policies_compare_to_zero():
     cfg_a = uniform_cfg(seed=1, total_rate=0.5)
     cfg_b = uniform_cfg(seed=2, total_rate=0.5)
-    seq = StaticPolicy(sequential_ranking())
-    twin = StaticPolicy(sequential_ranking(), name="twin")
+    seq = PerSlotPolicy.from_ranking(sequential_ranking())
+    twin = PerSlotPolicy.from_ranking(sequential_ranking(), name="twin")
     reports = [simulate(cfg_a, seq), simulate(cfg_a, twin),
                simulate(cfg_b, seq), simulate(cfg_b, twin)]
     comp = compare(reports)
@@ -334,7 +334,7 @@ def test_identical_policies_compare_to_zero():
 
 def test_report_csv_layout():
     report = simulate(uniform_cfg(seed=9, total_rate=0.2),
-                      StaticPolicy(sequential_ranking()))
+                      PerSlotPolicy.from_ranking(sequential_ranking()))
     lines = report_csv([report]).splitlines()
     assert lines[0] == "policy,seed,ue_id,sector,arrival_us,delay_us"
     assert len(lines) == 1 + report.n_ues
@@ -354,8 +354,12 @@ def scalar_run(cfg, policy):
     arrivals, sectors = sim_mod._draw_arrivals(cfg, np.random.default_rng(arrival_seq))
     needed = np.random.default_rng(detect_seq).geometric(cfg.detect_prob,
                                                          size=arrivals.shape[0])
-    table = [[policy.schedule_for_slot(k).sector_offsets_us(s).tolist()
-              for s in range(4)] for k in range(cfg.n_slots)]
+    # the plain reference: each slot's schedule, one sector at a time
+    schedules = policy.schedules
+    if len(schedules) == 1:
+        schedules *= cfg.n_slots
+    table = [[sched.sector_offsets_us(s).tolist() for s in range(4)]
+             for sched in schedules[:cfg.n_slots]]
     delays = simulate_scalar(arrivals.tolist(), sectors.tolist(), needed.tolist(),
                              table, cfg.burst_period_us, cfg.slot_us)
     return arrivals, sectors, np.array(delays)
@@ -405,7 +409,8 @@ def test_simulate_matches_scalar_oracle_bit_for_bit(detect_prob):
         # small integer values per slot: many ties, broken by the policy's rng
         tied = rng.integers(0, 3, size=(cfg.n_slots, 4)).astype(np.float64)
         for policy in (PerSlotPolicy.from_values("tied", tied, rng),
-                       StaticPolicy(rank_sectors(rng.uniform(0, 1, 4), rng))):
+                       PerSlotPolicy.from_ranking(rank_sectors(rng.uniform(0, 1, 4),
+                                                               rng))):
             report = assert_matches_scalar(cfg, policy)
             crossed += slots_crossed(cfg, report)
             n_ues += report.n_ues
@@ -476,6 +481,6 @@ def test_report_csv_matches_scalar_renderer_byte_for_byte():
     assert report_csv(reports) == report_csv_scalar(runs)
 
     sim = [simulate(uniform_cfg(seed=9, total_rate=2.0, detect_prob=0.5),
-                    StaticPolicy(sequential_ranking()))]
+                    PerSlotPolicy.from_ranking(sequential_ranking()))]
     assert report_csv(sim) == report_csv_scalar(
         [(r.policy, r.seed, r.sectors, r.arrival_us, r.delay_us) for r in sim])
