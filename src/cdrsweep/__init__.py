@@ -33,7 +33,6 @@ from .gru import (
     PARAM_FIELDS,
     ForwardTrace,
     GruParams,
-    StepTrace,
     forward,
     gru_step,
     init_params,

@@ -18,6 +18,10 @@ Every function takes an optional leading batch axis: one sequence is a
 the same step body serves both. In code the gate pre-activations are
 written row-wise, h[t-1] @ W_r.T + x @ R_r.T + b_r and so on.
 
+forward() holds the only copy of that step body. It records its trace in
+preallocated arrays stacked with time first, the hidden chain h[0..T]
+included, and gru_step() is forward() over a one-slot sequence.
+
 All operations here are pure functions of their arguments; training-time
 mutation lives in the trainer module.
 """
@@ -25,7 +29,7 @@ mutation lives in the trainer module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,56 +135,26 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
 
 
 @dataclass
-class StepTrace:
-    """Every intermediate value of one recurrence step, retained for BPTT.
+class ForwardTrace:
+    """Every intermediate value of a forward pass, retained for BPTT.
 
-    Each array is (H,) or (D,) for one sequence, (B, H) or (B, D) for a batch.
+    Time is the leading axis. For one sequence xs is (T, D), hs is the
+    hidden chain h[0..T] of shape (T+1, H) and each gate array is (T, H);
+    a batch inserts its axis second: (T, B, D), (T+1, B, H) and (T, B, H).
     """
 
-    x: np.ndarray
-    h_prev: np.ndarray
+    xs: np.ndarray
+    hs: np.ndarray
     r: np.ndarray
     h_tilde: np.ndarray
     z: np.ndarray
     u: np.ndarray
-    h: np.ndarray
-
-
-@dataclass
-class ForwardTrace:
-    steps: list[StepTrace] = field(default_factory=list)
-    y_hat: np.ndarray = None
+    y_hat: np.ndarray
 
     @property
-    def h_last(self) -> np.ndarray:
-        return self.steps[-1].h
-
-
-def _check_step_dims(p: GruParams, h_prev: np.ndarray, x: np.ndarray) -> None:
-    h, d = p.hidden_dim, p.input_dim
-    if (h_prev.shape[-1:] != (h,) or x.shape[-1:] != (d,)
-            or h_prev.shape[:-1] != x.shape[:-1] or x.ndim > 2):
-        raise DimensionMismatchError(
-            f"hidden state has shape {h_prev.shape} and input {x.shape}, "
-            f"expected ({h},) and ({d},), or (B, {h}) and (B, {d})")
-
-
-def gru_step(p: GruParams, h_prev: np.ndarray, x: np.ndarray) -> StepTrace:
-    """One recurrence step; returns the full trace for later backprop.
-
-    h_prev and x are one sequence's (H,) and (D,) vectors, or (B, H) and
-    (B, D) rows, one per batch member.
-    """
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    _check_step_dims(p, h_prev, x)
-
-    r = sigmoid(h_prev @ p.W_r.T + x @ p.R_r.T + p.b_r)
-    h_tilde = h_prev * r
-    z = np.tanh(h_tilde @ p.W_z.T + x @ p.R_z.T + p.b_z)
-    u = sigmoid(h_prev @ p.W_u.T + x @ p.R_u.T + p.b_u)
-    h = (1.0 - u) * h_prev + u * z
-    return StepTrace(x=x, h_prev=h_prev, r=r, h_tilde=h_tilde, z=z, u=u, h=h)
+    def h(self) -> np.ndarray:
+        """The final hidden state h[T]."""
+        return self.hs[-1]
 
 
 def readout(p: GruParams, h: np.ndarray) -> np.ndarray:
@@ -194,23 +168,45 @@ def readout(p: GruParams, h: np.ndarray) -> np.ndarray:
 
 
 def forward(p: GruParams, h0: np.ndarray, xs) -> ForwardTrace:
-    """Fold gru_step over an input sequence and read out the final state.
+    """Run the recurrence over an input sequence and read out the final state.
 
     xs is one sequence of input vectors, a (T, input_dim) array with h0 of
     shape (H,), or a batch of them, (B, T, input_dim) with h0 of shape
     (B, H). Deterministic: identical arguments produce bit-identical traces.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 1:
+    if xs.ndim < 2:
         xs = xs.reshape(1, -1)
     if xs.shape[-2] == 0:
         raise EmptySequenceError("input sequence is empty")
+    h0 = np.asarray(h0, dtype=np.float64)
+    h, d = p.hidden_dim, p.input_dim
+    if (h0.shape[-1:] != (h,) or xs.shape[-1] != d
+            or h0.shape[:-1] != xs.shape[:-2] or xs.ndim > 3):
+        raise DimensionMismatchError(
+            f"hidden state has shape {h0.shape} and input {xs.shape}, "
+            f"expected ({h},) and (T, {d}), or (B, {h}) and (B, T, {d})")
 
-    trace = ForwardTrace()
-    h = np.asarray(h0, dtype=np.float64)
-    for t in range(xs.shape[-2]):
-        step = gru_step(p, h, xs[..., t, :])
-        trace.steps.append(step)
-        h = step.h
-    trace.y_hat = readout(p, h)
-    return trace
+    xs = xs.swapaxes(0, -2)  # time first; a view, no copy
+    n_steps = xs.shape[0]
+    hs = np.empty((n_steps + 1,) + h0.shape)
+    hs[0] = h0
+    r, h_tilde, z, u = (np.empty((n_steps,) + h0.shape) for _ in range(4))
+    for t in range(n_steps):
+        x, h_prev = xs[t], hs[t]
+        r_t = r[t] = sigmoid(h_prev @ p.W_r.T + x @ p.R_r.T + p.b_r)
+        h_tilde_t = h_tilde[t] = h_prev * r_t
+        z_t = z[t] = np.tanh(h_tilde_t @ p.W_z.T + x @ p.R_z.T + p.b_z)
+        u_t = u[t] = sigmoid(h_prev @ p.W_u.T + x @ p.R_u.T + p.b_u)
+        hs[t + 1] = (1.0 - u_t) * h_prev + u_t * z_t
+    return ForwardTrace(xs=xs, hs=hs, r=r, h_tilde=h_tilde, z=z, u=u,
+                        y_hat=readout(p, hs[-1]))
+
+
+def gru_step(p: GruParams, h_prev: np.ndarray, x: np.ndarray) -> ForwardTrace:
+    """One recurrence step: forward over a one-slot sequence.
+
+    h_prev and x are one sequence's (H,) and (D,) vectors, or (B, H) and
+    (B, D) rows, one per batch member; the new state is the trace's h.
+    """
+    return forward(p, h_prev, np.atleast_1d(x)[..., None, :])

@@ -1,9 +1,9 @@
 """Raw CDR parsing, 10-minute per-sector aggregation, and window extraction.
 
-The raw input is delimiter-separated text, one record per line:
+The raw input is tab-separated text, one record per line:
 
-    square_id <sep> slot_start_ms [<sep> country_code
-        [<sep> sms_in <sep> sms_out <sep> call_in <sep> call_out <sep> internet]]
+    square_id <tab> slot_start_ms [<tab> country_code
+        [<tab> sms_in <tab> sms_out <tab> call_in <tab> call_out <tab> internet]]
 
 Activity fields may be empty; a line with no activity value at all is not a
 CDR event and is reported, not counted. Aggregation buckets events into
@@ -28,6 +28,7 @@ from .errors import (
 SECTOR_LABELS = ("A", "B", "C", "D")
 SLOT_MS = 600_000
 ACTIVITY_NAMES = ("sms_in", "sms_out", "call_in", "call_out", "internet")
+_FIELD_DELIMITER = "\t"
 # square_id, slot_start, country code, then the five activity fields
 _MAX_FIELDS = 3 + len(ACTIVITY_NAMES)
 
@@ -65,8 +66,8 @@ class ParseResult:
     issues: list[ParseIssue] = field(default_factory=list)
 
 
-def parse_raw(lines, field_delimiter: str = "\t") -> ParseResult:
-    """Parse delimiter-separated CDR lines.
+def parse_raw(lines) -> ParseResult:
+    """Parse tab-separated CDR lines.
 
     Malformed lines become ParseIssue entries carrying their 1-based line
     number; they are never silently dropped. Raises EmptyInputError when the
@@ -85,7 +86,7 @@ def parse_raw(lines, field_delimiter: str = "\t") -> ParseResult:
             continue
         saw_line = True
 
-        parts = stripped.split(field_delimiter)
+        parts = stripped.split(_FIELD_DELIMITER)
         if len(parts) < 2:
             issues.append(ParseIssue(line_no, "fewer than 2 fields"))
             continue
@@ -254,7 +255,6 @@ class WindowedDataset:
     inputs: np.ndarray   # (n, window_len, 4) float64
     targets: np.ndarray  # (n, 4) float64
     split_index: int
-    horizon: int = 1
 
     @property
     def n_sequences(self) -> int:

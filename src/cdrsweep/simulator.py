@@ -57,16 +57,16 @@ class SimConfig:
             raise InvalidConfigError(f"rates must be (slots, {N_SECTORS}), got {r.shape}")
         if not np.all(np.isfinite(r)) or np.any(r < 0):
             raise InvalidConfigError("rates must be finite and non-negative")
-        if not self.horizon_us > 0:
-            raise InvalidConfigError(f"horizon must be positive, got {self.horizon_us}")
         if not 0.0 < self.detect_prob <= 1.0:
             raise InvalidConfigError(f"detect_prob must be in (0, 1], got {self.detect_prob}")
-        for name in ("burst_period_us", "slot_us"):
+        for name in ("horizon_us", "burst_period_us", "slot_us"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise InvalidConfigError(f"{name} must be finite and positive, got {value}")
         if not BURST_DURATION_US < self.burst_period_us:
             raise InvalidConfigError(f"burst_period_us must exceed {BURST_DURATION_US}")
+        if 1 < r.shape[0] < self.n_slots:
+            raise InvalidConfigError(f"{r.shape[0]} rate rows cannot cover {self.n_slots} slots")
 
     @property
     def n_slots(self) -> int:
@@ -150,22 +150,12 @@ class SimReport:
     def p95_us(self) -> float:
         return float(np.percentile(self.delay_us, 95)) if self.n_ues else float("nan")
 
-    def mean_by_sector(self) -> dict:
-        out = {}
-        for s, label in enumerate(SECTOR_LABELS):
-            mask = self.sectors == s
-            out[label] = float(self.delay_us[mask].mean()) if mask.any() else float("nan")
-        return out
-
 
 def _draw_arrivals(cfg: SimConfig, rng: np.random.Generator):
     """Poisson arrivals per (slot, sector), then one stream sorted by time."""
     rates = cfg.arrival_rates_per_s
     if rates.shape[0] == 1:
         rates = np.repeat(rates, cfg.n_slots, axis=0)
-    elif rates.shape[0] < cfg.n_slots:
-        raise InvalidConfigError(
-            f"{rates.shape[0]} rate rows cannot cover {cfg.n_slots} slots")
 
     times, sectors = [], []
     for k in range(cfg.n_slots):

@@ -1,12 +1,13 @@
 """Training: BPTT under MSE loss, gradient verification, and evaluation.
 
-backward() differentiates one retained ForwardTrace exactly, step by step in
-reverse, following the same gate structure the forward pass used (including
-the h_tilde = h_prev * r path into the candidate). It is the only reverse
-pass: fit() runs it on (B, T, D) batches, the gradient check on single
-(T, D) sequences. Gradients come back as a GruParams of the same shapes.
-Tests pin forward() to the scalar reference in tests/_oracles.py and
-backward() to central finite differences.
+backward() differentiates one retained ForwardTrace exactly, reading its
+time-first stacked arrays slice by slice in reverse and following the same
+gate structure the forward pass used (including the h_tilde = h_prev * r
+path into the candidate). It is the only reverse pass: fit() runs it on
+(B, T, D) batches, the gradient check on single (T, D) sequences.
+Gradients come back as a GruParams of the same shapes. Tests pin forward()
+to the scalar reference in tests/_oracles.py and backward() to central
+finite differences.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
     if y.ndim not in (1, 2) or y.shape[-1] != p.output_dim:
         raise TraceMismatchError(
             f"target has shape {y.shape}, expected ({p.output_dim},) or (B, {p.output_dim})")
-    if not trace.steps:
-        raise TraceMismatchError("trace has no steps")
-    h_shape, x_shape = y.shape[:-1] + (p.hidden_dim,), y.shape[:-1] + (p.input_dim,)
-    if any(step.h.shape != h_shape or step.x.shape != x_shape for step in trace.steps):
+    n_steps = len(trace.xs)
+    batch = y.shape[:-1]
+    if (trace.hs.shape != (n_steps + 1,) + batch + (p.hidden_dim,)
+            or trace.xs.shape != (n_steps,) + batch + (p.input_dim,)):
         raise TraceMismatchError("trace dimensions do not match parameters and target")
 
     g = GruParams(**{name: np.zeros_like(arr) for name, arr in p.arrays().items()})
@@ -130,14 +131,14 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
     rows_h, rows_x = (-1, p.hidden_dim), (-1, p.input_dim)
     d_y = (2.0 * (y_hat - y) / y_hat.size).reshape(-1, p.output_dim)
 
-    g.W_out += d_y.T @ trace.h_last.reshape(rows_h)
+    g.W_out += d_y.T @ trace.h.reshape(rows_h)
     g.b_out += d_y.sum(axis=0)
     dh = d_y @ p.W_out
 
-    for step in reversed(trace.steps):
-        x = step.x.reshape(rows_x)
-        h_prev, h_tilde = step.h_prev.reshape(rows_h), step.h_tilde.reshape(rows_h)
-        r, z, u = step.r, step.z, step.u
+    for t in reversed(range(n_steps)):
+        x = trace.xs[t].reshape(rows_x)
+        h_prev, h_tilde = trace.hs[t].reshape(rows_h), trace.h_tilde[t].reshape(rows_h)
+        r, z, u = trace.r[t], trace.z[t], trace.u[t]
 
         du = dh * (z - h_prev)
         dz = dh * u

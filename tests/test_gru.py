@@ -29,10 +29,10 @@ def zero_params(h=1, d=1, o=1):
 def test_zero_params_halve_and_damp():
     # all-zero weights: r = u = 1/2, candidate z = 0, so h = h_prev * 1/2
     step = gru_step(zero_params(), np.array([0.8]), np.array([0.3]))
-    assert abs(step.r[0] - 0.5) < 1e-8
-    assert abs(step.h_tilde[0] - 0.4) < 1e-8
-    assert abs(step.z[0] - 0.0) < 1e-8
-    assert abs(step.u[0] - 0.5) < 1e-8
+    assert abs(step.r[0, 0] - 0.5) < 1e-8
+    assert abs(step.h_tilde[0, 0] - 0.4) < 1e-8
+    assert abs(step.z[0, 0] - 0.0) < 1e-8
+    assert abs(step.u[0, 0] - 0.5) < 1e-8
     assert abs(step.h[0] - 0.4) < 1e-8
 
 
@@ -76,7 +76,7 @@ def test_forward_matches_scalar_oracle():
         trace = forward(p, np.zeros(h), xs)
         ref_y, ref_h = forward_scalar(weights_as_lists(p), [0.0] * h, xs.tolist())
         assert np.max(np.abs(trace.y_hat - np.array(ref_y))) <= 1e-12
-        assert np.max(np.abs(trace.h_last - np.array(ref_h))) <= 1e-12
+        assert np.max(np.abs(trace.h - np.array(ref_h))) <= 1e-12
 
 
 def test_forward_is_a_fold_of_steps():
@@ -84,12 +84,15 @@ def test_forward_is_a_fold_of_steps():
     p = init_params(2, 4, 2, rng)
     for batch in [(), (3,)]:  # one sequence, then a batch of three
         xs = rng.normal(size=batch + (5, 2))
-        trace = forward(p, np.zeros(batch + (4,)), xs)
+        h0 = rng.normal(size=batch + (4,))
+        trace = forward(p, h0, xs)
 
-        h = np.zeros(batch + (4,))
+        assert np.array_equal(trace.hs[0], h0)
+        h = h0
         for t in range(5):
             h = gru_step(p, h, xs[..., t, :]).h
-            assert np.array_equal(trace.steps[t].h, h)
+            assert np.array_equal(trace.hs[t + 1], h)
+        assert np.array_equal(trace.h, h)
         assert np.array_equal(trace.y_hat, readout(p, h))
         assert trace.y_hat.shape == batch + (2,)
 
@@ -100,9 +103,16 @@ def test_forward_records_hidden_chain():
     for batch in [(), (5,)]:
         xs = rng.normal(size=batch + (4, 3))
         trace = forward(p, np.zeros(batch + (2,)), xs)
-        for a, b in zip(trace.steps, trace.steps[1:]):
-            assert np.array_equal(a.h, b.h_prev)
-            assert a.h.shape == batch + (2,)
+        assert trace.xs.shape == (4,) + batch + (3,)
+        assert np.array_equal(trace.xs, np.moveaxis(xs, -2, 0))
+        assert trace.hs.shape == (5,) + batch + (2,)
+        for gate in (trace.r, trace.h_tilde, trace.z, trace.u):
+            assert gate.shape == (4,) + batch + (2,)
+        for t in range(4):
+            step = gru_step(p, trace.hs[t], xs[..., t, :])
+            for name in ("r", "h_tilde", "z", "u"):
+                assert np.array_equal(getattr(trace, name)[t], getattr(step, name)[0])
+            assert np.array_equal(trace.hs[t + 1], step.h)
 
 
 def test_empty_sequence_rejected():
@@ -118,6 +128,8 @@ def test_step_rejects_wrong_shapes():
     with pytest.raises(DimensionMismatchError):
         gru_step(p, np.zeros(4), np.zeros(2))
     with pytest.raises(DimensionMismatchError):
+        gru_step(p, np.zeros(4), 0.0)
+    with pytest.raises(DimensionMismatchError):
         readout(p, np.zeros(3))
     # a batch: the leading axes of state and input must agree, and be one axis
     assert gru_step(p, np.zeros((2, 4)), np.zeros((2, 3))).h.shape == (2, 4)
@@ -129,6 +141,8 @@ def test_step_rejects_wrong_shapes():
         gru_step(p, np.zeros((1, 2, 4)), np.zeros((1, 2, 3)))
     with pytest.raises(DimensionMismatchError):
         forward(p, np.zeros(4), np.zeros((2, 5, 3)))
+    with pytest.raises(DimensionMismatchError):
+        forward(p, np.zeros(4), 0.0)
     with pytest.raises(DimensionMismatchError):
         readout(p, np.zeros((2, 3)))
 

@@ -181,10 +181,13 @@ def test_config_validation():
                 {"slot_us": np.inf}, {"slot_us": 0.0}, {"slot_us": -1.0}):
         with pytest.raises(InvalidConfigError):
             SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=1e6, **bad)
+    for horizon_us in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InvalidConfigError):
+            SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=horizon_us)
     # two rate rows cannot cover three slots
-    cfg = SimConfig(arrival_rates_per_s=np.ones((2, 4)), horizon_us=3 * sim_mod.SLOT_US)
     with pytest.raises(InvalidConfigError):
-        simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
+        SimConfig(arrival_rates_per_s=np.ones((2, 4)), horizon_us=3 * sim_mod.SLOT_US)
+    SimConfig(arrival_rates_per_s=np.ones((3, 4)), horizon_us=3 * sim_mod.SLOT_US)
 
 
 def test_rates_from_counts_scales_to_target_mean():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -130,6 +131,11 @@ def test_backward_rejects_mismatched_target_and_trace():
             backward(p, batched, target)
     with pytest.raises(TraceMismatchError):
         backward(p, trace, np.zeros((1, 2)))
+    # the hidden chain of a batch of four with the inputs of a batch of three
+    mixed = dataclasses.replace(batched, xs=np.zeros((5, 3, 2)))
+    for target in (np.zeros((4, 2)), np.zeros((3, 2))):
+        with pytest.raises(TraceMismatchError):
+            backward(p, mixed, target)
 
 
 def test_grad_check_accepts_healthy_model():
@@ -169,7 +175,7 @@ def test_batched_forward_matches_per_sequence():
     for b in range(7):
         ref_y, ref_h = forward_scalar(weights_as_lists(p), [0.0] * 5, X[b].tolist())
         assert np.max(np.abs(out.y_hat[b] - np.array(ref_y))) < 1e-12
-        assert np.max(np.abs(out.h_last[b] - np.array(ref_h))) < 1e-12
+        assert np.max(np.abs(out.h[b] - np.array(ref_h))) < 1e-12
 
 
 def test_batched_backward_is_mean_of_sequence_gradients():
