@@ -16,11 +16,21 @@ the candidate through the gated state h_tilde = h[t-1] * r[t]:
 Every function takes an optional leading batch axis: one sequence is a
 (T, D) input with (H,) states, a batch is (B, T, D) with (B, H) states, and
 the same step body serves both. In code the gate pre-activations are
-written row-wise, h[t-1] @ W_r.T + x @ R_r.T + b_r and so on.
+written row-wise, x @ R_r.T + b_r + h[t-1] @ W_r.T and so on.
 
-forward() holds the only copy of that step body. It records its trace in
-preallocated arrays stacked with time first, the hidden chain h[0..T]
-included, and gru_step() is forward() over a one-slot sequence.
+forward() holds the only copy of that step body, and gru_step() is forward()
+over a one-slot sequence. It records its trace in preallocated arrays
+stacked with time first, the hidden chain h[0..T] included, and computes
+straight into them:
+
+- the two sigmoid gates share one [r | u] buffer of width 2H, so each step
+  makes one h[t-1] @ [W_r; W_u].T product for both;
+- before the loop, the input projections of all slots, biases included,
+  are written into the [r | u] and z buffers as pre-activations, one
+  stacked product per buffer with one BLAS call per slot; each step only
+  adds its recurrent term and applies the activation in place;
+- the sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which cannot
+  overflow for any input.
 
 All operations here are pure functions of their arguments; training-time
 mutation lives in the trainer module.
@@ -48,18 +58,18 @@ PARAM_FIELDS = (
 def sigmoid(x):
     """Elementwise logistic function 1 / (1 + exp(-x)).
 
-    Evaluated branch-wise so neither exp() overflows; safe for entries with
-    magnitude well beyond 1e3.
+    Evaluated as 0.5 * (1 + tanh(x / 2)), which overflows for no input:
+    it is exactly 0 at -inf and exactly 1 at +inf.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.empty(arr.shape)
-    flat_in = arr.reshape(-1)
-    flat_out = out.reshape(-1)
-    pos = flat_in >= 0
-    flat_out[pos] = 1.0 / (1.0 + np.exp(-flat_in[pos]))
-    e = np.exp(flat_in[~pos])
-    flat_out[~pos] = e / (1.0 + e)
-    return out
+    return _sigmoid_in_place(np.array(x, dtype=np.float64))
+
+
+def _sigmoid_in_place(a: np.ndarray) -> np.ndarray:
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+    return a
 
 
 @dataclass
@@ -139,17 +149,28 @@ class ForwardTrace:
     """Every intermediate value of a forward pass, retained for BPTT.
 
     Time is the leading axis. For one sequence xs is (T, D), hs is the
-    hidden chain h[0..T] of shape (T+1, H) and each gate array is (T, H);
-    a batch inserts its axis second: (T, B, D), (T+1, B, H) and (T, B, H).
+    hidden chain h[0..T] of shape (T+1, H), ru holds the two sigmoid gates
+    side by side, [r | u] of shape (T, 2H), and h_tilde and z are (T, H);
+    a batch inserts its axis second: (T, B, D), (T+1, B, H), (T, B, 2H) and
+    (T, B, H).
     """
 
     xs: np.ndarray
     hs: np.ndarray
-    r: np.ndarray
+    ru: np.ndarray
     h_tilde: np.ndarray
     z: np.ndarray
-    u: np.ndarray
     y_hat: np.ndarray
+
+    @property
+    def r(self) -> np.ndarray:
+        """The reset gate, the first half of ru."""
+        return self.ru[..., :self.z.shape[-1]]
+
+    @property
+    def u(self) -> np.ndarray:
+        """The update gate, the second half of ru."""
+        return self.ru[..., self.z.shape[-1]:]
 
     @property
     def h(self) -> np.ndarray:
@@ -191,15 +212,37 @@ def forward(p: GruParams, h0: np.ndarray, xs) -> ForwardTrace:
     n_steps = xs.shape[0]
     hs = np.empty((n_steps + 1,) + h0.shape)
     hs[0] = h0
-    r, h_tilde, z, u = (np.empty((n_steps,) + h0.shape) for _ in range(4))
+    ru = np.empty((n_steps,) + h0.shape[:-1] + (2 * h,))
+    h_tilde, z = np.empty((n_steps,) + h0.shape), np.empty((n_steps,) + h0.shape)
+
+    # Input projections of every slot, as pre-activations. One sequence is
+    # viewed as a batch of one, so each slot is the same BLAS call that a
+    # one-slot forward (gru_step) makes, and gives the same bits. Transposed
+    # weights are C-ordered copies: BLAS multiplies those about twice as
+    # fast as transposed views at these sizes.
+    x_rows = xs.reshape(n_steps, -1, d)
+    np.matmul(x_rows, np.concatenate([p.R_r, p.R_u]).T.copy(),
+              out=ru.reshape(n_steps, -1, 2 * h))
+    ru += np.concatenate([p.b_r, p.b_u])
+    np.matmul(x_rows, p.R_z.T.copy(), out=z.reshape(n_steps, -1, h))
+    z += p.b_z
+
+    w_ru_t = np.concatenate([p.W_r, p.W_u]).T.copy()
+    w_z_t = p.W_z.T.copy()
+    rec_ru, rec_z = np.empty(ru.shape[1:]), np.empty(h0.shape)
     for t in range(n_steps):
-        x, h_prev = xs[t], hs[t]
-        r_t = r[t] = sigmoid(h_prev @ p.W_r.T + x @ p.R_r.T + p.b_r)
-        h_tilde_t = h_tilde[t] = h_prev * r_t
-        z_t = z[t] = np.tanh(h_tilde_t @ p.W_z.T + x @ p.R_z.T + p.b_z)
-        u_t = u[t] = sigmoid(h_prev @ p.W_u.T + x @ p.R_u.T + p.b_u)
-        hs[t + 1] = (1.0 - u_t) * h_prev + u_t * z_t
-    return ForwardTrace(xs=xs, hs=hs, r=r, h_tilde=h_tilde, z=z, u=u,
+        h_prev, ru_t, h_tilde_t, z_t, h_next = hs[t], ru[t], h_tilde[t], z[t], hs[t + 1]
+        ru_t += np.matmul(h_prev, w_ru_t, out=rec_ru)
+        _sigmoid_in_place(ru_t)
+        r_t, u_t = ru_t[..., :h], ru_t[..., h:]
+        np.multiply(h_prev, r_t, out=h_tilde_t)
+        z_t += np.matmul(h_tilde_t, w_z_t, out=rec_z)
+        np.tanh(z_t, out=z_t)
+        # h[t] = (1 - u) * h[t-1] + u * z, as h[t-1] + u * (z - h[t-1])
+        np.subtract(z_t, h_prev, out=h_next)
+        h_next *= u_t
+        h_next += h_prev
+    return ForwardTrace(xs=xs, hs=hs, ru=ru, h_tilde=h_tilde, z=z,
                         y_hat=readout(p, hs[-1]))
 
 

@@ -1,17 +1,21 @@
 """Training: BPTT under MSE loss, gradient verification, and evaluation.
 
-backward() differentiates one retained ForwardTrace exactly, reading its
-time-first stacked arrays slice by slice in reverse and following the same
-gate structure the forward pass used (including the h_tilde = h_prev * r
-path into the candidate). It is the only reverse pass: fit() runs it on
-(B, T, D) batches, the gradient check on single (T, D) sequences.
-Gradients come back as a GruParams of the same shapes. Tests pin forward()
-to the scalar reference in tests/_oracles.py and backward() to central
-finite differences.
+backward() differentiates one retained ForwardTrace exactly. It walks the
+trace's time-first slices in reverse, following the gate structure of the
+forward pass (including the h_tilde = h_prev * r path into the candidate),
+and stores each slot's pre-activation deltas in stacked buffers laid out
+like the trace: [r | u] side by side, (T, ..., 2H), and the candidate's
+(T, ..., H). Inside the loop the two sigmoid gates share one product with
+[W_r; W_u]; after it every weight and bias gradient is one product or sum
+over all T*B rows. It is the only reverse pass: fit() runs it on (B, T, D)
+batches, the gradient check on single (T, D) sequences. Gradients come back
+as a GruParams of the same shapes. Tests pin forward() to the scalar
+reference in tests/_oracles.py and backward() to central finite differences.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -80,12 +84,15 @@ class TrainConfig:
         for name in ("epochs", "steps_per_epoch", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.gradient_clip_norm is not None and self.gradient_clip_norm <= 0:
-            raise ValueError("gradient_clip_norm must be positive or None")
+        # written so that NaN fails too: a NaN bound would never clip
+        if self.gradient_clip_norm is not None and not self.gradient_clip_norm > 0:
+            raise ValueError(
+                f"gradient_clip_norm must be positive or None, got {self.gradient_clip_norm}")
 
 
 def mse(y_hat: np.ndarray, y: np.ndarray) -> float:
@@ -124,48 +131,55 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
             or trace.xs.shape != (n_steps,) + batch + (p.input_dim,)):
         raise TraceMismatchError("trace dimensions do not match parameters and target")
 
-    g = GruParams(**{name: np.zeros_like(arr) for name, arr in p.arrays().items()})
+    h = p.hidden_dim
     y_hat = trace.y_hat
     loss = mse(y_hat, y)
-    # one sequence is a batch of one: (1, n) rows make every weight gradient a GEMM
-    rows_h, rows_x = (-1, p.hidden_dim), (-1, p.input_dim)
-    d_y = (2.0 * (y_hat - y) / y_hat.size).reshape(-1, p.output_dim)
-
-    g.W_out += d_y.T @ trace.h.reshape(rows_h)
-    g.b_out += d_y.sum(axis=0)
+    d_y = 2.0 * (y_hat - y) / y_hat.size
     dh = d_y @ p.W_out
 
+    # pre-activation deltas of every slot, [r | u] side by side as in the trace
+    da_ru = np.empty(trace.ru.shape)
+    da_z = np.empty(trace.z.shape)
+    w_ru = np.concatenate([p.W_r, p.W_u])
+    dh_tilde, tmp, tmp_ru = np.empty(dh.shape), np.empty(dh.shape), np.empty(da_ru.shape[1:])
     for t in reversed(range(n_steps)):
-        x = trace.xs[t].reshape(rows_x)
-        h_prev, h_tilde = trace.hs[t].reshape(rows_h), trace.h_tilde[t].reshape(rows_h)
-        r, z, u = trace.r[t], trace.z[t], trace.u[t]
+        h_prev, ru, z = trace.hs[t], trace.ru[t], trace.z[t]
+        r, u = ru[..., :h], ru[..., h:]
+        da_ru_t, da_z_t = da_ru[t], da_z[t]
+        dr, du = da_ru_t[..., :h], da_ru_t[..., h:]
 
-        du = dh * (z - h_prev)
-        dz = dh * u
-        dh_prev = dh * (1.0 - u)
+        # h[t] = h[t-1] + u * (z - h[t-1]) and z = tanh(a_z)
+        np.subtract(z, h_prev, out=du)
+        du *= dh
+        np.multiply(z, z, out=da_z_t)
+        np.subtract(1.0, da_z_t, out=da_z_t)
+        da_z_t *= u
+        da_z_t *= dh
+        # h_tilde = h[t-1] * r feeds a_z
+        np.matmul(da_z_t, p.W_z, out=dh_tilde)
+        np.multiply(dh_tilde, h_prev, out=dr)
+        # both sigmoid gates at once: s' = s * (1 - s)
+        np.subtract(1.0, ru, out=tmp_ru)
+        tmp_ru *= ru
+        da_ru_t *= tmp_ru
 
-        da_u = du * u * (1.0 - u)
-        g.W_u += da_u.T @ h_prev
-        g.R_u += da_u.T @ x
-        g.b_u += da_u.sum(axis=0)
-        dh_prev += da_u @ p.W_u
+        dh -= np.multiply(dh, u, out=tmp)
+        dh += np.multiply(dh_tilde, r, out=tmp)
+        dh += np.matmul(da_ru_t, w_ru, out=tmp)
 
-        da_z = dz * (1.0 - z ** 2)
-        g.W_z += da_z.T @ h_tilde
-        g.R_z += da_z.T @ x
-        g.b_z += da_z.sum(axis=0)
-        dh_tilde = da_z @ p.W_z
-        dh_prev += dh_tilde * r
-        dr = dh_tilde * h_prev
-
-        da_r = dr * r * (1.0 - r)
-        g.W_r += da_r.T @ h_prev
-        g.R_r += da_r.T @ x
-        g.b_r += da_r.sum(axis=0)
-        dh_prev += da_r @ p.W_r
-
-        dh = dh_prev
-
+    # every weight gradient is one product over all T*B rows
+    rows_ru, rows_z = da_ru.reshape(-1, 2 * h), da_z.reshape(-1, h)
+    h_rows = trace.hs[:-1].reshape(-1, h)
+    x_rows = trace.xs.reshape(-1, p.input_dim)
+    g_w_ru, g_r_ru, g_b_ru = rows_ru.T @ h_rows, rows_ru.T @ x_rows, rows_ru.sum(axis=0)
+    d_y_rows = d_y.reshape(-1, p.output_dim)
+    g = GruParams(
+        W_r=g_w_ru[:h], R_r=g_r_ru[:h], b_r=g_b_ru[:h],
+        W_z=rows_z.T @ trace.h_tilde.reshape(-1, h), R_z=rows_z.T @ x_rows,
+        b_z=rows_z.sum(axis=0),
+        W_u=g_w_ru[h:], R_u=g_r_ru[h:], b_u=g_b_ru[h:],
+        W_out=d_y_rows.T @ trace.h.reshape(-1, h), b_out=d_y_rows.sum(axis=0),
+    )
     return loss, g
 
 
@@ -175,9 +189,13 @@ def _sequence_loss(p: GruParams, xs: np.ndarray, y: np.ndarray) -> float:
 
 
 def grad_check_by_tensor(p: GruParams, sample, epsilon: float) -> dict[str, float]:
-    """Worst relative error per parameter tensor, analytic vs central differences."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    """Worst relative error per parameter tensor, analytic vs central differences.
+
+    A non-finite error, a NaN or infinite gradient on either side, counts as
+    an infinite error, so it fails every threshold.
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     xs, y = sample
     xs = np.asarray(xs, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -201,7 +219,8 @@ def grad_check_by_tensor(p: GruParams, sample, epsilon: float) -> dict[str, floa
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
             a = float(a_grad[idx])
             denom = max(abs(a), abs(numeric), 1e-12)
-            err = max(err, abs(a - numeric) / denom)
+            rel = abs(a - numeric) / denom
+            err = max(err, rel if math.isfinite(rel) else math.inf)
         worst[name] = err
     return worst
 

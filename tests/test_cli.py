@@ -74,6 +74,17 @@ def test_train_divergence_has_its_own_exit_code(workdir):
     assert "diverged" in proc.stderr
 
 
+@pytest.mark.parametrize("flag, name", [("--lr", "learning_rate"),
+                                        ("--clip", "gradient_clip_norm")])
+def test_train_rejects_a_nan_rate_or_clip(workdir, tmp_path, flag, name):
+    proc = run_cli(["train", "--series", str(workdir / "series.csv"),
+                    "--window-len", "24", "--hidden", "4", "--epochs", "1",
+                    "--steps", "2", flag, "nan"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert name in proc.stderr
+    assert not (tmp_path / "model.txt").exists()
+
+
 def test_train_reruns_are_byte_identical(workdir, tmp_path):
     args = ["train", "--series", str(workdir / "series.csv"),
             "--window-len", "24", "--hidden", "5", "--epochs", "1",
@@ -231,6 +242,13 @@ def test_gradcheck_smoke(workdir):
         cwd=workdir)
     assert proc.returncode == 0, proc.stderr
     assert "gradcheck PASS" in proc.stdout
+
+
+def test_gradcheck_rejects_a_nan_epsilon(workdir):
+    proc = run_cli(["gradcheck", "--models", "1", "--epsilon", "nan"], cwd=workdir)
+    assert proc.returncode == 2
+    assert "epsilon" in proc.stderr
+    assert "PASS" not in proc.stdout
 
 
 def test_fixture_series_with_shares(workdir, tmp_path):

@@ -81,10 +81,13 @@ def test_forward_matches_scalar_oracle():
 
 def test_forward_is_a_fold_of_steps():
     rng = np.random.default_rng(3)
-    p = init_params(2, 4, 2, rng)
-    for batch in [(), (3,)]:  # one sequence, then a batch of three
-        xs = rng.normal(size=batch + (5, 2))
-        h0 = rng.normal(size=batch + (4,))
+    small = init_params(2, 4, 2, rng)
+    wide = init_params(4, 32, 2, np.random.default_rng(33))
+    # one sequence, a batch of three, a batch of one (one-row BLAS calls)
+    # and a training-sized batch
+    for p, batch in [(small, ()), (small, (3,)), (small, (1,)), (wide, (32,))]:
+        xs = rng.normal(size=batch + (5, p.input_dim))
+        h0 = rng.normal(size=batch + (p.hidden_dim,))
         trace = forward(p, h0, xs)
 
         assert np.array_equal(trace.hs[0], h0)
@@ -99,15 +102,17 @@ def test_forward_is_a_fold_of_steps():
 
 def test_forward_records_hidden_chain():
     rng = np.random.default_rng(11)
-    p = init_params(3, 2, 3, rng)
-    for batch in [(), (5,)]:
-        xs = rng.normal(size=batch + (4, 3))
-        trace = forward(p, np.zeros(batch + (2,)), xs)
-        assert trace.xs.shape == (4,) + batch + (3,)
+    small = init_params(3, 2, 3, rng)
+    wide = init_params(4, 32, 3, np.random.default_rng(111))
+    for p, batch in [(small, ()), (small, (5,)), (small, (1,)), (wide, (32,))]:
+        d, h = p.input_dim, p.hidden_dim
+        xs = rng.normal(size=batch + (4, d))
+        trace = forward(p, np.zeros(batch + (h,)), xs)
+        assert trace.xs.shape == (4,) + batch + (d,)
         assert np.array_equal(trace.xs, np.moveaxis(xs, -2, 0))
-        assert trace.hs.shape == (5,) + batch + (2,)
+        assert trace.hs.shape == (5,) + batch + (h,)
         for gate in (trace.r, trace.h_tilde, trace.z, trace.u):
-            assert gate.shape == (4,) + batch + (2,)
+            assert gate.shape == (4,) + batch + (h,)
         for t in range(4):
             step = gru_step(p, trace.hs[t], xs[..., t, :])
             for name in ("r", "h_tilde", "z", "u"):
@@ -181,6 +186,9 @@ def test_sigmoid_stable_at_extremes():
     assert abs(out[2] - 0.5) == 0.0
     assert out[4] == 1.0
     assert np.all(np.diff(out) >= 0)
+    with np.errstate(all="raise"):
+        ends = sigmoid(np.array([-np.inf, -1e308, 1e308, np.inf]))
+    assert ends.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_sigmoid_matches_direct_formula_midrange():

@@ -105,6 +105,35 @@ def test_backward_matches_central_differences():
             assert abs(a - numeric) <= 1e-6 * max(1.0, abs(a), abs(numeric)), name
 
 
+def test_backward_matches_central_differences_at_a_wide_shape():
+    # a batch over a longer sequence and a wider state, a few sampled
+    # entries per tensor, at the tolerance of the full check above
+    rng = np.random.default_rng(124)
+    p = init_params(4, 16, 4, rng)
+    for arr in p.arrays().values():
+        arr += rng.normal(scale=0.2, size=arr.shape)
+    X = rng.normal(size=(4, 40, 4))
+    Y = rng.normal(size=(4, 4))
+    h0 = np.zeros((4, 16))
+
+    _, grads = backward(p, forward(p, h0, X), Y)
+
+    eps = 1e-6
+    for name, arr in p.arrays().items():
+        analytic = getattr(grads, name).reshape(-1)
+        flat = arr.reshape(-1)
+        for idx in rng.choice(flat.size, size=min(4, flat.size), replace=False):
+            saved = flat[idx]
+            flat[idx] = saved + eps
+            up = mse(forward(p, h0, X).y_hat, Y)
+            flat[idx] = saved - eps
+            down = mse(forward(p, h0, X).y_hat, Y)
+            flat[idx] = saved
+            numeric = (up - down) / (2 * eps)
+            a = analytic[idx]
+            assert abs(a - numeric) <= 1e-6 * max(1.0, abs(a), abs(numeric)), name
+
+
 def test_backward_loss_equals_mse_of_trace():
     rng = np.random.default_rng(5)
     p = init_params(2, 3, 2, rng)
@@ -165,6 +194,25 @@ def test_grad_check_flags_a_broken_gradient(monkeypatch):
 
     monkeypatch.setattr(training_mod, "backward", crooked)
     assert training_mod.grad_check(p, (xs, y), 1e-5) > 1e-3
+
+    def poisoned(params, trace, target):
+        loss, g = original(params, trace, target)
+        g.W_z[1, 2] = np.nan  # NaN must not vanish from the worst error
+        return loss, g
+
+    monkeypatch.setattr(training_mod, "backward", poisoned)
+    per_tensor = training_mod.grad_check_by_tensor(p, (xs, y), 1e-5)
+    assert per_tensor["W_z"] == np.inf
+    assert per_tensor["W_r"] < 1e-6
+    assert training_mod.grad_check(p, (xs, y), 1e-5) == np.inf
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-5, np.nan, np.inf])
+def test_grad_check_rejects_a_bad_epsilon(epsilon):
+    rng = np.random.default_rng(8)
+    p = init_params(2, 3, 2, rng)
+    with pytest.raises(ValueError, match="epsilon"):
+        grad_check_by_tensor(p, (rng.normal(size=(3, 2)), rng.normal(size=2)), epsilon)
 
 
 def test_batched_forward_matches_per_sequence():
@@ -276,6 +324,13 @@ def test_fit_rejects_bad_config_and_empty_split():
         fit(ds, TrainConfig(optimizer="rmsprop"), hidden_dim=4)
     with pytest.raises(ValueError):
         fit(ds, TrainConfig(epochs=0), hidden_dim=4)
+    # a NaN or infinite rate would surface later as a misleading divergence,
+    # and a NaN clip bound would silently never clip
+    for bad in (dict(learning_rate=np.nan), dict(learning_rate=np.inf),
+                dict(learning_rate=-np.inf), dict(gradient_clip_norm=np.nan),
+                dict(gradient_clip_norm=0.0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            fit(ds, TrainConfig(**bad), hidden_dim=4)
 
     broken = small_dataset()
     broken.split_index = broken.n_sequences  # nothing held out
