@@ -20,6 +20,7 @@ from .errors import (
     MismatchedConfigsError,
     ModelFormatError,
     NonFiniteInputError,
+    OutOfRangeError,
     SeriesFormatError,
     SeriesTooShortError,
     ShapeMismatchError,
@@ -40,11 +41,12 @@ from .gru import (
     sigmoid,
 )
 from .ingest import (
+    MAX_SLOTS,
+    RECORD_DTYPE,
     SECTOR_LABELS,
     SLOT_MS,
     ParseIssue,
     ParseResult,
-    RawCdrRecord,
     SectorMap,
     SectorSeries,
     WindowedDataset,

@@ -237,8 +237,9 @@ def _load_model(path: str):
 
 
 def _cmd_ingest(res: dict) -> int:
-    raw_text = Path(res["raw"]).read_text(encoding="utf-8")
-    parsed = parse_raw(raw_text)
+    # the same lines as read_text().splitlines(), read one at a time
+    with open(res["raw"], encoding="utf-8") as fh:
+        parsed = parse_raw(p for line in fh for p in line.splitlines())
     for issue in parsed.issues[:20]:
         print(f"line {issue.line_no}: {issue.reason}", file=sys.stderr)
     if len(parsed.issues) > 20:

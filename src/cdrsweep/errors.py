@@ -75,3 +75,7 @@ class MismatchedConfigsError(CdrSweepError):
 
 class BadSharesError(CdrSweepError):
     pass
+
+
+class OutOfRangeError(CdrSweepError):
+    """A raw value, or the slot span or count it implies, does not fit the series."""

@@ -8,18 +8,27 @@ The raw input is tab-separated text, one record per line:
 Activity fields may be empty; a line with no activity value at all is not a
 CDR event and is reported, not counted. Aggregation buckets events into
 consecutive 600-second slots for the four sectors A..D of one cell.
+
+Ingest reads its input once, line by line, and keeps only three numeric
+columns per counted line (square id, slot start, activity sum; see
+RECORD_DTYPE) and the reported issues, so the input text itself need never
+be held in memory. The aggregated series covers every slot between the
+first and last record, and that span is bounded by MAX_SLOTS.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from math import isfinite
 
 import numpy as np
 
 from .errors import (
     BadSharesError,
     EmptyInputError,
+    OutOfRangeError,
     SeriesFormatError,
     SeriesTooShortError,
     UnknownSquareError,
@@ -27,10 +36,19 @@ from .errors import (
 
 SECTOR_LABELS = ("A", "B", "C", "D")
 SLOT_MS = 600_000
+# the longest series aggregate builds: 1,000,000 ten-minute slots, about 19
+# years. A timestamp in microseconds among milliseconds would otherwise ask
+# for billions of slots.
+MAX_SLOTS = 1_000_000
 ACTIVITY_NAMES = ("sms_in", "sms_out", "call_in", "call_out", "internet")
 _FIELD_DELIMITER = "\t"
 # square_id, slot_start, country code, then the five activity fields
 _MAX_FIELDS = 3 + len(ACTIVITY_NAMES)
+_INT64_MAX = 2**63 - 1
+# one row per counted line; activity_sum is sum() of the line's present
+# activity values, in field order
+RECORD_DTYPE = np.dtype([("square_id", np.int64), ("slot_start_ms", np.int64),
+                         ("activity_sum", np.float64)])
 
 
 def check_shares(shares) -> np.ndarray:
@@ -44,17 +62,6 @@ def check_shares(shares) -> np.ndarray:
 
 
 @dataclass
-class RawCdrRecord:
-    square_id: int
-    slot_start_ms: int
-    # one entry per ACTIVITY_NAMES position; None where the field was empty
-    activities: tuple
-
-    def activity_sum(self) -> float:
-        return sum(a for a in self.activities if a is not None)
-
-
-@dataclass
 class ParseIssue:
     line_no: int
     reason: str
@@ -62,21 +69,28 @@ class ParseIssue:
 
 @dataclass
 class ParseResult:
-    records: list[RawCdrRecord]
+    # one RECORD_DTYPE row per counted line, in line order; a record array, so
+    # records.square_id and records[i].square_id work as records["square_id"]
+    records: np.recarray
     issues: list[ParseIssue] = field(default_factory=list)
 
 
 def parse_raw(lines) -> ParseResult:
-    """Parse tab-separated CDR lines.
+    """Parse tab-separated CDR lines in one pass into columnar records.
 
-    Malformed lines become ParseIssue entries carrying their 1-based line
-    number; they are never silently dropped. Raises EmptyInputError when the
-    input contains no non-blank lines at all.
+    lines is a str (split with str.splitlines) or any iterable of lines,
+    such as a generator over an open file, which is consumed once and never
+    held whole. Each counted line becomes one RECORD_DTYPE row; no per-line
+    object is kept. Malformed lines become ParseIssue entries carrying their
+    1-based line number; they are never silently dropped. Raises
+    EmptyInputError when the input contains no non-blank lines at all, and
+    OutOfRangeError, naming the line, for a square id or timestamp that
+    does not fit in int64.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
 
-    records: list[RawCdrRecord] = []
+    square_ids, slot_starts, activity_sums = array("q"), array("q"), array("d")
     issues: list[ParseIssue] = []
     saw_line = False
 
@@ -102,6 +116,8 @@ def parse_raw(lines) -> ParseResult:
         if square_id <= 0:
             issues.append(ParseIssue(line_no, f"square id must be positive, got {square_id}"))
             continue
+        if square_id > _INT64_MAX:
+            raise OutOfRangeError(f"line {line_no}: square id {square_id} does not fit in int64")
 
         try:
             slot_start = int(parts[1].strip())
@@ -111,6 +127,8 @@ def parse_raw(lines) -> ParseResult:
         if slot_start < 0:
             issues.append(ParseIssue(line_no, f"negative timestamp {slot_start}"))
             continue
+        if slot_start > _INT64_MAX:
+            raise OutOfRangeError(f"line {line_no}: timestamp {slot_start} does not fit in int64")
         if slot_start % SLOT_MS != 0:
             # normalize to the containing 10-minute slot, but say so
             floored = slot_start - slot_start % SLOT_MS
@@ -119,37 +137,33 @@ def parse_raw(lines) -> ParseResult:
             slot_start = floored
 
         # parts[2] is the country code; ignored
-        raw_activities = parts[3:_MAX_FIELDS]
-        activities = []
-        bad = False
-        for name, text in zip(ACTIVITY_NAMES, raw_activities):
+        values = []
+        for name, text in zip(ACTIVITY_NAMES, parts[3:]):
             text = text.strip()
             if not text:
-                activities.append(None)
                 continue
             try:
                 value = float(text)
             except ValueError:
                 issues.append(ParseIssue(line_no, f"bad {name} value {text!r}"))
-                bad = True
                 break
-            if not np.isfinite(value) or value < 0:
+            if not isfinite(value) or value < 0:
                 issues.append(ParseIssue(line_no, f"{name} must be finite and >= 0, got {text}"))
-                bad = True
                 break
-            activities.append(value)
-        if bad:
-            continue
-        activities.extend([None] * (len(ACTIVITY_NAMES) - len(activities)))
-
-        if all(a is None for a in activities):
-            issues.append(ParseIssue(line_no, "no activity fields; not a CDR event"))
-            continue
-
-        records.append(RawCdrRecord(square_id, slot_start, tuple(activities)))
+            values.append(value)
+        else:
+            if not values:
+                issues.append(ParseIssue(line_no, "no activity fields; not a CDR event"))
+                continue
+            square_ids.append(square_id)
+            slot_starts.append(slot_start)
+            activity_sums.append(sum(values))
 
     if not saw_line:
         raise EmptyInputError("input contains no lines")
+    records = np.rec.fromarrays(
+        [np.frombuffer(square_ids, dtype=np.int64), np.frombuffer(slot_starts, dtype=np.int64),
+         np.frombuffer(activity_sums, dtype=np.float64)], dtype=RECORD_DTYPE)
     return ParseResult(records=records, issues=issues)
 
 
@@ -178,6 +192,17 @@ class SectorMap:
             return SECTOR_LABELS.index(self.by_square[square_id])
         except KeyError:
             raise UnknownSquareError(f"unknown square id {square_id}") from None
+
+    def sector_indices(self, square_ids: np.ndarray) -> np.ndarray:
+        """sector_index of every id; the first unknown id in array order raises."""
+        uniq, inverse = np.unique(square_ids, return_inverse=True)
+        lookup = np.array([SECTOR_LABELS.index(self.by_square[u]) if u in self.by_square else -1
+                           for u in uniq.tolist()], dtype=np.intp)
+        sectors = lookup[inverse]
+        unknown = np.flatnonzero(sectors < 0)
+        if unknown.size:
+            raise UnknownSquareError(f"unknown square id {square_ids[unknown[0]]}")
+        return sectors
 
 
 @dataclass
@@ -212,34 +237,49 @@ class SectorSeries:
 
 
 def aggregate(records, sector_map: SectorMap, count_mode: str = "record_count") -> SectorSeries:
-    """Bucket records into a SectorSeries.
+    """Bucket records into a SectorSeries, vectorised over the record columns.
 
-    record_count counts one per record (the default); activity_sum adds up
-    the present activity values and rounds each cell to the nearest integer
-    (ties to even). Slots between the first and last record with no events
-    are materialized as zeros.
+    records is a RECORD_DTYPE array such as ParseResult.records (or anything
+    np.asarray turns into one). record_count counts one per record (the
+    default); activity_sum adds the records' activity sums into each cell in
+    record order and rounds each cell to the nearest integer (ties to even).
+    Slots between the first and last record with no events are materialized
+    as zeros. Raises UnknownSquareError for the first record whose square is
+    not in sector_map, and OutOfRangeError when the records span more than
+    MAX_SLOTS slots (checked before the series is allocated) or a rounded
+    cell sum does not fit in int64 (checked before the cast).
     """
     if count_mode not in ("record_count", "activity_sum"):
         raise ValueError(f"unknown count_mode {count_mode!r}")
-    records = list(records)
-    if not records:
+    records = np.asarray(records, dtype=RECORD_DTYPE)
+    if not records.size:
         raise EmptyInputError("no records to aggregate")
 
-    t0 = min(r.slot_start_ms for r in records)
-    t_last = max(r.slot_start_ms for r in records)
+    slot_starts = records["slot_start_ms"]
+    t0, t_last = int(slot_starts.min()), int(slot_starts.max())
     n_slots = (t_last - t0) // SLOT_MS + 1
+    if n_slots > MAX_SLOTS:
+        raise OutOfRangeError(
+            f"timestamps from {t0} to {t_last} ms span {n_slots} slots, "
+            f"more than the {MAX_SLOTS} allowed")
 
-    acc = np.zeros((n_slots, len(SECTOR_LABELS)), dtype=np.float64)
-    for r in records:
-        s = sector_map.sector_index(r.square_id)
-        i = (r.slot_start_ms - t0) // SLOT_MS
-        if count_mode == "record_count":
-            acc[i, s] += 1
-        else:
-            acc[i, s] += r.activity_sum()
-
-    counts = acc.astype(np.int64) if count_mode == "record_count" else np.rint(acc).astype(np.int64)
-    return SectorSeries(t0_ms=t0, counts=counts)
+    n_sectors = len(SECTOR_LABELS)
+    sectors = sector_map.sector_indices(records["square_id"])
+    cells = (slot_starts - t0) // SLOT_MS * n_sectors + sectors
+    if count_mode == "record_count":
+        counts = np.bincount(cells, minlength=n_slots * n_sectors)
+    else:
+        # bincount adds each cell's weights in record order
+        sums = np.rint(np.bincount(cells, weights=records["activity_sum"],
+                                   minlength=n_slots * n_sectors))
+        too_big = np.flatnonzero(~(sums < 2.0**63))
+        if too_big.size:
+            i, s = divmod(int(too_big[0]), n_sectors)
+            raise OutOfRangeError(
+                f"activity sum {sums[too_big[0]]} of sector {SECTOR_LABELS[s]} in slot "
+                f"{_format_ts(t0 + i * SLOT_MS)} does not fit in int64")
+        counts = sums.astype(np.int64)
+    return SectorSeries(t0_ms=t0, counts=counts.reshape(n_slots, n_sectors))
 
 
 @dataclass

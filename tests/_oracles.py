@@ -3,9 +3,29 @@
 Everything here is written with plain Python loops and math.* so it cannot
 share bugs with the numpy code under test. Parameters come in as nested
 lists (or anything indexable), never as the package's own dataclasses.
+The exceptions are parse_raw_scalar and aggregate_scalar: the earlier
+per-record ingest, kept as it was (one RawCdrRecord per counted line, one
+accumulator update per record), which returns the package's ParseResult
+and SectorSeries so the columnar path can be compared field by field.
 """
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from cdrsweep.errors import EmptyInputError
+from cdrsweep.ingest import (
+    _FIELD_DELIMITER,
+    _MAX_FIELDS,
+    ACTIVITY_NAMES,
+    SECTOR_LABELS,
+    SLOT_MS,
+    ParseIssue,
+    ParseResult,
+    SectorMap,
+    SectorSeries,
+)
 
 
 def sigmoid_scalar(a):
@@ -135,3 +155,132 @@ def report_csv_scalar(runs, labels="ABCD"):
             lines.append(f"{policy},{seed},{i},{labels[int(sectors[i])]},"
                          f"{arrival_us[i]:.3f},{delay_us[i]:.3f}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass
+class RawCdrRecord:
+    square_id: int
+    slot_start_ms: int
+    # one entry per ACTIVITY_NAMES position; None where the field was empty
+    activities: tuple
+
+    def activity_sum(self) -> float:
+        return sum(a for a in self.activities if a is not None)
+
+
+def parse_raw_scalar(lines) -> ParseResult:
+    """Parse tab-separated CDR lines.
+
+    Malformed lines become ParseIssue entries carrying their 1-based line
+    number; they are never silently dropped. Raises EmptyInputError when the
+    input contains no non-blank lines at all.
+    """
+    if isinstance(lines, str):
+        lines = lines.splitlines()
+
+    records: list[RawCdrRecord] = []
+    issues: list[ParseIssue] = []
+    saw_line = False
+
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.rstrip("\r\n")
+        if not stripped.strip():
+            continue
+        saw_line = True
+
+        parts = stripped.split(_FIELD_DELIMITER)
+        if len(parts) < 2:
+            issues.append(ParseIssue(line_no, "fewer than 2 fields"))
+            continue
+        if len(parts) > _MAX_FIELDS:
+            issues.append(ParseIssue(line_no, f"more than {_MAX_FIELDS} fields"))
+            continue
+
+        try:
+            square_id = int(parts[0].strip())
+        except ValueError:
+            issues.append(ParseIssue(line_no, f"bad square id {parts[0]!r}"))
+            continue
+        if square_id <= 0:
+            issues.append(ParseIssue(line_no, f"square id must be positive, got {square_id}"))
+            continue
+
+        try:
+            slot_start = int(parts[1].strip())
+        except ValueError:
+            issues.append(ParseIssue(line_no, f"bad timestamp {parts[1]!r}"))
+            continue
+        if slot_start < 0:
+            issues.append(ParseIssue(line_no, f"negative timestamp {slot_start}"))
+            continue
+        if slot_start % SLOT_MS != 0:
+            # normalize to the containing 10-minute slot, but say so
+            floored = slot_start - slot_start % SLOT_MS
+            issues.append(ParseIssue(
+                line_no, f"timestamp {slot_start} not slot-aligned; floored to {floored}"))
+            slot_start = floored
+
+        # parts[2] is the country code; ignored
+        raw_activities = parts[3:_MAX_FIELDS]
+        activities = []
+        bad = False
+        for name, text in zip(ACTIVITY_NAMES, raw_activities):
+            text = text.strip()
+            if not text:
+                activities.append(None)
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                issues.append(ParseIssue(line_no, f"bad {name} value {text!r}"))
+                bad = True
+                break
+            if not np.isfinite(value) or value < 0:
+                issues.append(ParseIssue(line_no, f"{name} must be finite and >= 0, got {text}"))
+                bad = True
+                break
+            activities.append(value)
+        if bad:
+            continue
+        activities.extend([None] * (len(ACTIVITY_NAMES) - len(activities)))
+
+        if all(a is None for a in activities):
+            issues.append(ParseIssue(line_no, "no activity fields; not a CDR event"))
+            continue
+
+        records.append(RawCdrRecord(square_id, slot_start, tuple(activities)))
+
+    if not saw_line:
+        raise EmptyInputError("input contains no lines")
+    return ParseResult(records=records, issues=issues)
+
+
+def aggregate_scalar(records, sector_map: SectorMap, count_mode: str = "record_count") -> SectorSeries:
+    """Bucket records into a SectorSeries.
+
+    record_count counts one per record (the default); activity_sum adds up
+    the present activity values and rounds each cell to the nearest integer
+    (ties to even). Slots between the first and last record with no events
+    are materialized as zeros.
+    """
+    if count_mode not in ("record_count", "activity_sum"):
+        raise ValueError(f"unknown count_mode {count_mode!r}")
+    records = list(records)
+    if not records:
+        raise EmptyInputError("no records to aggregate")
+
+    t0 = min(r.slot_start_ms for r in records)
+    t_last = max(r.slot_start_ms for r in records)
+    n_slots = (t_last - t0) // SLOT_MS + 1
+
+    acc = np.zeros((n_slots, len(SECTOR_LABELS)), dtype=np.float64)
+    for r in records:
+        s = sector_map.sector_index(r.square_id)
+        i = (r.slot_start_ms - t0) // SLOT_MS
+        if count_mode == "record_count":
+            acc[i, s] += 1
+        else:
+            acc[i, s] += r.activity_sum()
+
+    counts = acc.astype(np.int64) if count_mode == "record_count" else np.rint(acc).astype(np.int64)
+    return SectorSeries(t0_ms=t0, counts=counts)

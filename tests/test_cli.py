@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdrsweep import cli, demo_raw_lines, synthetic_series, write_sector_series
+from cdrsweep import (
+    aggregate,
+    cli,
+    demo_raw_lines,
+    demo_sector_map,
+    parse_raw,
+    synthetic_series,
+    write_sector_series,
+)
 from _cli import run_cli
 
 
@@ -50,6 +58,64 @@ def test_ingest_unknown_square_names_the_id(workdir):
     proc = run_cli(["ingest", "--raw", "stray.tsv"], cwd=workdir)
     assert proc.returncode == 2
     assert "9999" in proc.stderr
+
+
+T0 = 1384726200000
+
+
+_OUT_OF_RANGE = [
+    # a timestamp that does not fit in int64
+    ("huge_ts", f"5060\t{T0}\t39\t1.0\n5061\t100000000000000000000\t39\t1.0\n", [],
+     "line 2: timestamp 100000000000000000000 does not fit in int64"),
+    ("huge_id", f"5060\t{T0}\t39\t1.0\n\n9223372036854775808\t{T0}\t39\t1.0\n", [],
+     "line 3: square id 9223372036854775808 does not fit in int64"),
+    # one timestamp in microseconds among milliseconds: 2.3e9 slots
+    ("micro_ts", f"5060\t{T0}\t39\t1.0\n5061\t{T0 * 1000}\t39\t1.0\n", [],
+     f"from {T0} to {T0 * 1000} ms span 2305569124 slots"),
+    ("big_sum", f"5060\t{T0}\t39\t1e308\t1e308\n", ["--count-mode", "activity_sum"],
+     "activity sum inf of sector A in slot 2013-11-17T22:10:00Z does not fit in int64"),
+]
+
+
+@pytest.mark.parametrize("name, raw, args, message", _OUT_OF_RANGE,
+                         ids=[case[0] for case in _OUT_OF_RANGE])
+def test_ingest_out_of_range_input_is_a_validation_error(workdir, name, raw, args, message):
+    (workdir / f"{name}.tsv").write_text(raw)
+    proc = run_cli(["ingest", "--raw", f"{name}.tsv", "--out", f"{name}.csv", *args],
+                   cwd=workdir)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (workdir / f"{name}.csv").exists()
+
+
+def test_ingest_reads_the_same_lines_from_the_file_as_parse_raw(workdir):
+    """The file is read line by line; every line break str.splitlines knows
+    must end a line there too, so issue line numbers match parse_raw(text)."""
+    separators = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                  "\u2028", "\u2029", "\n\n", "\r\n\r\n", "\n  \n"]
+    squares = [5060, 5061, 5160, 5161]
+    parts = []
+    for i, sep in enumerate(separators * 2):
+        slot = T0 + (i % 5) * 600_000
+        parts.append(f"{squares[i % 4]}\t{slot}\t39\t{i + 0.1}\t0.3333333333333333")
+        parts.append(sep)
+        if i % 4 == 0:
+            parts.append(f"{squares[i % 4]}\t{slot + 7}\t39\tn/a")  # an issue after it
+            parts.append(sep)
+    parts.append(f"5161\t{T0}\t39\t2.5")  # no newline at the end
+    text = "".join(parts)
+    (workdir / "seps.tsv").write_bytes(text.encode("utf-8"))
+
+    proc = run_cli(["ingest", "--raw", "seps.tsv", "--out", "seps.csv",
+                    "--count-mode", "activity_sum"], cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
+    parsed = parse_raw(text)
+    assert 0 < len(parsed.issues) <= 20
+    shown = [ln for ln in proc.stderr.splitlines() if ln.startswith("line ")]
+    assert shown == [f"line {i.line_no}: {i.reason}" for i in parsed.issues]
+    series = aggregate(parsed.records, demo_sector_map(), count_mode="activity_sum")
+    assert (workdir / "seps.csv").read_text() == write_sector_series(series)
 
 
 def test_missing_input_file_is_an_io_error(workdir):

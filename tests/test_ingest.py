@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from cdrsweep import (
+    MAX_SLOTS,
     EmptyInputError,
+    OutOfRangeError,
     SectorMap,
     SectorSeries,
     SeriesFormatError,
@@ -15,6 +17,7 @@ from cdrsweep import (
     write_sector_series,
 )
 from cdrsweep.fixtures import demo_raw_lines, demo_sector_map, DEMO_SLOT_COUNTS
+from _oracles import aggregate_scalar, parse_raw_scalar
 
 T0 = 1_384_726_200_000
 SLOT = 600_000
@@ -30,8 +33,7 @@ def test_parse_basic_record():
     rec = result.records[0]
     assert rec.square_id == 5060
     assert rec.slot_start_ms == T0
-    assert rec.activities == (1.5, None, 2.0, None, None)
-    assert rec.activity_sum() == 3.5
+    assert rec.activity_sum == 3.5
 
 
 def test_parse_skips_blank_lines_but_not_all_blank():
@@ -111,6 +113,123 @@ def test_aggregate_rejects_empty_and_bad_mode():
     with pytest.raises(ValueError):
         aggregate(parse_raw([line(5060, T0, 1.0)]).records, demo_sector_map(),
                   count_mode="bogus")
+
+
+def test_aggregate_bounds_the_slot_span():
+    smap = demo_sector_map()
+    last = T0 + (MAX_SLOTS - 1) * SLOT
+    series = aggregate(parse_raw([line(5060, T0, 1.0), line(5161, last, 2.0)]).records, smap)
+    assert series.n_slots == MAX_SLOTS
+    assert series.counts[[0, -1]].tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    # a timestamp in microseconds among milliseconds
+    records = parse_raw([line(5060, T0, 1.0), line(5060, T0 * 1000, 1.0)]).records
+    span = (T0 * 1000 - T0) // SLOT + 1
+    with pytest.raises(OutOfRangeError, match=f"from {T0} to {T0 * 1000} ms span {span} slots"):
+        aggregate(records, smap)
+    records = parse_raw([line(5060, T0, 1.0), line(5161, last + SLOT, 1.0)]).records
+    with pytest.raises(OutOfRangeError, match=f"span {MAX_SLOTS + 1} slots"):
+        aggregate(records, smap)
+
+
+def test_parse_rejects_ids_and_timestamps_beyond_int64():
+    fits = 2**63 - 1
+    result = parse_raw([line(fits, T0, 1.0), line(5060, fits - fits % SLOT, 1.0)])
+    assert result.records.square_id.tolist() == [fits, 5060]
+    with pytest.raises(OutOfRangeError, match="line 2: square id 9223372036854775808"):
+        parse_raw([line(5060, T0, 1.0), line(fits + 1, T0, 1.0)])
+    with pytest.raises(OutOfRangeError, match="line 1: timestamp 100000000000000000000"):
+        parse_raw([line(5060, 10**20, 1.0)])
+
+
+def test_aggregate_rejects_a_cell_sum_beyond_int64():
+    smap = demo_sector_map()
+    records = parse_raw([line(5060, T0, 1.0), line(5061, T0 + SLOT, 1e308, 1e308)]).records
+    assert aggregate(records, smap).counts.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    with pytest.raises(OutOfRangeError, match="inf of sector B in slot 2013-11-17T22:20:00Z"):
+        aggregate(records, smap, count_mode="activity_sum")
+    records = parse_raw([line(5160, T0, 2.0**62), line(5160, T0, 2.0**62)]).records
+    with pytest.raises(OutOfRangeError, match="sector C"):
+        aggregate(records, smap, count_mode="activity_sum")
+
+
+def test_aggregate_adds_each_cell_in_record_order():
+    # (0.02 + 0.24) + 2.24 is 2.5 and rounds to 2; (2.24 + 0.24) + 0.02 is
+    # 2.5000000000000004 and rounds to 3
+    for values, want in (((0.02, 0.24, 2.24), 2), ((2.24, 0.24, 0.02), 3)):
+        lines = [line(5060, T0, v) for v in values]
+        series = aggregate(parse_raw(lines).records, demo_sector_map(), count_mode="activity_sum")
+        oracle = aggregate_scalar(parse_raw_scalar(lines).records, demo_sector_map(),
+                                  count_mode="activity_sum")
+        assert series.counts[0, 0] == oracle.counts[0, 0] == want
+
+
+_SQUARES = ("5060", "5061", "5160", "5161", " 5161 ", "+5060")
+_BAD_SQUARES = ("x12", "", "-4", "0", "5.0")
+_STAMPS_BAD = ("notatime", "", "-600000", "1.5e12")
+_VALUES = ("1.5", "0.25", "7", "0.1", "0.2", "0.3333333333333333", "2.675", "1e-3",
+           " 0.7 ", "", " ", "\x0b")
+_BAD_VALUES = ("nan", "inf", "-1.5", "1e", "n/a", "-inf", "NaN")
+
+
+def _random_raw_lines(rng, n, unknown_square):
+    """n raw lines mixing good records with every kind of malformed line."""
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.05:
+            out.append(str(rng.choice(["", "   ", "\t", " \t "])))
+            continue
+        if kind < 0.08:
+            out.append(str(rng.choice(["justonefield", "5060", "  5060  "])))
+            continue
+        square = str(rng.choice(_SQUARES))
+        if rng.random() < 0.05:
+            square = str(rng.choice(_BAD_SQUARES))
+        elif unknown_square and rng.random() < 0.02:
+            square = str(rng.choice(["7777", "6666", "8888"]))
+        slot = int(rng.integers(0, 30))
+        stamp = str(T0 + slot * SLOT)
+        r = rng.random()
+        if r < 0.05:
+            stamp = str(T0 + slot * SLOT + int(rng.integers(1, SLOT)))
+        elif r < 0.08:
+            stamp = str(rng.choice(_STAMPS_BAD))
+        n_values = int(rng.integers(0, 7))
+        values = [str(rng.choice(_VALUES)) for _ in range(n_values)]
+        if values and rng.random() < 0.08:
+            values[int(rng.integers(0, n_values))] = str(rng.choice(_BAD_VALUES))
+        fields = [square, stamp] + ([str(rng.choice(["39", "", "33"]))] + values
+                                    if n_values or rng.random() < 0.5 else [])
+        ending = str(rng.choice(["", "", "", "\n", "\r\n"]))
+        out.append("\t".join(fields) + ending)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_columnar_ingest_matches_the_per_record_oracle(seed):
+    rng = np.random.default_rng(seed)
+    lines = _random_raw_lines(rng, 400, unknown_square=seed % 3 == 0)
+    got, want = parse_raw(lines), parse_raw_scalar(lines)
+
+    assert [(i.line_no, i.reason) for i in got.issues] == \
+        [(i.line_no, i.reason) for i in want.issues]
+    assert got.records.square_id.tolist() == [r.square_id for r in want.records]
+    assert got.records.slot_start_ms.tolist() == [r.slot_start_ms for r in want.records]
+    want_sums = np.array([r.activity_sum() for r in want.records], dtype=np.float64)
+    assert got.records.activity_sum.tobytes() == want_sums.tobytes()
+
+    smap = demo_sector_map()
+    for mode in ("record_count", "activity_sum"):
+        try:
+            expected = aggregate_scalar(want.records, smap, count_mode=mode)
+        except UnknownSquareError as exc:
+            with pytest.raises(UnknownSquareError, match=f"^{exc}$"):
+                aggregate(got.records, smap, count_mode=mode)
+            continue
+        series = aggregate(got.records, smap, count_mode=mode)
+        assert series.t0_ms == expected.t0_ms
+        assert series.counts.dtype == expected.counts.dtype
+        assert series.counts.tobytes() == expected.counts.tobytes()
 
 
 def test_demo_fixture_reproduces_expected_counts():
