@@ -25,6 +25,7 @@ from .ingest import (
     SECTOR_LABELS,
     SectorMap,
     aggregate,
+    cut_windows,
     load_sector_series,
     make_windows,
     parse_raw,
@@ -232,10 +233,6 @@ def _load_series(path: str):
     return load_sector_series(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_model(path: str):
-    return model_io.loads_model(Path(path).read_text(encoding="utf-8"))
-
-
 def _cmd_ingest(res: dict) -> int:
     # the same lines as read_text().splitlines(), read one at a time
     with open(res["raw"], encoding="utf-8") as fh:
@@ -273,17 +270,10 @@ def _cmd_train(res: dict) -> int:
 
 
 def _predict_vector(res: dict):
-    params, norm = _load_model(res["model"])
+    params, norm = model_io.load_model(res["model"])
     series = _load_series(res["series"])
-    window_len = res["window_len"]
     at_slot = res["at_slot"] if res["at_slot"] is not None else series.n_slots
-    if at_slot > series.n_slots:
-        raise InvalidConfigError(
-            f"at_slot {at_slot} is beyond the series ({series.n_slots} slots)")
-    if at_slot < window_len:
-        raise InvalidConfigError(
-            f"slot {at_slot} has fewer than window_len={window_len} slots of history")
-    window = series.counts[at_slot - window_len:at_slot].astype(np.float64)
+    window = cut_windows(series.counts, res["window_len"], at_slot, at_slot)[0]
     return training.predict_next(params, norm, window), at_slot
 
 
@@ -307,7 +297,7 @@ def _cmd_schedule(res: dict) -> int:
 
 
 def _cmd_eval(res: dict) -> int:
-    params, norm = _load_model(res["model"])
+    params, norm = model_io.load_model(res["model"])
     series = _load_series(res["series"])
     dataset = make_windows(series, res["window_len"], res["train_fraction"])
     result = training.evaluate(params, norm, dataset)
@@ -348,20 +338,16 @@ def _cmd_simulate(res: dict) -> int:
     for name in policies:
         if name == "sequential":
             policy_objs.append(
-                simulator.PerSlotPolicy.from_ranking(scheduler.sequential_ranking()))
+                simulator.PerSlotPolicy.from_ranking(scheduler.sequential_ranking(),
+                                                     "sequential"))
         elif name == "oracle":
             policy_objs.append(simulator.PerSlotPolicy.from_values(
                 "oracle", truth, np.random.default_rng(oracle_ties)))
         else:
             if res["model"] is None:
                 raise InvalidConfigError("the predicted policy needs --model")
-            if start < res["window_len"]:
-                raise InvalidConfigError(
-                    f"predicted policy needs window_len={res['window_len']} slots of "
-                    f"history before slot {start}")
-            params, norm = _load_model(res["model"])
-            windows = np.stack([series.counts[j - res["window_len"]:j]
-                                for j in range(start, start + n_sim)])
+            params, norm = model_io.load_model(res["model"])
+            windows = cut_windows(series.counts, res["window_len"], start, series.n_slots - 1)
             preds = training.predict_next(params, norm, windows)
             policy_objs.append(simulator.PerSlotPolicy.from_values(
                 "predicted", preds, np.random.default_rng(predicted_ties)))

@@ -55,6 +55,17 @@ PARAM_FIELDS = (
 )
 
 
+def param_shapes(input_dim: int, hidden_dim: int, output_dim: int) -> dict[str, tuple]:
+    """The shape of every parameter tensor, in PARAM_FIELDS order."""
+    h, d, o = hidden_dim, input_dim, output_dim
+    return {
+        "W_r": (h, h), "R_r": (h, d), "b_r": (h,),
+        "W_z": (h, h), "R_z": (h, d), "b_z": (h,),
+        "W_u": (h, h), "R_u": (h, d), "b_u": (h,),
+        "W_out": (o, h), "b_out": (o,),
+    }
+
+
 def sigmoid(x):
     """Elementwise logistic function 1 / (1 + exp(-x)).
 
@@ -108,13 +119,7 @@ class GruParams:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
 
     def validate(self) -> None:
-        h, d, o = self.hidden_dim, self.input_dim, self.output_dim
-        expected = {
-            "W_r": (h, h), "W_z": (h, h), "W_u": (h, h),
-            "R_r": (h, d), "R_z": (h, d), "R_u": (h, d),
-            "b_r": (h,), "b_z": (h,), "b_u": (h,),
-            "W_out": (o, h), "b_out": (o,),
-        }
+        expected = param_shapes(self.input_dim, self.hidden_dim, self.output_dim)
         for name, shape in expected.items():
             arr = getattr(self, name)
             if arr.shape != shape:
@@ -129,19 +134,14 @@ class GruParams:
 
 def init_params(input_dim: int, hidden_dim: int, output_dim: int,
                 rng: np.random.Generator) -> GruParams:
-    """Seeded init: weights uniform in [-1/sqrt(H), 1/sqrt(H)], biases zero."""
+    """Seeded init: weights uniform in [-1/sqrt(H), 1/sqrt(H)], biases zero.
+
+    The weight matrices are drawn in PARAM_FIELDS order.
+    """
     bound = 1.0 / math.sqrt(hidden_dim)
-
-    def w(rows, cols):
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    h, d, o = hidden_dim, input_dim, output_dim
-    return GruParams(
-        W_r=w(h, h), R_r=w(h, d), b_r=np.zeros(h),
-        W_z=w(h, h), R_z=w(h, d), b_z=np.zeros(h),
-        W_u=w(h, h), R_u=w(h, d), b_u=np.zeros(h),
-        W_out=w(o, h), b_out=np.zeros(o),
-    )
+    shapes = param_shapes(input_dim, hidden_dim, output_dim)
+    return GruParams(**{name: rng.uniform(-bound, bound, size=shape) if len(shape) == 2
+                        else np.zeros(shape) for name, shape in shapes.items()})
 
 
 @dataclass

@@ -45,6 +45,8 @@ _FIELD_DELIMITER = "\t"
 # square_id, slot_start, country code, then the five activity fields
 _MAX_FIELDS = 3 + len(ACTIVITY_NAMES)
 _INT64_MAX = 2**63 - 1
+# the last millisecond of the year 9999; series.csv cannot write a later time
+_MAX_TS_MS = 253_402_300_799_999
 # one row per counted line; activity_sum is sum() of the line's present
 # activity values, in field order
 RECORD_DTYPE = np.dtype([("square_id", np.int64), ("slot_start_ms", np.int64),
@@ -84,8 +86,8 @@ def parse_raw(lines) -> ParseResult:
     object is kept. Malformed lines become ParseIssue entries carrying their
     1-based line number; they are never silently dropped. Raises
     EmptyInputError when the input contains no non-blank lines at all, and
-    OutOfRangeError, naming the line, for a square id or timestamp that
-    does not fit in int64.
+    OutOfRangeError, naming the line, for a square id that does not fit in
+    int64 or a timestamp after the year 9999.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
@@ -127,8 +129,10 @@ def parse_raw(lines) -> ParseResult:
         if slot_start < 0:
             issues.append(ParseIssue(line_no, f"negative timestamp {slot_start}"))
             continue
-        if slot_start > _INT64_MAX:
-            raise OutOfRangeError(f"line {line_no}: timestamp {slot_start} does not fit in int64")
+        if slot_start > _MAX_TS_MS:
+            raise OutOfRangeError(f"line {line_no}: timestamp {slot_start} " + (
+                "does not fit in int64" if slot_start > _INT64_MAX
+                else "is after the year 9999"))
         if slot_start % SLOT_MS != 0:
             # normalize to the containing 10-minute slot, but say so
             floored = slot_start - slot_start % SLOT_MS
@@ -286,14 +290,18 @@ def aggregate(records, sector_map: SectorMap, count_mode: str = "record_count") 
 class WindowedDataset:
     """Sliding supervised sequences: window_len input slots, 1 slot ahead.
 
-    inputs[i] holds counts rows [i, i + window_len); targets[i] is row
-    i + window_len. The first split_index sequences are the chronological
-    training split.
+    rows is the series as one read-only float64 array, and inputs and
+    targets are views of it; no window is copied. inputs[i] is rows
+    [i, i + window_len), a strided (n, window_len, 4) view cut by
+    cut_windows; targets[i] is row i + window_len. The first split_index
+    sequences are the chronological training split, and their windows and
+    targets together hold exactly rows[:split_index + window_len].
     """
 
     window_len: int
-    inputs: np.ndarray   # (n, window_len, 4) float64
-    targets: np.ndarray  # (n, 4) float64
+    rows: np.ndarray     # (n_slots, 4) float64, read-only
+    inputs: np.ndarray   # (n, window_len, 4) view of rows
+    targets: np.ndarray  # (n, 4) view of rows
     split_index: int
 
     @property
@@ -315,15 +323,35 @@ class WindowedDataset:
         return self.inputs[self.split_index:], self.targets[self.split_index:]
 
 
+def cut_windows(values, window_len: int, first_end: int, last_end: int) -> np.ndarray:
+    """The windows values[j - window_len:j] for j = first_end, ..., last_end.
+
+    values is an (n_slots, 4) series, such as SectorSeries.counts. The
+    windows come back as one read-only (last_end - first_end + 1,
+    window_len, 4) view of a float64 copy of values, or of values itself
+    when it already is float64; nothing is stacked. Raises ValueError
+    unless 1 <= window_len <= first_end <= last_end <= n_slots.
+    """
+    rows = np.asarray(values, dtype=np.float64)
+    n_slots = rows.shape[0]
+    if not 1 <= window_len <= first_end <= last_end <= n_slots:
+        raise ValueError(
+            f"windows need 1 <= window_len <= first end <= last end <= n_slots, got "
+            f"window_len={window_len}, ends {first_end}..{last_end}, n_slots={n_slots}")
+    view = np.lib.stride_tricks.sliding_window_view(
+        rows[first_end - window_len:last_end], window_len, axis=0)
+    return view.swapaxes(1, 2)
+
+
 def make_windows(series: SectorSeries, window_len: int, train_fraction: float) -> WindowedDataset:
     """Slide a window of window_len slots over the series with stride 1.
 
     Produces n_slots - window_len sequences and splits them chronologically:
     split_index = floor(train_fraction * n_sequences). Both splits must end
-    up non-empty.
+    up non-empty. The dataset holds one float64 copy of the counts; its
+    inputs and targets are read-only views of that copy, so its size grows
+    with n_slots, not with n_slots * window_len.
     """
-    if window_len < 1:
-        raise ValueError(f"window_len must be positive, got {window_len}")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
 
@@ -332,16 +360,16 @@ def make_windows(series: SectorSeries, window_len: int, train_fraction: float) -
         raise SeriesTooShortError(
             f"{series.n_slots} slots cannot fit a {window_len}-slot window plus a target")
 
+    rows = series.counts.astype(np.float64)
+    rows.flags.writeable = False
+    inputs = cut_windows(rows, window_len, window_len, series.n_slots - 1)
+
     split_index = int(train_fraction * n_seq)
     if split_index < 1 or split_index >= n_seq:
         raise SeriesTooShortError(
             f"{n_seq} sequences split at {split_index} leaves an empty split")
-
-    data = series.counts.astype(np.float64)
-    inputs = np.stack([data[i:i + window_len] for i in range(n_seq)])
-    targets = data[window_len:window_len + n_seq].copy()
-    return WindowedDataset(window_len=window_len, inputs=inputs, targets=targets,
-                           split_index=split_index)
+    return WindowedDataset(window_len=window_len, rows=rows, inputs=inputs,
+                           targets=rows[window_len:], split_index=split_index)
 
 
 def _format_ts(ms: int) -> str:

@@ -27,24 +27,11 @@ from .errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from .gru import PARAM_FIELDS, GruParams
+from .gru import GruParams, param_shapes
 from .training import Normalizer
 
 MAGIC = "GRUCDR"
 VERSION = 1
-
-
-def _expected_shapes(d: int, h: int, o: int) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    for gate in ("r", "z", "u"):
-        shapes[f"W_{gate}"] = (h, h)
-        shapes[f"R_{gate}"] = (h, d)
-        shapes[f"b_{gate}"] = (h,)
-    shapes["W_out"] = (o, h)
-    shapes["b_out"] = (o,)
-    shapes["norm_offset"] = (d,)
-    shapes["norm_scale"] = (d,)
-    return shapes
 
 
 def _emit_array(lines: list[str], name: str, arr: np.ndarray) -> None:
@@ -134,9 +121,8 @@ def loads_model(text: str) -> tuple[GruParams, Normalizer]:
     if min(d, h, o) < 1:
         raise DimensionMismatchError(f"dims must be positive, got {d} {h} {o}")
 
-    shapes = _expected_shapes(d, h, o)
-    arrays = {name: _read_array(reader, name, shapes[name])
-              for name in (*PARAM_FIELDS, "norm_offset", "norm_scale")}
+    shapes = {**param_shapes(d, h, o), "norm_offset": (d,), "norm_scale": (d,)}
+    arrays = {name: _read_array(reader, name, shape) for name, shape in shapes.items()}
     if reader.next_line() != "end":
         raise ModelFormatError("missing end marker")
     if not reader.at_end():

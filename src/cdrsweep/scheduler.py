@@ -20,8 +20,6 @@ SSB_SLOTS = 14
 BURST_DURATION_US = 250.0
 BURST_PERIOD_US = 20_000.0
 
-RANKING_SOURCES = ("predicted", "sequential", "oracle")
-
 # two predictions closer than this are treated as tied
 _TIE_RTOL = 1e-9
 
@@ -36,7 +34,6 @@ class SectorRanking:
 
     order: tuple
     tie_groups: tuple  # groups of indices with equal value, in ranked order
-    source: str
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(SECTOR_LABELS))):
@@ -44,16 +41,13 @@ class SectorRanking:
         flat = tuple(s for group in self.tie_groups for s in group)
         if flat != self.order:
             raise ValueError("tie_groups do not flatten to order")
-        if self.source not in RANKING_SOURCES:
-            raise ValueError(f"source must be one of {RANKING_SOURCES}, got {self.source!r}")
 
     @property
     def labels(self) -> tuple:
         return tuple(SECTOR_LABELS[s] for s in self.order)
 
 
-def rank_sectors(pred, rng: np.random.Generator,
-                 source: str = "predicted") -> SectorRanking:
+def rank_sectors(pred, rng: np.random.Generator) -> SectorRanking:
     """Descending sort of the 4 predicted values; ties shuffled uniformly.
 
     Tie detection is float-safe: values within 1e-9 relative of their
@@ -84,15 +78,12 @@ def rank_sectors(pred, rng: np.random.Generator,
     return SectorRanking(
         order=tuple(s for group in groups for s in group),
         tie_groups=tuple(tuple(group) for group in groups),
-        source=source,
     )
 
 
 def sequential_ranking() -> SectorRanking:
     """The conventional fixed sweep A, B, C, D."""
-    return SectorRanking(order=(0, 1, 2, 3),
-                         tie_groups=((0,), (1,), (2,), (3,)),
-                         source="sequential")
+    return SectorRanking(order=(0, 1, 2, 3), tie_groups=((0,), (1,), (2,), (3,)))
 
 
 @dataclass(frozen=True)

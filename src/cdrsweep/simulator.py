@@ -114,9 +114,9 @@ class PerSlotPolicy:
             np.where(aimed, self.schedules[0].offsets_us(), np.inf), axis=2)
 
     @classmethod
-    def from_ranking(cls, ranking: SectorRanking, name: str | None = None) -> "PerSlotPolicy":
-        """One schedule for every slot; named after the ranking's source by default."""
-        return cls(name if name is not None else ranking.source, [build_schedule(ranking)])
+    def from_ranking(cls, ranking: SectorRanking, name: str) -> "PerSlotPolicy":
+        """One schedule for every slot."""
+        return cls(name, [build_schedule(ranking)])
 
     @classmethod
     def from_values(cls, name: str, values_per_slot,

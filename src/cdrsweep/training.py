@@ -30,7 +30,7 @@ from .errors import (
     TraceMismatchError,
 )
 from .gru import ForwardTrace, GruParams
-from .ingest import SECTOR_LABELS, WindowedDataset
+from .ingest import SECTOR_LABELS, WindowedDataset, cut_windows
 
 
 @dataclass
@@ -280,9 +280,10 @@ def fit(dataset: WindowedDataset, cfg: TrainConfig,
         hidden_dim: int = 32) -> tuple[GruParams, Normalizer, TrainReport]:
     """Train on the chronological training split; fully seeded.
 
-    The normalizer is fitted on training-split values only, the loss history
-    is recorded in normalized units, and the report's held-out MSE is
-    denormalized. Identical (seed, data, config) reruns produce bit-identical
+    The normalizer is fitted on training-split values only and applied once
+    to the series rows, whose windows are then cut as views; the loss
+    history is recorded in normalized units, and the report's held-out MSE
+    is denormalized. Identical (seed, data, config) reruns produce bit-identical
     weights and history.
     """
     cfg.validate()
@@ -290,12 +291,12 @@ def fit(dataset: WindowedDataset, cfg: TrainConfig,
         raise EmptySplitError(
             f"need both splits non-empty, got {dataset.n_train}/{dataset.n_test}")
 
-    train_x, train_y = dataset.train_arrays()
-    norm = Normalizer.fit_minmax(
-        np.concatenate([train_x.reshape(-1, train_x.shape[-1]), train_y]))
-
-    xn = norm.normalize(dataset.inputs)
-    yn = norm.normalize(dataset.targets)
+    # the training windows and targets hold exactly these rows
+    w = dataset.window_len
+    norm = Normalizer.fit_minmax(dataset.rows[:dataset.split_index + w])
+    rows = norm.normalize(dataset.rows)
+    xn = cut_windows(rows, w, w, len(rows) - 1)
+    yn = rows[w:]
 
     init_seq, batch_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     p = gru.init_params(input_dim=dataset.inputs.shape[-1], hidden_dim=hidden_dim,
@@ -380,8 +381,11 @@ def evaluate(p: GruParams, norm: Normalizer, dataset: WindowedDataset) -> EvalRe
     if test_x.shape[0] == 0:
         raise EmptySplitError("test split is empty")
 
+    # the test split is the windows and targets of rows[split_index:]
+    rows = norm.normalize(dataset.rows[dataset.split_index:])
+    xn = cut_windows(rows, dataset.window_len, dataset.window_len, len(rows) - 1)
     h0 = np.zeros((test_x.shape[0], p.hidden_dim))
-    preds = norm.denormalize(gru.forward(p, h0, norm.normalize(test_x)).y_hat)
+    preds = norm.denormalize(gru.forward(p, h0, xn).y_hat)
 
     err = (preds - test_y) ** 2
     persisted = test_x[:, -1, :]

@@ -207,7 +207,7 @@ def test_criterion_8_predicted_order_cuts_delay():
         rates = rates_from_counts(truth, 0.15)
         tie_a, tie_b, run_src = np.random.SeedSequence(777).spawn(3)
         policies = (
-            PerSlotPolicy.from_ranking(sequential_ranking()),
+            PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"),
             PerSlotPolicy.from_values("predicted", preds,
                                       np.random.default_rng(tie_a)),
             PerSlotPolicy.from_values("oracle", truth,

@@ -8,11 +8,22 @@ import numpy as np
 import pytest
 
 from cdrsweep import (
+    SLOT_US,
+    GruParams,
+    Normalizer,
+    PerSlotPolicy,
+    SimConfig,
     aggregate,
     cli,
     demo_raw_lines,
     demo_sector_map,
+    dumps_model,
+    load_sector_series,
     parse_raw,
+    predict_next,
+    rates_from_counts,
+    report_csv,
+    simulate,
     synthetic_series,
     write_sector_series,
 )
@@ -67,11 +78,15 @@ _OUT_OF_RANGE = [
     # a timestamp that does not fit in int64
     ("huge_ts", f"5060\t{T0}\t39\t1.0\n5061\t100000000000000000000\t39\t1.0\n", [],
      "line 2: timestamp 100000000000000000000 does not fit in int64"),
+    # the first millisecond of the year 10000, which series.csv cannot write
+    ("year_10000", "5060\t253402300800000\t39\t1.0\n", [],
+     "line 1: timestamp 253402300800000 is after the year 9999"),
     ("huge_id", f"5060\t{T0}\t39\t1.0\n\n9223372036854775808\t{T0}\t39\t1.0\n", [],
      "line 3: square id 9223372036854775808 does not fit in int64"),
-    # one timestamp in microseconds among milliseconds: 2.3e9 slots
+    # one timestamp in microseconds among milliseconds: 2.3e9 slots, and
+    # in the year 45850
     ("micro_ts", f"5060\t{T0}\t39\t1.0\n5061\t{T0 * 1000}\t39\t1.0\n", [],
-     f"from {T0} to {T0 * 1000} ms span 2305569124 slots"),
+     f"line 2: timestamp {T0 * 1000} is after the year 9999"),
     ("big_sum", f"5060\t{T0}\t39\t1e308\t1e308\n", ["--count-mode", "activity_sum"],
      "activity sum inf of sector A in slot 2013-11-17T22:10:00Z does not fit in int64"),
 ]
@@ -174,12 +189,53 @@ def test_predict_prints_one_line_per_slot(workdir):
         assert f" {label}" in proc.stdout
 
 
-def test_predict_needs_enough_history(workdir):
-    proc = run_cli(
-        ["predict", "--model", "model.txt", "--series", "series.csv",
-         "--window-len", "24", "--at-slot", "3"],
-        cwd=workdir)
+@pytest.mark.parametrize("window_len, at_slot", [(24, 3), (24, 500), (-5, -3), (0, None)])
+@pytest.mark.parametrize("command", ["predict", "schedule"])
+def test_predict_needs_enough_history(workdir, tmp_path, command, window_len, at_slot):
+    args = [command, "--model", workdir / "model.txt", "--series", workdir / "series.csv",
+            "--window-len", window_len]
+    if at_slot is not None:
+        args += ["--at-slot", at_slot]
+    proc = run_cli(args, cwd=tmp_path)
     assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("error:") and "window_len" in error
+    assert not list(tmp_path.iterdir())
+
+
+def test_predict_and_simulate_forecast_each_slot_from_the_window_before_it(workdir, tmp_path):
+    # a GRU whose update gate is open, so its forecast is tanh(0.01 * the
+    # window's last row) and its sector order changes from slot to slot
+    zero, eye = np.zeros((4, 4)), np.eye(4)
+    params = GruParams(W_r=zero, R_r=zero, b_r=np.zeros(4), W_z=zero, R_z=0.01 * eye,
+                       b_z=np.zeros(4), W_u=zero, R_u=zero, b_u=np.full(4, 50.0),
+                       W_out=eye, b_out=np.zeros(4))
+    norm = Normalizer.identity(4)
+    model, series_csv = tmp_path / "last_row.txt", workdir / "series.csv"
+    model.write_text(dumps_model(params, norm))
+    counts = load_sector_series(series_csv.read_text()).counts.astype(float)
+
+    proc = run_cli(["predict", "--model", model, "--series", series_csv,
+                    "--window-len", "24", "--at-slot", "200"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    pred = predict_next(params, norm, counts[176:200])
+    assert np.allclose(pred, np.tanh(0.01 * counts[199]))
+    assert proc.stdout == "slot=200 " + " ".join(
+        f"{label}={v:.6f}" for label, v in zip("ABCD", pred)) + "\n"
+
+    proc = run_cli(["simulate", "--series", series_csv, "--model", model,
+                    "--window-len", "24", "--policies", "predicted", "--n-seeds", "1",
+                    "--sim-slots", "36", "--seed", "9"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    start = len(counts) - 36
+    preds = predict_next(params, norm, np.stack([counts[j - 24:j]
+                                                 for j in range(start, len(counts))]))
+    _, predicted_ties, run_seeds = np.random.SeedSequence(9).spawn(3)
+    policy = PerSlotPolicy.from_values("predicted", preds, np.random.default_rng(predicted_ties))
+    cfg = SimConfig(arrival_rates_per_s=rates_from_counts(counts[start:], 0.1),
+                    horizon_us=36 * SLOT_US,
+                    seed=int(run_seeds.generate_state(1, np.uint64)[0]))
+    assert (tmp_path / "sim_report.csv").read_text() == report_csv([simulate(cfg, policy)])
 
 
 def test_predict_rejects_slots_past_the_series(workdir):
@@ -265,6 +321,16 @@ def test_simulate_rejects_run_counts_below_one(workdir, tmp_path, flag, value):
                    + [arg for pair in counts.items() for arg in pair], cwd=tmp_path)
     assert proc.returncode == 2
     assert flag in proc.stderr
+    assert not list(tmp_path.glob("sim_*.csv"))
+
+
+def test_simulate_rejects_a_window_len_below_one(workdir, tmp_path):
+    proc = run_cli(["simulate", "--series", workdir / "series.csv",
+                    "--model", workdir / "model.txt", "--window-len", "0",
+                    "--n-seeds", "2", "--sim-slots", "4"], cwd=tmp_path)
+    assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("error:") and "window_len=0" in error
     assert not list(tmp_path.glob("sim_*.csv"))
 
 

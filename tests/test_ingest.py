@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cdrsweep import (
     MAX_SLOTS,
+    RECORD_DTYPE,
     EmptyInputError,
     OutOfRangeError,
     SectorMap,
@@ -17,10 +20,12 @@ from cdrsweep import (
     write_sector_series,
 )
 from cdrsweep.fixtures import demo_raw_lines, demo_sector_map, DEMO_SLOT_COUNTS
+from cdrsweep.ingest import cut_windows
 from _oracles import aggregate_scalar, parse_raw_scalar
 
 T0 = 1_384_726_200_000
 SLOT = 600_000
+LAST_MS = 253_402_300_799_999  # 9999-12-31T23:59:59.999Z
 
 
 def line(square, ts, *activities):
@@ -121,8 +126,9 @@ def test_aggregate_bounds_the_slot_span():
     series = aggregate(parse_raw([line(5060, T0, 1.0), line(5161, last, 2.0)]).records, smap)
     assert series.n_slots == MAX_SLOTS
     assert series.counts[[0, -1]].tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
-    # a timestamp in microseconds among milliseconds
-    records = parse_raw([line(5060, T0, 1.0), line(5060, T0 * 1000, 1.0)]).records
+    # a timestamp in microseconds among milliseconds, in records built without
+    # parse_raw, which rejects that line itself (it falls after the year 9999)
+    records = np.array([(5060, T0, 1.0), (5060, T0 * 1000, 1.0)], dtype=RECORD_DTYPE)
     span = (T0 * 1000 - T0) // SLOT + 1
     with pytest.raises(OutOfRangeError, match=f"from {T0} to {T0 * 1000} ms span {span} slots"):
         aggregate(records, smap)
@@ -133,12 +139,21 @@ def test_aggregate_bounds_the_slot_span():
 
 def test_parse_rejects_ids_and_timestamps_beyond_int64():
     fits = 2**63 - 1
-    result = parse_raw([line(fits, T0, 1.0), line(5060, fits - fits % SLOT, 1.0)])
+    result = parse_raw([line(fits, T0, 1.0), line(5060, LAST_MS, 1.0)])
     assert result.records.square_id.tolist() == [fits, 5060]
     with pytest.raises(OutOfRangeError, match="line 2: square id 9223372036854775808"):
         parse_raw([line(5060, T0, 1.0), line(fits + 1, T0, 1.0)])
     with pytest.raises(OutOfRangeError, match="line 1: timestamp 100000000000000000000"):
         parse_raw([line(5060, 10**20, 1.0)])
+
+
+def test_parse_rejects_timestamps_after_the_year_9999():
+    result = parse_raw([line(5060, LAST_MS, 1.0)])
+    series = aggregate(result.records, demo_sector_map())
+    assert write_sector_series(series).splitlines()[1] == "9999-12-31T23:50:00Z,1,0,0,0"
+    with pytest.raises(OutOfRangeError,
+                       match="line 2: timestamp 253402300800000 is after the year 9999"):
+        parse_raw([line(5060, T0, 1.0), line(5060, LAST_MS + 1, 1.0)])
 
 
 def test_aggregate_rejects_a_cell_sum_beyond_int64():
@@ -254,6 +269,37 @@ def test_windowing_shapes_and_alignment():
     test_x, test_y = ds.test_arrays()
     assert train_x.shape[0] == 5 and test_x.shape[0] == 2
     assert train_y.shape == (5, 4) and test_y.shape == (2, 4)
+    # every window and target is a view of one read-only row array
+    assert ds.rows.tolist() == counts.tolist()
+    assert np.shares_memory(ds.inputs, ds.rows) and np.shares_memory(ds.targets, ds.rows)
+    assert not ds.inputs.flags.writeable and not ds.targets.flags.writeable
+
+
+def test_make_windows_allocates_the_series_not_the_windows():
+    series = SectorSeries(t0_ms=T0, counts=np.ones((20_000, 4), dtype=np.int64))
+    tracemalloc.start()
+    try:
+        ds = make_windows(series, window_len=144, train_fraction=0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.inputs.shape == (19_856, 144, 4)
+    assert peak < 2 * 2**20  # the rows are 0.64 MB; a copy of the windows is 91.5 MB
+
+
+def test_cut_windows_matches_slices_and_checks_its_bounds():
+    counts = np.random.default_rng(3).integers(0, 100, size=(30, 4))
+    windows = cut_windows(counts, 5, 7, 30)
+    assert windows.shape == (24, 5, 4) and windows.dtype == np.float64
+    for k, end in enumerate(range(7, 31)):
+        assert np.array_equal(windows[k], counts[end - 5:end])
+    assert np.array_equal(cut_windows(counts, 30, 30, 30)[0], counts)
+    assert np.array_equal(cut_windows(counts, 1, 1, 1)[0], counts[:1])
+    for window_len, first, last in ((0, 5, 5), (-5, -3, -3), (6, 5, 9), (5, 9, 8),
+                                    (5, 5, 31)):
+        with pytest.raises(ValueError, match=f"window_len={window_len}, "
+                                             f"ends {first}..{last}, n_slots=30"):
+            cut_windows(counts, window_len, first, last)
 
 
 def test_windowing_two_weeks_at_default_settings():

@@ -20,7 +20,6 @@ def test_strict_values_force_the_order():
     assert ranking.order == (3, 2, 1, 0)
     assert ranking.labels == ("D", "C", "B", "A")
     assert ranking.tie_groups == ((3,), (2,), (1,), (0,))
-    assert ranking.source == "predicted"
 
 
 def test_unique_max_always_first_rest_shuffled():
@@ -98,7 +97,6 @@ def test_permutation_equivariance_without_ties():
 def test_sequential_ranking_is_fixed():
     a, b = sequential_ranking(), sequential_ranking()
     assert a.order == (0, 1, 2, 3)
-    assert a.source == "sequential"
     assert a.order == b.order
     assert build_schedule(a).slots[:5] == (0, 1, 2, 3, 0)
 
@@ -137,11 +135,7 @@ def test_slot_timing_and_csv():
 
 def test_ranking_invariants_enforced():
     with pytest.raises(ValueError):
-        SectorRanking(order=(0, 1, 2, 2), tie_groups=((0,), (1,), (2,), (2,)),
-                      source="predicted")
-    with pytest.raises(ValueError):
-        SectorRanking(order=(0, 1, 2, 3), tie_groups=((0, 1), (2,), (3,)),
-                      source="nonsense")
+        SectorRanking(order=(0, 1, 2, 2), tie_groups=((0,), (1,), (2,), (2,)))
     with pytest.raises(ValueError):
         SweepSchedule(slots=(0,) * 13)
     with pytest.raises(ValueError):

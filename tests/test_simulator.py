@@ -53,7 +53,8 @@ def test_ue_at_burst_start_with_matching_first_slot(monkeypatch):
 
 def test_ue_at_burst_start_under_sequential_waits_three_slots(monkeypatch):
     planted_arrivals(monkeypatch, [0.0], [3])
-    report = simulate(uniform_cfg(), PerSlotPolicy.from_ranking(sequential_ranking()))
+    report = simulate(uniform_cfg(),
+                      PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert abs(report.delay_us[0] - 3 * SLOT_DUR) < 1e-9
     assert abs(report.delay_us[0] - 53.5714285) < 1e-3
 
@@ -61,7 +62,8 @@ def test_ue_at_burst_start_under_sequential_waits_three_slots(monkeypatch):
 def test_ue_just_after_last_sector_slot_catches_next_burst(monkeypatch):
     # sector D's last SSB under sequential sits at offset 11 * slot
     planted_arrivals(monkeypatch, [11 * SLOT_DUR + 0.01], [3])
-    report = simulate(uniform_cfg(), PerSlotPolicy.from_ranking(sequential_ranking()))
+    report = simulate(uniform_cfg(),
+                      PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     expected = (20_000.0 + 3 * SLOT_DUR) - (11 * SLOT_DUR + 0.01)
     assert abs(report.delay_us[0] - expected) < 1e-9
     assert report.delay_us[0] < 20_000.0 + 250.0
@@ -70,7 +72,8 @@ def test_ue_just_after_last_sector_slot_catches_next_burst(monkeypatch):
 def test_mid_burst_arrival_picks_next_matching_slot(monkeypatch):
     # arrival between the two A-slots of a sequential burst
     planted_arrivals(monkeypatch, [2 * SLOT_DUR, 4.5 * SLOT_DUR], [0, 0])
-    report = simulate(uniform_cfg(), PerSlotPolicy.from_ranking(sequential_ranking()))
+    report = simulate(uniform_cfg(),
+                      PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert abs(report.delay_us[0] - 2 * SLOT_DUR) < 1e-9   # waits for slot 4
     assert abs(report.delay_us[1] - 3.5 * SLOT_DUR) < 1e-9  # waits for slot 8
 
@@ -78,7 +81,7 @@ def test_mid_burst_arrival_picks_next_matching_slot(monkeypatch):
 def test_every_sampled_delay_matches_the_static_rule():
     cfg = uniform_cfg(seed=42, total_rate=2.0)
     sched = build_schedule(sequential_ranking())
-    report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
+    report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert report.n_ues > 100
     period = cfg.burst_period_us
     for t, s, d in zip(report.arrival_us, report.sectors, report.delay_us):
@@ -92,8 +95,8 @@ def test_every_sampled_delay_matches_the_static_rule():
 
 def test_simulation_is_deterministic_and_arrivals_are_paired():
     cfg = uniform_cfg(seed=7, total_rate=1.0)
-    a = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
-    b = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
+    a = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
+    b = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert np.array_equal(a.arrival_us, b.arrival_us)
     assert np.array_equal(a.delay_us, b.delay_us)
 
@@ -105,9 +108,9 @@ def test_simulation_is_deterministic_and_arrivals_are_paired():
 
 def test_detection_failures_stretch_delays():
     sure = simulate(uniform_cfg(seed=3, total_rate=1.0),
-                    PerSlotPolicy.from_ranking(sequential_ranking()))
+                    PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     flaky = simulate(uniform_cfg(seed=3, total_rate=1.0, detect_prob=0.4),
-                     PerSlotPolicy.from_ranking(sequential_ranking()))
+                     PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert np.array_equal(sure.arrival_us, flaky.arrival_us)
     assert flaky.mean_us > sure.mean_us
     assert np.all(flaky.delay_us >= sure.delay_us - 1e-9)
@@ -118,7 +121,7 @@ def test_dominance_of_earlier_first_slot():
     # all arrivals in sector A: A-first beats A-last with matched arrivals
     rates = np.array([[1.0, 0.0, 0.0, 0.0]])
     cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=sim_mod.SLOT_US, seed=5)
-    a_first = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
+    a_first = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     a_last = simulate(cfg, PerSlotPolicy.from_ranking(
         rank_sectors([0.0, 3.0, 2.0, 1.0], np.random.default_rng(0)), name="a_last"))
     assert a_first.mean_us < a_last.mean_us
@@ -131,7 +134,7 @@ def test_dominance_of_earlier_first_slot():
 def test_zero_rates_give_empty_report():
     cfg = SimConfig(arrival_rates_per_s=np.zeros((1, 4)),
                     horizon_us=sim_mod.SLOT_US, seed=0)
-    report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking()))
+    report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert report.n_ues == 0
     assert np.isnan(report.mean_us)
     text = summary_csv([report])
@@ -274,7 +277,7 @@ def test_paired_ci_is_narrower_than_unpaired():
     # common random numbers: both policies see the same arrivals per seed,
     # so the per-seed means move together and their differences vary less
     shares = np.array([0.1, 0.1, 0.1, 0.7])
-    seq = PerSlotPolicy.from_ranking(sequential_ranking())
+    seq = PerSlotPolicy.from_ranking(sequential_ranking(), "sequential")
     skewed = PerSlotPolicy.from_ranking(rank_sectors(shares, np.random.default_rng(0)),
                                         name="skewed")
     reports = []
@@ -326,7 +329,7 @@ def test_compare_pairs_by_seed():
 def test_identical_policies_compare_to_zero():
     cfg_a = uniform_cfg(seed=1, total_rate=0.5)
     cfg_b = uniform_cfg(seed=2, total_rate=0.5)
-    seq = PerSlotPolicy.from_ranking(sequential_ranking())
+    seq = PerSlotPolicy.from_ranking(sequential_ranking(), "sequential")
     twin = PerSlotPolicy.from_ranking(sequential_ranking(), name="twin")
     reports = [simulate(cfg_a, seq), simulate(cfg_a, twin),
                simulate(cfg_b, seq), simulate(cfg_b, twin)]
@@ -337,7 +340,7 @@ def test_identical_policies_compare_to_zero():
 
 def test_report_csv_layout():
     report = simulate(uniform_cfg(seed=9, total_rate=0.2),
-                      PerSlotPolicy.from_ranking(sequential_ranking()))
+                      PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     lines = report_csv([report]).splitlines()
     assert lines[0] == "policy,seed,ue_id,sector,arrival_us,delay_us"
     assert len(lines) == 1 + report.n_ues
@@ -413,7 +416,7 @@ def test_simulate_matches_scalar_oracle_bit_for_bit(detect_prob):
         tied = rng.integers(0, 3, size=(cfg.n_slots, 4)).astype(np.float64)
         for policy in (PerSlotPolicy.from_values("tied", tied, rng),
                        PerSlotPolicy.from_ranking(rank_sectors(rng.uniform(0, 1, 4),
-                                                               rng))):
+                                                               rng), "predicted")):
             report = assert_matches_scalar(cfg, policy)
             crossed += slots_crossed(cfg, report)
             n_ues += report.n_ues
@@ -484,6 +487,6 @@ def test_report_csv_matches_scalar_renderer_byte_for_byte():
     assert report_csv(reports) == report_csv_scalar(runs)
 
     sim = [simulate(uniform_cfg(seed=9, total_rate=2.0, detect_prob=0.5),
-                    PerSlotPolicy.from_ranking(sequential_ranking()))]
+                    PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))]
     assert report_csv(sim) == report_csv_scalar(
         [(r.policy, r.seed, r.sectors, r.arrival_us, r.delay_us) for r in sim])

@@ -290,6 +290,44 @@ def test_fit_normalizer_comes_from_train_split_only():
     assert np.array_equal(norm.scale, np.where(span > 0, span, 1.0))
 
 
+def test_fit_normalizes_the_rows_once_with_the_window_formula(monkeypatch):
+    # the normalizer of the training windows and targets, pooled as before;
+    # the first training window's first row holds a minimum, the last
+    # training target a maximum, and the first test target a larger one
+    counts = synthetic_series(400, seed=17).counts + 10
+    split_end = int(0.8 * (400 - 24)) + 24
+    counts[0, 0], counts[split_end - 1, 1], counts[split_end, 2] = 0, 10**6, 10**7
+    ds = make_windows(SectorSeries(t0_ms=0, counts=counts), window_len=24, train_fraction=0.8)
+    assert ds.split_index + 24 == split_end
+    shapes = []
+    normalize = Normalizer.normalize
+
+    def spy(self, values):
+        shapes.append(np.shape(values))
+        return normalize(self, values)
+
+    monkeypatch.setattr(Normalizer, "normalize", spy)
+    _, norm, _ = fit(ds, TrainConfig(epochs=1, steps_per_epoch=2, batch_size=4, seed=0),
+                     hidden_dim=4)
+    train_x, train_y = ds.train_arrays()
+    pooled = Normalizer.fit_minmax(np.concatenate([train_x.reshape(-1, 4), train_y]))
+    assert norm.offset.tobytes() == pooled.offset.tobytes()
+    assert norm.scale.tobytes() == pooled.scale.tobytes()
+    # fit normalizes the (400, 4) rows, and its held-out evaluate the test
+    # split's rows; neither normalizes a window
+    assert shapes == [(400, 4), (400 - ds.split_index, 4)]
+
+
+def test_evaluate_on_window_views_matches_contiguous_windows():
+    ds = small_dataset(n_slots=120, window=8)
+    p = init_params(4, 6, 4, np.random.default_rng(3))
+    norm = Normalizer.fit_minmax(ds.rows)
+    test_x, _ = ds.test_arrays()
+    xn = norm.normalize(np.ascontiguousarray(test_x))
+    want = norm.denormalize(forward(p, np.zeros((xn.shape[0], 6)), xn).y_hat)
+    assert evaluate(p, norm, ds).predictions.tobytes() == want.tobytes()
+
+
 def test_fit_loss_history_length_and_decrease():
     ds = small_dataset(n_slots=120, window=8)
     cfg = TrainConfig(epochs=3, steps_per_epoch=20, batch_size=16, seed=1)
