@@ -25,7 +25,6 @@ from .ingest import (
     SECTOR_LABELS,
     SectorMap,
     aggregate,
-    cut_windows,
     load_sector_series,
     make_windows,
     parse_raw,
@@ -273,8 +272,8 @@ def _predict_vector(res: dict):
     params, norm = model_io.load_model(res["model"])
     series = _load_series(res["series"])
     at_slot = res["at_slot"] if res["at_slot"] is not None else series.n_slots
-    window = cut_windows(series.counts, res["window_len"], at_slot, at_slot)[0]
-    return training.predict_next(params, norm, window), at_slot
+    return training.predict_next(params, norm, series.counts, res["window_len"],
+                                 at_slot, at_slot)[0], at_slot
 
 
 def _cmd_predict(res: dict) -> int:
@@ -347,8 +346,8 @@ def _cmd_simulate(res: dict) -> int:
             if res["model"] is None:
                 raise InvalidConfigError("the predicted policy needs --model")
             params, norm = model_io.load_model(res["model"])
-            windows = cut_windows(series.counts, res["window_len"], start, series.n_slots - 1)
-            preds = training.predict_next(params, norm, windows)
+            preds = training.predict_next(params, norm, series.counts, res["window_len"],
+                                          start, series.n_slots - 1)
             policy_objs.append(simulator.PerSlotPolicy.from_values(
                 "predicted", preds, np.random.default_rng(predicted_ties)))
 
@@ -377,6 +376,11 @@ def _cmd_gradcheck(res: dict) -> int:
     hiddens = res["hidden"]
     if not hiddens:
         raise InvalidConfigError("need at least one hidden size")
+    # every model draws a sequence length from [3, max_len]
+    for dest, least in (("models", 1), ("max_len", 3)):
+        if res[dest] < least:
+            raise InvalidConfigError(
+                f"--{dest.replace('_', '-')} must be at least {least}, got {res[dest]}")
     worst = 0.0
     for i in range(res["models"]):
         h = hiddens[i % len(hiddens)]

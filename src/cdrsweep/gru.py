@@ -136,8 +136,13 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
                 rng: np.random.Generator) -> GruParams:
     """Seeded init: weights uniform in [-1/sqrt(H), 1/sqrt(H)], biases zero.
 
-    The weight matrices are drawn in PARAM_FIELDS order.
+    The weight matrices are drawn in PARAM_FIELDS order. Every dimension
+    must be at least 1 (DimensionMismatchError otherwise).
     """
+    for name, dim in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
+                      ("output_dim", output_dim)):
+        if dim < 1:
+            raise DimensionMismatchError(f"{name} must be at least 1, got {dim}")
     bound = 1.0 / math.sqrt(hidden_dim)
     shapes = param_shapes(input_dim, hidden_dim, output_dim)
     return GruParams(**{name: rng.uniform(-bound, bound, size=shape) if len(shape) == 2

@@ -213,13 +213,12 @@ class SectorMap:
 class SectorSeries:
     """Gap-free per-sector counts on a fixed 10-minute grid.
 
-    counts[i][s] covers [t0_ms + i*slot_len_ms, t0_ms + (i+1)*slot_len_ms) for
+    counts[i][s] covers [t0_ms + i*SLOT_MS, t0_ms + (i+1)*SLOT_MS) for
     sector SECTOR_LABELS[s]. Slots without any record hold explicit zeros.
     """
 
     t0_ms: int
     counts: np.ndarray
-    slot_len_ms: int = SLOT_MS
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -233,7 +232,7 @@ class SectorSeries:
         return self.counts.shape[0]
 
     def slot_time_ms(self, i: int) -> int:
-        return self.t0_ms + i * self.slot_len_ms
+        return self.t0_ms + i * SLOT_MS
 
     def gap_slots(self) -> list:
         """Indices of slots with no activity in any sector."""
@@ -290,23 +289,21 @@ def aggregate(records, sector_map: SectorMap, count_mode: str = "record_count") 
 class WindowedDataset:
     """Sliding supervised sequences: window_len input slots, 1 slot ahead.
 
-    rows is the series as one read-only float64 array, and inputs and
-    targets are views of it; no window is copied. inputs[i] is rows
-    [i, i + window_len), a strided (n, window_len, 4) view cut by
-    cut_windows; targets[i] is row i + window_len. The first split_index
-    sequences are the chronological training split, and their windows and
-    targets together hold exactly rows[:split_index + window_len].
+    rows is the series as one read-only float64 array. Sequence i is the
+    input window rows[i:i + window_len] with the target row i + window_len;
+    training cuts the windows from the normalized rows (cut_windows), so
+    none is held here. The first split_index sequences are the
+    chronological training split, and their windows and targets together
+    hold exactly rows[:split_index + window_len].
     """
 
     window_len: int
-    rows: np.ndarray     # (n_slots, 4) float64, read-only
-    inputs: np.ndarray   # (n, window_len, 4) view of rows
-    targets: np.ndarray  # (n, 4) view of rows
+    rows: np.ndarray  # (n_slots, 4) float64, read-only
     split_index: int
 
     @property
     def n_sequences(self) -> int:
-        return self.inputs.shape[0]
+        return self.rows.shape[0] - self.window_len
 
     @property
     def n_train(self) -> int:
@@ -315,12 +312,6 @@ class WindowedDataset:
     @property
     def n_test(self) -> int:
         return self.n_sequences - self.split_index
-
-    def train_arrays(self):
-        return self.inputs[:self.split_index], self.targets[:self.split_index]
-
-    def test_arrays(self):
-        return self.inputs[self.split_index:], self.targets[self.split_index:]
 
 
 def cut_windows(values, window_len: int, first_end: int, last_end: int) -> np.ndarray:
@@ -348,12 +339,14 @@ def make_windows(series: SectorSeries, window_len: int, train_fraction: float) -
 
     Produces n_slots - window_len sequences and splits them chronologically:
     split_index = floor(train_fraction * n_sequences). Both splits must end
-    up non-empty. The dataset holds one float64 copy of the counts; its
-    inputs and targets are read-only views of that copy, so its size grows
-    with n_slots, not with n_slots * window_len.
+    up non-empty. The dataset holds one read-only float64 copy of the
+    counts and no window, so its size grows with n_slots, not with
+    n_slots * window_len.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if window_len < 1:
+        raise ValueError(f"need window_len >= 1, got window_len={window_len}")
 
     n_seq = series.n_slots - window_len
     if n_seq < 1:
@@ -362,14 +355,12 @@ def make_windows(series: SectorSeries, window_len: int, train_fraction: float) -
 
     rows = series.counts.astype(np.float64)
     rows.flags.writeable = False
-    inputs = cut_windows(rows, window_len, window_len, series.n_slots - 1)
 
     split_index = int(train_fraction * n_seq)
     if split_index < 1 or split_index >= n_seq:
         raise SeriesTooShortError(
             f"{n_seq} sequences split at {split_index} leaves an empty split")
-    return WindowedDataset(window_len=window_len, rows=rows, inputs=inputs,
-                           targets=rows[window_len:], split_index=split_index)
+    return WindowedDataset(window_len=window_len, rows=rows, split_index=split_index)
 
 
 def _format_ts(ms: int) -> str:

@@ -142,14 +142,6 @@ class SimReport:
     def mean_us(self) -> float:
         return float(np.mean(self.delay_us)) if self.n_ues else float("nan")
 
-    @property
-    def median_us(self) -> float:
-        return float(np.median(self.delay_us)) if self.n_ues else float("nan")
-
-    @property
-    def p95_us(self) -> float:
-        return float(np.percentile(self.delay_us, 95)) if self.n_ues else float("nan")
-
 
 def _draw_arrivals(cfg: SimConfig, rng: np.random.Generator):
     """Poisson arrivals per (slot, sector), then one stream sorted by time."""

@@ -64,7 +64,10 @@ class Normalizer:
         return cls(offset=lo, scale=np.where(span > 0, span, 1.0))
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=np.float64) - self.offset) / self.scale
+        # one float64 result, not two: whole series pass through here
+        out = np.subtract(values, self.offset, dtype=np.float64)
+        out /= self.scale
+        return out
 
     def denormalize(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=np.float64) * self.scale + self.offset
@@ -299,8 +302,8 @@ def fit(dataset: WindowedDataset, cfg: TrainConfig,
     yn = rows[w:]
 
     init_seq, batch_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    p = gru.init_params(input_dim=dataset.inputs.shape[-1], hidden_dim=hidden_dim,
-                        output_dim=dataset.targets.shape[-1],
+    dim = dataset.rows.shape[-1]
+    p = gru.init_params(input_dim=dim, hidden_dim=hidden_dim, output_dim=dim,
                         rng=np.random.default_rng(init_seq))
     opt = _Adam(p, cfg.learning_rate) if cfg.optimizer == "adam" else _Sgd(cfg.learning_rate)
     batch_rng = np.random.default_rng(batch_seq)
@@ -357,18 +360,23 @@ class EvalResult:
         return "\n".join(lines) + "\n"
 
 
-def predict_next(p: GruParams, norm: Normalizer, window: np.ndarray) -> np.ndarray:
-    """One-step forecast from a raw-count window of shape (window_len, 4).
+def predict_next(p: GruParams, norm: Normalizer, rows: np.ndarray, window_len: int,
+                 first_end: int, last_end: int) -> np.ndarray:
+    """One-step forecasts from the windows rows[j - window_len:j] of a series.
 
-    A stack of windows, shape (N, window_len, 4), gives all N forecasts,
-    shape (N, 4), from one batched forward pass.
+    rows is an (n_slots, 4) raw-count series, such as SectorSeries.counts;
+    j runs over first_end, ..., last_end. The rows are normalized once, the
+    windows cut from them as views by cut_windows (which raises ValueError
+    for ends outside the series), and all of them go through one batched
+    forward pass. Returns the (last_end - first_end + 1, 4) denormalized
+    forecasts, the one for slot j in row j - first_end.
     """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim not in (2, 3) or window.shape[-1] != p.input_dim:
-        raise ShapeMismatchError(
-            f"window must be (T, {p.input_dim}) or (N, T, {p.input_dim}), got {window.shape}")
-    h0 = np.zeros(window.shape[:-2] + (p.hidden_dim,))
-    return norm.denormalize(gru.forward(p, h0, norm.normalize(window)).y_hat)
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[-1] != p.input_dim:
+        raise ShapeMismatchError(f"rows must be (n, {p.input_dim}), got {rows.shape}")
+    windows = cut_windows(norm.normalize(rows), window_len, first_end, last_end)
+    h0 = np.zeros((windows.shape[0], p.hidden_dim))
+    return norm.denormalize(gru.forward(p, h0, windows).y_hat)
 
 
 def evaluate(p: GruParams, norm: Normalizer, dataset: WindowedDataset) -> EvalResult:
@@ -377,22 +385,20 @@ def evaluate(p: GruParams, norm: Normalizer, dataset: WindowedDataset) -> EvalRe
     Persistence predicts that the next slot repeats the last observed one
     (the final row of each input window, in raw counts).
     """
-    test_x, test_y = dataset.test_arrays()
-    if test_x.shape[0] == 0:
+    if dataset.n_test < 1:
         raise EmptySplitError("test split is empty")
 
     # the test split is the windows and targets of rows[split_index:]
-    rows = norm.normalize(dataset.rows[dataset.split_index:])
-    xn = cut_windows(rows, dataset.window_len, dataset.window_len, len(rows) - 1)
-    h0 = np.zeros((test_x.shape[0], p.hidden_dim))
-    preds = norm.denormalize(gru.forward(p, h0, xn).y_hat)
+    w = dataset.window_len
+    rows = dataset.rows[dataset.split_index:]
+    preds = predict_next(p, norm, rows, w, w, len(rows) - 1)
+    truths = rows[w:]
 
-    err = (preds - test_y) ** 2
-    persisted = test_x[:, -1, :]
-    perr = (persisted - test_y) ** 2
+    err = (preds - truths) ** 2
+    perr = (rows[w - 1:-1] - truths) ** 2
     return EvalResult(
         predictions=preds,
-        truths=test_y,
+        truths=truths,
         mse_per_sector=err.mean(axis=0),
         mse_total=float(err.mean()),
         persistence_mse_per_sector=perr.mean(axis=0),

@@ -200,8 +200,7 @@ def test_criterion_8_predicted_order_cuts_delay():
         start = counts.shape[0] - sim_slots
         preds = np.empty((sim_slots, 4))
         for i in range(sim_slots):
-            lo = start + i - window_len
-            preds[i] = predict_next(p, norm, counts[lo:start + i].astype(float))
+            preds[i] = predict_next(p, norm, counts, window_len, start + i, start + i)[0]
         truth = counts[start:start + sim_slots].astype(float)
 
         rates = rates_from_counts(truth, 0.15)

@@ -218,7 +218,7 @@ def test_predict_and_simulate_forecast_each_slot_from_the_window_before_it(workd
     proc = run_cli(["predict", "--model", model, "--series", series_csv,
                     "--window-len", "24", "--at-slot", "200"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    pred = predict_next(params, norm, counts[176:200])
+    pred = predict_next(params, norm, counts, 24, 200, 200)[0]
     assert np.allclose(pred, np.tanh(0.01 * counts[199]))
     assert proc.stdout == "slot=200 " + " ".join(
         f"{label}={v:.6f}" for label, v in zip("ABCD", pred)) + "\n"
@@ -228,8 +228,7 @@ def test_predict_and_simulate_forecast_each_slot_from_the_window_before_it(workd
                     "--sim-slots", "36", "--seed", "9"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     start = len(counts) - 36
-    preds = predict_next(params, norm, np.stack([counts[j - 24:j]
-                                                 for j in range(start, len(counts))]))
+    preds = predict_next(params, norm, counts, 24, start, len(counts) - 1)
     _, predicted_ties, run_seeds = np.random.SeedSequence(9).spawn(3)
     policy = PerSlotPolicy.from_values("predicted", preds, np.random.default_rng(predicted_ties))
     cfg = SimConfig(arrival_rates_per_s=rates_from_counts(counts[start:], 0.1),
@@ -381,6 +380,32 @@ def test_gradcheck_rejects_a_nan_epsilon(workdir):
     assert proc.returncode == 2
     assert "epsilon" in proc.stderr
     assert "PASS" not in proc.stdout
+
+
+@pytest.mark.parametrize("hidden", ["0", "-3"])
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_a_hidden_size_below_one_is_a_validation_error(workdir, tmp_path, command, hidden):
+    args = [command, "--hidden", hidden]
+    if command == "train":
+        args += ["--series", workdir / "series.csv", "--window-len", "24",
+                 "--epochs", "1", "--steps", "2"]
+    proc = run_cli(args, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("error:") and "hidden" in error
+    assert "Traceback" not in proc.stderr
+    assert "PASS" not in proc.stdout
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [("--models", "0"), ("--models", "-2"),
+                                         ("--max-len", "2")])
+def test_gradcheck_rejects_a_vacuous_battery(workdir, flag, value):
+    proc = run_cli(["gradcheck", flag, value], cwd=workdir)
+    assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("error:") and flag in error
+    assert proc.stdout == ""
 
 
 def test_fixture_series_with_shares(workdir, tmp_path):

@@ -179,6 +179,14 @@ def test_init_params_ranges_and_determinism():
         assert np.array_equal(arr, getattr(q, name))
 
 
+def test_init_params_rejects_a_dimension_below_one():
+    rng = np.random.default_rng(0)
+    for name, dims in (("input_dim", (0, 3, 4)), ("hidden_dim", (4, 0, 4)),
+                       ("hidden_dim", (4, -3, 4)), ("output_dim", (4, 3, -1))):
+        with pytest.raises(DimensionMismatchError, match=f"^{name} must be at least 1"):
+            init_params(*dims, rng)
+
+
 def test_sigmoid_stable_at_extremes():
     with np.errstate(over="raise"):
         out = sigmoid(np.array([-1e4, -30.0, 0.0, 30.0, 1e4]))

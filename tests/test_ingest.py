@@ -259,20 +259,22 @@ def test_windowing_shapes_and_alignment():
     ds = make_windows(series, window_len=3, train_fraction=0.8)
     assert ds.n_sequences == 7
     assert ds.split_index == 5
-    assert ds.inputs.shape == (7, 3, 4)
+    inputs, targets = cut_windows(ds.rows, 3, 3, 9), ds.rows[3:]
+    assert inputs.shape == (7, 3, 4)
     # window i covers rows [i, i+3), target is row i+3
-    assert ds.inputs[0].tolist() == counts[0:3].tolist()
-    assert ds.targets[0].tolist() == counts[3].tolist()
-    assert ds.inputs[6].tolist() == counts[6:9].tolist()
-    assert ds.targets[6].tolist() == counts[9].tolist()
-    train_x, train_y = ds.train_arrays()
-    test_x, test_y = ds.test_arrays()
+    assert inputs[0].tolist() == counts[0:3].tolist()
+    assert targets[0].tolist() == counts[3].tolist()
+    assert inputs[6].tolist() == counts[6:9].tolist()
+    assert targets[6].tolist() == counts[9].tolist()
+    train_x, train_y = inputs[:ds.split_index], targets[:ds.split_index]
+    test_x, test_y = inputs[ds.split_index:], targets[ds.split_index:]
     assert train_x.shape[0] == 5 and test_x.shape[0] == 2
     assert train_y.shape == (5, 4) and test_y.shape == (2, 4)
+    assert ds.n_train == 5 and ds.n_test == 2
     # every window and target is a view of one read-only row array
     assert ds.rows.tolist() == counts.tolist()
-    assert np.shares_memory(ds.inputs, ds.rows) and np.shares_memory(ds.targets, ds.rows)
-    assert not ds.inputs.flags.writeable and not ds.targets.flags.writeable
+    assert np.shares_memory(inputs, ds.rows) and np.shares_memory(targets, ds.rows)
+    assert not inputs.flags.writeable and not targets.flags.writeable
 
 
 def test_make_windows_allocates_the_series_not_the_windows():
@@ -283,7 +285,7 @@ def test_make_windows_allocates_the_series_not_the_windows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ds.inputs.shape == (19_856, 144, 4)
+    assert ds.n_sequences == 19_856
     assert peak < 2 * 2**20  # the rows are 0.64 MB; a copy of the windows is 91.5 MB
 
 
@@ -309,6 +311,13 @@ def test_windowing_two_weeks_at_default_settings():
     assert ds.n_sequences == 1872
     assert ds.n_train == 1684
     assert ds.n_test == 188
+
+
+def test_make_windows_rejects_a_window_len_below_one():
+    series = SectorSeries(t0_ms=T0, counts=np.zeros((20, 4), dtype=np.int64))
+    for window_len in (0, -3):
+        with pytest.raises(ValueError, match=f"window_len={window_len}$"):
+            make_windows(series, window_len=window_len, train_fraction=0.9)
 
 
 def test_windowing_too_short_raises():

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cdrsweep import (
     predict_next,
     synthetic_series,
 )
+from cdrsweep.ingest import cut_windows
 
 from _oracles import forward_scalar, mse_scalar, weights_as_lists
 from test_gru import zero_params
@@ -38,6 +40,13 @@ def small_dataset(n_slots=60, window=6, seed=0, fraction=0.8):
     counts = np.clip(np.rint(lam), 0, None).astype(np.int64)
     series = SectorSeries(t0_ms=0, counts=counts)
     return make_windows(series, window_len=window, train_fraction=fraction)
+
+
+def split_arrays(ds):
+    """The (windows, targets) of the training split and of the test split, cut from ds.rows."""
+    w, split = ds.window_len, ds.split_index
+    windows, targets = cut_windows(ds.rows, w, w, len(ds.rows) - 1), ds.rows[w:]
+    return (windows[:split], targets[:split]), (windows[split:], targets[split:])
 
 
 def test_mse_matches_hand_value_and_oracle():
@@ -283,7 +292,7 @@ def test_fit_normalizer_comes_from_train_split_only():
     ds = small_dataset()
     _, norm, _ = fit(ds, TrainConfig(epochs=1, steps_per_epoch=2, batch_size=4, seed=0),
                      hidden_dim=4)
-    train_x, train_y = ds.train_arrays()
+    (train_x, train_y), _ = split_arrays(ds)
     pool = np.concatenate([train_x.reshape(-1, 4), train_y])
     assert np.array_equal(norm.offset, pool.min(axis=0))
     span = pool.max(axis=0) - pool.min(axis=0)
@@ -309,7 +318,7 @@ def test_fit_normalizes_the_rows_once_with_the_window_formula(monkeypatch):
     monkeypatch.setattr(Normalizer, "normalize", spy)
     _, norm, _ = fit(ds, TrainConfig(epochs=1, steps_per_epoch=2, batch_size=4, seed=0),
                      hidden_dim=4)
-    train_x, train_y = ds.train_arrays()
+    (train_x, train_y), _ = split_arrays(ds)
     pooled = Normalizer.fit_minmax(np.concatenate([train_x.reshape(-1, 4), train_y]))
     assert norm.offset.tobytes() == pooled.offset.tobytes()
     assert norm.scale.tobytes() == pooled.scale.tobytes()
@@ -322,7 +331,7 @@ def test_evaluate_on_window_views_matches_contiguous_windows():
     ds = small_dataset(n_slots=120, window=8)
     p = init_params(4, 6, 4, np.random.default_rng(3))
     norm = Normalizer.fit_minmax(ds.rows)
-    test_x, _ = ds.test_arrays()
+    _, (test_x, _) = split_arrays(ds)
     xn = norm.normalize(np.ascontiguousarray(test_x))
     want = norm.denormalize(forward(p, np.zeros((xn.shape[0], 6)), xn).y_hat)
     assert evaluate(p, norm, ds).predictions.tobytes() == want.tobytes()
@@ -398,7 +407,7 @@ def test_evaluate_with_frozen_model_predicts_the_offset():
     p = zero_params(h=3, d=4, o=4)
     norm = Normalizer(offset=np.array([1.0, 2.0, 3.0, 4.0]), scale=np.ones(4))
     res = evaluate(p, norm, ds)
-    test_x, test_y = ds.test_arrays()
+    _, (test_x, test_y) = split_arrays(ds)
     assert np.max(np.abs(res.predictions - norm.offset)) < 1e-12
     expected = np.mean((norm.offset - test_y) ** 2)
     assert abs(res.mse_total - expected) < 1e-12
@@ -424,10 +433,44 @@ def test_eval_table_lists_every_test_sequence():
 def test_predict_next_denormalizes_and_validates():
     p = zero_params(h=2, d=4, o=4)
     norm = Normalizer(offset=np.array([5.0, 6.0, 7.0, 8.0]), scale=np.ones(4))
-    pred = predict_next(p, norm, np.zeros((10, 4)))
+    pred = predict_next(p, norm, np.zeros((10, 4)), 10, 10, 10)
+    assert pred.shape == (1, 4)
     assert np.max(np.abs(pred - norm.offset)) < 1e-12
     with pytest.raises(ShapeMismatchError):
-        predict_next(p, norm, np.zeros((10, 3)))
+        predict_next(p, norm, np.zeros((10, 3)), 10, 10, 10)
+
+
+def test_predict_next_matches_forward_on_contiguous_normalized_windows():
+    counts = synthetic_series(400, seed=8).counts
+    p = init_params(4, 6, 4, np.random.default_rng(11))
+    norm = Normalizer.fit_minmax(counts[:300])
+    for first, last in ((200, 200), (364, 399)):
+        xn = np.stack([norm.normalize(counts[j - 24:j]) for j in range(first, last + 1)])
+        want = norm.denormalize(forward(p, np.zeros((len(xn), 6)), xn).y_hat)
+        got = predict_next(p, norm, counts, 24, first, last)
+        assert got.shape == (last - first + 1, 4)
+        assert got.tobytes() == want.tobytes()
+    # one window as a batch of one gives the bits of the batch-less forward
+    one = norm.denormalize(forward(p, np.zeros(6), xn[0]).y_hat)
+    assert predict_next(p, norm, counts, 24, 364, 364)[0].tobytes() == one.tobytes()
+
+
+def test_predict_next_allocates_no_stack_of_windows():
+    counts = synthetic_series(2016, seed=4).counts
+    p = init_params(4, 1, 4, np.random.default_rng(0))
+    norm = Normalizer.fit_minmax(counts)
+    n, w = 1872, 144
+    tracemalloc.start()
+    try:
+        preds = predict_next(p, norm, counts, w, w, len(counts) - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (n, 4)
+    # at H=1 the forward trace (hs, [r | u], h_tilde, z) is 10.8 MB and a
+    # stack of the (1872, 144, 4) windows another 8.6 MB
+    trace = 8 * n * ((w + 1) + 4 * w)
+    assert peak < trace + n * w * 4 * 8 // 2
 
 
 def test_predict_next_on_a_stack_matches_per_window_calls():
@@ -435,12 +478,12 @@ def test_predict_next_on_a_stack_matches_per_window_calls():
     series = synthetic_series(2016, seed=99, shares=(0.1, 0.1, 0.1, 0.7))
     ds = make_windows(series, window_len=144, train_fraction=0.9)
     p, norm, _ = fit(ds, TrainConfig(seed=0), hidden_dim=16)
-    counts = series.counts.astype(float)
+    counts = series.counts
     start = counts.shape[0] - 36
-    windows = np.stack([counts[j - 144:j] for j in range(start, start + 36)])
 
-    stacked = predict_next(p, norm, windows)
-    one_by_one = np.stack([predict_next(p, norm, w) for w in windows])
+    stacked = predict_next(p, norm, counts, 144, start, start + 35)
+    one_by_one = np.stack([predict_next(p, norm, counts, 144, j, j)[0]
+                           for j in range(start, start + 36)])
     assert stacked.shape == (36, 4)
     assert np.max(np.abs(stacked - one_by_one)) <= 1e-12 * np.max(np.abs(one_by_one))
 
@@ -449,6 +492,6 @@ def test_predict_next_on_a_stack_matches_per_window_calls():
     assert from_stack.schedules == from_calls.schedules
 
     with pytest.raises(ShapeMismatchError):
-        predict_next(p, norm, windows[..., :3])
+        predict_next(p, norm, counts[..., :3], 144, start, start + 35)
     with pytest.raises(ShapeMismatchError):
-        predict_next(p, norm, windows[None])
+        predict_next(p, norm, counts[None], 144, start, start + 35)
