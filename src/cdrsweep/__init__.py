@@ -34,6 +34,7 @@ from .gru import (
     PARAM_FIELDS,
     ForwardTrace,
     GruParams,
+    final_state,
     forward,
     gru_step,
     init_params,

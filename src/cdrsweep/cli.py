@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 I/O failure, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -301,7 +302,11 @@ def _cmd_eval(res: dict) -> int:
     dataset = make_windows(series, res["window_len"], res["train_fraction"])
     result = training.evaluate(params, norm, dataset)
     _write_atomic(_out_path(res, res["out"]), result.table_csv())
-    ratio = result.mse_total / result.persistence_mse_total
+    if result.persistence_mse_total > 0:
+        ratio = result.mse_total / result.persistence_mse_total
+    else:
+        # an exact persistence baseline: any model error is infinitely worse
+        ratio = math.inf if result.mse_total > 0 else 1.0
     print(f"n_test={result.n_test} mse={result.mse_total:.6f} "
           f"persistence_mse={result.persistence_mse_total:.6f} ratio={ratio:.4f}")
     return EXIT_OK
@@ -329,6 +334,10 @@ def _cmd_simulate(res: dict) -> int:
             f"sim_slots={n_sim} exceeds the series ({series.n_slots} slots)")
     truth = series.counts[start:start + n_sim].astype(np.float64)
     rates = simulator.rates_from_counts(truth, res["ue_rate"])
+    if not np.any(rates):
+        cause = ("--ue-rate is 0" if res["ue_rate"] == 0
+                 else f"every count in the last {n_sim} slots of the series is 0")
+        raise InvalidConfigError(f"no UE would arrive: {cause}")
 
     seed_root = np.random.SeedSequence(res["seed"])
     oracle_ties, predicted_ties, run_seed_src = seed_root.spawn(3)

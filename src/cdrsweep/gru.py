@@ -18,17 +18,21 @@ Every function takes an optional leading batch axis: one sequence is a
 the same step body serves both. In code the gate pre-activations are
 written row-wise, x @ R_r.T + b_r + h[t-1] @ W_r.T and so on.
 
-forward() holds the only copy of that step body, and gru_step() is forward()
-over a one-slot sequence. It records its trace in preallocated arrays
-stacked with time first, the hidden chain h[0..T] included, and computes
-straight into them:
+_run() holds the only copy of that step body. It steps through one chunk
+of slots and computes straight into preallocated buffers stacked with time
+first, the hidden chain included. forward() runs it once, over a chunk of
+length T, and keeps the buffers as its trace for backpropagation;
+final_state() walks time in chunks whose buffers hold at most CHUNK_BYTES
+and keeps only the last state, for inference; gru_step() is forward() over
+a one-slot sequence. Within a chunk:
 
 - the two sigmoid gates share one [r | u] buffer of width 2H, so each step
   makes one h[t-1] @ [W_r; W_u].T product for both;
-- before the loop, the input projections of all slots, biases included,
-  are written into the [r | u] and z buffers as pre-activations, one
-  stacked product per buffer with one BLAS call per slot; each step only
-  adds its recurrent term and applies the activation in place;
+- before the loop, the input projections of the chunk's slots, biases
+  included, are written into the [r | u] and z buffers as pre-activations,
+  one stacked product per buffer with one BLAS call per slot, so the
+  chunk length changes no bit; each step only adds its recurrent term and
+  applies the activation in place;
 - the sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which cannot
   overflow for any input.
 
@@ -44,6 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptySequenceError
+
+# Upper bound on the chunk buffers final_state() walks time in.
+CHUNK_BYTES = 256 * 1024
 
 # Canonical parameter order, shared by gradients, optimizers and the model
 # file layout.
@@ -193,13 +200,8 @@ def readout(p: GruParams, h: np.ndarray) -> np.ndarray:
     return h @ p.W_out.T + p.b_out
 
 
-def forward(p: GruParams, h0: np.ndarray, xs) -> ForwardTrace:
-    """Run the recurrence over an input sequence and read out the final state.
-
-    xs is one sequence of input vectors, a (T, input_dim) array with h0 of
-    shape (H,), or a batch of them, (B, T, input_dim) with h0 of shape
-    (B, H). Deterministic: identical arguments produce bit-identical traces.
-    """
+def _check_inputs(p: GruParams, h0, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a forward pass's arguments; return h0 and xs viewed time-first."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim < 2:
         xs = xs.reshape(1, -1)
@@ -212,29 +214,47 @@ def forward(p: GruParams, h0: np.ndarray, xs) -> ForwardTrace:
         raise DimensionMismatchError(
             f"hidden state has shape {h0.shape} and input {xs.shape}, "
             f"expected ({h},) and (T, {d}), or (B, {h}) and (B, T, {d})")
+    return h0, xs.swapaxes(0, -2)  # time first; a view, no copy
 
-    xs = xs.swapaxes(0, -2)  # time first; a view, no copy
-    n_steps = xs.shape[0]
+
+def _step_weights(p: GruParams) -> tuple[np.ndarray, ...]:
+    """The weights in the layout _run multiplies by.
+
+    Transposed weights are C-ordered copies: BLAS multiplies those about
+    twice as fast as transposed views at these sizes.
+    """
+    return (np.concatenate([p.R_r, p.R_u]).T.copy(), np.concatenate([p.b_r, p.b_u]),
+            p.R_z.T.copy(), p.b_z,
+            np.concatenate([p.W_r, p.W_u]).T.copy(), p.W_z.T.copy())
+
+
+def _buffers(n_steps: int, h0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Time-first hs, [r | u], h_tilde and z buffers for n_steps slots, hs[0] = h0."""
     hs = np.empty((n_steps + 1,) + h0.shape)
     hs[0] = h0
-    ru = np.empty((n_steps,) + h0.shape[:-1] + (2 * h,))
-    h_tilde, z = np.empty((n_steps,) + h0.shape), np.empty((n_steps,) + h0.shape)
+    ru = np.empty((n_steps,) + h0.shape[:-1] + (2 * h0.shape[-1],))
+    return hs, ru, np.empty((n_steps,) + h0.shape), np.empty((n_steps,) + h0.shape)
 
-    # Input projections of every slot, as pre-activations. One sequence is
-    # viewed as a batch of one, so each slot is the same BLAS call that a
-    # one-slot forward (gru_step) makes, and gives the same bits. Transposed
-    # weights are C-ordered copies: BLAS multiplies those about twice as
-    # fast as transposed views at these sizes.
-    x_rows = xs.reshape(n_steps, -1, d)
-    np.matmul(x_rows, np.concatenate([p.R_r, p.R_u]).T.copy(),
-              out=ru.reshape(n_steps, -1, 2 * h))
-    ru += np.concatenate([p.b_r, p.b_u])
-    np.matmul(x_rows, p.R_z.T.copy(), out=z.reshape(n_steps, -1, h))
-    z += p.b_z
 
-    w_ru_t = np.concatenate([p.W_r, p.W_u]).T.copy()
-    w_z_t = p.W_z.T.copy()
-    rec_ru, rec_z = np.empty(ru.shape[1:]), np.empty(h0.shape)
+def _run(weights: tuple[np.ndarray, ...], x_rows: np.ndarray, hs: np.ndarray,
+         ru: np.ndarray, h_tilde: np.ndarray, z: np.ndarray) -> None:
+    """Step the recurrence over one chunk of slots, from the state in hs[0].
+
+    x_rows is the chunk's (n, B, D) input, one sequence viewed as a batch
+    of one, and hs, ru, h_tilde and z are C-contiguous buffers of n + 1, n,
+    n and n slots; every step's values are written into them.
+    """
+    w_in_ru, b_ru, w_in_z, b_z, w_ru_t, w_z_t = weights
+    n_steps, h = len(x_rows), hs.shape[-1]
+    # Input projections of every slot of the chunk, as pre-activations: one
+    # stacked product, so each slot is the same BLAS call that a one-slot
+    # forward (gru_step) makes, and gives the same bits.
+    np.matmul(x_rows, w_in_ru, out=ru.reshape(n_steps, -1, 2 * h))
+    ru += b_ru
+    np.matmul(x_rows, w_in_z, out=z.reshape(n_steps, -1, h))
+    z += b_z
+
+    rec_ru, rec_z = np.empty(ru.shape[1:]), np.empty(hs.shape[1:])
     for t in range(n_steps):
         h_prev, ru_t, h_tilde_t, z_t, h_next = hs[t], ru[t], h_tilde[t], z[t], hs[t + 1]
         ru_t += np.matmul(h_prev, w_ru_t, out=rec_ru)
@@ -247,8 +267,42 @@ def forward(p: GruParams, h0: np.ndarray, xs) -> ForwardTrace:
         np.subtract(z_t, h_prev, out=h_next)
         h_next *= u_t
         h_next += h_prev
+
+
+def forward(p: GruParams, h0: np.ndarray, xs) -> ForwardTrace:
+    """Run the recurrence over an input sequence and read out the final state.
+
+    xs is one sequence of input vectors, a (T, input_dim) array with h0 of
+    shape (H,), or a batch of them, (B, T, input_dim) with h0 of shape
+    (B, H). Deterministic: identical arguments produce bit-identical traces.
+    """
+    h0, xs = _check_inputs(p, h0, xs)
+    n_steps = xs.shape[0]
+    # the trace is one chunk of length T
+    hs, ru, h_tilde, z = _buffers(n_steps, h0)
+    _run(_step_weights(p), xs.reshape(n_steps, -1, p.input_dim), hs, ru, h_tilde, z)
     return ForwardTrace(xs=xs, hs=hs, ru=ru, h_tilde=h_tilde, z=z,
                         y_hat=readout(p, hs[-1]))
+
+
+def final_state(p: GruParams, h0: np.ndarray, xs) -> np.ndarray:
+    """The final hidden state of forward(p, h0, xs), bit for bit, without its trace.
+
+    Takes the same shapes as forward(). Time is walked in chunks whose
+    buffers hold at most CHUNK_BYTES, so memory stays O(B * H) however
+    long the sequence: a chunk's last state seeds the next chunk.
+    """
+    h0, xs = _check_inputs(p, h0, xs)
+    n_steps = xs.shape[0]
+    # hs, [r | u], h_tilde and z take 5H floats per batch member per slot
+    chunk = max(1, min(n_steps, CHUNK_BYTES // (8 * 5 * max(h0.size, p.hidden_dim))))
+    hs, ru, h_tilde, z = _buffers(chunk, h0)
+    weights, x_rows = _step_weights(p), xs.reshape(n_steps, -1, p.input_dim)
+    for start in range(0, n_steps, chunk):
+        n = min(chunk, n_steps - start)
+        _run(weights, x_rows[start:start + n], hs[:n + 1], ru[:n], h_tilde[:n], z[:n])
+        hs[0] = hs[n]
+    return hs[0].copy()
 
 
 def gru_step(p: GruParams, h_prev: np.ndarray, x: np.ndarray) -> ForwardTrace:

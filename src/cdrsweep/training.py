@@ -11,6 +11,10 @@ over all T*B rows. It is the only reverse pass: fit() runs it on (B, T, D)
 batches, the gradient check on single (T, D) sequences. Gradients come back
 as a GruParams of the same shapes. Tests pin forward() to the scalar
 reference in tests/_oracles.py and backward() to central finite differences.
+
+Inference keeps no trace: predict_next(), which evaluate() calls, reads the
+final states from gru.final_state(), bit-identical to forward()'s, in memory
+that does not grow with the window length.
 """
 
 from __future__ import annotations
@@ -368,15 +372,16 @@ def predict_next(p: GruParams, norm: Normalizer, rows: np.ndarray, window_len: i
     j runs over first_end, ..., last_end. The rows are normalized once, the
     windows cut from them as views by cut_windows (which raises ValueError
     for ends outside the series), and all of them go through one batched
-    forward pass. Returns the (last_end - first_end + 1, 4) denormalized
-    forecasts, the one for slot j in row j - first_end.
+    gru.final_state, which keeps no trace: the forecasts are bit-identical
+    to forward()'s y_hat. Returns the (last_end - first_end + 1, 4)
+    denormalized forecasts, the one for slot j in row j - first_end.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[-1] != p.input_dim:
         raise ShapeMismatchError(f"rows must be (n, {p.input_dim}), got {rows.shape}")
     windows = cut_windows(norm.normalize(rows), window_len, first_end, last_end)
     h0 = np.zeros((windows.shape[0], p.hidden_dim))
-    return norm.denormalize(gru.forward(p, h0, windows).y_hat)
+    return norm.denormalize(gru.readout(p, gru.final_state(p, h0, windows)))
 
 
 def evaluate(p: GruParams, norm: Normalizer, dataset: WindowedDataset) -> EvalResult:

@@ -12,6 +12,7 @@ from cdrsweep import (
     GruParams,
     Normalizer,
     PerSlotPolicy,
+    SectorSeries,
     SimConfig,
     aggregate,
     cli,
@@ -277,6 +278,26 @@ def test_eval_reports_persistence_ratio(workdir):
     assert header == "seq_index,sector,prediction,truth"
 
 
+def test_eval_survives_a_zero_persistence_error(workdir, tmp_path):
+    # a constant series: persistence is exact on the held-out slots
+    flat = SectorSeries(t0_ms=T0, counts=np.full((400, 4), 5, dtype=np.int64))
+    (tmp_path / "flat.csv").write_text(write_sector_series(flat))
+    proc = run_cli(["train", "--series", "flat.csv", "--window-len", "24",
+                    "--epochs", "1", "--steps", "2"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # zero inputs leave the fresh model at the offset, so both errors are 0
+    for model, ratio in ((tmp_path / "model.txt", "1.0000"),
+                         (workdir / "model.txt", "inf")):
+        (tmp_path / "eval.csv").unlink(missing_ok=True)
+        proc = run_cli(["eval", "--model", model, "--series", "flat.csv",
+                        "--window-len", "24"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "persistence_mse=0.000000" in proc.stdout
+        assert proc.stdout.rstrip().endswith(f" ratio={ratio}"), proc.stdout
+        header = (tmp_path / "eval.csv").read_text().splitlines()[0]
+        assert header == "seq_index,sector,prediction,truth"
+
+
 def test_eval_rejects_a_model_with_a_non_finite_normalizer(workdir):
     head, scale_row = (workdir / "model.txt").read_text().split("norm_scale 4\n")
     values = scale_row.splitlines()[0].split()
@@ -331,6 +352,34 @@ def test_simulate_rejects_a_window_len_below_one(workdir, tmp_path):
     error = proc.stderr.splitlines()[-1]
     assert error.startswith("error:") and "window_len=0" in error
     assert not list(tmp_path.glob("sim_*.csv"))
+
+
+def test_simulate_rejects_a_zero_ue_rate(workdir, tmp_path):
+    proc = run_cli(["simulate", "--series", workdir / "series.csv",
+                    "--model", workdir / "model.txt", "--window-len", "24",
+                    "--n-seeds", "2", "--sim-slots", "4", "--ue-rate", "0"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == "error: no UE would arrive: --ue-rate is 0"
+    assert not list(tmp_path.glob("sim_*.csv"))
+
+
+def test_simulate_rejects_slots_without_counts(workdir, tmp_path):
+    series = synthetic_series(320, seed=5)
+    series.counts[-4:] = 0
+    (tmp_path / "quiet.csv").write_text(write_sector_series(series))
+    proc = run_cli(["simulate", "--series", "quiet.csv",
+                    "--model", workdir / "model.txt", "--window-len", "24",
+                    "--n-seeds", "2", "--sim-slots", "4"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        "error: no UE would arrive: every count in the last 4 slots of the series is 0")
+    assert not list(tmp_path.glob("sim_*.csv"))
+    # one slot with arrivals is enough
+    proc = run_cli(["simulate", "--series", "quiet.csv",
+                    "--model", workdir / "model.txt", "--window-len", "24",
+                    "--n-seeds", "2", "--sim-slots", "5"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "nan" not in (tmp_path / "sim_summary.csv").read_text()
 
 
 def test_config_file_sits_between_flags_and_defaults(workdir, tmp_path):

@@ -5,12 +5,14 @@ from cdrsweep import (
     DimensionMismatchError,
     EmptySequenceError,
     GruParams,
+    final_state,
     forward,
     gru_step,
     init_params,
     readout,
     sigmoid,
 )
+from cdrsweep import gru
 
 from _oracles import forward_scalar, gru_step_scalar, weights_as_lists
 
@@ -118,6 +120,44 @@ def test_forward_records_hidden_chain():
             for name in ("r", "h_tilde", "z", "u"):
                 assert np.array_equal(getattr(trace, name)[t], getattr(step, name)[0])
             assert np.array_equal(trace.hs[t + 1], step.h)
+
+
+def test_final_state_is_forwards_last_state_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for h in (1, 8, 32):
+        p = init_params(4, h, 4, rng)
+        # one sequence, then batches; at H=8 and B=32 the last chunk is short
+        for batch in ((), (1,), (32,), (188,)):
+            xs = rng.normal(size=batch + (144, 4))
+            h0 = rng.normal(size=batch + (h,))
+            got, trace = final_state(p, h0, xs), forward(p, h0, xs)
+            assert got.shape == batch + (h,)
+            assert got.tobytes() == trace.h.tobytes()
+            assert readout(p, got).tobytes() == trace.y_hat.tobytes()
+
+
+def test_final_state_matches_scalar_oracle_at_every_chunk_length(monkeypatch):
+    rng = np.random.default_rng(8)
+    p = init_params(3, 5, 3, rng)
+    xs = rng.normal(size=(7, 3))
+    _, ref_h = forward_scalar(weights_as_lists(p), [0.0] * 5, xs.tolist())
+    want = forward(p, np.zeros(5), xs).h
+    # a chunk of one slot, three slots (a short last chunk) and all seven
+    for chunk_bytes in (1, 3 * 8 * 5 * 5, 10**9):
+        monkeypatch.setattr(gru, "CHUNK_BYTES", chunk_bytes)
+        got = final_state(p, np.zeros(5), xs)
+        assert np.max(np.abs(got - np.array(ref_h))) <= 1e-12
+        assert got.tobytes() == want.tobytes()
+
+
+def test_final_state_rejects_what_forward_rejects():
+    p = init_params(3, 4, 2, np.random.default_rng(0))
+    with pytest.raises(EmptySequenceError):
+        final_state(p, np.zeros(4), np.empty((0, 3)))
+    for h0, xs in ((np.zeros(5), np.zeros((2, 3))), (np.zeros(4), np.zeros((2, 5, 3))),
+                   (np.zeros((2, 4)), np.zeros((3, 5, 3))), (np.zeros(4), 0.0)):
+        with pytest.raises(DimensionMismatchError):
+            final_state(p, h0, xs)
 
 
 def test_empty_sequence_rejected():

@@ -467,10 +467,25 @@ def test_predict_next_allocates_no_stack_of_windows():
     finally:
         tracemalloc.stop()
     assert preds.shape == (n, 4)
-    # at H=1 the forward trace (hs, [r | u], h_tilde, z) is 10.8 MB and a
-    # stack of the (1872, 144, 4) windows another 8.6 MB
-    trace = 8 * n * ((w + 1) + 4 * w)
-    assert peak < trace + n * w * 4 * 8 // 2
+    # a stack of the (1872, 144, 4) windows would be 8.6 MB, and a forward
+    # trace (hs, [r | u], h_tilde, z) at H=1 another 10.8 MB
+    assert peak < n * w * 4 * 8 // 2
+
+
+def test_evaluate_keeps_no_forward_trace():
+    # the benchmark's size: 188 held-out windows of 144 slots at H=32, where
+    # a forward trace would take 35 MB
+    ds = make_windows(synthetic_series(2016, seed=4), window_len=144, train_fraction=0.9)
+    p = init_params(4, 32, 4, np.random.default_rng(0))
+    norm = Normalizer.fit_minmax(ds.rows)
+    tracemalloc.start()
+    try:
+        res = evaluate(p, norm, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.n_test == 188
+    assert peak <= 2 * 2**20
 
 
 def test_predict_next_on_a_stack_matches_per_window_calls():
