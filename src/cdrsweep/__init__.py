@@ -69,6 +69,7 @@ from .scheduler import (
     sequential_ranking,
 )
 from .simulator import (
+    REPORT_HEADER,
     SLOT_US,
     Comparison,
     PerSlotPolicy,

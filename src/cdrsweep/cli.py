@@ -201,11 +201,13 @@ def _print_resolved(command: str, res: dict) -> None:
     print(f"[{command}] {pairs}", file=sys.stderr)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace path with text through a temp file unique to this write.
+def _write_atomic(path: Path, content) -> None:
+    """Replace path with content through a temp file unique to this write.
 
-    Concurrent writers never share a temp file, and on any failure the temp
-    file is removed and path keeps its old content.
+    content is a str, written in one call, or an iterable of str chunks,
+    written as they come. Concurrent writers never share a temp file, and on
+    any failure, an exception from the iterable included, the temp file is
+    removed and path keeps its old content.
     """
     path = Path(path)
     if path.parent and not path.parent.exists():
@@ -217,7 +219,8 @@ def _write_atomic(path: Path, text: str) -> None:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             # mkstemp creates the file 0600; give it the mode open(path) would
             os.fchmod(fd, 0o666 & ~umask)
-            fh.write(text)
+            for chunk in [content] if isinstance(content, str) else content:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -360,16 +363,26 @@ def _cmd_simulate(res: dict) -> int:
             policy_objs.append(simulator.PerSlotPolicy.from_values(
                 "predicted", preds, np.random.default_rng(predicted_ties)))
 
-    run_seeds = [int(v) for v in run_seed_src.generate_state(res["n_seeds"], np.uint64)]
+    # every config is checked before the report file is opened
+    configs = [simulator.SimConfig(
+        arrival_rates_per_s=rates, horizon_us=n_sim * simulator.SLOT_US,
+        detect_prob=res["detect_prob"], seed=int(run_seed))
+        for run_seed in run_seed_src.generate_state(res["n_seeds"], np.uint64)]
     reports = []
-    for run_seed in run_seeds:
-        cfg = simulator.SimConfig(
-            arrival_rates_per_s=rates, horizon_us=n_sim * simulator.SLOT_US,
-            detect_prob=res["detect_prob"], seed=run_seed)
-        for pol in policy_objs:
-            reports.append(simulator.simulate(cfg, pol))
 
-    _write_atomic(_out_path(res, res["report_out"]), simulator.report_csv(reports))
+    def report_chunks():
+        # one seed's rows at a time; the kept reports hold arrays, not text
+        yield simulator.REPORT_HEADER
+        for i, cfg in enumerate(configs, 1):
+            runs = [simulator.simulate(cfg, pol) for pol in policy_objs]
+            if not runs[0].n_ues:
+                raise InvalidConfigError(
+                    f"seed {i} of {len(configs)} (run seed {cfg.seed}) drew no UE: "
+                    "raise --ue-rate or --sim-slots")
+            reports.extend(runs)
+            yield simulator.report_csv(runs)
+
+    _write_atomic(_out_path(res, res["report_out"]), report_chunks())
     _write_atomic(_out_path(res, res["summary_out"]), simulator.summary_csv(reports))
     comparison = simulator.compare(reports)
     _write_atomic(_out_path(res, res["compare_out"]), comparison.csv_text())

@@ -28,6 +28,7 @@ from .scheduler import (
 
 SLOT_US = 600_000_000.0  # one 10-minute aggregation slot, in microseconds
 N_SECTORS = len(SECTOR_LABELS)
+REPORT_HEADER = "policy,seed,ue_id,sector,arrival_us,delay_us\n"  # see report_csv
 
 
 @dataclass
@@ -300,7 +301,8 @@ class Comparison:
 def compare(reports) -> Comparison:
     """Paired per-seed comparison; the first report's policy is the baseline.
 
-    All policies must cover exactly the same seed set.
+    All policies must cover exactly the same seed set, and every run must
+    hold at least one UE: a run without one has no mean delay to compare.
     """
     reports = list(reports)
     if not reports:
@@ -308,6 +310,9 @@ def compare(reports) -> Comparison:
 
     by_policy: dict[str, dict[int, SimReport]] = {}
     for rep in reports:
+        if not rep.n_ues:
+            raise InvalidConfigError(
+                f"policy {rep.policy!r} seed {rep.seed} has no UE to compare")
         seeds = by_policy.setdefault(rep.policy, {})
         if rep.seed in seeds:
             raise MismatchedConfigsError(
@@ -342,8 +347,13 @@ def compare(reports) -> Comparison:
 
 
 def report_csv(reports) -> str:
-    """Per-UE rows across runs: policy,seed,ue_id,sector,arrival_us,delay_us."""
-    chunks = ["policy,seed,ue_id,sector,arrival_us,delay_us\n"]
+    """Per-UE rows of the given runs, in the columns of REPORT_HEADER.
+
+    Only rows, no header: a report file is REPORT_HEADER followed by the
+    rows of its runs, so it can be written a few runs at a time and never
+    held whole (the CLI writes one seed's runs at a time).
+    """
+    chunks = []
     for rep in reports:
         # one %-format per run renders all its rows without a string per row
         row = f"{rep.policy},{rep.seed},".replace("%", "%%") + "%d,%s,%.3f,%.3f\n"

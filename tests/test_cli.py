@@ -2,12 +2,14 @@
 
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdrsweep import (
+    REPORT_HEADER,
     SLOT_US,
     GruParams,
     Normalizer,
@@ -16,19 +18,24 @@ from cdrsweep import (
     SimConfig,
     aggregate,
     cli,
+    compare,
     demo_raw_lines,
     demo_sector_map,
     dumps_model,
+    load_model,
     load_sector_series,
     parse_raw,
     predict_next,
     rates_from_counts,
     report_csv,
+    sequential_ranking,
     simulate,
+    summary_csv,
     synthetic_series,
     write_sector_series,
 )
 from _cli import run_cli
+from _oracles import report_csv_scalar
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +242,61 @@ def test_predict_and_simulate_forecast_each_slot_from_the_window_before_it(workd
     cfg = SimConfig(arrival_rates_per_s=rates_from_counts(counts[start:], 0.1),
                     horizon_us=36 * SLOT_US,
                     seed=int(run_seeds.generate_state(1, np.uint64)[0]))
-    assert (tmp_path / "sim_report.csv").read_text() == report_csv([simulate(cfg, policy)])
+    assert (tmp_path / "sim_report.csv").read_text() == (
+        REPORT_HEADER + report_csv([simulate(cfg, policy)]))
+
+
+def test_simulate_report_matches_the_scalar_renderer_byte_for_byte(workdir, tmp_path):
+    # three policies and three seeds, each seed's rows written as it is simulated
+    proc = run_cli(["simulate", "--series", workdir / "series.csv",
+                    "--model", workdir / "model.txt", "--window-len", "24",
+                    "--policies", "sequential,predicted,oracle", "--n-seeds", "3",
+                    "--sim-slots", "6", "--detect-prob", "0.5", "--seed", "4"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    counts = load_sector_series((workdir / "series.csv").read_text()).counts.astype(float)
+    start = len(counts) - 6
+    oracle_ties, predicted_ties, run_seeds = np.random.SeedSequence(4).spawn(3)
+    params, norm = load_model(workdir / "model.txt")
+    preds = predict_next(params, norm, counts, 24, start, len(counts) - 1)
+    policies = [
+        PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"),
+        PerSlotPolicy.from_values("predicted", preds, np.random.default_rng(predicted_ties)),
+        PerSlotPolicy.from_values("oracle", counts[start:], np.random.default_rng(oracle_ties)),
+    ]
+    runs = []
+    for seed in run_seeds.generate_state(3, np.uint64):
+        cfg = SimConfig(arrival_rates_per_s=rates_from_counts(counts[start:], 0.1),
+                        horizon_us=6 * SLOT_US, detect_prob=0.5, seed=int(seed))
+        runs += [simulate(cfg, policy) for policy in policies]
+    assert len({r.seed for r in runs}) == 3 and all(r.n_ues for r in runs)
+    assert (tmp_path / "sim_report.csv").read_text() == report_csv_scalar(
+        [(r.policy, r.seed, r.sectors, r.arrival_us, r.delay_us) for r in runs])
+    # the summary and the comparison still see every seed's runs
+    assert (tmp_path / "sim_summary.csv").read_text() == summary_csv(runs)
+    assert (tmp_path / "sim_compare.csv").read_text() == compare(runs).csv_text()
+
+
+def test_simulate_memory_grows_by_the_kept_arrays_not_the_report_text(workdir, tmp_path):
+    # each UE row keeps 24 bytes of arrays for the summary and the comparison;
+    # its CSV text goes to the file with its seed's chunk and is not kept
+    def peak_and_rows(n_seeds):
+        out = tmp_path / f"seeds_{n_seeds}"
+        tracemalloc.start()
+        try:
+            code = cli.main(["simulate", "--series", str(workdir / "series.csv"),
+                             "--policies", "sequential,oracle", "--n-seeds", str(n_seeds),
+                             "--sim-slots", "2", "--ue-rate", "1", "--out-dir", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with open(out / "sim_report.csv", encoding="utf-8") as fh:
+            return peak, sum(1 for _ in fh) - 1
+
+    peak_and_rows(1)  # one-time allocations of the first run stay out of the difference
+    (small_peak, small_rows), (large_peak, large_rows) = peak_and_rows(4), peak_and_rows(16)
+    assert large_rows - small_rows > 20_000
+    assert (large_peak - small_peak) / (large_rows - small_rows) <= 48
 
 
 def test_predict_rejects_slots_past_the_series(workdir):
@@ -363,6 +424,37 @@ def test_simulate_rejects_a_zero_ue_rate(workdir, tmp_path):
     assert not list(tmp_path.glob("sim_*.csv"))
 
 
+@pytest.mark.parametrize("value", ["0", "1.5", "nan"])
+def test_simulate_rejects_a_detect_prob_outside_zero_one(workdir, tmp_path, value):
+    proc = run_cli(["simulate", "--series", workdir / "series.csv",
+                    "--policies", "sequential,oracle", "--n-seeds", "2", "--sim-slots", "4",
+                    "--detect-prob", value, "--out-dir", "fresh"], cwd=tmp_path)
+    assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("error: detect_prob must be in (0, 1]")
+    # neither a sim_*.csv nor the --out-dir was created
+    assert not list(tmp_path.iterdir())
+
+
+# at 0.002 UEs/s over one slot, CLI seed 1 gives UEs to its first two run
+# seeds and none to the third, after two seeds' rows went to the temp file
+@pytest.mark.parametrize("ue_rate, seed, failing", [("1e-6", "0", "seed 1 of 3"),
+                                                    ("0.002", "1", "seed 3 of 3")])
+def test_simulate_refuses_a_seed_without_ues(workdir, tmp_path, ue_rate, seed, failing):
+    old = {name: f"old {name}\n"
+           for name in ("sim_report.csv", "sim_summary.csv", "sim_compare.csv")}
+    for name, text in old.items():
+        (tmp_path / name).write_text(text)
+    proc = run_cli(["simulate", "--series", workdir / "series.csv",
+                    "--policies", "sequential,oracle", "--n-seeds", "3", "--sim-slots", "1",
+                    "--ue-rate", ue_rate, "--seed", seed], cwd=tmp_path)
+    assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith(f"error: {failing} (run seed ") and "drew no UE" in error
+    assert "--ue-rate" in error and "--sim-slots" in error
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == old
+
+
 def test_simulate_rejects_slots_without_counts(workdir, tmp_path):
     series = synthetic_series(320, seed=5)
     series.counts[-4:] = 0
@@ -473,7 +565,38 @@ def test_unknown_subcommand_exits_2(workdir):
     assert proc.returncode == 2
 
 
-def test_atomic_write_failing_partway_keeps_the_old_file(tmp_path, monkeypatch):
+def test_atomic_write_sends_a_str_in_one_call_and_chunks_as_they_come(tmp_path, monkeypatch):
+    real_open, writes = open, []
+
+    class Recorder:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            self.fh.write(text)
+
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: Recorder(real_open(*a, **kw)),
+                        raising=False)
+    cli._write_atomic(tmp_path / "one.csv", "a,b\n1,2\n")
+    cli._write_atomic(tmp_path / "two.csv", iter(["a,b\n", "", "1,2\n"]))
+    assert writes == ["a,b\n1,2\n", "a,b\n", "", "1,2\n"]
+    assert (tmp_path / "two.csv").read_text() == "a,b\n1,2\n"
+
+
+def _chunks_failing_after_the_first():
+    yield "new,content\n" * 1000
+    raise OSError("the rows of the next chunk could not be made")
+
+
+@pytest.mark.parametrize("failure", ["write", "chunks"])
+def test_atomic_write_failing_partway_keeps_the_old_file(tmp_path, monkeypatch, failure):
     target = tmp_path / "out.csv"
     cli._write_atomic(target, "old\n")
     umask = os.umask(0)
@@ -497,9 +620,13 @@ def test_atomic_write_failing_partway_keeps_the_old_file(tmp_path, monkeypatch):
             self.fh.flush()
             raise OSError("no space left on device")
 
-    monkeypatch.setattr(cli, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
-                        raising=False)
+    if failure == "write":
+        monkeypatch.setattr(cli, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+                            raising=False)
+        content = "new,content\n" * 1000
+    else:
+        content = _chunks_failing_after_the_first()
     with pytest.raises(OSError):
-        cli._write_atomic(target, "new,content\n" * 1000)
+        cli._write_atomic(target, content)
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -3,6 +3,7 @@ import pytest
 
 import cdrsweep.simulator as sim_mod
 from cdrsweep import (
+    REPORT_HEADER,
     BadSharesError,
     InvalidConfigError,
     MismatchedConfigsError,
@@ -139,6 +140,16 @@ def test_zero_rates_give_empty_report():
     assert np.isnan(report.mean_us)
     text = summary_csv([report])
     assert text.splitlines()[1] == "sequential,nan,nan,nan,0"
+
+
+def test_compare_refuses_a_run_without_ues():
+    cfg = uniform_cfg(seed=4, total_rate=0.2)
+    seq = PerSlotPolicy.from_ranking(sequential_ranking(), "sequential")
+    empty = simulate(SimConfig(arrival_rates_per_s=np.zeros((1, 4)),
+                               horizon_us=sim_mod.SLOT_US, seed=5), seq)
+    assert empty.n_ues == 0
+    with pytest.raises(InvalidConfigError, match="'sequential' seed 5 has no UE"):
+        compare([simulate(cfg, seq), empty])
 
 
 def test_per_slot_policy_switches_schedules(monkeypatch):
@@ -341,7 +352,7 @@ def test_identical_policies_compare_to_zero():
 def test_report_csv_layout():
     report = simulate(uniform_cfg(seed=9, total_rate=0.2),
                       PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
-    lines = report_csv([report]).splitlines()
+    lines = (REPORT_HEADER + report_csv([report])).splitlines()
     assert lines[0] == "policy,seed,ue_id,sector,arrival_us,delay_us"
     assert len(lines) == 1 + report.n_ues
     first = lines[1].split(",")
@@ -484,9 +495,11 @@ def test_report_csv_matches_scalar_renderer_byte_for_byte():
                              arrival_us=np.empty(0), delay_us=np.empty(0)))
     runs = [(r.policy, r.seed, r.sectors.tolist(), r.arrival_us.tolist(),
              r.delay_us.tolist()) for r in reports]
-    assert report_csv(reports) == report_csv_scalar(runs)
+    assert REPORT_HEADER + report_csv(reports) == report_csv_scalar(runs)
+    # rows of consecutive runs concatenate to the rows of all of them
+    assert "".join(report_csv([r]) for r in reports) == report_csv(reports)
 
     sim = [simulate(uniform_cfg(seed=9, total_rate=2.0, detect_prob=0.5),
                     PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))]
-    assert report_csv(sim) == report_csv_scalar(
+    assert REPORT_HEADER + report_csv(sim) == report_csv_scalar(
         [(r.policy, r.seed, r.sectors, r.arrival_us, r.delay_us) for r in sim])
