@@ -61,6 +61,7 @@ from .model_io import dumps_model, load_model, loads_model, save_model
 from .scheduler import (
     BURST_DURATION_US,
     BURST_PERIOD_US,
+    SSB_OFFSETS_US,
     SSB_SLOTS,
     SectorRanking,
     SweepSchedule,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 I/O failure, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -205,17 +206,18 @@ def _write_atomic(path: Path, content) -> None:
     """Replace path with content through a temp file unique to this write.
 
     content is a str, written in one call, or an iterable of str chunks,
-    written as they come. Concurrent writers never share a temp file, and on
-    any failure, an exception from the iterable included, the temp file is
-    removed and path keeps its old content.
+    written as they come. Concurrent writers never share a temp file. On any
+    failure, an exception from the iterable included, the temp file and the
+    directories this call made (while empty) go, and path keeps its old content.
     """
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+    path.parent.mkdir(parents=True, exist_ok=True)
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             # mkstemp creates the file 0600; give it the mode open(path) would
             os.fchmod(fd, 0o666 & ~umask)
@@ -223,7 +225,11 @@ def _write_atomic(path: Path, content) -> None:
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        if tmp is not None:
+            os.unlink(tmp)
+        with contextlib.suppress(OSError):  # stop at the first one not empty
+            for directory in made:  # innermost first
+                directory.rmdir()
         raise
 
 

@@ -1,10 +1,10 @@
 """Sector ranking and SSB burst scheduling.
 
-A synchronization burst carries 14 SSB slots in 250 microseconds. Sectors are
-ranked by predicted activity (ties broken uniformly at random) and packed
-round-robin starting from the top rank, so the busiest sector gets both the
-earliest slot and the most repetitions while every sector stays covered in
-every burst.
+A synchronization burst carries 14 SSB slots in 250 microseconds, which start
+at SSB_OFFSETS_US. Sectors are ranked by predicted activity (ties broken
+uniformly at random) and packed round-robin starting from the top rank, so
+the busiest sector gets both the earliest slot and the most repetitions while
+every sector stays covered in every burst.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .ingest import SECTOR_LABELS
 SSB_SLOTS = 14
 BURST_DURATION_US = 250.0
 BURST_PERIOD_US = 20_000.0
+SSB_OFFSETS_US = np.arange(SSB_SLOTS) * (BURST_DURATION_US / SSB_SLOTS)
+SSB_OFFSETS_US.setflags(write=False)
 
 # two predictions closer than this are treated as tied
 _TIE_RTOL = 1e-9
@@ -91,7 +93,7 @@ class SweepSchedule:
     """Assignment of the 14 SSB slots of one burst to sectors.
 
     slots[i] is the sector index transmitted in SSB i; SSB i starts
-    i * (250/14) microseconds into the burst.
+    SSB_OFFSETS_US[i] microseconds into the burst.
     """
 
     slots: tuple
@@ -102,22 +104,10 @@ class SweepSchedule:
         if any(s not in range(len(SECTOR_LABELS)) for s in self.slots):
             raise ValueError(f"slots must be sector indices, got {self.slots}")
 
-    @property
-    def slot_duration_us(self) -> float:
-        return BURST_DURATION_US / SSB_SLOTS
-
-    def offsets_us(self) -> np.ndarray:
-        return np.arange(SSB_SLOTS) * self.slot_duration_us
-
-    def sector_offsets_us(self, sector: int) -> np.ndarray:
-        """Start offsets of the slots aimed at one sector, ascending."""
-        return np.array([i * self.slot_duration_us
-                         for i, s in enumerate(self.slots) if s == sector])
-
     def csv_text(self) -> str:
         lines = ["ssb_index,sector,start_offset_us"]
-        for i, s in enumerate(self.slots):
-            lines.append(f"{i},{SECTOR_LABELS[s]},{i * self.slot_duration_us:.6f}")
+        for i, (s, offset) in enumerate(zip(self.slots, SSB_OFFSETS_US)):
+            lines.append(f"{i},{SECTOR_LABELS[s]},{offset:.6f}")
         return "\n".join(lines) + "\n"
 
 

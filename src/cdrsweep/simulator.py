@@ -1,8 +1,9 @@
 """Monte-Carlo measurement of UE initial-access delay under a sweep policy.
 
 UEs arrive per-sector as Poisson processes whose rates may change every
-10-minute slot. A UE detects the cell at the start of the first SSB slot
-aimed at its sector at or after its arrival; each such opportunity succeeds
+10-minute slot. A UE detects the cell at the start of the first SSB aimed at
+its sector at or after its arrival (one offsets table, _offsets_table, holds
+them, and expected_delay_static reads it too); each such opportunity succeeds
 independently with detect_prob. The whole run is driven by one 64-bit seed
 split into independent substreams for arrivals, detection and schedule
 tie-breaking, so two policies simulated under the same seed face identical
@@ -20,6 +21,7 @@ from .ingest import SECTOR_LABELS, check_shares
 from .scheduler import (
     BURST_DURATION_US,
     BURST_PERIOD_US,
+    SSB_OFFSETS_US,
     SectorRanking,
     SweepSchedule,
     build_schedule,
@@ -60,18 +62,23 @@ class SimConfig:
             raise InvalidConfigError("rates must be finite and non-negative")
         if not 0.0 < self.detect_prob <= 1.0:
             raise InvalidConfigError(f"detect_prob must be in (0, 1], got {self.detect_prob}")
-        for name in ("horizon_us", "burst_period_us", "slot_us"):
+        for name in ("horizon_us", "slot_us"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise InvalidConfigError(f"{name} must be finite and positive, got {value}")
-        if not BURST_DURATION_US < self.burst_period_us:
-            raise InvalidConfigError(f"burst_period_us must exceed {BURST_DURATION_US}")
+        _check_burst_period(self.burst_period_us)
         if 1 < r.shape[0] < self.n_slots:
             raise InvalidConfigError(f"{r.shape[0]} rate rows cannot cover {self.n_slots} slots")
 
     @property
     def n_slots(self) -> int:
         return int(np.ceil(self.horizon_us / self.slot_us))
+
+
+def _check_burst_period(period: float) -> None:
+    if not (np.isfinite(period) and period > BURST_DURATION_US):
+        raise InvalidConfigError(
+            f"burst_period_us must be finite and exceed {BURST_DURATION_US}, got {period}")
 
 
 def rates_from_counts(counts, mean_total_rate_per_s: float) -> np.ndarray:
@@ -81,38 +88,38 @@ def rates_from_counts(counts, mean_total_rate_per_s: float) -> np.ndarray:
     mean_total_rate_per_s.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    if mean_total_rate_per_s < 0:
-        raise InvalidConfigError("mean rate must be non-negative")
+    if not (np.isfinite(mean_total_rate_per_s) and mean_total_rate_per_s >= 0):
+        raise InvalidConfigError(
+            f"mean rate must be finite and non-negative, got {mean_total_rate_per_s}")
     mean_total = counts.sum(axis=1).mean()
     if mean_total == 0:
         return np.zeros_like(counts)
     return counts * (mean_total_rate_per_s / mean_total)
 
 
-class PerSlotPolicy:
-    """A sweep policy: one schedule for every 10-minute slot, or one per slot.
+def _offsets_table(schedules):
+    """offsets[i, s, :counts[i, s]]: the ascending start offsets of the SSBs
+    aimed at sector s under schedules[i], in rows padded with inf to 14."""
+    slots = np.array([sched.slots for sched in schedules])
+    aimed = slots[:, None, :] == np.arange(N_SECTORS)[:, None]
+    # sorting moves the SSBs aimed at each sector to the front of its row, in order
+    return np.sort(np.where(aimed, SSB_OFFSETS_US, np.inf), axis=2), aimed.sum(axis=2)
 
-    Built once: offsets[i, s, :counts[i, s]] are the ascending start offsets
-    of the SSBs aimed at sector s under schedule i; the rest of a row is inf.
-    """
+
+class PerSlotPolicy:
+    """A sweep policy: one schedule for every 10-minute slot, or one per slot,
+    whose offsets and counts are the _offsets_table of its schedules."""
 
     def __init__(self, name: str, schedules):
         self.name = name
         self.schedules = tuple(schedules)
         if not self.schedules:
             raise InvalidConfigError("need at least one schedule")
-        slots = np.array([sched.slots for sched in self.schedules])
-        aimed = slots[:, None, :] == np.arange(N_SECTORS)[:, None]
-        self.counts = aimed.sum(axis=2)
-        empty = np.argwhere(self.counts == 0)
-        if empty.size:
+        self.offsets, self.counts = _offsets_table(self.schedules)
+        if (empty := np.argwhere(self.counts == 0)).size:
             i, s = empty[0]
             raise InvalidConfigError(
                 f"schedule {i} leaves sector {SECTOR_LABELS[s]} without any SSB")
-        # every schedule's SSBs start at the same offsets; sorting moves the
-        # ones aimed at each sector to the front of its row, in order
-        self.offsets = np.sort(
-            np.where(aimed, self.schedules[0].offsets_us(), np.inf), axis=2)
 
     @classmethod
     def from_ranking(cls, ranking: SectorRanking, name: str) -> "PerSlotPolicy":
@@ -247,27 +254,22 @@ def expected_delay_static(schedule: SweepSchedule, sector_shares,
                           burst_period_us: float = BURST_PERIOD_US) -> float:
     """Closed-form mean delay for a fixed repeating schedule, detect_prob 1.
 
-    The arrival phase is uniform over one burst period; within each sector
-    the wait to the next matching slot start integrates piecewise to
-    gap^2 / 2 terms. Shares weight the per-sector means.
+    With the arrival phase uniform over one burst period P, a sector's mean
+    wait is its sum of squared cyclic gaps between SSB starts over 2P. Shares
+    weight the sector means; a sector without share need not be swept.
     """
     shares = check_shares(sector_shares)
-
-    p = burst_period_us
-    total = 0.0
-    for s in range(N_SECTORS):
-        if shares[s] == 0:
-            continue
-        offs = schedule.sector_offsets_us(s)
-        if offs.size == 0:
-            raise InvalidConfigError(
-                f"sector {SECTOR_LABELS[s]} has positive share but no SSB slot")
-        first, last = offs[0], offs[-1]
-        acc = first ** 2 / 2.0
-        acc += float(np.sum(np.diff(offs) ** 2)) / 2.0
-        acc += ((p + first - last) ** 2 - first ** 2) / 2.0
-        total += shares[s] * acc / p
-    return total
+    _check_burst_period(burst_period_us)
+    (offsets,), (counts,) = _offsets_table([schedule])
+    if (unswept := np.flatnonzero((counts == 0) & (shares > 0))).size:
+        raise InvalidConfigError(
+            f"sector {SECTOR_LABELS[unswept[0]]} has positive share but no SSB slot")
+    offs = offsets[counts > 0]
+    # the last gap wraps to the next burst's first SSB, and the inf padding
+    # becomes that point, so its gaps are 0 and never inf - inf
+    wrap = burst_period_us + offs[:, :1]
+    gaps = np.diff(np.minimum(offs, wrap), axis=1, append=wrap)
+    return float(shares[counts > 0] @ (gaps ** 2).sum(axis=1)) / (2.0 * burst_period_us)
 
 
 @dataclass

@@ -92,6 +92,37 @@ def weights_as_lists(p):
     return {name: arr.tolist() for name, arr in p.arrays().items()}
 
 
+def sector_offsets_scalar(slots, sector, burst_us=250.0):
+    """Start offsets of the SSBs aimed at one sector, ascending.
+
+    slots[i] is the sector of SSB i, and the len(slots) SSBs of a burst
+    share its burst_us evenly, so SSB i starts at i * (burst_us / len(slots)).
+    """
+    step = burst_us / len(slots)
+    return [i * step for i, s in enumerate(slots) if s == sector]
+
+
+def expected_delay_scalar(slots, shares, period):
+    """Closed-form mean delay of a fixed schedule, one sector at a time.
+
+    Each sector with a positive share adds share * (its mean wait for a
+    uniform phase), integrated gap by gap: the lead-in to its first offset,
+    the gaps between offsets, and the wrap to the next burst's first offset.
+    """
+    total = 0.0
+    for s, share in enumerate(shares):
+        if share == 0:
+            continue
+        offs = sector_offsets_scalar(slots, s)
+        assert offs, f"sector {s} has positive share but no SSB slot"
+        first, last = offs[0], offs[-1]
+        acc = first ** 2 / 2.0
+        acc += sum((b - a) ** 2 for a, b in zip(offs, offs[1:])) / 2.0
+        acc += ((period + first - last) ** 2 - first ** 2) / 2.0
+        total += share * acc / period
+    return total
+
+
 def expected_wait_brute(offsets, period, n_grid=2_000_000):
     """Mean wait to the next offset for a uniform phase, by dense quadrature.
 

@@ -422,6 +422,13 @@ def test_simulate_rejects_a_zero_ue_rate(workdir, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[-1] == "error: no UE would arrive: --ue-rate is 0"
     assert not list(tmp_path.glob("sim_*.csv"))
+    proc = run_cli(["simulate", "--series", workdir / "series.csv",
+                    "--policies", "sequential", "--n-seeds", "2", "--sim-slots", "4",
+                    "--ue-rate", "nan"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        "error: mean rate must be finite and non-negative, got nan")
+    assert not list(tmp_path.glob("sim_*.csv"))
 
 
 @pytest.mark.parametrize("value", ["0", "1.5", "nan"])
@@ -453,6 +460,14 @@ def test_simulate_refuses_a_seed_without_ues(workdir, tmp_path, ue_rate, seed, f
     assert error.startswith(f"error: {failing} (run seed ") and "drew no UE" in error
     assert "--ue-rate" in error and "--sim-slots" in error
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == old
+    # the --out-dir the failed report write created is removed again
+    proc = run_cli(["simulate", "--series", workdir / "series.csv",
+                    "--policies", "sequential,oracle", "--n-seeds", "3", "--sim-slots", "1",
+                    "--ue-rate", ue_rate, "--seed", seed, "--out-dir", "fresh/sim"],
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "drew no UE" in proc.stderr.splitlines()[-1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
 
 
 def test_simulate_rejects_slots_without_counts(workdir, tmp_path):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from cdrsweep import (
-    NonFiniteInputError,
+    SSB_OFFSETS_US,
     SSB_SLOTS,
+    NonFiniteInputError,
+    PerSlotPolicy,
     SectorRanking,
     SweepSchedule,
     build_schedule,
@@ -119,12 +121,18 @@ def test_every_sector_gets_at_least_three_slots():
 
 
 def test_slot_timing_and_csv():
+    assert SSB_OFFSETS_US.shape == (SSB_SLOTS,)
+    assert SSB_OFFSETS_US[0] == 0.0
+    assert np.allclose(np.diff(SSB_OFFSETS_US), 250.0 / 14, rtol=0, atol=1e-12)
+    assert abs(SSB_OFFSETS_US[-1] - 13 * 250.0 / 14) < 1e-9
+    with pytest.raises(ValueError):
+        SSB_OFFSETS_US[0] = 1.0
+    policy = PerSlotPolicy.from_ranking(sequential_ranking(), "sequential")
+    assert policy.counts[0, 0] == 4
+    assert np.array_equal(policy.offsets[0, 0, :4], SSB_OFFSETS_US[[0, 4, 8, 12]])
+    assert np.all(np.isinf(policy.offsets[0, 0, 4:]))
+
     sched = build_schedule(sequential_ranking())
-    assert abs(sched.slot_duration_us - 250.0 / 14) < 1e-12
-    offs = sched.offsets_us()
-    assert offs[0] == 0.0
-    assert abs(offs[-1] - 13 * 250.0 / 14) < 1e-9
-    assert np.array_equal(sched.sector_offsets_us(0), offs[[0, 4, 8, 12]])
 
     lines = sched.csv_text().splitlines()
     assert lines[0] == "ssb_index,sector,start_offset_us"

@@ -23,7 +23,13 @@ from cdrsweep import (
     synthetic_series,
 )
 
-from _oracles import expected_wait_brute, report_csv_scalar, simulate_scalar
+from _oracles import (
+    expected_delay_scalar,
+    expected_wait_brute,
+    report_csv_scalar,
+    sector_offsets_scalar,
+    simulate_scalar,
+)
 
 SLOT_DUR = 250.0 / 14
 
@@ -86,7 +92,7 @@ def test_every_sampled_delay_matches_the_static_rule():
     assert report.n_ues > 100
     period = cfg.burst_period_us
     for t, s, d in zip(report.arrival_us, report.sectors, report.delay_us):
-        offs = sched.sector_offsets_us(int(s))
+        offs = np.array(sector_offsets_scalar(sched.slots, int(s)))
         phase = t % period
         later = offs[offs >= phase]
         expected = (later[0] - phase) if later.size else (period + offs[0] - phase)
@@ -211,18 +217,85 @@ def test_rates_from_counts_scales_to_target_mean():
     assert abs(rates.sum(axis=1).mean() - 2.0) < 1e-12
     assert rates[0, 1] == 0.0
     assert np.array_equal(rates_from_counts(np.zeros((3, 4)), 5.0), np.zeros((3, 4)))
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidConfigError, match=f"mean rate .* got {bad}"):
+            rates_from_counts(counts, bad)
 
 
 def test_expected_delay_closed_form_against_quadrature():
     rng = np.random.default_rng(21)
+    cases = []
     for _ in range(3):
-        sched = build_schedule(rank_sectors(rng.uniform(0, 10, 4), rng))
-        shares = rng.dirichlet(np.ones(4))
+        cases.append((build_schedule(rank_sectors(rng.uniform(0, 10, 4), rng)),
+                      rng.dirichlet(np.ones(4))))
+    # sector D has no share and no SSB
+    cases.append((SweepSchedule(slots=(0, 1, 2) * 4 + (0, 1)), [0.5, 0.25, 0.25, 0.0]))
+    for sched, shares in cases:
         closed = expected_delay_static(sched, shares)
         brute = sum(shares[s] * expected_wait_brute(
-                        sched.sector_offsets_us(s).tolist(), 20_000.0, n_grid=200_000)
-                    for s in range(4))
+                        sector_offsets_scalar(sched.slots, s), 20_000.0, n_grid=200_000)
+                    for s in range(4) if shares[s] > 0)
         assert abs(closed - brute) / brute < 1e-3
+    assert abs(closed - 9800.40) < 0.01  # the unswept-sector case
+
+
+def random_schedules(rng, n):
+    """n schedules, in turn: round-robin from a random ranking, 14 random
+    slots that sweep every sector, and 14 random slots over a random subset
+    of the sectors."""
+    scheds = []
+    for k in range(n):
+        if k % 3 == 0:
+            slots = build_schedule(rank_sectors(rng.uniform(0, 10, 4), rng)).slots
+        elif k % 3 == 1:
+            slots = rng.permutation(np.r_[0:4, rng.integers(0, 4, 10)]).tolist()
+        else:
+            slots = rng.choice(rng.permutation(4)[:rng.integers(1, 5)], 14).tolist()
+        scheds.append(SweepSchedule(slots=tuple(slots)))
+    return scheds
+
+
+def test_expected_delay_matches_the_per_sector_loop():
+    rng = np.random.default_rng(33)
+    unswept = 0  # sectors left without share or SSB
+    for sched in random_schedules(rng, 240):
+        shares = rng.dirichlet(np.ones(4))
+        shares[[s not in sched.slots for s in range(4)]] = 0.0
+        shares /= shares.sum()
+        unswept += int(np.sum(shares == 0))
+        period = float(rng.choice([20_000.0, 260.0, 5_000.0, 160_000.0]))
+        closed = expected_delay_static(sched, shares, period)
+        loop = expected_delay_scalar(sched.slots, shares.tolist(), period)
+        assert abs(closed - loop) <= 1e-12 * loop
+    assert unswept > 50
+
+
+def test_policy_tables_match_the_per_sector_offsets():
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        # the first is round-robin, so at least one schedule sweeps every sector
+        scheds = [sched for sched in random_schedules(rng, int(rng.integers(1, 7)))
+                  if len(set(sched.slots)) == 4]
+        policy = PerSlotPolicy("p", scheds)
+        rows = [[sector_offsets_scalar(sched.slots, s) for s in range(4)] for sched in scheds]
+        offsets = np.array([[row + [np.inf] * (14 - len(row)) for row in table]
+                            for table in rows])
+        counts = np.array([[len(row) for row in table] for table in rows])
+        assert policy.offsets.dtype == offsets.dtype and policy.counts.dtype == counts.dtype
+        assert policy.offsets.tobytes() == offsets.tobytes()
+        assert policy.counts.tobytes() == counts.tobytes()
+
+
+@pytest.mark.parametrize("period", [0.0, np.nan, np.inf, 100.0, -5.0])
+def test_a_burst_period_is_finite_and_longer_than_the_burst(period):
+    sched = build_schedule(sequential_ranking())
+    with pytest.raises(InvalidConfigError) as closed_form:
+        expected_delay_static(sched, [0.25] * 4, period)
+    with pytest.raises(InvalidConfigError) as config:
+        SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=1e6,
+                  burst_period_us=period)
+    assert str(closed_form.value) == str(config.value)
+    assert str(closed_form.value).endswith(f"got {period}")
 
 
 def test_expected_delay_hand_cases():
@@ -375,7 +448,7 @@ def scalar_run(cfg, policy):
     schedules = policy.schedules
     if len(schedules) == 1:
         schedules *= cfg.n_slots
-    table = [[sched.sector_offsets_us(s).tolist() for s in range(4)]
+    table = [[sector_offsets_scalar(sched.slots, s) for s in range(4)]
              for sched in schedules[:cfg.n_slots]]
     delays = simulate_scalar(arrivals.tolist(), sectors.tolist(), needed.tolist(),
                              table, cfg.burst_period_us, cfg.slot_us)
