@@ -67,12 +67,30 @@ class SimConfig:
             if not (np.isfinite(value) and value > 0):
                 raise InvalidConfigError(f"{name} must be finite and positive, got {value}")
         _check_burst_period(self.burst_period_us)
+        if self.detect_prob < (floor := _detect_prob_floor(self.burst_period_us)):
+            raise InvalidConfigError(
+                f"detect_prob must be at least {floor!r} (45 * burst_period_us / 2**62) "
+                f"to keep every delay below 2**62 us, got {self.detect_prob}")
         if 1 < r.shape[0] < self.n_slots:
             raise InvalidConfigError(f"{r.shape[0]} rate rows cannot cover {self.n_slots} slots")
 
     @property
     def n_slots(self) -> int:
         return int(np.ceil(self.horizon_us / self.slot_us))
+
+
+def _detect_prob_floor(burst_period_us: float) -> float:
+    """The least detect_prob whose delays stay below 2**62 us.
+
+    numpy draws a geometric count as ceil(E / -log1p(-p)), with E a standard
+    exponential that its sampler keeps below 44.5 (53 ln 2 plus the start of
+    the ziggurat's tail, 7.7), so a UE waits for fewer than 45 / p
+    opportunities. Every burst holds one for each sector, so its delay is
+    under (45 / p + 2) bursts, which this floor keeps below 2**62 us plus two
+    bursts. Far lower, the draw saturates at 2**63 - 1 and the index
+    arithmetic wraps into negative delays (at 1e-300, about -6e22 us).
+    """
+    return 45.0 * burst_period_us / 2.0 ** 62
 
 
 def _check_burst_period(period: float) -> None:
@@ -91,6 +109,10 @@ def rates_from_counts(counts, mean_total_rate_per_s: float) -> np.ndarray:
     if not (np.isfinite(mean_total_rate_per_s) and mean_total_rate_per_s >= 0):
         raise InvalidConfigError(
             f"mean rate must be finite and non-negative, got {mean_total_rate_per_s}")
+    if (bad := np.argwhere(~(np.isfinite(counts) & (counts >= 0)))).size:
+        cell = tuple(bad[0].tolist())
+        raise InvalidConfigError(f"counts{list(cell)} must be finite and non-negative, "
+                                 f"got {counts[cell]}")
     mean_total = counts.sum(axis=1).mean()
     if mean_total == 0:
         return np.zeros_like(counts)
@@ -157,20 +179,20 @@ def _draw_arrivals(cfg: SimConfig, rng: np.random.Generator):
     if rates.shape[0] == 1:
         rates = np.repeat(rates, cfg.n_slots, axis=0)
 
-    times, sectors = [], []
+    times, counts = [], []
     for k in range(cfg.n_slots):
         start = k * cfg.slot_us
         dur_us = min(cfg.horizon_us, start + cfg.slot_us) - start
         for s in range(N_SECTORS):
-            n = rng.poisson(rates[k, s] * dur_us / 1e6)
+            counts.append(n := rng.poisson(rates[k, s] * dur_us / 1e6))
             if n:
                 times.append(rng.uniform(start, start + dur_us, size=n))
-                sectors.append(np.full(n, s, dtype=np.int64))
 
     if not times:
         return np.empty(0), np.empty(0, dtype=np.int64)
     times = np.concatenate(times)
-    sectors = np.concatenate(sectors)
+    # counts runs over (slot, sector) pairs in the order times were drawn
+    sectors = np.repeat(np.tile(np.arange(N_SECTORS), cfg.n_slots), counts)
     order = np.argsort(times, kind="stable")
     return times[order], sectors[order]
 
@@ -348,24 +370,116 @@ def compare(reports) -> Comparison:
     return Comparison(baseline=policies[0], rows=rows)
 
 
+def _words(*texts: bytes) -> np.ndarray:
+    """Four-byte texts as uint32 words, in memory order."""
+    return np.frombuffer(b"".join(texts), dtype=np.uint32).copy()
+
+
+def _digit_tables():
+    """report_csv's digit words: every 4-digit group, as is and with its
+    leading zeros as NUL (for the leading group of a number), then the 1000
+    fractions ".000" to ".999". Built from np.indices in uint8, so that
+    importing the module stays cheap in time and in memory."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    lead = digits.copy()
+    for place in range(4):   # a group below 10**(3 - place) has a leading zero there
+        lead[:10 ** (3 - place), place] = 0
+    fracs = digits[:1000].copy()
+    fracs[:, 0] = ord(".")
+    return (np.concatenate([digits, lead]).view(np.uint32).ravel(),
+            fracs.view(np.uint32).ravel())
+
+
+# report_csv writes each row as 4-byte words, pads them with NUL bytes and
+# deletes the NULs at the end. _GROUP_WORDS[g] is the word of g's four digits,
+# _GROUP_WORDS[10_000 + g] the same with leading zeros as NUL.
+_GROUP_WORDS, _FRAC_WORDS = _digit_tables()
+_ZERO_WORD = _words(b"\0\0\0" + b"0")[0]
+# [2 * sector + sign bit of arrival_us]: ",A,", then "-" or NUL
+_SECTOR_WORDS = _words(*(f",{label},".encode() + sign
+                         for label in SECTOR_LABELS for sign in (b"\0", b"-")))
+_COMMA_WORDS = _words(b",\0\0\0", b",\0\0-")   # [sign bit of delay_us]
+_NEWLINE_WORD = _words(b"\n\0\0\0")[0]
+
+
+def _thousandths(a: np.ndarray):
+    """round(1000 * a) for float64 a in [0, 2**63), split into whole units and
+    thousandths (int64), rounded as '%.3f' rounds: exactly, ties to even."""
+    m, e = np.frexp(a)
+    mant = np.ldexp(m, 53).astype(np.int64)     # a == mant * 2**(e - 53)
+    integral = e > 52                           # a >= 2**52 has no fraction
+    # 1000 * mant < 2**63; below 2**-11, 1000 * a < 1/2 rounds to 0
+    num = np.where(integral | (e < -10), 0, mant) * 1000
+    shift = np.clip(53 - e, 1, 63).astype(np.int64)
+    q = num >> shift
+    rem = num - (q << shift)
+    half = 1 << (shift - 1)
+    q += (rem > half) | ((rem == half) & ((q & 1) == 1))
+    whole = q // 1000
+    return np.where(integral, a.astype(np.int64), whole), q - 1000 * whole
+
+
+def _n_words(values: np.ndarray) -> int:
+    """Words that the digits of the largest of values fill."""
+    return -(-len(str(int(values.max()))) // 4)
+
+
+def _put_digits(values: np.ndarray, out: np.ndarray) -> None:
+    """Write non-negative int64 values into out's columns as 4-digit words,
+    the units last, with leading zeros as NUL."""
+    for k in range(out.shape[1] - 1, -1, -1):
+        high = values // 10_000
+        out[:, k] = _GROUP_WORDS[values - 10_000 * high + 10_000 * (high == 0)]
+        values = high
+    units = out[:, -1]
+    units[units == 0] = _ZERO_WORD   # the value 0 reads "0"
+
+
+def _run_rows(rep: SimReport) -> bytes:
+    """One run's report rows, UTF-8 encoded."""
+    n = rep.n_ues
+    if not n:
+        return b""
+    fields = []
+    for name in ("arrival_us", "delay_us"):
+        x = np.asarray(getattr(rep, name), dtype=np.float64)
+        magnitude = np.abs(x)
+        if not np.all(fits := magnitude < 2.0 ** 63):
+            row = int(np.argmin(fits))
+            raise InvalidConfigError(
+                f"cannot render policy {rep.policy!r} seed {rep.seed} row {row}: "
+                f"{name} {float(x[row])} is not finite and below 2**63 in magnitude")
+        fields.append((np.signbit(x), *_thousandths(magnitude)))
+    (neg_a, whole_a, frac_a), (neg_d, whole_d, frac_d) = fields
+    ue = np.arange(n)
+    # words: ue_id | ",A,-" | arrival | ".ddd" | ",-" | delay | ".ddd" | "\n"
+    u, a, d = _n_words(ue), _n_words(whole_a), _n_words(whole_d)
+    body = np.empty((n, u + a + d + 5), np.uint32)
+    _put_digits(ue, body[:, :u])
+    body[:, u] = _SECTOR_WORDS[2 * rep.sectors + neg_a]
+    _put_digits(whole_a, body[:, u + 1:u + 1 + a])
+    body[:, u + 1 + a] = _FRAC_WORDS[frac_a]
+    body[:, u + 2 + a] = _COMMA_WORDS[neg_d.view(np.uint8)]
+    _put_digits(whole_d, body[:, u + 3 + a:-2])
+    body[:, -2] = _FRAC_WORDS[frac_d]
+    body[:, -1] = _NEWLINE_WORD
+    rows = body.tobytes().translate(None, b"\0")
+    # the prefix goes in after the NULs are gone: a policy name may hold one
+    prefix = f"{rep.policy},{rep.seed},".encode("utf-8", "surrogatepass")
+    return prefix + rows[:-1].replace(b"\n", b"\n" + prefix) + b"\n"
+
+
 def report_csv(reports) -> str:
     """Per-UE rows of the given runs, in the columns of REPORT_HEADER.
 
     Only rows, no header: a report file is REPORT_HEADER followed by the
     rows of its runs, so it can be written a few runs at a time and never
-    held whole (the CLI writes one seed's runs at a time).
+    held whole (the CLI writes one seed's runs at a time). Each run is
+    rendered column by column in numpy, with the digits '%.3f' would give;
+    an arrival or delay that is not finite, or 2**63 or more in magnitude,
+    raises InvalidConfigError naming its run and row.
     """
-    chunks = []
-    for rep in reports:
-        # one %-format per run renders all its rows without a string per row
-        row = f"{rep.policy},{rep.seed},".replace("%", "%%") + "%d,%s,%.3f,%.3f\n"
-        fields = [None] * (4 * rep.n_ues)
-        fields[0::4] = range(rep.n_ues)
-        fields[1::4] = [SECTOR_LABELS[s] for s in rep.sectors.tolist()]
-        fields[2::4] = rep.arrival_us.tolist()
-        fields[3::4] = rep.delay_us.tolist()
-        chunks.append((row * rep.n_ues) % tuple(fields))
-    return "".join(chunks)
+    return b"".join([_run_rows(rep) for rep in reports]).decode("utf-8", "surrogatepass")
 
 
 def summary_csv(reports) -> str:

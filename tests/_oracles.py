@@ -7,6 +7,9 @@ The exceptions are parse_raw_scalar and aggregate_scalar: the earlier
 per-record ingest, kept as it was (one RawCdrRecord per counted line, one
 accumulator update per record), which returns the package's ParseResult
 and SectorSeries so the columnar path can be compared field by field.
+draw_arrivals_scalar is the earlier arrival draw, kept as it was (one
+np.full per slot and sector): it must make the same numpy generator calls
+in the same order as the code it pins.
 """
 
 import math
@@ -142,6 +145,32 @@ def expected_wait_brute(offsets, period, n_grid=2_000_000):
             nxt = period + offs[0]
         total += nxt - phase
     return total / n_grid
+
+
+def draw_arrivals_scalar(rates, horizon_us, slot_us, rng):
+    """Poisson arrivals per (slot, sector), then one stream sorted by time.
+
+    rates holds one row of per-sector rates per slot, or a single row for
+    every slot; rng is the arrival substream. Each (slot, sector) pair draws
+    its count, then, if any, its times, and labels them with one np.full.
+    """
+    n_slots = math.ceil(horizon_us / slot_us)
+    times, sectors = [], []
+    for k in range(n_slots):
+        row = rates[0] if len(rates) == 1 else rates[k]
+        start = k * slot_us
+        dur_us = min(horizon_us, start + slot_us) - start
+        for s in range(len(row)):
+            n = rng.poisson(row[s] * dur_us / 1e6)
+            if n:
+                times.append(rng.uniform(start, start + dur_us, size=n))
+                sectors.append(np.full(n, s, dtype=np.int64))
+    if not times:
+        return np.empty(0), np.empty(0, dtype=np.int64)
+    times = np.concatenate(times)
+    sectors = np.concatenate(sectors)
+    order = np.argsort(times, kind="stable")
+    return times[order], sectors[order]
 
 
 def simulate_scalar(arrivals, sectors, needed, offsets_table, burst_period_us, slot_us):

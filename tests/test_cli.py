@@ -443,6 +443,23 @@ def test_simulate_rejects_a_detect_prob_outside_zero_one(workdir, tmp_path, valu
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_takes_the_detect_prob_floor_and_refuses_below_it(workdir, tmp_path):
+    floor = 45.0 * 20_000.0 / 2.0 ** 62   # at the default burst period
+    args = ["simulate", "--series", workdir / "series.csv", "--policies", "sequential,oracle",
+            "--n-seeds", "2", "--sim-slots", "4", "--detect-prob"]
+    proc = run_cli(args + [repr(float(np.nextafter(floor, 0.0))), "--out-dir", "below"],
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].startswith(
+        f"error: detect_prob must be at least {floor!r}")
+    assert not list(tmp_path.iterdir())
+    proc = run_cli(args + [repr(floor)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    delays = [float(row.split(",")[5])
+              for row in (tmp_path / "sim_report.csv").read_text().splitlines()[1:]]
+    assert delays and all(0 < d < 2.0 ** 62 + 40_000.0 for d in delays)
+
+
 # at 0.002 UEs/s over one slot, CLI seed 1 gives UEs to its first two run
 # seeds and none to the third, after two seeds' rows went to the temp file
 @pytest.mark.parametrize("ue_rate, seed, failing", [("1e-6", "0", "seed 1 of 3"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from cdrsweep import (
 )
 
 from _oracles import (
+    draw_arrivals_scalar,
     expected_delay_scalar,
     expected_wait_brute,
     report_csv_scalar,
@@ -47,9 +50,10 @@ def d_first_policy():
 
 
 def planted_arrivals(monkeypatch, times, sectors):
-    def fake(cfg, rng):
-        return np.asarray(times, dtype=np.float64), np.asarray(sectors, dtype=np.int64)
-    monkeypatch.setattr(sim_mod, "_draw_arrivals", fake)
+    """Make simulate see these arrivals; returns them for scalar_run."""
+    planted = np.asarray(times, dtype=np.float64), np.asarray(sectors, dtype=np.int64)
+    monkeypatch.setattr(sim_mod, "_draw_arrivals", lambda cfg, rng: planted)
+    return planted
 
 
 def test_ue_at_burst_start_with_matching_first_slot(monkeypatch):
@@ -220,6 +224,38 @@ def test_rates_from_counts_scales_to_target_mean():
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(InvalidConfigError, match=f"mean rate .* got {bad}"):
             rates_from_counts(counts, bad)
+
+
+@pytest.mark.parametrize("counts, cell, value", [([[np.nan, 1, 1, 1]], "[0, 0]", "nan"),
+                                                 ([[-4, 1, 1, 1]], "[0, 0]", "-4.0"),
+                                                 ([[-3, 1, 1, 1]], "[0, 0]", "-3.0"),
+                                                 ([[1, 1, 1, 1], [1, 1, np.inf, 1]],
+                                                  "[1, 2]", "inf")])
+def test_rates_from_counts_names_the_first_bad_count(counts, cell, value):
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            f"counts{cell} must be finite and non-negative, got {value}")):
+        rates_from_counts(counts, 1.0)
+
+
+@pytest.mark.parametrize("period", [20_000.0, 1e9])
+def test_detect_prob_has_a_floor_that_keeps_delays_renderable(period):
+    floor = sim_mod._detect_prob_floor(period)
+    assert floor == 45.0 * period / 2.0 ** 62
+    rates = np.full((1, 4), 2.0)
+    cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=floor, seed=1,
+                    burst_period_us=period)
+    report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
+    assert report.n_ues > 100
+    # delays far beyond any slot, yet positive and below 2**62 us plus two bursts
+    assert np.all(report.delay_us > 0) and np.all(report.delay_us < 2.0 ** 62 + 2 * period)
+    assert report_csv([report]).count("\n") == report.n_ues
+    with pytest.raises(InvalidConfigError, match=r"detect_prob must be at least .* got 1e-300"):
+        SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=1e-300,
+                  burst_period_us=period)
+    below = float(np.nextafter(floor, 0.0))
+    with pytest.raises(InvalidConfigError, match=f"detect_prob must be at least {floor!r}"):
+        SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=below,
+                  burst_period_us=period)
 
 
 def test_expected_delay_closed_form_against_quadrature():
@@ -437,11 +473,35 @@ def test_report_csv_layout():
     assert summary[1].split(",")[4] == str(report.n_ues)
 
 
-def scalar_run(cfg, policy):
-    """simulate() through the scalar oracle: the same arrival and detection
-    streams, then one UE and one burst at a time."""
+@pytest.mark.parametrize("rates, n_slots, slot_us", [
+    (np.full((1, 4), 3.0), 5, 2e6),                            # one row for every slot
+    (np.random.default_rng(2).uniform(0, 4, (6, 4)), 5.4, 2e6),  # per-slot, partial last
+    ([[0.0, 3.0, 0.0, 0.5]], 3.25, 2e6),                       # zero-rate sectors
+    ([[0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]], 1.7, 3e6),  # a slot without UEs
+    (np.zeros((1, 4)), 2, 2e6),                                # no UE at all
+    (np.full((1, 4), 0.02), 36, sim_mod.SLOT_US),              # the CLI's slot length
+])
+def test_draw_arrivals_matches_the_scalar_oracle_bit_for_bit(rates, n_slots, slot_us):
+    cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=n_slots * slot_us,
+                    slot_us=slot_us)
+    for seed in range(3):
+        got = sim_mod._draw_arrivals(cfg, np.random.default_rng(seed))
+        want = draw_arrivals_scalar(cfg.arrival_rates_per_s.tolist(), cfg.horizon_us,
+                                    cfg.slot_us, np.random.default_rng(seed))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def scalar_run(cfg, policy, planted=None):
+    """simulate() through the scalar oracles: the same arrival and detection
+    streams (or the planted arrivals), then one UE and one burst at a time."""
     arrival_seq, detect_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    arrivals, sectors = sim_mod._draw_arrivals(cfg, np.random.default_rng(arrival_seq))
+    if planted is None:
+        arrivals, sectors = draw_arrivals_scalar(
+            cfg.arrival_rates_per_s.tolist(), cfg.horizon_us, cfg.slot_us,
+            np.random.default_rng(arrival_seq))
+    else:
+        arrivals, sectors = planted
     needed = np.random.default_rng(detect_seq).geometric(cfg.detect_prob,
                                                          size=arrivals.shape[0])
     # the plain reference: each slot's schedule, one sector at a time
@@ -455,9 +515,9 @@ def scalar_run(cfg, policy):
     return arrivals, sectors, np.array(delays)
 
 
-def assert_matches_scalar(cfg, policy):
+def assert_matches_scalar(cfg, policy, planted=None):
     report = simulate(cfg, policy)
-    arrivals, sectors, delays = scalar_run(cfg, policy)
+    arrivals, sectors, delays = scalar_run(cfg, policy, planted)
     assert np.array_equal(report.arrival_us, arrivals)
     assert np.array_equal(report.sectors, sectors)
     assert report.delay_us.dtype == delays.dtype
@@ -525,10 +585,10 @@ def test_simulate_matches_scalar_oracle_on_planted_edges(monkeypatch, bursts_per
     times += [slot_us, 2 * slot_us, slot_us - 1.0]
     times = np.repeat(times, 4)
     sectors = np.tile(np.arange(4), times.size // 4)
-    planted_arrivals(monkeypatch, times, sectors)
+    planted = planted_arrivals(monkeypatch, times, sectors)
     cfg = SimConfig(arrival_rates_per_s=np.zeros((3, 4)), horizon_us=3 * slot_us,
                     detect_prob=detect_prob, seed=3, slot_us=slot_us)
-    report = assert_matches_scalar(cfg, policy)
+    report = assert_matches_scalar(cfg, policy, planted)
     assert slots_crossed(cfg, report) > 0
 
 
@@ -545,25 +605,31 @@ def test_simulate_matches_scalar_oracle_where_a_slot_start_rounds(monkeypatch, d
     times = [b * 20_000.0 + ph for b in range(184, 189)
              for ph in (0.0, 5 * SLOT_DUR + 1.0, 13 * SLOT_DUR + 1.0)]
     times = np.repeat(times, 4)
-    planted_arrivals(monkeypatch, times, np.tile(np.arange(4), times.size // 4))
+    planted = planted_arrivals(monkeypatch, times, np.tile(np.arange(4), times.size // 4))
     cfg = SimConfig(arrival_rates_per_s=np.zeros((n_slots, 4)),
                     horizon_us=n_slots * slot_us, detect_prob=detect_prob, seed=8,
                     slot_us=slot_us)
-    assert_matches_scalar(cfg, policy)
+    assert_matches_scalar(cfg, policy, planted)
 
 
 def test_report_csv_matches_scalar_renderer_byte_for_byte():
-    # .0005 rounding edges (exact and inexact in binary), zero, and > 1e10
+    # .0005 rounding edges (exact and inexact in binary), zero, and > 1e10;
+    # negatives, -0.0, a subnormal, the last half below 2**52, whole numbers
+    # from 2**53 up to the largest double below 2**63
     arrivals = np.array([0.0, 0.0005, 1.0005, 2.0625, 0.0015, 2.675, 1e10 + 0.0005,
-                         123456789012.3455, 5e15 + 0.5, 999.9995])
+                         123456789012.3455, 5e15 + 0.5, 999.9995, -0.0, -2.0625,
+                         5e-324, 2.0 ** 52 - 0.5, 2.0 ** 53, 2.0 ** 63 - 1024])
     delays = np.array([0.0, 1.0005, 0.0625, 0.0005, 1e11 + 0.0625, 3.0005, 12.5,
-                       0.125, 19_999.9995, 1e12])
-    sectors = np.array([0, 1, 2, 3, 3, 2, 1, 0, 0, 3])
+                       0.125, 19_999.9995, 1e12, -0.0004, -(2.0 ** 63 - 1024),
+                       -5e-324, -(2.0 ** 52 - 0.5), -0.0, 7.0])
+    sectors = np.array([0, 1, 2, 3, 3, 2, 1, 0, 0, 3, 1, 2, 0, 3, 2, 1])
     reports = [SimReport(policy=name, seed=seed, sectors=sectors[::step],
                          arrival_us=arrivals[::step], delay_us=delays[::step])
                for name, seed, step in (("sequential", 0, 1),
                                         ("predicted", 2**63 + 11, 2),
-                                        ("100%d", 7, 3))]
+                                        ("100%d", 7, 3),
+                                        ("s\u00e9quence \u2192", 3, 1),
+                                        ("nul\0name\0", 4, 5))]
     reports.append(SimReport(policy="empty", seed=1, sectors=np.empty(0, dtype=np.int64),
                              arrival_us=np.empty(0), delay_us=np.empty(0)))
     runs = [(r.policy, r.seed, r.sectors.tolist(), r.arrival_us.tolist(),
@@ -576,3 +642,34 @@ def test_report_csv_matches_scalar_renderer_byte_for_byte():
                     PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))]
     assert REPORT_HEADER + report_csv(sim) == report_csv_scalar(
         [(r.policy, r.seed, r.sectors, r.arrival_us, r.delay_us) for r in sim])
+
+
+def test_report_csv_matches_percent_format_on_fuzzed_values():
+    rng = np.random.default_rng(1241)
+    n = 60_000
+    values = np.concatenate([
+        10.0 ** rng.uniform(-8, 18, n),                  # every magnitude in range
+        rng.integers(0, 2**44, n // 2) / 2000.0,         # halves of a thousandth,
+        (2 * rng.integers(0, 2**44, n // 4) + 1) / 16,   # and the exact ones in binary
+        rng.uniform(2.0 ** 52, 2.0 ** 63, n // 20),      # whole numbers only
+    ])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    values = values[rng.permutation(values.size)]
+    assert values.size >= 100_000
+    rows = report_csv([SimReport(policy="p", seed=0, sectors=np.zeros(values.size, np.int64),
+                                 arrival_us=values, delay_us=values[::-1])]).splitlines()
+    assert [row.split(",")[4] for row in rows] == ["%.3f" % v for v in values.tolist()]
+    assert [row.split(",")[5] for row in rows] == ["%.3f" % v for v in values[::-1].tolist()]
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 2.0 ** 63, -(2.0 ** 63)])
+@pytest.mark.parametrize("column", ["arrival_us", "delay_us"])
+def test_report_csv_refuses_a_value_it_cannot_render(value, column):
+    fields = {"arrival_us": np.array([1.0, 2.0, 3.0, 4.0]),
+              "delay_us": np.array([5.0, 6.0, 7.0, 8.0])}
+    fields[column][2] = value
+    fields[column][3] = value
+    report = SimReport(policy="predicted", seed=17, sectors=np.arange(4), **fields)
+    with pytest.raises(InvalidConfigError,
+                       match=re.escape(f"policy 'predicted' seed 17 row 2: {column} {value} ")):
+        report_csv([report])
