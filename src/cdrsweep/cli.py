@@ -286,10 +286,13 @@ def _predict_vector(res: dict):
                                  at_slot, at_slot)[0], at_slot
 
 
-def _cmd_predict(res: dict) -> int:
-    pred, at_slot = _predict_vector(res)
+def _print_prediction(pred, at_slot: int) -> None:
     values = " ".join(f"{lab}={v:.6f}" for lab, v in zip(SECTOR_LABELS, pred))
     print(f"slot={at_slot} {values}")
+
+
+def _cmd_predict(res: dict) -> int:
+    _print_prediction(*_predict_vector(res))
     return EXIT_OK
 
 
@@ -299,8 +302,7 @@ def _cmd_schedule(res: dict) -> int:
     sched = scheduler.build_schedule(ranking)
     _write_atomic(_out_path(res, res["out"]), sched.csv_text())
 
-    values = " ".join(f"{lab}={v:.6f}" for lab, v in zip(SECTOR_LABELS, pred))
-    print(f"slot={at_slot} {values}")
+    _print_prediction(pred, at_slot)
     print(f"order={','.join(ranking.labels)}")
     return EXIT_OK
 

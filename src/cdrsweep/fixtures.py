@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import SLOT_MS, SectorMap, SectorSeries, check_shares
+from .ingest import MAX_SLOTS, SLOT_MS, SectorMap, SectorSeries, check_shares
 
 DEFAULT_SQUARES = (5060, 5061, 5160, 5161)
 
@@ -58,9 +58,10 @@ def synthetic_series(n_slots: int = 2016, seed: int = 2013,
     Without shares each sector gets its own base level, amplitude and phase.
     With shares the total intensity follows one daily curve and is split in
     the given proportions, so the busiest sector stays busiest all day.
+    A series spans 1 to MAX_SLOTS slots, checked before anything is allocated.
     """
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be positive, got {n_slots}")
+    if not 1 <= n_slots <= MAX_SLOTS:
+        raise ValueError(f"n_slots must be between 1 and {MAX_SLOTS}, got {n_slots}")
     rng = np.random.default_rng(seed)
     t = np.arange(n_slots)
     angle = 2.0 * np.pi * t / SLOTS_PER_DAY

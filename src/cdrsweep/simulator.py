@@ -1,9 +1,12 @@
 """Monte-Carlo measurement of UE initial-access delay under a sweep policy.
 
 UEs arrive per-sector as Poisson processes whose rates may change every
-10-minute slot. A UE detects the cell at the start of the first SSB aimed at
-its sector at or after its arrival (one offsets table, _offsets_table, holds
-them, and expected_delay_static reads it too); each such opportunity succeeds
+10-minute slot. The simulator runs on one integer clock: SSB bursts start
+every BURST_PERIOD_US (20 ms, the periodicity a UE in initial cell search
+assumes), and a slot is exactly BURSTS_PER_SLOT of them. A UE detects the
+cell at the start of the first SSB aimed at its sector at or after its
+arrival (one offsets table, _offsets_table, holds them, and
+expected_delay_static reads it too); each such opportunity succeeds
 independently with detect_prob. The whole run is driven by one 64-bit seed
 split into independent substreams for arrivals, detection and schedule
 tie-breaking, so two policies simulated under the same seed face identical
@@ -17,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, MismatchedConfigsError
-from .ingest import SECTOR_LABELS, check_shares
+from .ingest import MAX_SLOTS, SECTOR_LABELS, SLOT_MS, check_shares
 from .scheduler import (
-    BURST_DURATION_US,
     BURST_PERIOD_US,
     SSB_OFFSETS_US,
     SectorRanking,
@@ -28,9 +30,20 @@ from .scheduler import (
     rank_sectors,
 )
 
-SLOT_US = 600_000_000.0  # one 10-minute aggregation slot, in microseconds
+SLOT_US = SLOT_MS * 1000.0  # one 10-minute aggregation slot, in microseconds
+BURSTS_PER_SLOT = 30_000    # SLOT_US / BURST_PERIOD_US
 N_SECTORS = len(SECTOR_LABELS)
 REPORT_HEADER = "policy,seed,ue_id,sector,arrival_us,delay_us\n"  # see report_csv
+
+# The least detect_prob whose delays stay below 2**62 us (about 1.95e-13).
+# numpy draws a geometric count as ceil(E / -log1p(-p)), with E a standard
+# exponential that its sampler keeps below 44.5 (53 ln 2 plus the start of the
+# ziggurat's tail, 7.7), so a UE waits for fewer than 45 / p opportunities.
+# Every burst holds one for each sector, so its delay is under (45 / p + 2)
+# bursts, which this floor keeps below 2**62 us plus two bursts. Far lower,
+# the draw saturates at 2**63 - 1 and the index arithmetic wraps into
+# negative delays (at 1e-300, about -6e22 us).
+DETECT_PROB_FLOOR = 45.0 * BURST_PERIOD_US / 2.0 ** 62
 
 
 @dataclass
@@ -46,8 +59,6 @@ class SimConfig:
     horizon_us: float
     detect_prob: float = 1.0
     seed: int = 0
-    burst_period_us: float = BURST_PERIOD_US
-    slot_us: float = SLOT_US
 
     def __post_init__(self):
         self.arrival_rates_per_s = np.atleast_2d(
@@ -62,41 +73,21 @@ class SimConfig:
             raise InvalidConfigError("rates must be finite and non-negative")
         if not 0.0 < self.detect_prob <= 1.0:
             raise InvalidConfigError(f"detect_prob must be in (0, 1], got {self.detect_prob}")
-        for name in ("horizon_us", "slot_us"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise InvalidConfigError(f"{name} must be finite and positive, got {value}")
-        _check_burst_period(self.burst_period_us)
-        if self.detect_prob < (floor := _detect_prob_floor(self.burst_period_us)):
+        # at most MAX_SLOTS slots keeps every arrival far below 2**53 us
+        if not 0.0 < self.horizon_us <= MAX_SLOTS * SLOT_US:
             raise InvalidConfigError(
-                f"detect_prob must be at least {floor!r} (45 * burst_period_us / 2**62) "
-                f"to keep every delay below 2**62 us, got {self.detect_prob}")
+                f"horizon_us must be positive and at most {MAX_SLOTS} slots "
+                f"({MAX_SLOTS * SLOT_US} us), got {self.horizon_us}")
+        if self.detect_prob < DETECT_PROB_FLOOR:
+            raise InvalidConfigError(
+                f"detect_prob must be at least {DETECT_PROB_FLOOR!r} (45 * BURST_PERIOD_US "
+                f"/ 2**62) to keep every delay below 2**62 us, got {self.detect_prob}")
         if 1 < r.shape[0] < self.n_slots:
             raise InvalidConfigError(f"{r.shape[0]} rate rows cannot cover {self.n_slots} slots")
 
     @property
     def n_slots(self) -> int:
-        return int(np.ceil(self.horizon_us / self.slot_us))
-
-
-def _detect_prob_floor(burst_period_us: float) -> float:
-    """The least detect_prob whose delays stay below 2**62 us.
-
-    numpy draws a geometric count as ceil(E / -log1p(-p)), with E a standard
-    exponential that its sampler keeps below 44.5 (53 ln 2 plus the start of
-    the ziggurat's tail, 7.7), so a UE waits for fewer than 45 / p
-    opportunities. Every burst holds one for each sector, so its delay is
-    under (45 / p + 2) bursts, which this floor keeps below 2**62 us plus two
-    bursts. Far lower, the draw saturates at 2**63 - 1 and the index
-    arithmetic wraps into negative delays (at 1e-300, about -6e22 us).
-    """
-    return 45.0 * burst_period_us / 2.0 ** 62
-
-
-def _check_burst_period(period: float) -> None:
-    if not (np.isfinite(period) and period > BURST_DURATION_US):
-        raise InvalidConfigError(
-            f"burst_period_us must be finite and exceed {BURST_DURATION_US}, got {period}")
+        return int(np.ceil(self.horizon_us / SLOT_US))
 
 
 def rates_from_counts(counts, mean_total_rate_per_s: float) -> np.ndarray:
@@ -181,8 +172,8 @@ def _draw_arrivals(cfg: SimConfig, rng: np.random.Generator):
 
     times, counts = [], []
     for k in range(cfg.n_slots):
-        start = k * cfg.slot_us
-        dur_us = min(cfg.horizon_us, start + cfg.slot_us) - start
+        start = k * SLOT_US
+        dur_us = min(cfg.horizon_us, start + SLOT_US) - start
         for s in range(N_SECTORS):
             counts.append(n := rng.poisson(rates[k, s] * dur_us / 1e6))
             if n:
@@ -197,29 +188,14 @@ def _draw_arrivals(cfg: SimConfig, rng: np.random.Generator):
     return times[order], sectors[order]
 
 
-def _slot_ends(n_slots: int, bursts_per_slot: float) -> np.ndarray:
-    """ends[k]: the first burst b whose slot int(b / bursts_per_slot) is past k.
-
-    Found with the same float division the slot lookup uses, so the two never
-    disagree on which slot a burst belongs to. The last slot never ends.
-    """
-    k = np.arange(1, n_slots, dtype=np.float64)
-    first = np.ceil(k * bursts_per_slot).astype(np.int64)
-    # k * bursts_per_slot is rounded: step onto the exact boundary
-    while np.any(late := (first - 1) / bursts_per_slot >= k):
-        first[late] -= 1
-    while np.any(early := first / bursts_per_slot < k):
-        first[early] += 1
-    return np.append(first, np.iinfo(np.int64).max)
-
-
 def simulate(cfg: SimConfig, policy: PerSlotPolicy) -> SimReport:
     """Run one (config, policy) pair; deterministic given cfg.seed.
 
     The substream split keeps arrivals and detection draws identical across
-    policies under the same seed. Bursts start every burst_period_us from
-    time 0; a UE arriving near the horizon is still followed until detection
-    under the final slot's schedule. Slot k uses the policy's schedule k; a
+    policies under the same seed. Bursts start every BURST_PERIOD_US from
+    time 0, and burst b belongs to slot b // BURSTS_PER_SLOT; a UE arriving
+    near the horizon is still followed until detection under the final
+    slot's schedule. Slot k uses the policy's schedule k; a
     single schedule serves every slot, and any other policy needs at least
     cfg.n_slots schedules.
 
@@ -244,13 +220,14 @@ def simulate(cfg: SimConfig, policy: PerSlotPolicy) -> SimReport:
     # one geometric draw per UE: which matching opportunity finally succeeds
     needed = np.random.default_rng(detect_seq).geometric(cfg.detect_prob, size=n)
 
-    period = cfg.burst_period_us
-    bursts_per_slot = cfg.slot_us / period
-    ends = _slot_ends(cfg.n_slots, bursts_per_slot)
+    # ends[k]: the first burst of slot k + 1; the last slot never ends
+    ends = np.arange(1, cfg.n_slots + 1) * BURSTS_PER_SLOT
+    ends[-1] = np.iinfo(np.int64).max
 
-    burst = (arrivals // period).astype(np.int64)
-    slot = np.minimum((burst / bursts_per_slot).astype(np.int64), last_slot)
-    phase = arrivals - burst * period
+    burst = (arrivals // BURST_PERIOD_US).astype(np.int64)
+    # an arrival drawn onto the horizon itself still belongs to the last slot
+    slot = np.minimum(burst // BURSTS_PER_SLOT, last_slot)
+    phase = arrivals - burst * BURST_PERIOD_US
     # SSBs of the arrival burst that start before the arrival count as used
     j = (offsets[slot, sectors] < phase[:, None]).sum(axis=1) + needed - 1
     n_sector = counts[slot, sectors]
@@ -259,29 +236,27 @@ def simulate(cfg: SimConfig, policy: PerSlotPolicy) -> SimReport:
     while crossing.size:
         b, s = burst[crossing], slot[crossing]
         j[crossing] -= (ends[s] - b) * n_sector[crossing]
-        b = ends[s]
-        s = np.minimum((b / bursts_per_slot).astype(np.int64), last_slot)
+        b, s = ends[s], s + 1
         burst[crossing], slot[crossing] = b, s
         n_sector[crossing] = counts[s, sectors[crossing]]
         crossing = crossing[j[crossing] // n_sector[crossing] >= ends[s] - b]
 
     burst += j // n_sector
-    delays = burst * period + offsets[slot, sectors, j % n_sector] - arrivals
+    delays = burst * BURST_PERIOD_US + offsets[slot, sectors, j % n_sector] - arrivals
 
     return SimReport(policy=policy.name, seed=cfg.seed, sectors=sectors,
                      arrival_us=arrivals, delay_us=delays)
 
 
-def expected_delay_static(schedule: SweepSchedule, sector_shares,
-                          burst_period_us: float = BURST_PERIOD_US) -> float:
+def expected_delay_static(schedule: SweepSchedule, sector_shares) -> float:
     """Closed-form mean delay for a fixed repeating schedule, detect_prob 1.
 
-    With the arrival phase uniform over one burst period P, a sector's mean
-    wait is its sum of squared cyclic gaps between SSB starts over 2P. Shares
-    weight the sector means; a sector without share need not be swept.
+    With the arrival phase uniform over one burst period P (BURST_PERIOD_US),
+    a sector's mean wait is its sum of squared cyclic gaps between SSB starts
+    over 2P. Shares weight the sector means; a sector without share need not
+    be swept.
     """
     shares = check_shares(sector_shares)
-    _check_burst_period(burst_period_us)
     (offsets,), (counts,) = _offsets_table([schedule])
     if (unswept := np.flatnonzero((counts == 0) & (shares > 0))).size:
         raise InvalidConfigError(
@@ -289,9 +264,9 @@ def expected_delay_static(schedule: SweepSchedule, sector_shares,
     offs = offsets[counts > 0]
     # the last gap wraps to the next burst's first SSB, and the inf padding
     # becomes that point, so its gaps are 0 and never inf - inf
-    wrap = burst_period_us + offs[:, :1]
+    wrap = BURST_PERIOD_US + offs[:, :1]
     gaps = np.diff(np.minimum(offs, wrap), axis=1, append=wrap)
-    return float(shares[counts > 0] @ (gaps ** 2).sum(axis=1)) / (2.0 * burst_period_us)
+    return float(shares[counts > 0] @ (gaps ** 2).sum(axis=1)) / (2.0 * BURST_PERIOD_US)
 
 
 @dataclass

@@ -444,7 +444,7 @@ def test_simulate_rejects_a_detect_prob_outside_zero_one(workdir, tmp_path, valu
 
 
 def test_simulate_takes_the_detect_prob_floor_and_refuses_below_it(workdir, tmp_path):
-    floor = 45.0 * 20_000.0 / 2.0 ** 62   # at the default burst period
+    floor = 45.0 * 20_000.0 / 2.0 ** 62   # 45 bursts of 20 ms over 2**62 us
     args = ["simulate", "--series", workdir / "series.csv", "--policies", "sequential,oracle",
             "--n-seeds", "2", "--sim-slots", "4", "--detect-prob"]
     proc = run_cli(args + [repr(float(np.nextafter(floor, 0.0))), "--out-dir", "below"],
@@ -590,6 +590,17 @@ def test_fixture_series_with_shares(workdir, tmp_path):
     lines = (tmp_path / "shared.csv").read_text().splitlines()
     assert lines[0] == "time,A,B,C,D"
     assert len(lines) == 65
+
+
+@pytest.mark.parametrize("slots", ["1000001", "100000000000"])
+def test_fixture_series_refuses_more_than_max_slots(tmp_path, slots):
+    # checked before the counts are allocated: no MemoryError traceback
+    proc = run_cli(["fixture", "--kind", "series", "--slots", slots], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"error: n_slots must be between 1 and 1000000, got {slots}")
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_subcommand_exits_2(workdir):

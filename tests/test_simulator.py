@@ -5,7 +5,11 @@ import pytest
 
 import cdrsweep.simulator as sim_mod
 from cdrsweep import (
+    BURST_PERIOD_US,
+    MAX_SLOTS,
     REPORT_HEADER,
+    SLOT_MS,
+    SLOT_US,
     BadSharesError,
     InvalidConfigError,
     MismatchedConfigsError,
@@ -24,6 +28,7 @@ from cdrsweep import (
     summary_csv,
     synthetic_series,
 )
+from cdrsweep.simulator import BURSTS_PER_SLOT, DETECT_PROB_FLOOR
 
 from _oracles import (
     draw_arrivals_scalar,
@@ -94,7 +99,7 @@ def test_every_sampled_delay_matches_the_static_rule():
     sched = build_schedule(sequential_ranking())
     report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert report.n_ues > 100
-    period = cfg.burst_period_us
+    period = BURST_PERIOD_US
     for t, s, d in zip(report.arrival_us, report.sectors, report.delay_us):
         offs = np.array(sector_offsets_scalar(sched.slots, int(s)))
         phase = t % period
@@ -197,17 +202,13 @@ def test_config_validation():
     with pytest.raises(InvalidConfigError):
         SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=1e6,
                   detect_prob=0.0)
-    with pytest.raises(InvalidConfigError):
-        SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=1e6,
-                  burst_period_us=100.0)
-    for bad in ({"burst_period_us": np.inf}, {"burst_period_us": np.nan},
-                {"burst_period_us": -20_000.0}, {"slot_us": np.nan},
-                {"slot_us": np.inf}, {"slot_us": 0.0}, {"slot_us": -1.0}):
-        with pytest.raises(InvalidConfigError):
-            SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=1e6, **bad)
-    for horizon_us in (np.inf, -np.inf, np.nan):
-        with pytest.raises(InvalidConfigError):
+    # more than MAX_SLOTS slots: 1e25 us would put arrivals past 2**63 us
+    longest = MAX_SLOTS * SLOT_US
+    for horizon_us in (np.inf, -np.inf, np.nan, -1.0, np.nextafter(longest, np.inf), 1e25):
+        with pytest.raises(InvalidConfigError,
+                           match=f"horizon_us must be positive and at most {MAX_SLOTS} slots"):
             SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=horizon_us)
+    assert SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=longest).n_slots == MAX_SLOTS
     # two rate rows cannot cover three slots
     with pytest.raises(InvalidConfigError):
         SimConfig(arrival_rates_per_s=np.ones((2, 4)), horizon_us=3 * sim_mod.SLOT_US)
@@ -237,25 +238,27 @@ def test_rates_from_counts_names_the_first_bad_count(counts, cell, value):
         rates_from_counts(counts, 1.0)
 
 
-@pytest.mark.parametrize("period", [20_000.0, 1e9])
-def test_detect_prob_has_a_floor_that_keeps_delays_renderable(period):
-    floor = sim_mod._detect_prob_floor(period)
-    assert floor == 45.0 * period / 2.0 ** 62
+def test_a_slot_is_a_whole_number_of_bursts():
+    assert isinstance(BURSTS_PER_SLOT, int)
+    assert BURSTS_PER_SLOT * BURST_PERIOD_US == SLOT_US == SLOT_MS * 1000
+
+
+def test_detect_prob_has_a_floor_that_keeps_delays_renderable():
+    floor = DETECT_PROB_FLOOR
+    assert floor == 45.0 * BURST_PERIOD_US / 2.0 ** 62
     rates = np.full((1, 4), 2.0)
-    cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=floor, seed=1,
-                    burst_period_us=period)
+    cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=floor, seed=1)
     report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert report.n_ues > 100
     # delays far beyond any slot, yet positive and below 2**62 us plus two bursts
-    assert np.all(report.delay_us > 0) and np.all(report.delay_us < 2.0 ** 62 + 2 * period)
+    assert np.all(report.delay_us > 0)
+    assert np.all(report.delay_us < 2.0 ** 62 + 2 * BURST_PERIOD_US)
     assert report_csv([report]).count("\n") == report.n_ues
     with pytest.raises(InvalidConfigError, match=r"detect_prob must be at least .* got 1e-300"):
-        SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=1e-300,
-                  burst_period_us=period)
+        SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=1e-300)
     below = float(np.nextafter(floor, 0.0))
     with pytest.raises(InvalidConfigError, match=f"detect_prob must be at least {floor!r}"):
-        SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=below,
-                  burst_period_us=period)
+        SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=below)
 
 
 def test_expected_delay_closed_form_against_quadrature():
@@ -299,9 +302,8 @@ def test_expected_delay_matches_the_per_sector_loop():
         shares[[s not in sched.slots for s in range(4)]] = 0.0
         shares /= shares.sum()
         unswept += int(np.sum(shares == 0))
-        period = float(rng.choice([20_000.0, 260.0, 5_000.0, 160_000.0]))
-        closed = expected_delay_static(sched, shares, period)
-        loop = expected_delay_scalar(sched.slots, shares.tolist(), period)
+        closed = expected_delay_static(sched, shares)
+        loop = expected_delay_scalar(sched.slots, shares.tolist(), BURST_PERIOD_US)
         assert abs(closed - loop) <= 1e-12 * loop
     assert unswept > 50
 
@@ -320,18 +322,6 @@ def test_policy_tables_match_the_per_sector_offsets():
         assert policy.offsets.dtype == offsets.dtype and policy.counts.dtype == counts.dtype
         assert policy.offsets.tobytes() == offsets.tobytes()
         assert policy.counts.tobytes() == counts.tobytes()
-
-
-@pytest.mark.parametrize("period", [0.0, np.nan, np.inf, 100.0, -5.0])
-def test_a_burst_period_is_finite_and_longer_than_the_burst(period):
-    sched = build_schedule(sequential_ranking())
-    with pytest.raises(InvalidConfigError) as closed_form:
-        expected_delay_static(sched, [0.25] * 4, period)
-    with pytest.raises(InvalidConfigError) as config:
-        SimConfig(arrival_rates_per_s=np.zeros((1, 4)), horizon_us=1e6,
-                  burst_period_us=period)
-    assert str(closed_form.value) == str(config.value)
-    assert str(closed_form.value).endswith(f"got {period}")
 
 
 def test_expected_delay_hand_cases():
@@ -473,21 +463,20 @@ def test_report_csv_layout():
     assert summary[1].split(",")[4] == str(report.n_ues)
 
 
-@pytest.mark.parametrize("rates, n_slots, slot_us", [
-    (np.full((1, 4), 3.0), 5, 2e6),                            # one row for every slot
-    (np.random.default_rng(2).uniform(0, 4, (6, 4)), 5.4, 2e6),  # per-slot, partial last
-    ([[0.0, 3.0, 0.0, 0.5]], 3.25, 2e6),                       # zero-rate sectors
-    ([[0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]], 1.7, 3e6),  # a slot without UEs
-    (np.zeros((1, 4)), 2, 2e6),                                # no UE at all
-    (np.full((1, 4), 0.02), 36, sim_mod.SLOT_US),              # the CLI's slot length
+@pytest.mark.parametrize("rates, n_slots", [
+    (np.full((1, 4), 0.01), 5),                                   # one row for every slot
+    (np.random.default_rng(2).uniform(0, 0.01, (6, 4)), 5.4),     # per-slot, partial last
+    ([[0.0, 0.01, 0.0, 0.002]], 3.25),                            # zero-rate sectors
+    ([[0.0, 0.0, 0.005, 0.0], [0.0, 0.0, 0.0, 0.0]], 1.7),        # a slot without UEs
+    (np.zeros((1, 4)), 2),                                        # no UE at all
+    (np.full((1, 4), 0.02), 36),                                  # the CLI's sweep length
 ])
-def test_draw_arrivals_matches_the_scalar_oracle_bit_for_bit(rates, n_slots, slot_us):
-    cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=n_slots * slot_us,
-                    slot_us=slot_us)
+def test_draw_arrivals_matches_the_scalar_oracle_bit_for_bit(rates, n_slots):
+    cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=n_slots * SLOT_US)
     for seed in range(3):
         got = sim_mod._draw_arrivals(cfg, np.random.default_rng(seed))
         want = draw_arrivals_scalar(cfg.arrival_rates_per_s.tolist(), cfg.horizon_us,
-                                    cfg.slot_us, np.random.default_rng(seed))
+                                    SLOT_US, np.random.default_rng(seed))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -498,7 +487,7 @@ def scalar_run(cfg, policy, planted=None):
     arrival_seq, detect_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     if planted is None:
         arrivals, sectors = draw_arrivals_scalar(
-            cfg.arrival_rates_per_s.tolist(), cfg.horizon_us, cfg.slot_us,
+            cfg.arrival_rates_per_s.tolist(), cfg.horizon_us, SLOT_US,
             np.random.default_rng(arrival_seq))
     else:
         arrivals, sectors = planted
@@ -511,7 +500,7 @@ def scalar_run(cfg, policy, planted=None):
     table = [[sector_offsets_scalar(sched.slots, s) for s in range(4)]
              for sched in schedules[:cfg.n_slots]]
     delays = simulate_scalar(arrivals.tolist(), sectors.tolist(), needed.tolist(),
-                             table, cfg.burst_period_us, cfg.slot_us)
+                             table, BURST_PERIOD_US, SLOT_US)
     return arrivals, sectors, np.array(delays)
 
 
@@ -527,89 +516,66 @@ def assert_matches_scalar(cfg, policy, planted=None):
 
 def slots_crossed(cfg, report):
     """UEs that detect in a later slot than the one they arrived in."""
-    bursts_per_slot = cfg.slot_us / cfg.burst_period_us
-    last = cfg.n_slots - 1
-
     def slot_of(t):
-        burst = (t // cfg.burst_period_us).astype(np.int64)
-        return np.minimum((burst / bursts_per_slot).astype(np.int64), last)
+        burst = (t // BURST_PERIOD_US).astype(np.int64)
+        return np.minimum(burst // BURSTS_PER_SLOT, cfg.n_slots - 1)
 
     return int(np.sum(slot_of(report.arrival_us + report.delay_us)
                       != slot_of(report.arrival_us)))
 
 
-# slot lengths in bursts: whole, fractional, shorter than one burst, default
-BURSTS_PER_SLOT = (3.0, 7.5, 0.75, 50.000123, sim_mod.SLOT_US / 20_000.0)
-
-
 @pytest.mark.parametrize("detect_prob", [1.0, 0.5, 0.1, 0.03])
-def test_simulate_matches_scalar_oracle_bit_for_bit(detect_prob):
+def test_simulate_matches_scalar_oracle_bit_for_bit(monkeypatch, detect_prob):
     rng = np.random.default_rng(round(detect_prob * 1000))
     crossed = n_ues = 0
     for trial in range(12):
-        slot_us = BURSTS_PER_SLOT[trial % len(BURSTS_PER_SLOT)] * 20_000.0
         n_slots = int(rng.integers(1, 7))
-        horizon_us = (n_slots - rng.uniform(0.0, 0.9)) * slot_us
+        horizon_us = (n_slots - rng.uniform(0.0, 0.9)) * SLOT_US
         shares = rng.dirichlet(np.ones(4))
         per_slot = rng.uniform(0.5, 1.5, size=(n_slots, 1))
         rates = per_slot * shares * (300.0 / (horizon_us / 1e6))
         cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=horizon_us,
-                        detect_prob=detect_prob, seed=int(rng.integers(2**63)),
-                        slot_us=slot_us)
+                        detect_prob=detect_prob, seed=int(rng.integers(2**63)))
+        # drawn arrivals rarely retry past the end of a 30,000-burst slot, so
+        # plant 100 more in the last three bursts of random slots
+        ends = rng.integers(1, n_slots + 1, size=100) * BURSTS_PER_SLOT
+        late = (ends - rng.integers(1, 4, size=100)) * BURST_PERIOD_US
+        late = np.sort(late + rng.uniform(0.0, BURST_PERIOD_US, size=100))
+        late = late[late < horizon_us]
         # small integer values per slot: many ties, broken by the policy's rng
         tied = rng.integers(0, 3, size=(cfg.n_slots, 4)).astype(np.float64)
         for policy in (PerSlotPolicy.from_values("tied", tied, rng),
                        PerSlotPolicy.from_ranking(rank_sectors(rng.uniform(0, 1, 4),
                                                                rng), "predicted")):
-            report = assert_matches_scalar(cfg, policy)
-            crossed += slots_crossed(cfg, report)
-            n_ues += report.n_ues
+            reports = [assert_matches_scalar(cfg, policy)]
+            with monkeypatch.context() as patch:
+                planted = planted_arrivals(patch, late, rng.integers(0, 4, size=late.size))
+                reports.append(assert_matches_scalar(cfg, policy, planted))
+            for report in reports:
+                crossed += slots_crossed(cfg, report)
+                n_ues += report.n_ues
     assert n_ues > 2_000
     assert crossed > 0
 
 
-@pytest.mark.parametrize("bursts_per_slot", [7.5, sim_mod.SLOT_US / 20_000.0])
 @pytest.mark.parametrize("detect_prob", [1.0, 0.3])
-def test_simulate_matches_scalar_oracle_on_planted_edges(monkeypatch, bursts_per_slot,
-                                                         detect_prob):
-    period = 20_000.0
-    slot_us = bursts_per_slot * period
+def test_simulate_matches_scalar_oracle_on_planted_edges(monkeypatch, detect_prob):
     values = np.array([[9.0, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 9.0], [5.0, 5.0, 1.0, 1.0]])
     policy = PerSlotPolicy.from_values("edges", values, np.random.default_rng(0))
     # bursts at phase 0, and the last burst of each of the first two slots
-    first_bursts = [0, int(np.ceil(bursts_per_slot)), int(np.ceil(2 * bursts_per_slot))]
+    first_bursts = [0, BURSTS_PER_SLOT, 2 * BURSTS_PER_SLOT]
     last_bursts = [b - 1 for b in first_bursts[1:]]
     phases = [0.0, SLOT_DUR, SLOT_DUR + 0.01, 13 * SLOT_DUR, 13 * SLOT_DUR + 1e-6, 249.0,
               19_999.0]
-    times = [b * period + ph for b in first_bursts + last_bursts for ph in phases]
-    times += [slot_us, 2 * slot_us, slot_us - 1.0]
+    times = [b * BURST_PERIOD_US + ph for b in first_bursts + last_bursts for ph in phases]
+    times += [SLOT_US, 2 * SLOT_US, SLOT_US - 1.0]
     times = np.repeat(times, 4)
     sectors = np.tile(np.arange(4), times.size // 4)
     planted = planted_arrivals(monkeypatch, times, sectors)
-    cfg = SimConfig(arrival_rates_per_s=np.zeros((3, 4)), horizon_us=3 * slot_us,
-                    detect_prob=detect_prob, seed=3, slot_us=slot_us)
+    cfg = SimConfig(arrival_rates_per_s=np.zeros((3, 4)), horizon_us=3 * SLOT_US,
+                    detect_prob=detect_prob, seed=3)
     report = assert_matches_scalar(cfg, policy, planted)
     assert slots_crossed(cfg, report) > 0
-
-
-@pytest.mark.parametrize("detect_prob", [1.0, 0.3])
-def test_simulate_matches_scalar_oracle_where_a_slot_start_rounds(monkeypatch, detect_prob):
-    # 1.1 bursts per slot: 170 * 1.1 rounds up to just above 187, yet
-    # int(187 / 1.1) == 170, so burst 187 already belongs to slot 170
-    slot_us = 22_000.0
-    bursts_per_slot = slot_us / 20_000.0
-    assert int(187 / bursts_per_slot) == 170 and 170 * bursts_per_slot > 187
-    n_slots = 172
-    values = np.array([np.roll([4.0, 3.0, 2.0, 1.0], k) for k in range(n_slots)])
-    policy = PerSlotPolicy.from_values("rotating", values, np.random.default_rng(0))
-    times = [b * 20_000.0 + ph for b in range(184, 189)
-             for ph in (0.0, 5 * SLOT_DUR + 1.0, 13 * SLOT_DUR + 1.0)]
-    times = np.repeat(times, 4)
-    planted = planted_arrivals(monkeypatch, times, np.tile(np.arange(4), times.size // 4))
-    cfg = SimConfig(arrival_rates_per_s=np.zeros((n_slots, 4)),
-                    horizon_us=n_slots * slot_us, detect_prob=detect_prob, seed=8,
-                    slot_us=slot_us)
-    assert_matches_scalar(cfg, policy, planted)
 
 
 def test_report_csv_matches_scalar_renderer_byte_for_byte():
