@@ -24,6 +24,7 @@ import numpy as np
 from . import fixtures, gru, model_io, scheduler, simulator, training
 from .errors import CdrSweepError, DivergedLossError, InvalidConfigError
 from .ingest import (
+    MAX_SLOTS,
     SECTOR_LABELS,
     SectorMap,
     aggregate,
@@ -411,6 +412,13 @@ def _cmd_gradcheck(res: dict) -> int:
         if res[dest] < least:
             raise InvalidConfigError(
                 f"--{dest.replace('_', '-')} must be at least {least}, got {res[dest]}")
+    if res["max_len"] > MAX_SLOTS:
+        raise InvalidConfigError(
+            f"--max-len must be at most {MAX_SLOTS}, got {res['max_len']}")
+    # written so that NaN fails too
+    if not (math.isfinite(res["threshold"]) and res["threshold"] > 0):
+        raise InvalidConfigError(
+            f"--threshold must be positive and finite, got {res['threshold']}")
     worst = 0.0
     for i in range(res["models"]):
         h = hiddens[i % len(hiddens)]

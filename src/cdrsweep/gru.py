@@ -24,7 +24,12 @@ first, the hidden chain included. forward() runs it once, over a chunk of
 length T, and keeps the buffers as its trace for backpropagation;
 final_state() walks time in chunks whose buffers hold at most CHUNK_BYTES
 and keeps only the last state, for inference; gru_step() is forward() over
-a one-slot sequence. Within a chunk:
+a one-slot sequence. _run and _step_weights also take an optional leading
+model axis: stacked weights (K, D, 2H) and (K, H, 2H) step K models at
+once, with (K, 1, H) states per slot, each model's bits those of its own
+forward. stacked_final_state() walks such a stack over one sequence with
+final_state()'s time walk; the gradient check runs its moved models so.
+Within a chunk:
 
 - the two sigmoid gates share one [r | u] buffer of width 2H, so each step
   makes one h[t-1] @ [W_r; W_u].T product for both;
@@ -220,12 +225,17 @@ def _check_inputs(p: GruParams, h0, xs) -> tuple[np.ndarray, np.ndarray]:
 def _step_weights(p: GruParams) -> tuple[np.ndarray, ...]:
     """The weights in the layout _run multiplies by.
 
-    Transposed weights are C-ordered copies: BLAS multiplies those about
-    twice as fast as transposed views at these sizes.
+    A stack of K models keeps its leading axis: (K, D, 2H), (K, 1, 2H) and
+    so on. Transposed weights are C-ordered copies: BLAS multiplies those
+    about twice as fast as transposed views at these sizes.
     """
-    return (np.concatenate([p.R_r, p.R_u]).T.copy(), np.concatenate([p.b_r, p.b_u]),
-            p.R_z.T.copy(), p.b_z,
-            np.concatenate([p.W_r, p.W_u]).T.copy(), p.W_z.T.copy())
+    def t(a):
+        return a.swapaxes(-1, -2).copy()
+
+    return (t(np.concatenate([p.R_r, p.R_u], axis=-2)),
+            np.concatenate([p.b_r, p.b_u], axis=-1)[..., None, :],
+            t(p.R_z), p.b_z[..., None, :],
+            t(np.concatenate([p.W_r, p.W_u], axis=-2)), t(p.W_z))
 
 
 def _buffers(n_steps: int, h0: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -242,16 +252,20 @@ def _run(weights: tuple[np.ndarray, ...], x_rows: np.ndarray, hs: np.ndarray,
 
     x_rows is the chunk's (n, B, D) input, one sequence viewed as a batch
     of one, and hs, ru, h_tilde and z are C-contiguous buffers of n + 1, n,
-    n and n slots; every step's values are written into them.
+    n and n slots; every step's values are written into them. Weights
+    stacked over K models (see _step_weights) run all K on the same input:
+    each slot of the buffers then holds (K, B, .) values, model first.
     """
     w_in_ru, b_ru, w_in_z, b_z, w_ru_t, w_z_t = weights
     n_steps, h = len(x_rows), hs.shape[-1]
+    models = w_in_z.shape[:-2]  # () for one model, (K,) for a stack
+    x_rows = x_rows.reshape((n_steps,) + (1,) * len(models) + x_rows.shape[1:])
     # Input projections of every slot of the chunk, as pre-activations: one
-    # stacked product, so each slot is the same BLAS call that a one-slot
-    # forward (gru_step) makes, and gives the same bits.
-    np.matmul(x_rows, w_in_ru, out=ru.reshape(n_steps, -1, 2 * h))
+    # stacked product, so each slot (and model) is the same BLAS call that a
+    # one-slot forward (gru_step) of one model makes, and gives the same bits.
+    np.matmul(x_rows, w_in_ru, out=ru.reshape((n_steps,) + models + (-1, 2 * h)))
     ru += b_ru
-    np.matmul(x_rows, w_in_z, out=z.reshape(n_steps, -1, h))
+    np.matmul(x_rows, w_in_z, out=z.reshape((n_steps,) + models + (-1, h)))
     z += b_z
 
     rec_ru, rec_z = np.empty(ru.shape[1:]), np.empty(hs.shape[1:])
@@ -293,11 +307,31 @@ def final_state(p: GruParams, h0: np.ndarray, xs) -> np.ndarray:
     long the sequence: a chunk's last state seeds the next chunk.
     """
     h0, xs = _check_inputs(p, h0, xs)
-    n_steps = xs.shape[0]
+    return _walk(_step_weights(p), h0, xs.reshape(len(xs), -1, p.input_dim))
+
+
+def stacked_final_state(stack: GruParams, xs) -> np.ndarray:
+    """The final states of K models run from zero states over one sequence.
+
+    Every array of stack carries a leading model axis of length K, so model
+    k is GruParams(W_r=stack.W_r[k], ...). xs is one (T, D) sequence, fed
+    to every model. Returns the (K, 1, H) final states, model k's bit for
+    bit final_state(model k, zeros(H), xs). The shared time walk keeps its
+    buffers at CHUNK_BYTES while K * 5H floats fit in them; a caller with
+    more models than that splits the stack.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    n_models, _, h = stack.W_r.shape
+    return _walk(_step_weights(stack), np.zeros((n_models, 1, h)),
+                 xs.reshape(len(xs), 1, xs.shape[-1]))
+
+
+def _walk(weights: tuple[np.ndarray, ...], h0: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
+    """The last state of _run over x_rows from h0, time walked in bounded chunks."""
+    n_steps = len(x_rows)
     # hs, [r | u], h_tilde and z take 5H floats per batch member per slot
-    chunk = max(1, min(n_steps, CHUNK_BYTES // (8 * 5 * max(h0.size, p.hidden_dim))))
+    chunk = max(1, min(n_steps, CHUNK_BYTES // (8 * 5 * max(h0.size, h0.shape[-1]))))
     hs, ru, h_tilde, z = _buffers(chunk, h0)
-    weights, x_rows = _step_weights(p), xs.reshape(n_steps, -1, p.input_dim)
     for start in range(0, n_steps, chunk):
         n = min(chunk, n_steps - start)
         _run(weights, x_rows[start:start + n], hs[:n + 1], ru[:n], h_tilde[:n], z[:n])

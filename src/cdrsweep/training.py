@@ -12,6 +12,12 @@ batches, the gradient check on single (T, D) sequences. Gradients come back
 as a GruParams of the same shapes. Tests pin forward() to the scalar
 reference in tests/_oracles.py and backward() to central finite differences.
 
+The gradient check is stacked: for each parameter tensor it builds the
+models with one scalar moved by +epsilon and by -epsilon and runs them all
+through one gru.stacked_final_state per chunk of models, instead of two
+forward() calls per scalar. Its losses are bit-identical to that per-scalar
+loop, which tests/_oracles.py keeps as the reference.
+
 Inference keeps no trace: predict_next(), which evaluate() calls, reads the
 final states from gru.final_state(), bit-identical to forward()'s, in memory
 that does not grow with the window length.
@@ -190,16 +196,43 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
     return loss, g
 
 
-def _sequence_loss(p: GruParams, xs: np.ndarray, y: np.ndarray) -> float:
-    h0 = np.zeros(p.hidden_dim)
-    return mse(gru.forward(p, h0, xs).y_hat, y)
+def _perturbed_losses(p: GruParams, xs: np.ndarray, y: np.ndarray, name: str,
+                      epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The MSE of p on (xs, y) with each scalar of tensor name moved by +epsilon
+    and by -epsilon, one scalar at a time; both come back shaped like the tensor.
+
+    The moved models are slices of one stack, run through one stacked
+    forward per chunk: the +epsilon models of a chunk of scalars, then
+    their -epsilon twins. p itself is never written to.
+    """
+    base = getattr(p, name)
+    flat = base.reshape(-1)
+    # K models take K * 5H floats per slot in the time walk's buffers: split
+    # the stack so that one slot of it fits in CHUNK_BYTES, as final_state's does
+    per_chunk = max(1, gru.CHUNK_BYTES // (8 * 5 * p.hidden_dim) // 2)
+    losses = np.empty((2, flat.size))
+    for start in range(0, flat.size, per_chunk):
+        idx = np.arange(start, min(flat.size, start + per_chunk))
+        k = len(idx)
+        moved = np.repeat(flat[None], 2 * k, axis=0)
+        moved[np.arange(k), idx] = flat[idx] + epsilon
+        moved[np.arange(k, 2 * k), idx] = flat[idx] - epsilon
+        stack = {f: np.broadcast_to(a, (2 * k,) + a.shape) for f, a in p.arrays().items()}
+        stack[name] = moved.reshape((2 * k,) + base.shape)
+        stack = GruParams(**stack)
+        h = gru.stacked_final_state(stack, xs)
+        # each model's readout and MSE; a mean along the last axis sums its
+        # O outputs as mse() sums one model's, so the losses keep their bits
+        y_hat = h @ stack.W_out.swapaxes(-1, -2) + stack.b_out[:, None, :]
+        losses[:, idx] = np.mean((y_hat - y) ** 2, axis=-1).reshape(2, k)
+    return losses[0].reshape(base.shape), losses[1].reshape(base.shape)
 
 
 def grad_check_by_tensor(p: GruParams, sample, epsilon: float) -> dict[str, float]:
     """Worst relative error per parameter tensor, analytic vs central differences.
 
     A non-finite error, a NaN or infinite gradient on either side, counts as
-    an infinite error, so it fails every threshold.
+    an infinite error, so it fails every threshold. p is only read.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -211,24 +244,15 @@ def grad_check_by_tensor(p: GruParams, sample, epsilon: float) -> dict[str, floa
     _, analytic = backward(p, gru.forward(p, h0, xs), y)
 
     worst: dict[str, float] = {}
-    for name, arr in p.arrays().items():
-        a_grad = getattr(analytic, name)
-        err = 0.0
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            saved = arr[idx]
-            arr[idx] = saved + epsilon
-            loss_plus = _sequence_loss(p, xs, y)
-            arr[idx] = saved - epsilon
-            loss_minus = _sequence_loss(p, xs, y)
-            arr[idx] = saved
+    # a large epsilon can overflow a moved loss: its error is then infinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, a in analytic.arrays().items():
+            loss_plus, loss_minus = _perturbed_losses(p, xs, y, name, epsilon)
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            a = float(a_grad[idx])
-            denom = max(abs(a), abs(numeric), 1e-12)
-            rel = abs(a - numeric) / denom
-            err = max(err, rel if math.isfinite(rel) else math.inf)
-        worst[name] = err
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-12)
+            rel = np.abs(a - numeric) / denom
+            worst[name] = float(np.max(np.where(np.isfinite(rel), rel, np.inf),
+                                       initial=0.0))
     return worst
 
 

@@ -9,7 +9,9 @@ accumulator update per record), which returns the package's ParseResult
 and SectorSeries so the columnar path can be compared field by field.
 draw_arrivals_scalar is the earlier arrival draw, kept as it was (one
 np.full per slot and sector): it must make the same numpy generator calls
-in the same order as the code it pins.
+in the same order as the code it pins. grad_check_loop is the earlier
+gradient check, kept as it was (two gru.forward calls per moved scalar)
+except that it moves the scalars of a copy of the parameters.
 """
 
 import math
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cdrsweep import gru
 from cdrsweep.errors import EmptyInputError
 from cdrsweep.ingest import (
     _FIELD_DELIMITER,
@@ -215,6 +218,46 @@ def report_csv_scalar(runs, labels="ABCD"):
             lines.append(f"{policy},{seed},{i},{labels[int(sectors[i])]},"
                          f"{arrival_us[i]:.3f},{delay_us[i]:.3f}")
     return "\n".join(lines) + "\n"
+
+
+def grad_check_loop(p, sample, epsilon):
+    """Central differences one scalar at a time, each with its own forwards.
+
+    Returns the worst relative error per tensor, as grad_check_by_tensor
+    does, and each tensor's (loss_plus, loss_minus) arrays.
+    """
+    from cdrsweep.training import backward, mse
+
+    xs, y = sample
+    xs = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    h0 = np.zeros(p.hidden_dim)
+    _, analytic = backward(p, gru.forward(p, h0, xs), y)
+
+    p = p.copy()
+    worst, losses = {}, {}
+    for name, arr in p.arrays().items():
+        a_grad = getattr(analytic, name)
+        plus, minus = np.empty(arr.shape), np.empty(arr.shape)
+        err = 0.0
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            saved = arr[idx]
+            arr[idx] = saved + epsilon
+            loss_plus = mse(gru.forward(p, h0, xs).y_hat, y)
+            arr[idx] = saved - epsilon
+            loss_minus = mse(gru.forward(p, h0, xs).y_hat, y)
+            arr[idx] = saved
+            plus[idx], minus[idx] = loss_plus, loss_minus
+            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+            a = float(a_grad[idx])
+            denom = max(abs(a), abs(numeric), 1e-12)
+            rel = abs(a - numeric) / denom
+            err = max(err, rel if math.isfinite(rel) else math.inf)
+        worst[name] = err
+        losses[name] = (plus, minus)
+    return worst, losses
 
 
 @dataclass

@@ -581,6 +581,32 @@ def test_gradcheck_rejects_a_vacuous_battery(workdir, flag, value):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_gradcheck_refuses_a_threshold_that_is_not_positive_and_finite(workdir, value):
+    proc = run_cli(["gradcheck", "--threshold", value], cwd=workdir)
+    assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("error:") and "--threshold" in error
+    assert proc.stdout == ""
+
+
+def test_gradcheck_refuses_a_max_len_above_max_slots(workdir):
+    # checked before a length is drawn: no sequence of that size is allocated
+    proc = run_cli(["gradcheck", "--max-len", "100000000000"], cwd=workdir)
+    assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("error:") and "--max-len" in error
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_gradcheck_overflow_is_a_failure_without_a_warning(workdir):
+    proc = run_cli(["gradcheck", "--models", "1", "--epsilon", "1e300"], cwd=workdir)
+    assert proc.returncode == 2
+    assert "max_rel_err=inf" in proc.stdout and "gradcheck FAIL" in proc.stdout
+    assert "Warning" not in proc.stderr
+
+
 def test_fixture_series_with_shares(workdir, tmp_path):
     proc = run_cli(
         ["fixture", "--kind", "series", "--slots", "64",

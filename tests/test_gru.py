@@ -150,6 +150,22 @@ def test_final_state_matches_scalar_oracle_at_every_chunk_length(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+def test_stacked_final_state_is_each_models_final_state_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(23)
+    models = [init_params(4, 8, 4, rng) for _ in range(5)]
+    stack = GruParams(**{name: np.stack([getattr(m, name) for m in models])
+                         for name in gru.PARAM_FIELDS})
+    xs = rng.normal(size=(9, 4))
+    want = [forward(m, np.zeros(8), xs).h for m in models]
+    # the whole sequence in one chunk, then a chunk of one slot
+    for chunk_bytes in (gru.CHUNK_BYTES, 1):
+        monkeypatch.setattr(gru, "CHUNK_BYTES", chunk_bytes)
+        got = gru.stacked_final_state(stack, xs)
+        assert got.shape == (5, 1, 8)
+        for k, h in enumerate(want):
+            assert got[k, 0].tobytes() == h.tobytes()
+
+
 def test_final_state_rejects_what_forward_rejects():
     p = init_params(3, 4, 2, np.random.default_rng(0))
     with pytest.raises(EmptySequenceError):

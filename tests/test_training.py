@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from cdrsweep import (
     predict_next,
     synthetic_series,
 )
+from cdrsweep import gru, training
 from cdrsweep.ingest import cut_windows
 
-from _oracles import forward_scalar, mse_scalar, weights_as_lists
+from _oracles import forward_scalar, grad_check_loop, mse_scalar, weights_as_lists
 from test_gru import zero_params
 
 
@@ -214,6 +216,52 @@ def test_grad_check_flags_a_broken_gradient(monkeypatch):
     assert per_tensor["W_z"] == np.inf
     assert per_tensor["W_r"] < 1e-6
     assert training_mod.grad_check(p, (xs, y), 1e-5) == np.inf
+
+
+def test_stacked_central_differences_match_the_per_scalar_loop_bit_for_bit(monkeypatch):
+    # criterion 1's battery. At the default bound a W tensor's 128 moved
+    # models at H=8 walk time in chunks of 6 slots; the small bound splits
+    # every tensor of more than 3 scalars into several stacks of 3 + 3 models.
+    rng = np.random.default_rng(np.random.SeedSequence(101))
+    for i in range(20):
+        hidden = (4, 8)[i % 2]
+        p = init_params(4, hidden, 4, rng)
+        xs = rng.normal(size=(int(rng.integers(2, 11)), 4))
+        y = rng.normal(size=4)
+        worst, losses = grad_check_loop(p, (xs, y), 1e-5)
+        for chunk_bytes in (gru.CHUNK_BYTES, 8 * 5 * hidden * 6):
+            monkeypatch.setattr(gru, "CHUNK_BYTES", chunk_bytes)
+            for name, (loss_plus, loss_minus) in losses.items():
+                got_plus, got_minus = training._perturbed_losses(p, xs, y, name, 1e-5)
+                assert got_plus.tobytes() == loss_plus.tobytes(), (i, name)
+                assert got_minus.tobytes() == loss_minus.tobytes(), (i, name)
+            assert grad_check_by_tensor(p, (xs, y), 1e-5) == worst
+            monkeypatch.undo()
+
+
+def test_grad_check_only_reads_the_parameters():
+    rng = np.random.default_rng(8)
+    p = init_params(3, 4, 3, rng)
+    sample = (rng.normal(size=(5, 3)), rng.normal(size=3))
+    before = {name: a.tobytes() for name, a in p.arrays().items()}
+    want = grad_check_by_tensor(p, sample, 1e-5)
+    assert {name: a.tobytes() for name, a in p.arrays().items()} == before
+    for a in p.arrays().values():
+        a.setflags(write=False)
+    assert grad_check_by_tensor(p, sample, 1e-5) == want
+
+
+def test_an_overflowing_moved_loss_is_an_infinite_error_without_a_warning():
+    rng = np.random.default_rng(8)
+    p = init_params(2, 3, 2, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        per_tensor = grad_check_by_tensor(
+            p, (rng.normal(size=(3, 2)), rng.normal(size=2)), 1e300)
+    # a readout weight of 1e300 squares past the float range
+    assert per_tensor["W_out"] == per_tensor["b_out"] == np.inf
+    assert all(np.isfinite(per_tensor[name]) for name in p.arrays()
+               if name not in ("W_out", "b_out"))
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1e-5, np.nan, np.inf])
