@@ -1,9 +1,17 @@
 """Command-line pipeline: raw CDRs -> series -> model -> schedule -> simulation.
 
-Every option can come from a flag, a flat key=value config file (--config),
-or the built-in default, in that precedence order. Each run prints its
-resolved configuration (including the seed) to stderr, writes files
-atomically, and is deterministic given identical inputs and seed.
+_COMMANDS declares each subcommand once: its handler, and each option's
+converter and default. Every option can come from a flag, a flat key=value
+config file (--config), or that default, in that precedence order. A
+converter also checks its option's bounds: a refused value exits 2 with an
+error naming the flag, before the resolved configuration is echoed and
+before any input is read. ingest builds its sector map, and train validates
+its TrainConfig, before reading too. Limits that depend on the input, and
+values the library checks where it uses them (window length, train
+fraction, UE rate, detection probability), are checked once the input is
+read. Each run prints its resolved configuration (including the seed) to
+stderr, writes files atomically, and is deterministic given identical
+inputs and seed.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure,
 3 numeric divergence during training.
@@ -24,6 +32,7 @@ import numpy as np
 from . import fixtures, gru, model_io, scheduler, simulator, training
 from .errors import CdrSweepError, DivergedLossError, InvalidConfigError
 from .ingest import (
+    COUNT_MODES,
     MAX_SLOTS,
     SECTOR_LABELS,
     SectorMap,
@@ -39,109 +48,62 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_DIVERGED = 3
 
+POLICIES = ("sequential", "predicted", "oracle")
 
+# an option default: the flag (or its config key) must be given
+REQUIRED = object()
+
+
+# A converter raises ValueError for text it cannot parse and
+# InvalidConfigError, worded to follow the flag name, for a value out of bounds.
 def _clip_value(text: str):
     return None if text.strip().lower() == "none" else float(text)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _bounded(convert, least=None, most=None):
+    def check(text: str):
+        value = convert(text)
+        if least is not None and value < least:
+            raise InvalidConfigError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise InvalidConfigError(f"must be at most {most}, got {value}")
+        return value
+    return check
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):  # written so that NaN fails too
+        raise InvalidConfigError(f"must be positive and finite, got {value}")
+    return value
 
 
-def _str_list(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
+def _one_of(choices):
+    def check(text: str) -> str:
+        if text not in choices:
+            raise InvalidConfigError(f"must be one of {', '.join(choices)}, got {text!r}")
+        return text
+    return check
 
 
-# (dest, converter, default); argparse stores raw strings so flag, file and
-# default values all pass through the same converter.
+def _listed(item, unique=False):
+    """Converter for a non-empty comma-separated list, item applied to each entry."""
+    def convert(text: str) -> list:
+        values = [item(v.strip()) for v in text.split(",") if v.strip()]
+        if not values:
+            raise InvalidConfigError("must list at least one value")
+        if unique and len(set(values)) < len(values):
+            raise InvalidConfigError(f"must not repeat a value, got {text!r}")
+        return values
+    return convert
+
+
+# (dest, converter, default); flag and config-file text pass through the same
+# converter, a default is taken as it is.
 _GLOBAL_OPTS = [
     ("seed", int, 0),
     ("out_dir", str, "."),
 ]
-
-_SUB_OPTS = {
-    "ingest": [
-        ("raw", str, None),
-        ("squares", _int_list, [5060, 5061, 5160, 5161]),
-        ("count_mode", str, "record_count"),
-        ("out", str, "series.csv"),
-    ],
-    "train": [
-        ("series", str, None),
-        ("window_len", int, 144),
-        ("train_fraction", float, 0.9),
-        ("hidden", int, 32),
-        ("epochs", int, 5),
-        ("steps", int, 50),
-        ("batch", int, 32),
-        ("lr", float, 1e-3),
-        ("optimizer", str, "adam"),
-        ("clip", _clip_value, 5.0),
-        ("model_out", str, "model.txt"),
-        ("history_out", str, "history.csv"),
-    ],
-    "predict": [
-        ("model", str, None),
-        ("series", str, None),
-        ("window_len", int, 144),
-        ("at_slot", int, None),
-    ],
-    "schedule": [
-        ("model", str, None),
-        ("series", str, None),
-        ("window_len", int, 144),
-        ("at_slot", int, None),
-        ("out", str, "schedule.csv"),
-    ],
-    "eval": [
-        ("model", str, None),
-        ("series", str, None),
-        ("window_len", int, 144),
-        ("train_fraction", float, 0.9),
-        ("out", str, "eval.csv"),
-    ],
-    "simulate": [
-        ("series", str, None),
-        ("model", str, None),
-        ("window_len", int, 144),
-        ("policies", _str_list, ["sequential", "predicted", "oracle"]),
-        ("n_seeds", int, 30),
-        ("sim_slots", int, 36),
-        ("ue_rate", float, 0.1),
-        ("detect_prob", float, 1.0),
-        ("report_out", str, "sim_report.csv"),
-        ("summary_out", str, "sim_summary.csv"),
-        ("compare_out", str, "sim_compare.csv"),
-    ],
-    "gradcheck": [
-        ("models", int, 20),
-        ("hidden", _int_list, [4, 8]),
-        ("max_len", int, 10),
-        ("epsilon", float, 1e-5),
-        ("threshold", float, 1e-4),
-    ],
-    "fixture": [
-        ("kind", str, "series"),
-        ("slots", int, 2016),
-        ("shares", _float_list, None),
-        ("out", str, None),
-    ],
-}
-
-_REQUIRED = {
-    "ingest": ("raw",),
-    "train": ("series",),
-    "predict": ("model", "series"),
-    "schedule": ("model", "series"),
-    "eval": ("model", "series"),
-    "simulate": ("series",),
-    "gradcheck": (),
-    "fixture": (),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cdrsweep",
         description="CDR-driven sector forecasting and SSB sweep scheduling")
     subs = top.add_subparsers(dest="command", required=True)
-    for name, opts in _SUB_OPTS.items():
+    for name, (_, opts) in _COMMANDS.items():
         sp = subs.add_parser(name)
         sp.add_argument("--config", default=None,
                         help="flat key=value file; flags override it")
@@ -171,8 +133,8 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(args, command: str) -> dict:
-    spec = _GLOBAL_OPTS + _SUB_OPTS[command]
+def _resolve(args, opts) -> dict:
+    spec = _GLOBAL_OPTS + opts
     file_vals = _read_config_file(args.config) if args.config else {}
     known = {dest for dest, _, _ in spec}
     unknown = sorted(set(file_vals) - known)
@@ -181,20 +143,21 @@ def _resolve(args, command: str) -> dict:
 
     resolved = {}
     for dest, convert, default in spec:
+        flag = "--" + dest.replace("_", "-")
         raw = getattr(args, dest)
-        if raw is None and dest in file_vals:
-            raw = file_vals[dest]
         if raw is None:
+            raw = file_vals.get(dest)
+        if raw is None:
+            if default is REQUIRED:
+                raise InvalidConfigError(f"{flag} is required")
             resolved[dest] = default
             continue
         try:
             resolved[dest] = convert(raw)
         except ValueError as exc:
             raise InvalidConfigError(f"bad value for {dest}: {raw!r}") from exc
-
-    for dest in _REQUIRED[command]:
-        if resolved[dest] is None:
-            raise InvalidConfigError(f"--{dest.replace('_', '-')} is required")
+        except InvalidConfigError as exc:
+            raise InvalidConfigError(f"{flag} {exc}") from None
     return resolved
 
 
@@ -244,6 +207,7 @@ def _load_series(path: str):
 
 
 def _cmd_ingest(res: dict) -> int:
+    sector_map = SectorMap.from_squares(res["squares"])
     # the same lines as read_text().splitlines(), read one at a time
     with open(res["raw"], encoding="utf-8") as fh:
         parsed = parse_raw(p for line in fh for p in line.splitlines())
@@ -252,8 +216,7 @@ def _cmd_ingest(res: dict) -> int:
     if len(parsed.issues) > 20:
         print(f"... {len(parsed.issues) - 20} more issues", file=sys.stderr)
 
-    series = aggregate(parsed.records, SectorMap.from_squares(res["squares"]),
-                       count_mode=res["count_mode"])
+    series = aggregate(parsed.records, sector_map, count_mode=res["count_mode"])
     _write_atomic(_out_path(res, res["out"]), write_sector_series(series))
 
     totals = " ".join(f"{lab}={int(v)}"
@@ -263,12 +226,13 @@ def _cmd_ingest(res: dict) -> int:
 
 
 def _cmd_train(res: dict) -> int:
-    series = _load_series(res["series"])
-    dataset = make_windows(series, res["window_len"], res["train_fraction"])
     cfg = training.TrainConfig(
         epochs=res["epochs"], steps_per_epoch=res["steps"], batch_size=res["batch"],
         learning_rate=res["lr"], optimizer=res["optimizer"],
         gradient_clip_norm=res["clip"], seed=res["seed"])
+    cfg.validate()
+    series = _load_series(res["series"])
+    dataset = make_windows(series, res["window_len"], res["train_fraction"])
     params, norm, report = training.fit(dataset, cfg, hidden_dim=res["hidden"])
 
     _write_atomic(_out_path(res, res["model_out"]), model_io.dumps_model(params, norm))
@@ -325,20 +289,10 @@ def _cmd_eval(res: dict) -> int:
 
 
 def _cmd_simulate(res: dict) -> int:
-    for dest in ("n_seeds", "sim_slots"):
-        if res[dest] < 1:
-            raise InvalidConfigError(
-                f"--{dest.replace('_', '-')} must be at least 1, got {res[dest]}")
+    # the one rule that ties two options together
+    if "predicted" in res["policies"] and res["model"] is None:
+        raise InvalidConfigError("the predicted policy needs --model")
     series = _load_series(res["series"])
-    policies = res["policies"]
-    if not policies:
-        raise InvalidConfigError("need at least one policy")
-    unknown = [p for p in policies if p not in ("sequential", "predicted", "oracle")]
-    if unknown:
-        raise InvalidConfigError(f"unknown policies: {', '.join(unknown)}")
-    if len(set(policies)) != len(policies):
-        raise InvalidConfigError("duplicate policy names")
-
     n_sim = res["sim_slots"]
     start = series.n_slots - n_sim
     if start < 0:
@@ -353,9 +307,14 @@ def _cmd_simulate(res: dict) -> int:
 
     seed_root = np.random.SeedSequence(res["seed"])
     oracle_ties, predicted_ties, run_seed_src = seed_root.spawn(3)
+    # every config is checked before the model is loaded or the report file opened
+    configs = [simulator.SimConfig(
+        arrival_rates_per_s=rates, horizon_us=n_sim * simulator.SLOT_US,
+        detect_prob=res["detect_prob"], seed=int(run_seed))
+        for run_seed in run_seed_src.generate_state(res["n_seeds"], np.uint64)]
 
     policy_objs = []
-    for name in policies:
+    for name in res["policies"]:
         if name == "sequential":
             policy_objs.append(
                 simulator.PerSlotPolicy.from_ranking(scheduler.sequential_ranking(),
@@ -364,19 +323,12 @@ def _cmd_simulate(res: dict) -> int:
             policy_objs.append(simulator.PerSlotPolicy.from_values(
                 "oracle", truth, np.random.default_rng(oracle_ties)))
         else:
-            if res["model"] is None:
-                raise InvalidConfigError("the predicted policy needs --model")
             params, norm = model_io.load_model(res["model"])
             preds = training.predict_next(params, norm, series.counts, res["window_len"],
                                           start, series.n_slots - 1)
             policy_objs.append(simulator.PerSlotPolicy.from_values(
                 "predicted", preds, np.random.default_rng(predicted_ties)))
 
-    # every config is checked before the report file is opened
-    configs = [simulator.SimConfig(
-        arrival_rates_per_s=rates, horizon_us=n_sim * simulator.SLOT_US,
-        detect_prob=res["detect_prob"], seed=int(run_seed))
-        for run_seed in run_seed_src.generate_state(res["n_seeds"], np.uint64)]
     reports = []
 
     def report_chunks():
@@ -405,20 +357,6 @@ def _cmd_simulate(res: dict) -> int:
 def _cmd_gradcheck(res: dict) -> int:
     rng = np.random.default_rng(res["seed"])
     hiddens = res["hidden"]
-    if not hiddens:
-        raise InvalidConfigError("need at least one hidden size")
-    # every model draws a sequence length from [3, max_len]
-    for dest, least in (("models", 1), ("max_len", 3)):
-        if res[dest] < least:
-            raise InvalidConfigError(
-                f"--{dest.replace('_', '-')} must be at least {least}, got {res[dest]}")
-    if res["max_len"] > MAX_SLOTS:
-        raise InvalidConfigError(
-            f"--max-len must be at most {MAX_SLOTS}, got {res['max_len']}")
-    # written so that NaN fails too
-    if not (math.isfinite(res["threshold"]) and res["threshold"] > 0):
-        raise InvalidConfigError(
-            f"--threshold must be positive and finite, got {res['threshold']}")
     worst = 0.0
     for i in range(res["models"]):
         h = hiddens[i % len(hiddens)]
@@ -437,40 +375,85 @@ def _cmd_gradcheck(res: dict) -> int:
 
 
 def _cmd_fixture(res: dict) -> int:
-    kind = res["kind"]
-    if kind == "raw":
+    if res["kind"] == "raw":
         out = _out_path(res, res["out"] or "raw_demo.tsv")
         _write_atomic(out, "\n".join(fixtures.demo_raw_lines()) + "\n")
-    elif kind == "series":
+    else:
         series = fixtures.synthetic_series(
             n_slots=res["slots"], seed=res["seed"], shares=res["shares"])
         out = _out_path(res, res["out"] or "synthetic.csv")
         _write_atomic(out, write_sector_series(series))
-    else:
-        raise InvalidConfigError(f"unknown fixture kind {kind!r}")
     print(f"wrote {out}")
     return EXIT_OK
 
 
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "schedule": _cmd_schedule,
-    "eval": _cmd_eval,
-    "simulate": _cmd_simulate,
-    "gradcheck": _cmd_gradcheck,
-    "fixture": _cmd_fixture,
+# options that several subcommands share
+_SERIES = ("series", str, REQUIRED)
+_MODEL = ("model", str, REQUIRED)
+_WINDOW = ("window_len", int, 144)
+_FRACTION = ("train_fraction", float, 0.9)
+_AT_SLOT = ("at_slot", int, None)
+
+_COMMANDS = {
+    "ingest": (_cmd_ingest, [
+        ("raw", str, REQUIRED),
+        ("squares", _listed(int), list(fixtures.DEFAULT_SQUARES)),
+        ("count_mode", _one_of(COUNT_MODES), COUNT_MODES[0]),
+        ("out", str, "series.csv"),
+    ]),
+    "train": (_cmd_train, [
+        _SERIES, _WINDOW, _FRACTION,
+        ("hidden", _bounded(int, least=1), 32),
+        ("epochs", int, training.TrainConfig.epochs),
+        ("steps", int, training.TrainConfig.steps_per_epoch),
+        ("batch", int, training.TrainConfig.batch_size),
+        ("lr", float, training.TrainConfig.learning_rate),
+        ("optimizer", str, training.TrainConfig.optimizer),
+        ("clip", _clip_value, training.TrainConfig.gradient_clip_norm),
+        ("model_out", str, "model.txt"),
+        ("history_out", str, "history.csv"),
+    ]),
+    "predict": (_cmd_predict, [_MODEL, _SERIES, _WINDOW, _AT_SLOT]),
+    "schedule": (_cmd_schedule, [_MODEL, _SERIES, _WINDOW, _AT_SLOT,
+                                 ("out", str, "schedule.csv")]),
+    "eval": (_cmd_eval, [_MODEL, _SERIES, _WINDOW, _FRACTION, ("out", str, "eval.csv")]),
+    "simulate": (_cmd_simulate, [
+        _SERIES,
+        ("model", str, None),
+        _WINDOW,
+        ("policies", _listed(_one_of(POLICIES), unique=True), list(POLICIES)),
+        ("n_seeds", _bounded(int, least=1), 30),
+        ("sim_slots", _bounded(int, least=1), 36),
+        ("ue_rate", float, 0.1),
+        ("detect_prob", float, simulator.SimConfig.detect_prob),
+        ("report_out", str, "sim_report.csv"),
+        ("summary_out", str, "sim_summary.csv"),
+        ("compare_out", str, "sim_compare.csv"),
+    ]),
+    "gradcheck": (_cmd_gradcheck, [
+        ("models", _bounded(int, least=1), 20),
+        ("hidden", _listed(_bounded(int, least=1)), [4, 8]),
+        # every model draws a sequence length from [3, max_len]
+        ("max_len", _bounded(int, least=3, most=MAX_SLOTS), 10),
+        ("epsilon", float, 1e-5),
+        ("threshold", _positive_finite, 1e-4),
+    ]),
+    "fixture": (_cmd_fixture, [
+        ("kind", _one_of(("raw", "series")), "series"),
+        ("slots", int, 2016),
+        ("shares", _listed(float), None),
+        ("out", str, None),
+    ]),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    command = args.command
+    handler, opts = _COMMANDS[args.command]
     try:
-        resolved = _resolve(args, command)
-        _print_resolved(command, resolved)
-        return _HANDLERS[command](resolved)
+        resolved = _resolve(args, opts)
+        _print_resolved(args.command, resolved)
+        return handler(resolved)
     except DivergedLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

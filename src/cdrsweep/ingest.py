@@ -41,6 +41,8 @@ SLOT_MS = 600_000
 # for billions of slots.
 MAX_SLOTS = 1_000_000
 ACTIVITY_NAMES = ("sms_in", "sms_out", "call_in", "call_out", "internet")
+# what aggregate puts in a cell; the first is its default
+COUNT_MODES = ("record_count", "activity_sum")
 _FIELD_DELIMITER = "\t"
 # square_id, slot_start, country code, then the five activity fields
 _MAX_FIELDS = 3 + len(ACTIVITY_NAMES)
@@ -239,7 +241,7 @@ class SectorSeries:
         return [int(i) for i in np.flatnonzero(~self.counts.any(axis=1))]
 
 
-def aggregate(records, sector_map: SectorMap, count_mode: str = "record_count") -> SectorSeries:
+def aggregate(records, sector_map: SectorMap, count_mode: str = COUNT_MODES[0]) -> SectorSeries:
     """Bucket records into a SectorSeries, vectorised over the record columns.
 
     records is a RECORD_DTYPE array such as ParseResult.records (or anything
@@ -252,7 +254,7 @@ def aggregate(records, sector_map: SectorMap, count_mode: str = "record_count") 
     MAX_SLOTS slots (checked before the series is allocated) or a rounded
     cell sum does not fit in int64 (checked before the cast).
     """
-    if count_mode not in ("record_count", "activity_sum"):
+    if count_mode not in COUNT_MODES:
         raise ValueError(f"unknown count_mode {count_mode!r}")
     records = np.asarray(records, dtype=RECORD_DTYPE)
     if not records.size:
@@ -393,8 +395,8 @@ def write_sector_series(series: SectorSeries) -> str:
 def load_sector_series(text: str) -> SectorSeries:
     """Parse the normalized CSV back into a SectorSeries.
 
-    Validates the header, the 600-second stride and non-negative integer
-    counts; write_sector_series followed by load_sector_series is the
+    Validates the header, the 600-second stride and integer counts from 0
+    to 2**63 - 1; write_sector_series followed by load_sector_series is the
     identity.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -423,6 +425,8 @@ def load_sector_series(text: str) -> SectorSeries:
             raise SeriesFormatError(f"row {row_no}: non-integer count") from None
         if any(v < 0 for v in values):
             raise SeriesFormatError(f"row {row_no}: negative count")
+        if max(values) > _INT64_MAX:
+            raise SeriesFormatError(f"row {row_no}: count {max(values)} does not fit in int64")
         counts.append(values)
 
     return SectorSeries(t0_ms=t0, counts=np.array(counts, dtype=np.int64))

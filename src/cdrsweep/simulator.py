@@ -464,7 +464,7 @@ def summary_csv(reports) -> str:
         pooled.setdefault(rep.policy, []).append(rep.delay_us)
     lines = ["policy,mean_us,median_us,p95_us,n"]
     for pol, chunks in pooled.items():
-        delays = np.concatenate(chunks) if chunks else np.empty(0)
+        delays = np.concatenate(chunks)
         if delays.size:
             lines.append(f"{pol},{delays.mean():.3f},{np.median(delays):.3f},"
                          f"{np.percentile(delays, 95):.3f},{delays.size}")

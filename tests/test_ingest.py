@@ -359,6 +359,15 @@ def test_series_csv_rejects_bad_input():
         load_sector_series(good.replace("1,1,1,1", "1,1,-1,1", 1))
 
 
+def test_series_csv_takes_int64_counts_and_names_a_row_beyond_them():
+    good = write_sector_series(
+        SectorSeries(t0_ms=T0, counts=np.ones((3, 4), dtype=np.int64)))
+    top = load_sector_series(good.replace("1,1,1,1", f"1,{2**63 - 1},1,1", 1))
+    assert top.counts[0, 1] == 2**63 - 1
+    with pytest.raises(SeriesFormatError, match=rf"^row 2: count {2**63} does not fit in int64$"):
+        load_sector_series(good.replace("1,1,1,1", f"1,1,{2**63},1", 1))
+
+
 def test_series_rejects_negative_or_misshaped_counts():
     with pytest.raises(ValueError):
         SectorSeries(t0_ms=T0, counts=np.array([[1, 2, 3]]))
