@@ -5,13 +5,13 @@ converter and default. Every option can come from a flag, a flat key=value
 config file (--config), or that default, in that precedence order. A
 converter also checks its option's bounds: a refused value exits 2 with an
 error naming the flag, before the resolved configuration is echoed and
-before any input is read. ingest builds its sector map, and train validates
-its TrainConfig, before reading too. Limits that depend on the input, and
-values the library checks where it uses them (window length, train
-fraction, UE rate, detection probability), are checked once the input is
-read. Each run prints its resolved configuration (including the seed) to
-stderr, writes files atomically, and is deterministic given identical
-inputs and seed.
+before any input is read. ingest builds its sector map, train validates
+its TrainConfig, train and eval check the window length and train fraction,
+and simulate checks the UE rate, all with the library's own checks, before
+reading too. Limits that depend on the input, and the detection
+probability, are checked once the input is read. Each run prints its
+resolved configuration (including the seed) to stderr, writes files
+atomically, and is deterministic given identical inputs and seed.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure,
 3 numeric divergence during training.
@@ -37,6 +37,7 @@ from .ingest import (
     SECTOR_LABELS,
     SectorMap,
     aggregate,
+    check_window_args,
     load_sector_series,
     make_windows,
     parse_raw,
@@ -49,6 +50,8 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGED = 3
 
 POLICIES = ("sequential", "predicted", "oracle")
+# ingest reads its raw file in blocks of this many characters
+_READ_CHARS = 16 * 1024
 
 # an option default: the flag (or its config key) must be given
 REQUIRED = object()
@@ -206,11 +209,28 @@ def _load_series(path: str):
     return load_sector_series(Path(path).read_text(encoding="utf-8"))
 
 
+def _read_lines(fh):
+    """The lines of a text file as fh.read().splitlines() gives them, read _READ_CHARS at a time.
+
+    Each block is cut after its last "\n", which ends a line for
+    str.splitlines whatever follows it.
+    """
+    pending = []  # the text read since the last "\n"
+    while block := fh.read(_READ_CHARS):
+        cut = block.rfind("\n") + 1
+        if cut:
+            pending.append(block[:cut])
+            yield from "".join(pending).splitlines()
+            pending = [block[cut:]]
+        else:
+            pending.append(block)
+    yield from "".join(pending).splitlines()
+
+
 def _cmd_ingest(res: dict) -> int:
     sector_map = SectorMap.from_squares(res["squares"])
-    # the same lines as read_text().splitlines(), read one at a time
     with open(res["raw"], encoding="utf-8") as fh:
-        parsed = parse_raw(p for line in fh for p in line.splitlines())
+        parsed = parse_raw(_read_lines(fh))
     for issue in parsed.issues[:20]:
         print(f"line {issue.line_no}: {issue.reason}", file=sys.stderr)
     if len(parsed.issues) > 20:
@@ -221,7 +241,8 @@ def _cmd_ingest(res: dict) -> int:
 
     totals = " ".join(f"{lab}={int(v)}"
                       for lab, v in zip(SECTOR_LABELS, series.counts.sum(axis=0)))
-    print(f"slots={series.n_slots} gaps={len(series.gap_slots())} {totals}")
+    gaps = np.count_nonzero(~series.counts.any(axis=1))
+    print(f"slots={series.n_slots} gaps={gaps} {totals}")
     return EXIT_OK
 
 
@@ -231,6 +252,7 @@ def _cmd_train(res: dict) -> int:
         learning_rate=res["lr"], optimizer=res["optimizer"],
         gradient_clip_norm=res["clip"], seed=res["seed"])
     cfg.validate()
+    check_window_args(res["window_len"], res["train_fraction"])
     series = _load_series(res["series"])
     dataset = make_windows(series, res["window_len"], res["train_fraction"])
     params, norm, report = training.fit(dataset, cfg, hidden_dim=res["hidden"])
@@ -273,6 +295,7 @@ def _cmd_schedule(res: dict) -> int:
 
 
 def _cmd_eval(res: dict) -> int:
+    check_window_args(res["window_len"], res["train_fraction"])
     params, norm = model_io.load_model(res["model"])
     series = _load_series(res["series"])
     dataset = make_windows(series, res["window_len"], res["train_fraction"])
@@ -292,6 +315,7 @@ def _cmd_simulate(res: dict) -> int:
     # the one rule that ties two options together
     if "predicted" in res["policies"] and res["model"] is None:
         raise InvalidConfigError("the predicted policy needs --model")
+    simulator.check_mean_rate(res["ue_rate"])
     series = _load_series(res["series"])
     n_sim = res["sim_slots"]
     start = series.n_slots - n_sim

@@ -90,6 +90,13 @@ class SimConfig:
         return int(np.ceil(self.horizon_us / SLOT_US))
 
 
+def check_mean_rate(mean_total_rate_per_s: float) -> None:
+    """Refuse a mean arrival rate that is NaN, infinite or negative, as rates_from_counts does."""
+    if not (np.isfinite(mean_total_rate_per_s) and mean_total_rate_per_s >= 0):
+        raise InvalidConfigError(
+            f"mean rate must be finite and non-negative, got {mean_total_rate_per_s}")
+
+
 def rates_from_counts(counts, mean_total_rate_per_s: float) -> np.ndarray:
     """Per-slot rates proportional to observed counts.
 
@@ -97,9 +104,7 @@ def rates_from_counts(counts, mean_total_rate_per_s: float) -> np.ndarray:
     mean_total_rate_per_s.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    if not (np.isfinite(mean_total_rate_per_s) and mean_total_rate_per_s >= 0):
-        raise InvalidConfigError(
-            f"mean rate must be finite and non-negative, got {mean_total_rate_per_s}")
+    check_mean_rate(mean_total_rate_per_s)
     if (bad := np.argwhere(~(np.isfinite(counts) & (counts >= 0)))).size:
         cell = tuple(bad[0].tolist())
         raise InvalidConfigError(f"counts{list(cell)} must be finite and non-negative, "

@@ -12,6 +12,8 @@ np.full per slot and sector): it must make the same numpy generator calls
 in the same order as the code it pins. grad_check_loop is the earlier
 gradient check, kept as it was (two gru.forward calls per moved scalar)
 except that it moves the scalars of a copy of the parameters.
+write_sector_series_scalar is the earlier series writer, kept as it was
+(one datetime and one str() per count, row by row).
 """
 
 import math
@@ -31,6 +33,7 @@ from cdrsweep.ingest import (
     ParseResult,
     SectorMap,
     SectorSeries,
+    _format_ts,
 )
 
 
@@ -387,3 +390,12 @@ def aggregate_scalar(records, sector_map: SectorMap, count_mode: str = "record_c
 
     counts = acc.astype(np.int64) if count_mode == "record_count" else np.rint(acc).astype(np.int64)
     return SectorSeries(t0_ms=t0, counts=counts)
+
+
+def write_sector_series_scalar(series: SectorSeries) -> str:
+    """Render the normalized CSV: header time,A,B,C,D then one row per slot."""
+    lines = ["time," + ",".join(SECTOR_LABELS)]
+    for i in range(series.n_slots):
+        row = ",".join(str(int(v)) for v in series.counts[i])
+        lines.append(f"{_format_ts(series.slot_time_ms(i))},{row}")
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """End-to-end tests that drive the command line in subprocesses."""
 
+import io
 import os
 import stat
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from cdrsweep import (
+    MAX_SLOTS,
     REPORT_HEADER,
     SLOT_US,
     GruParams,
@@ -141,6 +143,21 @@ def test_ingest_reads_the_same_lines_from_the_file_as_parse_raw(workdir):
     assert (workdir / "seps.csv").read_text() == write_sector_series(series)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+def test_ingest_reads_the_same_lines_across_block_boundaries(monkeypatch, block):
+    text = "5060\t1\r\n\r\n5061\t2\x0b5160\t3\r5161\t4\u2028\n\n  \n5060\t5" * 3
+    monkeypatch.setattr(cli, "_READ_CHARS", block)
+    assert list(cli._read_lines(io.StringIO(text, newline=None))) == text.splitlines()
+
+
+def test_ingest_counts_the_gaps_of_a_wide_span(tmp_path):
+    last = T0 + (MAX_SLOTS - 1) * 600_000
+    (tmp_path / "wide.tsv").write_text(f"5060\t{T0}\t39\t1\n5161\t{last}\t39\t1\n")
+    proc = run_cli(["ingest", "--raw", "wide.tsv", "--out", "wide.csv"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"slots={MAX_SLOTS} gaps={MAX_SLOTS - 2} A=1 B=0 C=0 D=1\n"
+
+
 def test_missing_input_file_is_an_io_error(workdir):
     proc = run_cli(["ingest", "--raw", "no_such_file.tsv"], cwd=workdir)
     assert proc.returncode == 1
@@ -212,7 +229,14 @@ def test_a_refused_option_is_named_before_any_input_is_read(tmp_path, args, flag
      "error: sector map needs exactly 4 squares, got 3"),
     (["train", "--series", "missing.csv", "--optimizer", "rmsprop"],
      "error: unknown optimizer 'rmsprop'"),
-], ids=["ingest-squares", "train-optimizer"])
+    (["train", "--series", "missing.csv", "--window-len", "0"],
+     "error: need window_len >= 1, got window_len=0"),
+    (["eval", "--model", "missing.txt", "--series", "missing.csv", "--train-fraction", "1"],
+     "error: train_fraction must be in (0, 1), got 1.0"),
+    (["simulate", "--series", "missing.csv", "--policies", "sequential", "--ue-rate", "nan"],
+     "error: mean rate must be finite and non-negative, got nan"),
+], ids=["ingest-squares", "train-optimizer", "train-window-len", "eval-train-fraction",
+        "simulate-ue-rate"])
 def test_the_library_checks_options_before_the_input_is_read(tmp_path, args, error):
     proc = run_cli(args, cwd=tmp_path)
     assert proc.returncode == 2

@@ -19,9 +19,10 @@ from cdrsweep import (
     parse_raw,
     write_sector_series,
 )
-from cdrsweep.fixtures import demo_raw_lines, demo_sector_map, DEMO_SLOT_COUNTS
-from cdrsweep.ingest import cut_windows
-from _oracles import aggregate_scalar, parse_raw_scalar
+from cdrsweep import ingest
+from cdrsweep.fixtures import demo_raw_lines, demo_sector_map, DEMO_SLOT_COUNTS, synthetic_series
+from cdrsweep.ingest import _BATCH_LINES, cut_windows
+from _oracles import aggregate_scalar, parse_raw_scalar, write_sector_series_scalar
 
 T0 = 1_384_726_200_000
 SLOT = 600_000
@@ -30,6 +31,11 @@ LAST_MS = 253_402_300_799_999  # 9999-12-31T23:59:59.999Z
 
 def line(square, ts, *activities):
     return f"{square}\t{ts}\t39\t" + "\t".join(str(a) for a in activities)
+
+
+def full(square, ts, *activities):
+    """A line with all 8 fields: the activities, then empty ones."""
+    return line(square, ts, *activities, *[""] * (5 - len(activities)))
 
 
 def test_parse_basic_record():
@@ -72,6 +78,12 @@ def test_parse_floors_misaligned_timestamp_and_reports_it():
     assert result.records[0].slot_start_ms == T0
     assert len(result.issues) == 1
     assert "floored" in result.issues[0].reason
+    # off the grid and without activity: both issues, in that order
+    result = parse_raw([full(5060, T0 + 7)])
+    assert not len(result.records)
+    assert [(i.line_no, i.reason) for i in result.issues] == [
+        (1, f"timestamp {T0 + 7} not slot-aligned; floored to {T0}"),
+        (1, "no activity fields; not a CDR event")]
 
 
 def test_sector_map_roundtrip_and_unknown_square():
@@ -184,12 +196,26 @@ _STAMPS_BAD = ("notatime", "", "-600000", "1.5e12")
 _VALUES = ("1.5", "0.25", "7", "0.1", "0.2", "0.3333333333333333", "2.675", "1e-3",
            " 0.7 ", "", " ", "\x0b")
 _BAD_VALUES = ("nan", "inf", "-1.5", "1e", "n/a", "-inf", "NaN")
+_CANONICAL_VALUES = ("1.5", "0.25", "7", "0.1", "2.675", "5.", ".5", "007", "",
+                     "0.3333333333333333", "12345678901234567")
 
 
-def _random_raw_lines(rng, n, unknown_square):
-    """n raw lines mixing good records with every kind of malformed line."""
+def _random_raw_lines(rng, n, unknown_square, canonical=False):
+    """n raw lines mixing good records with every kind of malformed line.
+
+    With canonical, about 9 lines in 10 have 8 fields of digits and "."
+    only, as a CDR extract does; the others are drawn as without it.
+    """
     out = []
     for _ in range(n):
+        if canonical and rng.random() < 0.9:
+            stamp = T0 + int(rng.integers(0, 30)) * SLOT
+            if rng.random() < 0.05:
+                stamp += int(rng.integers(1, SLOT))
+            values = [str(rng.choice(_CANONICAL_VALUES)) for _ in range(5)]
+            out.append(full(rng.choice(_SQUARES[:4]), stamp, *values).replace(
+                "\t39\t", "\t" + str(rng.choice(["39", "", "3.3"])) + "\t", 1))
+            continue
         kind = rng.random()
         if kind < 0.05:
             out.append(str(rng.choice(["", "   ", "\t", " \t "])))
@@ -220,18 +246,26 @@ def _random_raw_lines(rng, n, unknown_square):
     return out
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_columnar_ingest_matches_the_per_record_oracle(seed):
-    rng = np.random.default_rng(seed)
-    lines = _random_raw_lines(rng, 400, unknown_square=seed % 3 == 0)
+def _assert_parses_as_the_oracle(lines):
+    """parse_raw's issues and records (to the byte) equal parse_raw_scalar's."""
     got, want = parse_raw(lines), parse_raw_scalar(lines)
-
     assert [(i.line_no, i.reason) for i in got.issues] == \
         [(i.line_no, i.reason) for i in want.issues]
-    assert got.records.square_id.tolist() == [r.square_id for r in want.records]
-    assert got.records.slot_start_ms.tolist() == [r.slot_start_ms for r in want.records]
-    want_sums = np.array([r.activity_sum() for r in want.records], dtype=np.float64)
-    assert got.records.activity_sum.tobytes() == want_sums.tobytes()
+    expected = np.array([(r.square_id, r.slot_start_ms, r.activity_sum()) for r in want.records],
+                        dtype=RECORD_DTYPE)
+    assert got.records.dtype == expected.dtype
+    assert got.records.tobytes() == expected.tobytes()
+    return got, want
+
+
+# seeds 12 and up draw mostly canonical lines, over more than two batches
+@pytest.mark.parametrize("seed", range(16))
+def test_columnar_ingest_matches_the_per_record_oracle(seed):
+    rng = np.random.default_rng(seed)
+    canonical = seed >= 12
+    lines = _random_raw_lines(rng, 2 * _BATCH_LINES + 100 if canonical else 400,
+                              unknown_square=seed % 3 == 0, canonical=canonical)
+    got, want = _assert_parses_as_the_oracle(lines)
 
     smap = demo_sector_map()
     for mode in ("record_count", "activity_sum"):
@@ -245,6 +279,71 @@ def test_columnar_ingest_matches_the_per_record_oracle(seed):
         assert series.t0_ms == expected.t0_ms
         assert series.counts.dtype == expected.counts.dtype
         assert series.counts.tobytes() == expected.counts.tobytes()
+
+
+def _canonical_block():
+    """More than two batches of canonical lines, of every kind the bulk parser takes."""
+    return [full(5060 + i % 2, T0 + i % 7 * SLOT, f"{i % 13}.25", "", i % 5, *["0.5"][:i % 2])
+            if i % 50 else full(5161, T0 + 1000 + i, "") for i in range(2 * _BATCH_LINES + 10)]
+
+
+# lines on or just past an edge of the canonical grammar; each goes through
+# the bulk parser or the per-line one, and must come out as the oracle's
+_EDGE_LINES = {
+    "dot": full(5060, T0, "."),
+    "trailing-dot": full(5060, T0, "5."),
+    "leading-dot": full(5060, T0, ".5"),
+    "two-dots": full(5060, T0, "1.2.3"),
+    "leading-zeros": full("007", T0, "007"),
+    "16-digit-value": full(5060, T0, "1234567890123456"),
+    "25-digit-value": full(5060, T0, "1234567890.123456789012345"),
+    "square-0": full(0, T0, "1"),
+    "16-digit-square": full(10**15, T0, "1"),
+    "last-ms": full(5060, LAST_MS, "1"),
+    "7-fields": full(5060, T0, "1", "2", "3", "4").rsplit("\t", 1)[0],
+    "9-fields": full(5060, T0, "1") + "\t9",
+    "trailing-tab": full(5060, T0, "1", "2", "3", "4"),
+    "off-grid-no-activity": full(5060, T0 + 7),
+    "newline": full(5060, T0, "1.5") + "\n",
+    "crlf": full(5060, T0, "1.5") + "\r\n",
+    "non-ascii-country": full(5060, T0, "1").replace("\t39\t", "\t\u00dc\t"),
+    "bom": "\ufeff" + full(5060, T0, "1"),
+}
+
+
+@pytest.mark.parametrize("edge", _EDGE_LINES.values(), ids=_EDGE_LINES.keys())
+def test_edge_lines_parse_as_the_oracle_alone_and_in_a_canonical_block(edge):
+    block = _canonical_block()
+    _assert_parses_as_the_oracle([edge])
+    for at in (0, _BATCH_LINES - 1, _BATCH_LINES, len(block) // 2, len(block)):
+        _assert_parses_as_the_oracle(block[:at] + [edge] + block[at:])
+
+
+@pytest.mark.parametrize("edge, message", [
+    (full(10**19 + 7, T0, "1"), "square id 10000000000000000007 does not fit in int64"),
+    (full(5060, LAST_MS + 1, "1"), f"timestamp {LAST_MS + 1} is after the year 9999"),
+], ids=["20-digit-square", "past-last-ms"])
+def test_an_out_of_range_line_is_named_wherever_it_sits_in_a_canonical_block(edge, message):
+    block = _canonical_block()
+    for at in (0, _BATCH_LINES - 1, _BATCH_LINES, len(block) // 2, len(block)):
+        with pytest.raises(OutOfRangeError, match=f"^line {at + 1}: {message}$"):
+            parse_raw(block[:at] + [edge] + block[at:])
+
+
+def test_only_lines_outside_the_canonical_grammar_reach_the_per_line_parser(monkeypatch):
+    seen = []
+    per_line = ingest._parse_lines
+
+    def spy(numbered, rows, issues):
+        numbered = list(numbered)
+        seen.extend(line_no for line_no, _ in numbered)
+        return per_line(numbered, rows, issues)
+
+    monkeypatch.setattr(ingest, "_parse_lines", spy)
+    block = _canonical_block()
+    block[3], block[_BATCH_LINES + 4] = line(5060, T0, 1.0), full(5060, T0, "n/a")
+    _assert_parses_as_the_oracle(block)
+    assert seen == [4, _BATCH_LINES + 5]
 
 
 def test_demo_fixture_reproduces_expected_counts():
@@ -342,6 +441,16 @@ def test_series_csv_roundtrip():
     header, first = text.splitlines()[:2]
     assert header == "time,A,B,C,D"
     assert first.startswith("2013-11-17T22:10:00Z,")
+
+
+@pytest.mark.parametrize("series", [
+    SectorSeries(t0_ms=T0, counts=[[3, 0, 2**63 - 1, 12]]),
+    SectorSeries(t0_ms=0, counts=np.arange(40).reshape(10, 4)),
+    synthetic_series(MAX_SLOTS, seed=7),
+    SectorSeries(t0_ms=LAST_MS - LAST_MS % SLOT - 2 * SLOT, counts=np.ones((3, 4), dtype=np.int64)),
+], ids=["one-slot", "epoch", "max-slots", "year-9999"])
+def test_series_writer_matches_the_per_row_writer(series):
+    assert write_sector_series(series) == write_sector_series_scalar(series)
 
 
 def test_series_csv_rejects_bad_input():
