@@ -364,15 +364,22 @@ class SectorMap:
             raise UnknownSquareError(f"unknown square id {square_id}") from None
 
     def sector_indices(self, square_ids: np.ndarray) -> np.ndarray:
-        """sector_index of every id; the first unknown id in array order raises."""
-        uniq, inverse = np.unique(square_ids, return_inverse=True)
-        lookup = np.array([SECTOR_LABELS.index(self.by_square[u]) if u in self.by_square else -1
-                           for u in uniq.tolist()], dtype=np.intp)
-        sectors = lookup[inverse]
-        unknown = np.flatnonzero(sectors < 0)
+        """sector_index of every id; the first unknown id in array order raises.
+
+        Each id is looked up among the four squares with one searchsorted,
+        so the temporaries are a few arrays of the ids' length.
+        """
+        # the squares ascending (one beyond int64 matches no id), then a pad
+        # entry for the ids above them all
+        squares = sorted(s for s in self.by_square if -2**63 <= s < 2**63)
+        keys = np.array(squares + [0], dtype=np.int64)
+        sectors = np.array([SECTOR_LABELS.index(self.by_square[s]) for s in squares],
+                           dtype=np.intp)
+        at = np.searchsorted(keys[:-1], square_ids)
+        unknown = np.flatnonzero((keys[at] != square_ids) | (at == len(squares)))
         if unknown.size:
             raise UnknownSquareError(f"unknown square id {square_ids[unknown[0]]}")
-        return sectors
+        return sectors[at]
 
 
 @dataclass

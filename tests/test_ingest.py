@@ -98,6 +98,19 @@ def test_sector_map_roundtrip_and_unknown_square():
         SectorMap.from_squares([10, 20, 30])
 
 
+def test_sector_indices_match_sector_index_and_name_the_first_unknown_id():
+    smap = SectorMap.from_squares([40, -3, 2**70, 7])
+    ids = np.array([7, 40, -3, 7, 40, -3], dtype=np.int64)
+    assert smap.sector_indices(ids).tolist() == [smap.sector_index(int(i)) for i in ids]
+    for bad, first in (([7, 41, 0], 41), ([0, 7], 0), ([2**63 - 1], 2**63 - 1), ([-2**63], -2**63),
+                       ([-4, 99], -4)):
+        with pytest.raises(UnknownSquareError, match=f"^unknown square id {first}$"):
+            smap.sector_indices(np.array(bad, dtype=np.int64))
+    far = SectorMap.from_squares([2**64, 2**65, 2**66, 2**67])
+    with pytest.raises(UnknownSquareError, match="^unknown square id 5$"):
+        far.sector_indices(np.array([5], dtype=np.int64))
+
+
 def test_aggregate_record_count_and_gap_fill():
     lines = [
         line(5060, T0, 1.0),
