@@ -16,17 +16,14 @@ need never be held in memory. The aggregated series covers every slot
 between the first and last record, and that span is bounded by MAX_SLOTS.
 
 parse_raw takes up to _BATCH_LINES lines at a time and parses at most
-_BATCH_CHARS characters of them together. A canonical line is parsed in
-bulk with numpy: it is ASCII with exactly eight tab-separated fields, every
-byte a digit, "." or a tab, the square id and timestamp 1 to 15 digits, and
-each activity field empty or a decimal number (digits with at most one
-"."). Every other line, and a canonical one that would be reported or
-refused (square id 0, timestamp after the year 9999, activity sum beyond
-float64), goes through the per-line parser _parse_lines, the one place
-where the rules for those lines are written. Both give the same records
-and issues, merged back into line order. A batch's temporaries stay within
-about 40 bytes per character of its text: 2.5 MB at most for 64 Ki
-characters of tabs, about 0.6 MB for 1,024 lines of a CDR extract.
+_BATCH_CHARS characters of them together. A canonical line (see
+_canonical) that gives one record and no issue is parsed in bulk with
+numpy. Every other line goes through the per-line parser _parse_lines, the
+one place where the rules for those lines are written and the one source
+of issues. Both give the same records, merged back into line order. A
+batch's temporaries stay within about 40 bytes per character of its text:
+2.5 MB at most for 64 Ki characters of tabs, about 0.6 MB for 1,024 lines
+of a CDR extract.
 """
 
 from __future__ import annotations
@@ -74,7 +71,6 @@ _BATCH_CHARS = 64 * 1024
 _TAB, _DOT, _ZERO = b"\t.0"
 # an integer of at most 15 digits is below 2**53, so float64 holds it exactly
 _EXACT_DIGITS = 15
-_NO_ACTIVITY = "no activity fields; not a CDR event"
 # write_sector_series renders this many rows at a time
 _WRITE_ROWS = 4096
 
@@ -110,15 +106,15 @@ def parse_raw(lines) -> ParseResult:
     such as a generator over an open file, which is consumed once and never
     held whole. Each counted line becomes one RECORD_DTYPE row; no per-line
     object is kept. Malformed lines become ParseIssue entries carrying their
-    1-based line number; they are never silently dropped. Raises
-    EmptyInputError when the input contains no non-blank lines at all, and
-    OutOfRangeError, naming the line, for a square id that does not fit in
-    int64 or a timestamp after the year 9999.
+    1-based line number, in line order; they are never silently dropped.
+    Raises EmptyInputError when no line gives a record or an issue (the
+    input is empty or blank), and OutOfRangeError, naming the line, for a
+    square id that does not fit in int64 or a timestamp after the year 9999.
 
-    The lines are taken _BATCH_LINES at a time. In a batch, the canonical
-    lines (see _parse_bulk) are parsed together in numpy, every other line
-    by the per-line parser _parse_lines, and their records and issues are
-    merged back into line order.
+    The lines are taken _BATCH_LINES at a time. In a batch, the lines that
+    _parse_bulk takes are parsed together in numpy, every other line by the
+    per-line parser _parse_lines, and their records are merged back into
+    line order.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
@@ -126,16 +122,15 @@ def parse_raw(lines) -> ParseResult:
     # the RECORD_DTYPE rows, appended batch by batch and read in place at the end
     rows = bytearray()
     issues: list[ParseIssue] = []
-    saw_line = False
     pending = iter(lines)
     first = 1  # the line number of batch[0]
     while batch := list(islice(pending, _BATCH_LINES)):
         widths = np.fromiter(map(len, batch), dtype=np.intp, count=len(batch))
         for lo, hi in _spans(widths):
-            saw_line |= _parse_batch(batch[lo:hi], widths[lo:hi], first + lo, rows, issues)
+            _parse_batch(batch[lo:hi], widths[lo:hi], first + lo, rows, issues)
         first += len(batch)
 
-    if not saw_line:
+    if not rows and not issues:
         raise EmptyInputError("input contains no lines")
     records = np.frombuffer(rows, dtype=RECORD_DTYPE).view(np.recarray)
     return ParseResult(records=records, issues=issues)
@@ -157,44 +152,36 @@ def _spans(widths: np.ndarray):
 
 
 def _parse_batch(lines: list, widths: np.ndarray, first: int, rows: bytearray,
-                 issues: list) -> bool:
-    """Parse lines, numbered from first, onto rows and issues; True if one is not blank."""
-    bulk, line_nos, records, found = _parse_bulk(lines, widths, first)
+                 issues: list) -> None:
+    """Parse lines, numbered from first, onto rows and issues."""
+    bulk, records = _parse_bulk(lines, widths)
     each: list = []
-    saw_line = _parse_lines(((first + i, lines[i]) for i in np.flatnonzero(~bulk).tolist()),
-                            each, found) or bool(bulk.any())
+    _parse_lines(((first + i, lines[i]) for i in np.flatnonzero(~bulk).tolist()), each, issues)
     if each:
-        line_nos = np.concatenate([line_nos, [row[0] for row in each]])
+        line_nos = np.concatenate([first + np.flatnonzero(bulk), [row[0] for row in each]])
         records = np.concatenate([records, np.array([row[1:] for row in each],
                                                     dtype=RECORD_DTYPE)])[np.argsort(line_nos)]
     rows += records.tobytes()
-    # each line's issues come from one parser, in their order; sorted() is stable
-    issues.extend(sorted(found, key=lambda issue: issue.line_no))
-    return saw_line
 
 
-def _parse_bulk(lines: list, widths: np.ndarray, first: int):
-    """Parse the canonical lines among lines, numbered from first, in numpy.
+def _parse_bulk(lines: list, widths: np.ndarray):
+    """Parse in numpy the lines that give one record and no issue.
 
-    A canonical line is ASCII and has exactly _MAX_FIELDS tab-separated
-    fields; every byte is a digit, "." or a tab; the square id and the
-    timestamp are 1 to _EXACT_DIGITS digits; and each activity field is
-    empty or a decimal number (digits with at most one "."). A canonical
-    line whose square id is 0, whose timestamp is after the year 9999 or
-    whose activity sum overflows float64 is left to the per-line parser
-    too, which reports or refuses it, so this never raises.
+    Those are the canonical lines (see _canonical) with a square id above
+    0, a timestamp on the 10-minute grid and no later than _MAX_TS_MS, and
+    a finite activity sum. Every other line is left to the per-line parser,
+    which reports or refuses it, so this never raises.
 
-    Returns (bulk, line_nos, records, issues): which lines were parsed here,
-    and their RECORD_DTYPE records (with each one's line number) and their
-    issues, in line order. Its numpy temporaries grow with the lines'
-    text, which _spans keeps within _BATCH_CHARS.
+    Returns (bulk, records): which lines were parsed here, and their
+    RECORD_DTYPE records in line order. Its numpy temporaries grow with the
+    lines' text, which _spans keeps within _BATCH_CHARS.
     """
     bulk = np.zeros(len(lines), dtype=bool)
     if int(widths.sum()) + len(lines) <= _BATCH_CHARS:  # else one long line, never canonical
-        picked, empty = _canonical(lines, widths)
+        picked = _canonical(lines, widths)
         bulk[picked] = True
     if not bulk.any():
-        return bulk, np.empty(0, dtype=np.intp), np.empty(0, dtype=RECORD_DTYPE), []
+        return bulk, np.empty(0, dtype=RECORD_DTYPE)
 
     # the picked lines, one per row, with a 0 in front of every field but the
     # first: an empty field reads 0, and no number changes its value
@@ -208,31 +195,24 @@ def _parse_bulk(lines: list, widths: np.ndarray, first: int):
     # an empty field reads 0.0, and x + 0.0 == x for every x >= 0
     a = values[:, 2:]
     total = (((a[:, 0] + a[:, 1]) + a[:, 2]) + a[:, 3]) + a[:, 4]
-    ok = (square_id > 0) & (slot_start <= _MAX_TS_MS) & np.isfinite(total)
+    ok = ((square_id > 0) & (slot_start <= _MAX_TS_MS) & (slot_start % SLOT_MS == 0)
+          & np.isfinite(total))
     bulk[picked[~ok]] = False
-    line_nos = first + picked[ok]
-    square_id, slot_start, total, empty = square_id[ok], slot_start[ok], total[ok], empty[ok]
-
-    off_grid = slot_start % SLOT_MS
-    counted = ~empty.all(axis=1)
-    issues = []
-    for i in np.flatnonzero((off_grid != 0) | ~counted).tolist():
-        if off_grid[i]:
-            issues.append(ParseIssue(int(line_nos[i]), _floored(int(slot_start[i]))))
-        if not counted[i]:
-            issues.append(ParseIssue(int(line_nos[i]), _NO_ACTIVITY))
-    records = np.empty(int(counted.sum()), dtype=RECORD_DTYPE)
-    records["square_id"] = square_id[counted]
-    records["slot_start_ms"] = (slot_start - off_grid)[counted]
-    records["activity_sum"] = total[counted]
-    return bulk, line_nos[counted], records, issues
+    records = np.empty(int(ok.sum()), dtype=RECORD_DTYPE)
+    records["square_id"] = square_id[ok]
+    records["slot_start_ms"] = slot_start[ok]
+    records["activity_sum"] = total[ok]
+    return bulk, records
 
 
-def _canonical(lines: list, widths: np.ndarray):
-    """The canonical lines among lines (see _parse_bulk), found from their bytes.
+def _canonical(lines: list, widths: np.ndarray) -> np.ndarray:
+    """The indices of the canonical lines among lines, found from their bytes.
 
-    Returns (picked, empty): the indices of the canonical lines and, for
-    each, which of its activity fields are empty.
+    A canonical line is ASCII and has exactly _MAX_FIELDS tab-separated
+    fields; every byte is a digit, "." or a tab; the square id and the
+    timestamp are 1 to _EXACT_DIGITS digits; each activity field is empty
+    or a decimal number (digits with at most one "."); and at least one
+    activity field is not empty.
     """
     # every line, and so every field, ends in a tab: line i is
     # data[starts[i]:starts[i + 1]]. A non-ASCII character reads as "?".
@@ -253,30 +233,23 @@ def _canonical(lines: list, widths: np.ndarray):
     is_int = (width > 0) & (width <= _EXACT_DIGITS) & (dots == 0)
     is_value = (width == 0) | ((dots <= 1) & (width > dots))
     fields = first_tab[picked, None] + np.arange(_MAX_FIELDS)
-    ok = is_int[fields[:, :2]].all(axis=1) & is_value[fields[:, 3:]].all(axis=1)
-    return picked[ok], width[fields[ok, 3:]] == 0
+    activity = fields[:, 3:]
+    ok = (is_int[fields[:, :2]].all(axis=1) & is_value[activity].all(axis=1)
+          & (width[activity] > 0).any(axis=1))
+    return picked[ok]
 
 
-def _floored(slot_start: int) -> str:
-    """The issue of a timestamp off the 10-minute grid."""
-    floored = slot_start - slot_start % SLOT_MS
-    return f"timestamp {slot_start} not slot-aligned; floored to {floored}"
-
-
-def _parse_lines(numbered, rows: list, issues: list) -> bool:
+def _parse_lines(numbered, rows: list, issues: list) -> None:
     """The per-line parser: parse (line number, line) pairs one at a time.
 
     Appends (line_no, square_id, slot_start, activity_sum) to rows for
     each counted line and a ParseIssue to issues for each malformed one,
-    and raises OutOfRangeError as parse_raw does. Returns whether any line
-    was not blank.
+    skips blank lines, and raises OutOfRangeError as parse_raw does.
     """
-    saw_line = False
     for line_no, line in numbered:
         stripped = line.rstrip("\r\n")
         if not stripped.strip():
             continue
-        saw_line = True
 
         parts = stripped.split(_FIELD_DELIMITER)
         if len(parts) < 2:
@@ -311,8 +284,10 @@ def _parse_lines(numbered, rows: list, issues: list) -> bool:
                 else "is after the year 9999"))
         if slot_start % SLOT_MS != 0:
             # normalize to the containing 10-minute slot, but say so
-            issues.append(ParseIssue(line_no, _floored(slot_start)))
-            slot_start -= slot_start % SLOT_MS
+            floored = slot_start - slot_start % SLOT_MS
+            issues.append(ParseIssue(
+                line_no, f"timestamp {slot_start} not slot-aligned; floored to {floored}"))
+            slot_start = floored
 
         # parts[2] is the country code; ignored
         values = []
@@ -331,10 +306,9 @@ def _parse_lines(numbered, rows: list, issues: list) -> bool:
             values.append(value)
         else:
             if not values:
-                issues.append(ParseIssue(line_no, _NO_ACTIVITY))
+                issues.append(ParseIssue(line_no, "no activity fields; not a CDR event"))
                 continue
             rows.append((line_no, square_id, slot_start, sum(values)))
-    return saw_line
 
 
 @dataclass

@@ -356,7 +356,8 @@ def test_only_lines_outside_the_canonical_grammar_reach_the_per_line_parser(monk
     block = _canonical_block()
     block[3], block[_BATCH_LINES + 4] = line(5060, T0, 1.0), full(5060, T0, "n/a")
     _assert_parses_as_the_oracle(block)
-    assert seen == [4, _BATCH_LINES + 5]
+    # and the lines that block draws off the grid without activity
+    assert seen == sorted([4, _BATCH_LINES + 5] + list(range(1, len(block) + 1, 50)))
 
 
 def test_demo_fixture_reproduces_expected_counts():
