@@ -233,8 +233,8 @@ def _cmd_ingest(res: dict) -> int:
         parsed = parse_raw(_read_lines(fh))
     for issue in parsed.issues[:20]:
         print(f"line {issue.line_no}: {issue.reason}", file=sys.stderr)
-    if len(parsed.issues) > 20:
-        print(f"... {len(parsed.issues) - 20} more issues", file=sys.stderr)
+    if parsed.n_issues > 20:
+        print(f"... {parsed.n_issues - 20} more issues", file=sys.stderr)
 
     series = aggregate(parsed.records, sector_map, count_mode=res["count_mode"])
     _write_atomic(_out_path(res, res["out"]), write_sector_series(series))

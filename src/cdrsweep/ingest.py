@@ -20,7 +20,8 @@ _BATCH_CHARS characters of them together. A canonical line (see
 _canonical) that gives one record and no issue is parsed in bulk with
 numpy. Every other line goes through the per-line parser _parse_lines, the
 one place where the rules for those lines are written and the one source
-of issues. Both give the same records, merged back into line order. A
+of issues. Both give the same records, merged back into line order. Of
+the issues, the first _MAX_ISSUES are kept, plus a count of them all. A
 batch's temporaries stay within about 40 bytes per character of its text:
 2.5 MB at most for 64 Ki characters of tabs, about 0.6 MB for 1,024 lines
 of a CDR extract.
@@ -68,6 +69,8 @@ RECORD_DTYPE = np.dtype([("square_id", np.int64), ("slot_start_ms", np.int64),
 # parses at most _BATCH_CHARS characters of them together (see _spans)
 _BATCH_LINES = 1024
 _BATCH_CHARS = 64 * 1024
+# parse_raw keeps the first _MAX_ISSUES issues and counts the rest
+_MAX_ISSUES = 10_000
 _TAB, _DOT, _ZERO = b"\t.0"
 # an integer of at most 15 digits is below 2**53, so float64 holds it exactly
 _EXACT_DIGITS = 15
@@ -97,6 +100,13 @@ class ParseResult:
     # records.square_id and records[i].square_id work as records["square_id"]
     records: np.recarray
     issues: list[ParseIssue] = field(default_factory=list)
+    # every issue found, of which issues may keep only the first; None
+    # counts the issues given
+    n_issues: int | None = None
+
+    def __post_init__(self):
+        if self.n_issues is None:
+            self.n_issues = len(self.issues)
 
 
 def parse_raw(lines) -> ParseResult:
@@ -107,6 +117,7 @@ def parse_raw(lines) -> ParseResult:
     held whole. Each counted line becomes one RECORD_DTYPE row; no per-line
     object is kept. Malformed lines become ParseIssue entries carrying their
     1-based line number, in line order; they are never silently dropped.
+    The first _MAX_ISSUES of them are kept, and n_issues counts them all.
     Raises EmptyInputError when no line gives a record or an issue (the
     input is empty or blank), and OutOfRangeError, naming the line, for a
     square id that does not fit in int64 or a timestamp after the year 9999.
@@ -122,18 +133,22 @@ def parse_raw(lines) -> ParseResult:
     # the RECORD_DTYPE rows, appended batch by batch and read in place at the end
     rows = bytearray()
     issues: list[ParseIssue] = []
+    n_issues = 0
     pending = iter(lines)
     first = 1  # the line number of batch[0]
     while batch := list(islice(pending, _BATCH_LINES)):
+        kept = len(issues)
         widths = np.fromiter(map(len, batch), dtype=np.intp, count=len(batch))
         for lo, hi in _spans(widths):
             _parse_batch(batch[lo:hi], widths[lo:hi], first + lo, rows, issues)
+        n_issues += len(issues) - kept
+        del issues[_MAX_ISSUES:]
         first += len(batch)
 
-    if not rows and not issues:
+    if not rows and not n_issues:
         raise EmptyInputError("input contains no lines")
     records = np.frombuffer(rows, dtype=RECORD_DTYPE).view(np.recarray)
-    return ParseResult(records=records, issues=issues)
+    return ParseResult(records=records, issues=issues, n_issues=n_issues)
 
 
 def _spans(widths: np.ndarray):
@@ -191,8 +206,8 @@ def _parse_bulk(lines: list, widths: np.ndarray):
 
     # exact: both are below 2**53
     square_id, slot_start = values[:, 0].astype(np.int64), values[:, 1].astype(np.int64)
-    # sum() of the present values as CPython 3.11 adds them, left to right:
-    # an empty field reads 0.0, and x + 0.0 == x for every x >= 0
+    # the present values added left to right from 0.0, as _parse_lines adds
+    # them: an empty field reads 0.0, and x + 0.0 == x for every x >= 0
     a = values[:, 2:]
     total = (((a[:, 0] + a[:, 1]) + a[:, 2]) + a[:, 3]) + a[:, 4]
     ok = ((square_id > 0) & (slot_start <= _MAX_TS_MS) & (slot_start % SLOT_MS == 0)
@@ -289,8 +304,9 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
                 line_no, f"timestamp {slot_start} not slot-aligned; floored to {floored}"))
             slot_start = floored
 
-        # parts[2] is the country code; ignored
-        values = []
+        # parts[2] is the country code; ignored. The present activity values
+        # are added left to right from 0.0, as sum() did before Python 3.12.
+        total, counted = 0.0, False
         for name, text in zip(ACTIVITY_NAMES, parts[3:]):
             text = text.strip()
             if not text:
@@ -303,12 +319,13 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
             if not isfinite(value) or value < 0:
                 issues.append(ParseIssue(line_no, f"{name} must be finite and >= 0, got {text}"))
                 break
-            values.append(value)
+            total += value
+            counted = True
         else:
-            if not values:
+            if not counted:
                 issues.append(ParseIssue(line_no, "no activity fields; not a CDR event"))
                 continue
-            rows.append((line_no, square_id, slot_start, sum(values)))
+            rows.append((line_no, square_id, slot_start, total))
 
 
 @dataclass

@@ -271,7 +271,12 @@ class RawCdrRecord:
     activities: tuple
 
     def activity_sum(self) -> float:
-        return sum(a for a in self.activities if a is not None)
+        # left to right from 0.0, as sum() adds floats before Python 3.12
+        total = 0.0
+        for a in self.activities:
+            if a is not None:
+                total += a
+        return total
 
 
 def parse_raw_scalar(lines) -> ParseResult:

@@ -158,6 +158,16 @@ def test_ingest_counts_the_gaps_of_a_wide_span(tmp_path):
     assert proc.stdout == f"slots={MAX_SLOTS} gaps={MAX_SLOTS - 2} A=1 B=0 C=0 D=1\n"
 
 
+def test_ingest_counts_every_issue_past_the_twenty_it_shows(tmp_path):
+    (tmp_path / "noisy.tsv").write_text("x\n" * 30_000 + f"5060\t{T0}\t39\t1\n")
+    proc = run_cli(["ingest", "--raw", "noisy.tsv", "--out", "noisy.csv"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    shown = [ln for ln in proc.stderr.splitlines() if ln.startswith("line ")]
+    assert shown == [f"line {n}: fewer than 2 fields" for n in range(1, 21)]
+    assert proc.stderr.endswith("\n... 29980 more issues\n")
+    assert proc.stdout == "slots=1 gaps=0 A=1 B=0 C=0 D=0\n"
+
+
 def test_missing_input_file_is_an_io_error(workdir):
     proc = run_cli(["ingest", "--raw", "no_such_file.tsv"], cwd=workdir)
     assert proc.returncode == 1

@@ -1,10 +1,11 @@
-"""The README's library example runs against the package as it is."""
+"""The README's library example runs, and its numbers match the package's."""
 
 import ast
 import re
 from pathlib import Path
 
 import cdrsweep
+from cdrsweep import ingest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +30,11 @@ def test_readme_library_example_runs(monkeypatch, tmp_path, capsys):
     # the held-out and persistence MSE, then the simulated mean delay
     assert len(printed) == 3 and all(float(v) > 0 for v in printed)
     assert not list(tmp_path.iterdir())
+
+
+def test_readme_states_the_ingest_limits_the_code_defines():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    for phrase in (f"takes up to {ingest._BATCH_LINES:,} lines at a time",
+                   f"parses at most {ingest._BATCH_CHARS // 1024} Ki characters",
+                   f"keeps the first {ingest._MAX_ISSUES:,} `ParseIssue`s"):
+        assert phrase in text

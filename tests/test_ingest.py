@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from cdrsweep import (
 )
 from cdrsweep import ingest
 from cdrsweep.fixtures import demo_raw_lines, demo_sector_map, DEMO_SLOT_COUNTS, synthetic_series
-from cdrsweep.ingest import _BATCH_LINES, cut_windows
+from cdrsweep.ingest import _BATCH_LINES, _MAX_ISSUES, cut_windows
 from _oracles import aggregate_scalar, parse_raw_scalar, write_sector_series_scalar
 
 T0 = 1_384_726_200_000
@@ -52,6 +53,30 @@ def test_parse_skips_blank_lines_but_not_all_blank():
     assert len(result.records) == 1
     with pytest.raises(EmptyInputError):
         parse_raw(["", "   ", "\n"])
+
+
+def test_a_lone_issue_after_batches_of_blank_lines_is_not_empty_input():
+    blank = ["", "   ", "\t"] * _BATCH_LINES
+    result = parse_raw(blank + ["x"])
+    assert not len(result.records) and result.n_issues == 1
+    assert [(i.line_no, i.reason) for i in result.issues] == [
+        (len(blank) + 1, "fewer than 2 fields")]
+    with pytest.raises(EmptyInputError):
+        parse_raw(blank)
+
+
+def test_parse_keeps_the_first_issues_and_counts_them_all():
+    lines = ["x"] * 200_000 + [line(5060, T0, 1.0)]
+    tracemalloc.start()
+    try:
+        result = parse_raw(iter(lines))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_issues == 200_000
+    assert [i.line_no for i in result.issues] == list(range(1, _MAX_ISSUES + 1))
+    assert result.records.tolist() == [(5060, T0, 1.0)]
+    assert peak < 3 * 2**20  # one issue per line would be about 24 MB
 
 
 def test_parse_reports_malformed_lines_with_numbers():
@@ -358,6 +383,19 @@ def test_only_lines_outside_the_canonical_grammar_reach_the_per_line_parser(monk
     _assert_parses_as_the_oracle(block)
     # and the lines that block draws off the grid without activity
     assert seen == sorted([4, _BATCH_LINES + 5] + list(range(1, len(block) + 1, 50)))
+
+
+def test_both_parsers_add_the_activity_values_left_to_right(monkeypatch):
+    # 1e16 + 1.0 is 1e16 in float64, so a left fold gives 1e16, and math.fsum
+    # (which sum() matches from Python 3.12 on) gives 1.0000000000000002e16
+    clean = full(5060, T0, "10000000000000000", "1", "1")
+    spaced = clean.replace("\t1\t", "\t 1\t", 1)  # outside the canonical grammar
+    lines = [clean, spaced]
+    plain = parse_raw(lines).records
+    assert plain.activity_sum.tolist() == [1e16, 1e16]
+    monkeypatch.setattr(ingest, "sum", math.fsum, raising=False)
+    assert parse_raw(lines).records.tobytes() == plain.tobytes()
+    _assert_parses_as_the_oracle(lines)
 
 
 def test_demo_fixture_reproduces_expected_counts():
