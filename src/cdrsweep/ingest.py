@@ -100,8 +100,8 @@ class ParseResult:
     # records.square_id and records[i].square_id work as records["square_id"]
     records: np.recarray
     issues: list[ParseIssue] = field(default_factory=list)
-    # every issue found, of which issues may keep only the first; None
-    # counts the issues given
+    # how many issues were found; issues may hold only the first of them.
+    # Left as None, it is len(issues).
     n_issues: int | None = None
 
     def __post_init__(self):
