@@ -173,9 +173,9 @@ def _parse_batch(lines: list, widths: np.ndarray, first: int, rows: bytearray,
     each: list = []
     _parse_lines(((first + i, lines[i]) for i in np.flatnonzero(~bulk).tolist()), each, issues)
     if each:
-        line_nos = np.concatenate([first + np.flatnonzero(bulk), [row[0] for row in each]])
-        records = np.concatenate([records, np.array([row[1:] for row in each],
-                                                    dtype=RECORD_DTYPE)])[np.argsort(line_nos)]
+        # each per-line record goes after the bulk records of the lines before it
+        at = np.searchsorted(np.flatnonzero(bulk), [row[0] - first for row in each])
+        records = np.insert(records, at, np.array([row[1:] for row in each], dtype=RECORD_DTYPE))
     rows += records.tobytes()
 
 
