@@ -77,6 +77,7 @@ from .simulator import (
     SimConfig,
     SimReport,
     compare,
+    draw_ues,
     expected_delay_static,
     rates_from_counts,
     report_csv,

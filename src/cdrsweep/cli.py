@@ -359,11 +359,13 @@ def _cmd_simulate(res: dict) -> int:
         # one seed's rows at a time; the kept reports hold arrays, not text
         yield simulator.REPORT_HEADER
         for i, cfg in enumerate(configs, 1):
-            runs = [simulator.simulate(cfg, pol) for pol in policy_objs]
-            if not runs[0].n_ues:
+            ues = simulator.draw_ues(cfg)
+            if not ues.arrival_us.size:
                 raise InvalidConfigError(
                     f"seed {i} of {len(configs)} (run seed {cfg.seed}) drew no UE: "
                     "raise --ue-rate or --sim-slots")
+            # every policy meets the same UEs, and the runs share their arrays
+            runs = [simulator.simulate(cfg, pol, ues) for pol in policy_objs]
             reports.extend(runs)
             yield simulator.report_csv(runs)
 

@@ -11,6 +11,8 @@ independently with detect_prob. The whole run is driven by one 64-bit seed
 split into independent substreams for arrivals, detection and schedule
 tie-breaking, so two policies simulated under the same seed face identical
 arrival streams and identical per-UE detection luck (common random numbers).
+draw_ues draws a seed's UEs once, and simulate resolves each policy against
+that one draw.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .ingest import MAX_SLOTS, SECTOR_LABELS, SLOT_MS, check_shares
 from .scheduler import (
     BURST_PERIOD_US,
     SSB_OFFSETS_US,
+    SSB_SLOTS,
     SectorRanking,
     SweepSchedule,
     build_schedule,
@@ -33,6 +36,11 @@ from .scheduler import (
 SLOT_US = SLOT_MS * 1000.0  # one 10-minute aggregation slot, in microseconds
 BURSTS_PER_SLOT = 30_000    # SLOT_US / BURST_PERIOD_US
 N_SECTORS = len(SECTOR_LABELS)
+# The most UEs a run may expect to draw (the sum of rate x duration over its
+# slots). Drawing, resolving three policies and rendering their report rows
+# peaked at about 510 bytes per UE (tracemalloc, 1M UEs), so a seed of the
+# CLI stays near 2 GB however high the rates are set.
+MAX_UES = 2 ** 22
 REPORT_HEADER = "policy,seed,ue_id,sector,arrival_us,delay_us\n"  # see report_csv
 
 # The least detect_prob whose delays stay below 2**62 us (about 1.95e-13).
@@ -84,6 +92,16 @@ class SimConfig:
                 f"/ 2**62) to keep every delay below 2**62 us, got {self.detect_prob}")
         if 1 < r.shape[0] < self.n_slots:
             raise InvalidConfigError(f"{r.shape[0]} rate rows cannot cover {self.n_slots} slots")
+        if r.shape[0] == 1:
+            expected = float(r.sum()) * self.horizon_us / 1e6
+        else:
+            starts = np.arange(self.n_slots) * SLOT_US
+            slot_us = np.minimum(self.horizon_us, starts + SLOT_US) - starts
+            expected = float(slot_us @ r[:self.n_slots].sum(axis=1)) / 1e6
+        if not expected <= MAX_UES:
+            raise InvalidConfigError(
+                f"the rates give {expected:.4g} UEs per run on average, "
+                f"more than MAX_UES = {MAX_UES}")
 
     @property
     def n_slots(self) -> int:
@@ -117,23 +135,28 @@ def rates_from_counts(counts, mean_total_rate_per_s: float) -> np.ndarray:
 
 def _offsets_table(schedules):
     """offsets[i, s, :counts[i, s]]: the ascending start offsets of the SSBs
-    aimed at sector s under schedules[i], in rows padded with inf to 14."""
+    aimed at sector s under schedules[i], in rows padded with inf to 14;
+    before[i, s, m]: how many of them are among the first m SSBs of a burst,
+    so before[i, s, -1] == counts[i, s]."""
     slots = np.array([sched.slots for sched in schedules])
     aimed = slots[:, None, :] == np.arange(N_SECTORS)[:, None]
+    before = np.zeros(aimed.shape[:2] + (SSB_SLOTS + 1,), dtype=np.int64)
+    np.cumsum(aimed, axis=2, out=before[:, :, 1:])
     # sorting moves the SSBs aimed at each sector to the front of its row, in order
-    return np.sort(np.where(aimed, SSB_OFFSETS_US, np.inf), axis=2), aimed.sum(axis=2)
+    offsets = np.sort(np.where(aimed, SSB_OFFSETS_US, np.inf), axis=2)
+    return offsets, aimed.sum(axis=2), before
 
 
 class PerSlotPolicy:
     """A sweep policy: one schedule for every 10-minute slot, or one per slot,
-    whose offsets and counts are the _offsets_table of its schedules."""
+    whose offsets, counts and before are the _offsets_table of its schedules."""
 
     def __init__(self, name: str, schedules):
         self.name = name
         self.schedules = tuple(schedules)
         if not self.schedules:
             raise InvalidConfigError("need at least one schedule")
-        self.offsets, self.counts = _offsets_table(self.schedules)
+        self.offsets, self.counts, self.before = _offsets_table(self.schedules)
         if (empty := np.argwhere(self.counts == 0)).size:
             i, s = empty[0]
             raise InvalidConfigError(
@@ -193,16 +216,55 @@ def _draw_arrivals(cfg: SimConfig, rng: np.random.Generator):
     return times[order], sectors[order]
 
 
-def simulate(cfg: SimConfig, policy: PerSlotPolicy) -> SimReport:
-    """Run one (config, policy) pair; deterministic given cfg.seed.
+@dataclass(frozen=True, eq=False)
+class UeDraw:
+    """The UEs of one run of cfg, which every policy run of cfg shares.
 
-    The substream split keeps arrivals and detection draws identical across
-    policies under the same seed. Bursts start every BURST_PERIOD_US from
-    time 0, and burst b belongs to slot b // BURSTS_PER_SLOT; a UE arriving
-    near the horizon is still followed until detection under the final
-    slot's schedule. Slot k uses the policy's schedule k; a
-    single schedule serves every slot, and any other policy needs at least
-    cfg.n_slots schedules.
+    Besides each UE's arrival and sector it holds what no policy changes:
+    which matching opportunity finally detects it (needed, from 1), its
+    arrival burst and that burst's slot, and ssb_pos, how many of the
+    burst's SSB_OFFSETS_US start before the arrival.
+    """
+
+    cfg: SimConfig
+    arrival_us: np.ndarray
+    sectors: np.ndarray
+    needed: np.ndarray
+    burst: np.ndarray
+    slot: np.ndarray
+    ssb_pos: np.ndarray
+
+
+def draw_ues(cfg: SimConfig) -> UeDraw:
+    """Draw the UEs of one run of cfg; deterministic given cfg.seed.
+
+    The seed is split into an arrival substream and a detection substream,
+    so every policy resolved against this draw, or against another draw of
+    the same cfg, faces identical arrivals and identical detection luck.
+    """
+    arrival_seq, detect_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    arrivals, sectors = _draw_arrivals(cfg, np.random.default_rng(arrival_seq))
+    # one geometric draw per UE: which matching opportunity finally succeeds
+    needed = np.random.default_rng(detect_seq).geometric(cfg.detect_prob,
+                                                         size=arrivals.shape[0])
+    burst = (arrivals // BURST_PERIOD_US).astype(np.int64)
+    # an arrival drawn onto the horizon itself still belongs to the last slot
+    slot = np.minimum(burst // BURSTS_PER_SLOT, cfg.n_slots - 1)
+    phase = arrivals - burst * BURST_PERIOD_US
+    return UeDraw(cfg=cfg, arrival_us=arrivals, sectors=sectors, needed=needed,
+                  burst=burst, slot=slot, ssb_pos=np.searchsorted(SSB_OFFSETS_US, phase))
+
+
+def simulate(cfg: SimConfig, policy: PerSlotPolicy, ues: UeDraw | None = None) -> SimReport:
+    """Resolve policy against ues, a draw_ues(cfg) of this very cfg (drawn
+    here when None); deterministic given cfg.seed.
+
+    Every run of one draw returns the draw's own sectors and arrival_us
+    arrays. Bursts start every BURST_PERIOD_US from time 0, and burst b
+    belongs to slot b // BURSTS_PER_SLOT; a UE arriving near the horizon is
+    still followed until detection under the final slot's schedule. Slot k
+    uses the policy's schedule k; a single schedule serves every slot, and
+    any other policy needs at least cfg.n_slots schedules.
 
     All UEs are resolved at once: a UE whose needed-th opportunity is the
     j-th SSB aimed at its sector counted from the start of its arrival burst
@@ -210,31 +272,27 @@ def simulate(cfg: SimConfig, policy: PerSlotPolicy) -> SimReport:
     count in the slot. Only UEs whose jump leaves the slot are stepped to the
     next slot's first burst and resolved again.
     """
-    offsets, counts = policy.offsets, policy.counts
+    if ues is None:
+        ues = draw_ues(cfg)
+    elif ues.cfg is not cfg:
+        raise MismatchedConfigsError(
+            f"the UEs given for {policy.name!r} were drawn for another SimConfig")
+    offsets, counts, before = policy.offsets, policy.counts, policy.before
     if counts.shape[0] == 1:
         offsets = np.broadcast_to(offsets, (cfg.n_slots,) + offsets.shape[1:])
         counts = np.broadcast_to(counts, (cfg.n_slots, N_SECTORS))
+        before = np.broadcast_to(before, (cfg.n_slots,) + before.shape[1:])
     elif counts.shape[0] < cfg.n_slots:
         raise InvalidConfigError(
             f"{counts.shape[0]} schedules of {policy.name!r} cannot cover {cfg.n_slots} slots")
-    arrival_seq, detect_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    arrivals, sectors = _draw_arrivals(cfg, np.random.default_rng(arrival_seq))
-    last_slot = cfg.n_slots - 1
-
-    n = arrivals.shape[0]
-    # one geometric draw per UE: which matching opportunity finally succeeds
-    needed = np.random.default_rng(detect_seq).geometric(cfg.detect_prob, size=n)
 
     # ends[k]: the first burst of slot k + 1; the last slot never ends
     ends = np.arange(1, cfg.n_slots + 1) * BURSTS_PER_SLOT
     ends[-1] = np.iinfo(np.int64).max
 
-    burst = (arrivals // BURST_PERIOD_US).astype(np.int64)
-    # an arrival drawn onto the horizon itself still belongs to the last slot
-    slot = np.minimum(burst // BURSTS_PER_SLOT, last_slot)
-    phase = arrivals - burst * BURST_PERIOD_US
+    sectors, burst, slot = ues.sectors, ues.burst.copy(), ues.slot.copy()
     # SSBs of the arrival burst that start before the arrival count as used
-    j = (offsets[slot, sectors] < phase[:, None]).sum(axis=1) + needed - 1
+    j = before[slot, sectors, ues.ssb_pos] + ues.needed - 1
     n_sector = counts[slot, sectors]
 
     crossing = np.flatnonzero(j // n_sector >= ends[slot] - burst)
@@ -247,10 +305,10 @@ def simulate(cfg: SimConfig, policy: PerSlotPolicy) -> SimReport:
         crossing = crossing[j[crossing] // n_sector[crossing] >= ends[s] - b]
 
     burst += j // n_sector
-    delays = burst * BURST_PERIOD_US + offsets[slot, sectors, j % n_sector] - arrivals
+    delays = burst * BURST_PERIOD_US + offsets[slot, sectors, j % n_sector] - ues.arrival_us
 
     return SimReport(policy=policy.name, seed=cfg.seed, sectors=sectors,
-                     arrival_us=arrivals, delay_us=delays)
+                     arrival_us=ues.arrival_us, delay_us=delays)
 
 
 def expected_delay_static(schedule: SweepSchedule, sector_shares) -> float:
@@ -262,7 +320,7 @@ def expected_delay_static(schedule: SweepSchedule, sector_shares) -> float:
     be swept.
     """
     shares = check_shares(sector_shares)
-    (offsets,), (counts,) = _offsets_table([schedule])
+    (offsets,), (counts,), _ = _offsets_table([schedule])
     if (unswept := np.flatnonzero((counts == 0) & (shares > 0))).size:
         raise InvalidConfigError(
             f"sector {SECTOR_LABELS[unswept[0]]} has positive share but no SSB slot")
@@ -415,33 +473,43 @@ def _put_digits(values: np.ndarray, out: np.ndarray) -> None:
     units[units == 0] = _ZERO_WORD   # the value 0 reads "0"
 
 
-def _run_rows(rep: SimReport) -> bytes:
-    """One run's report rows, UTF-8 encoded."""
-    n = rep.n_ues
-    if not n:
-        return b""
-    fields = []
-    for name in ("arrival_us", "delay_us"):
-        x = np.asarray(getattr(rep, name), dtype=np.float64)
-        magnitude = np.abs(x)
-        if not np.all(fits := magnitude < 2.0 ** 63):
-            row = int(np.argmin(fits))
-            raise InvalidConfigError(
-                f"cannot render policy {rep.policy!r} seed {rep.seed} row {row}: "
-                f"{name} {float(x[row])} is not finite and below 2**63 in magnitude")
-        fields.append((np.signbit(x), *_thousandths(magnitude)))
-    (neg_a, whole_a, frac_a), (neg_d, whole_d, frac_d) = fields
-    ue = np.arange(n)
-    # words: ue_id | ",A,-" | arrival | ".ddd" | ",-" | delay | ".ddd" | "\n"
-    u, a, d = _n_words(ue), _n_words(whole_a), _n_words(whole_d)
-    body = np.empty((n, u + a + d + 5), np.uint32)
-    _put_digits(ue, body[:, :u])
-    body[:, u] = _SECTOR_WORDS[2 * rep.sectors + neg_a]
-    _put_digits(whole_a, body[:, u + 1:u + 1 + a])
-    body[:, u + 1 + a] = _FRAC_WORDS[frac_a]
-    body[:, u + 2 + a] = _COMMA_WORDS[neg_d.view(np.uint8)]
-    _put_digits(whole_d, body[:, u + 3 + a:-2])
-    body[:, -2] = _FRAC_WORDS[frac_d]
+def _digit_fields(rep: SimReport, name: str):
+    """rep's column name as (sign bit, whole units, thousandths), or
+    InvalidConfigError naming the run and row of a value '%.3f' cannot give."""
+    x = np.asarray(getattr(rep, name), dtype=np.float64)
+    magnitude = np.abs(x)
+    if not np.all(fits := magnitude < 2.0 ** 63):
+        row = int(np.argmin(fits))
+        raise InvalidConfigError(
+            f"cannot render policy {rep.policy!r} seed {rep.seed} row {row}: "
+            f"{name} {float(x[row])} is not finite and below 2**63 in magnitude")
+    return (np.signbit(x), *_thousandths(magnitude))
+
+
+def _lead_words(rep: SimReport) -> np.ndarray:
+    """The words of rep's ue_id, sector and arrival_us columns, one row per
+    UE: ue_id | ",A,-" | arrival | ".ddd"."""
+    neg, whole, frac = _digit_fields(rep, "arrival_us")
+    ue = np.arange(rep.n_ues)
+    u = _n_words(ue)
+    lead = np.empty((rep.n_ues, u + _n_words(whole) + 2), np.uint32)
+    _put_digits(ue, lead[:, :u])
+    lead[:, u] = _SECTOR_WORDS[2 * rep.sectors + neg]
+    _put_digits(whole, lead[:, u + 1:-1])
+    lead[:, -1] = _FRAC_WORDS[frac]
+    return lead
+
+
+def _run_rows(rep: SimReport, lead: np.ndarray) -> bytes:
+    """One run's report rows, UTF-8 encoded, given the _lead_words of its rows."""
+    neg, whole, frac = _digit_fields(rep, "delay_us")
+    k = lead.shape[1]
+    # words: lead | ",-" | delay | ".ddd" | "\n"
+    body = np.empty((rep.n_ues, k + _n_words(whole) + 3), np.uint32)
+    body[:, :k] = lead
+    body[:, k] = _COMMA_WORDS[neg.view(np.uint8)]
+    _put_digits(whole, body[:, k + 1:-2])
+    body[:, -2] = _FRAC_WORDS[frac]
     body[:, -1] = _NEWLINE_WORD
     rows = body.tobytes().translate(None, b"\0")
     # the prefix goes in after the NULs are gone: a policy name may hold one
@@ -457,9 +525,20 @@ def report_csv(reports) -> str:
     held whole (the CLI writes one seed's runs at a time). Each run is
     rendered column by column in numpy, with the digits '%.3f' would give;
     an arrival or delay that is not finite, or 2**63 or more in magnitude,
-    raises InvalidConfigError naming its run and row.
+    raises InvalidConfigError naming its run and row. Consecutive runs that
+    hold the very same sectors and arrival_us arrays, as the runs of one
+    draw_ues do, render those columns once, and a bad arrival among them
+    names the first of those runs.
     """
-    return b"".join([_run_rows(rep) for rep in reports]).decode("utf-8", "surrogatepass")
+    rows, shared, lead = [], None, None
+    for rep in reports:
+        if not rep.n_ues:
+            continue
+        if shared is None or not (rep.sectors is shared.sectors
+                                  and rep.arrival_us is shared.arrival_us):
+            shared, lead = rep, _lead_words(rep)
+        rows.append(_run_rows(rep, lead))
+    return b"".join(rows).decode("utf-8", "surrogatepass")
 
 
 def summary_csv(reports) -> str:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdrsweep.simulator as sim_mod
 from cdrsweep import (
     MAX_SLOTS,
     REPORT_HEADER,
@@ -18,6 +19,7 @@ from cdrsweep import (
     PerSlotPolicy,
     SectorSeries,
     SimConfig,
+    SimReport,
     aggregate,
     cli,
     compare,
@@ -394,9 +396,43 @@ def test_simulate_report_matches_the_scalar_renderer_byte_for_byte(workdir, tmp_
     assert (tmp_path / "sim_compare.csv").read_text() == compare(runs).csv_text()
 
 
+def test_simulate_draws_each_seed_once_and_its_runs_share_the_arrays(workdir, tmp_path,
+                                                                    monkeypatch, capsys):
+    draw_arrivals, resolve = sim_mod._draw_arrivals, sim_mod.simulate
+    draws, runs = [], []
+    monkeypatch.setattr(sim_mod, "_draw_arrivals",
+                        lambda cfg, rng: draws.append(cfg.seed) or draw_arrivals(cfg, rng))
+    monkeypatch.setattr(sim_mod, "simulate",
+                        lambda *args: runs.append(run := resolve(*args)) or run)
+    code = cli.main(["simulate", "--series", str(workdir / "series.csv"),
+                     "--model", str(workdir / "model.txt"), "--window-len", "24",
+                     "--policies", "sequential,predicted,oracle", "--n-seeds", "4",
+                     "--sim-slots", "3", "--seed", "8", "--out-dir", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    assert len(draws) == 4 and len(set(draws)) == 4
+    assert len(runs) == 12 and all(type(r) is SimReport and r.n_ues for r in runs)
+    for i, seed in enumerate(draws):
+        seed_runs = runs[3 * i:3 * i + 3]
+        assert [(r.policy, r.seed) for r in seed_runs] == [
+            ("sequential", seed), ("predicted", seed), ("oracle", seed)]
+        assert all(r.arrival_us is seed_runs[0].arrival_us and r.sectors is seed_runs[0].sectors
+                   for r in seed_runs)
+
+
+def test_simulate_refuses_more_than_max_ues_per_run(workdir, tmp_path):
+    proc = run_cli(["simulate", "--series", workdir / "series.csv", "--policies", "sequential",
+                    "--ue-rate", "1e9", "--out-dir", "fresh"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        f"error: the rates give 2.16e+13 UEs per run on average, "
+        f"more than MAX_UES = {sim_mod.MAX_UES}")
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_memory_grows_by_the_kept_arrays_not_the_report_text(workdir, tmp_path):
-    # each UE row keeps 24 bytes of arrays for the summary and the comparison;
-    # its CSV text goes to the file with its seed's chunk and is not kept
+    # each UE keeps 16 bytes of arrays that its seed's runs share, and 8 per
+    # run (report row), for the summary and the comparison; its CSV text goes
+    # to the file with its seed's chunk and is not kept
     def peak_and_rows(n_seeds):
         out = tmp_path / f"seeds_{n_seeds}"
         tracemalloc.start()

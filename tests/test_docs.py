@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import cdrsweep
-from cdrsweep import ingest
+from cdrsweep import ingest, simulator
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +38,8 @@ def test_readme_states_the_ingest_limits_the_code_defines():
                    f"parses at most {ingest._BATCH_CHARS // 1024} Ki characters",
                    f"keeps the first {ingest._MAX_ISSUES:,} `ParseIssue`s"):
         assert phrase in text
+
+
+def test_readme_states_the_ue_cap_the_code_defines():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"`MAX_UES` = {simulator.MAX_UES:,} (2^{simulator.MAX_UES.bit_length() - 1})" in text

@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from cdrsweep import (
     REPORT_HEADER,
     SLOT_MS,
     SLOT_US,
+    SSB_OFFSETS_US,
     BadSharesError,
     InvalidConfigError,
     MismatchedConfigsError,
@@ -19,6 +22,7 @@ from cdrsweep import (
     SweepSchedule,
     build_schedule,
     compare,
+    draw_ues,
     expected_delay_static,
     rank_sectors,
     rates_from_counts,
@@ -28,7 +32,7 @@ from cdrsweep import (
     summary_csv,
     synthetic_series,
 )
-from cdrsweep.simulator import BURSTS_PER_SLOT, DETECT_PROB_FLOOR
+from cdrsweep.simulator import BURSTS_PER_SLOT, DETECT_PROB_FLOOR, MAX_UES
 
 from _oracles import (
     draw_arrivals_scalar,
@@ -213,6 +217,31 @@ def test_config_validation():
     with pytest.raises(InvalidConfigError):
         SimConfig(arrival_rates_per_s=np.ones((2, 4)), horizon_us=3 * sim_mod.SLOT_US)
     SimConfig(arrival_rates_per_s=np.ones((3, 4)), horizon_us=3 * sim_mod.SLOT_US)
+
+
+def test_config_refuses_more_than_max_ues_before_drawing_any():
+    # one row over the whole horizon, and per-slot rows with a half last slot
+    at_cap = MAX_UES / (3 * SLOT_US / 1e6)
+    per_slot = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 9.0, 0.0, 0.0]])
+    per_slot *= MAX_UES / (per_slot.sum(axis=1) @ [SLOT_US, SLOT_US, SLOT_US / 2] / 1e6)
+    for rates, horizon_us in (([[at_cap / 4] * 4], 3 * SLOT_US), (per_slot, 2.5 * SLOT_US)):
+        SimConfig(arrival_rates_per_s=rates, horizon_us=horizon_us)
+        with pytest.raises(InvalidConfigError, match=f"more than MAX_UES = {MAX_UES}"):
+            SimConfig(arrival_rates_per_s=np.asarray(rates) * (1 + 1e-9), horizon_us=horizon_us)
+    # far above the cap over the longest horizon: refused without a draw
+    # (4e12 UEs per second over 6e8 s would ask for 2.4e21 UEs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfigError,
+                           match=r"the rates give 2\.4e\+21 UEs per run on average"):
+            SimConfig(arrival_rates_per_s=np.full((1, 4), 1e12), horizon_us=MAX_SLOTS * SLOT_US)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # a finite rate whose expected count overflows is refused too
+    with pytest.raises(InvalidConfigError, match="the rates give inf UEs"):
+        SimConfig(arrival_rates_per_s=np.full((1, 4), 1e305), horizon_us=SLOT_US)
 
 
 def test_rates_from_counts_scales_to_target_mean():
@@ -505,12 +534,17 @@ def scalar_run(cfg, policy, planted=None):
 
 
 def assert_matches_scalar(cfg, policy, planted=None):
+    """simulate on a fresh draw, and on a shared draw_ues, equals scalar_run."""
     report = simulate(cfg, policy)
+    ues = draw_ues(cfg)
+    shared = simulate(cfg, policy, ues)
+    assert shared.arrival_us is ues.arrival_us and shared.sectors is ues.sectors
     arrivals, sectors, delays = scalar_run(cfg, policy, planted)
-    assert np.array_equal(report.arrival_us, arrivals)
-    assert np.array_equal(report.sectors, sectors)
-    assert report.delay_us.dtype == delays.dtype
-    assert np.array_equal(report.delay_us, delays)  # bit for bit, not to a tolerance
+    for got in (report, shared):
+        assert np.array_equal(got.arrival_us, arrivals)
+        assert np.array_equal(got.sectors, sectors)
+        assert got.delay_us.dtype == delays.dtype
+        assert np.array_equal(got.delay_us, delays)  # bit for bit, not to a tolerance
     return report
 
 
@@ -576,6 +610,79 @@ def test_simulate_matches_scalar_oracle_on_planted_edges(monkeypatch, detect_pro
                     detect_prob=detect_prob, seed=3)
     report = assert_matches_scalar(cfg, policy, planted)
     assert slots_crossed(cfg, report) > 0
+
+
+def test_count_table_matches_the_offsets_compare_on_planted_phases(monkeypatch):
+    # arrivals on every SSB offset, one ulp either side, and one ulp before the
+    # next burst, in the first burst (where the arrival is the phase), mid-slot
+    # and around the slot boundaries
+    bursts = np.array([0, 17, BURSTS_PER_SLOT - 1, BURSTS_PER_SLOT, 2 * BURSTS_PER_SLOT + 5])
+    starts = bursts[:, None] * BURST_PERIOD_US
+    on = starts + SSB_OFFSETS_US
+    times = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+                            np.nextafter(starts + BURST_PERIOD_US, 0.0)], axis=1).ravel()
+    times = np.repeat(np.sort(times[times >= 0.0]), 4)
+    planted = planted_arrivals(monkeypatch, times, np.tile(np.arange(4), times.size // 4))
+    cfg = SimConfig(arrival_rates_per_s=np.zeros((3, 4)), horizon_us=3 * SLOT_US,
+                    detect_prob=0.3, seed=8)
+    ues = draw_ues(cfg)
+    phase = ues.arrival_us - ues.burst * BURST_PERIOD_US
+    assert np.isin(SSB_OFFSETS_US, phase).all()
+    assert np.isin([0.0, np.nextafter(SSB_OFFSETS_US[1], 0.0),
+                    np.nextafter(BURST_PERIOD_US, 0.0)], phase).all()
+    values = [[9.0, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 9.0], [5.0, 5.0, 1.0, 1.0]]
+    for policy in (PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"),
+                   PerSlotPolicy.from_values("per_slot", values, np.random.default_rng(1))):
+        k = np.minimum(ues.slot, len(policy.schedules) - 1)
+        passed = (policy.offsets[k, ues.sectors] < phase[:, None]).sum(axis=1)
+        assert np.array_equal(policy.before[k, ues.sectors, ues.ssb_pos], passed)
+        assert np.array_equal(policy.before[:, :, -1], policy.counts)
+        assert_matches_scalar(cfg, policy, planted)
+
+
+def test_simulate_refuses_ues_drawn_for_another_config():
+    cfg = uniform_cfg(seed=5)
+    policy = d_first_policy()
+    for other in (uniform_cfg(seed=6), uniform_cfg(seed=5)):
+        with pytest.raises(MismatchedConfigsError, match="'d_first' were drawn for another"):
+            simulate(other, policy, draw_ues(cfg))
+
+
+def test_report_csv_renders_the_columns_of_one_draw_once_and_byte_for_byte(monkeypatch):
+    cfg, other = (uniform_cfg(seed=s, total_rate=2.0, detect_prob=0.5) for s in (31, 32))
+    policies = [PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"),
+                d_first_policy(), PerSlotPolicy.from_ranking(sequential_ranking(), "100%d")]
+    ues = draw_ues(cfg)
+    shared = [simulate(cfg, policy, ues) for policy in policies]
+    # equal arrays, but not the same objects
+    distinct = [dataclasses.replace(r, sectors=r.sectors.copy(), arrival_us=r.arrival_us.copy())
+                for r in shared]
+    empty = SimReport(policy="empty", seed=1, sectors=np.empty(0, dtype=np.int64),
+                      arrival_us=np.empty(0), delay_us=np.empty(0))
+    mixed = shared[:1] + [simulate(other, policy) for policy in policies[:2]] + [empty] + shared[1:]
+    lead_words = sim_mod._lead_words
+    renders = []
+    monkeypatch.setattr(sim_mod, "_lead_words",
+                        lambda rep: renders.append(rep.policy) or lead_words(rep))
+    for runs, rendered in ((shared, ["sequential"]),
+                           (distinct, ["sequential", "d_first", "100%d"]),
+                           (mixed, ["sequential", "sequential", "d_first", "d_first"])):
+        renders.clear()
+        text = report_csv(runs)
+        assert renders == rendered
+        assert REPORT_HEADER + text == report_csv_scalar(
+            [(r.policy, r.seed, r.sectors, r.arrival_us, r.delay_us) for r in runs])
+        assert "".join(report_csv([r]) for r in runs) == text
+
+
+def test_report_csv_names_the_first_run_of_a_shared_arrival_it_cannot_render():
+    sectors, arrival_us = np.arange(3), np.array([1.0, 2.0, np.nan])
+    runs = [SimReport(policy=name, seed=4, sectors=sectors, arrival_us=arrival_us,
+                      delay_us=np.array([5.0, 6.0, 7.0])) for name in ("first", "second")]
+    for start, name in ((0, "first"), (1, "second")):
+        with pytest.raises(InvalidConfigError,
+                           match=re.escape(f"policy {name!r} seed 4 row 2: arrival_us nan ")):
+            report_csv(runs[start:])
 
 
 def test_report_csv_matches_scalar_renderer_byte_for_byte():
