@@ -41,6 +41,12 @@ Within a chunk:
 - the sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which cannot
   overflow for any input.
 
+Every function computes in the dtype of the parameters it is given: the
+inputs, the initial state, the buffers and the readout are cast to it.
+Training steps float32 copies of its float64 master weights (see
+training.fit); inference, the gradient check and the model file run on the
+float64 parameters themselves, so their bits do not depend on float32.
+
 All operations here are pure functions of their arguments; training-time
 mutation lives in the trainer module.
 """
@@ -143,6 +149,10 @@ class GruParams:
     def copy(self) -> "GruParams":
         return GruParams(**{k: v.copy() for k, v in self.arrays().items()})
 
+    def astype(self, dtype) -> "GruParams":
+        """Every array cast to dtype, as new arrays."""
+        return GruParams(**{k: v.astype(dtype) for k, v in self.arrays().items()})
+
 
 def init_params(input_dim: int, hidden_dim: int, output_dim: int,
                 rng: np.random.Generator) -> GruParams:
@@ -197,7 +207,7 @@ class ForwardTrace:
 
 def readout(p: GruParams, h: np.ndarray) -> np.ndarray:
     """Affine map from hidden state, (H,) or (B, H), to the output (no activation)."""
-    h = np.asarray(h, dtype=np.float64)
+    h = np.asarray(h, dtype=p.W_out.dtype)
     if h.ndim not in (1, 2) or h.shape[-1] != p.hidden_dim:
         raise DimensionMismatchError(
             f"hidden state has shape {h.shape}, "
@@ -206,13 +216,14 @@ def readout(p: GruParams, h: np.ndarray) -> np.ndarray:
 
 
 def _check_inputs(p: GruParams, h0, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a forward pass's arguments; return h0 and xs viewed time-first."""
-    xs = np.asarray(xs, dtype=np.float64)
+    """Validate a forward pass's arguments; return h0 and xs viewed time-first,
+    both in the dtype of p."""
+    xs = np.asarray(xs, dtype=p.W_r.dtype)
     if xs.ndim < 2:
         xs = xs.reshape(1, -1)
     if xs.shape[-2] == 0:
         raise EmptySequenceError("input sequence is empty")
-    h0 = np.asarray(h0, dtype=np.float64)
+    h0 = np.asarray(h0, dtype=p.W_r.dtype)
     h, d = p.hidden_dim, p.input_dim
     if (h0.shape[-1:] != (h,) or xs.shape[-1] != d
             or h0.shape[:-1] != xs.shape[:-2] or xs.ndim > 3):
@@ -239,11 +250,13 @@ def _step_weights(p: GruParams) -> tuple[np.ndarray, ...]:
 
 
 def _buffers(n_steps: int, h0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Time-first hs, [r | u], h_tilde and z buffers for n_steps slots, hs[0] = h0."""
-    hs = np.empty((n_steps + 1,) + h0.shape)
+    """Time-first hs, [r | u], h_tilde and z buffers for n_steps slots, hs[0] = h0,
+    all of h0's dtype."""
+    hs = np.empty((n_steps + 1,) + h0.shape, h0.dtype)
     hs[0] = h0
-    ru = np.empty((n_steps,) + h0.shape[:-1] + (2 * h0.shape[-1],))
-    return hs, ru, np.empty((n_steps,) + h0.shape), np.empty((n_steps,) + h0.shape)
+    ru = np.empty((n_steps,) + h0.shape[:-1] + (2 * h0.shape[-1],), h0.dtype)
+    return (hs, ru, np.empty((n_steps,) + h0.shape, h0.dtype),
+            np.empty((n_steps,) + h0.shape, h0.dtype))
 
 
 def _run(weights: tuple[np.ndarray, ...], x_rows: np.ndarray, hs: np.ndarray,
@@ -268,7 +281,7 @@ def _run(weights: tuple[np.ndarray, ...], x_rows: np.ndarray, hs: np.ndarray,
     np.matmul(x_rows, w_in_z, out=z.reshape((n_steps,) + models + (-1, h)))
     z += b_z
 
-    rec_ru, rec_z = np.empty(ru.shape[1:]), np.empty(hs.shape[1:])
+    rec_ru, rec_z = np.empty(ru.shape[1:], ru.dtype), np.empty(hs.shape[1:], hs.dtype)
     for t in range(n_steps):
         h_prev, ru_t, h_tilde_t, z_t, h_next = hs[t], ru[t], h_tilde[t], z[t], hs[t + 1]
         ru_t += np.matmul(h_prev, w_ru_t, out=rec_ru)
@@ -320,9 +333,9 @@ def stacked_final_state(stack: GruParams, xs) -> np.ndarray:
     buffers at CHUNK_BYTES while K * 5H floats fit in them; a caller with
     more models than that splits the stack.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.asarray(xs, dtype=stack.W_r.dtype)
     n_models, _, h = stack.W_r.shape
-    return _walk(_step_weights(stack), np.zeros((n_models, 1, h)),
+    return _walk(_step_weights(stack), np.zeros((n_models, 1, h), xs.dtype),
                  xs.reshape(len(xs), 1, xs.shape[-1]))
 
 
@@ -330,7 +343,7 @@ def _walk(weights: tuple[np.ndarray, ...], h0: np.ndarray, x_rows: np.ndarray) -
     """The last state of _run over x_rows from h0, time walked in bounded chunks."""
     n_steps = len(x_rows)
     # hs, [r | u], h_tilde and z take 5H floats per batch member per slot
-    chunk = max(1, min(n_steps, CHUNK_BYTES // (8 * 5 * max(h0.size, h0.shape[-1]))))
+    chunk = max(1, min(n_steps, CHUNK_BYTES // (h0.itemsize * 5 * max(h0.size, h0.shape[-1]))))
     hs, ru, h_tilde, z = _buffers(chunk, h0)
     for start in range(0, n_steps, chunk):
         n = min(chunk, n_steps - start)

@@ -483,11 +483,13 @@ def cut_windows(values, window_len: int, first_end: int, last_end: int) -> np.nd
 
     values is an (n_slots, 4) series, such as SectorSeries.counts. The
     windows come back as one read-only (last_end - first_end + 1,
-    window_len, 4) view of a float64 copy of values, or of values itself
-    when it already is float64; nothing is stacked. Raises ValueError
-    unless 1 <= window_len <= first_end <= last_end <= n_slots.
+    window_len, 4) view of values itself when it is float32 or float64,
+    and of a float64 copy of it otherwise; nothing is stacked. Raises
+    ValueError unless 1 <= window_len <= first_end <= last_end <= n_slots.
     """
-    rows = np.asarray(values, dtype=np.float64)
+    rows = np.asarray(values)
+    if rows.dtype != np.float32:
+        rows = rows.astype(np.float64, copy=False)
     n_slots = rows.shape[0]
     if not 1 <= window_len <= first_end <= last_end <= n_slots:
         raise ValueError(

@@ -18,6 +18,12 @@ through one gru.stacked_final_state per chunk of models, instead of two
 forward() calls per scalar. Its losses are bit-identical to that per-scalar
 loop, which tests/_oracles.py keeps as the reference.
 
+Precision is split as in mixed-precision training: fit() runs each step's
+forward() and backward() in float32, while the parameters it updates, the
+optimizer state, the gradient norm and clip stay float64. backward() works
+in the dtype of the parameters it is given, so the gradient check, which
+passes the float64 parameters, is float64 throughout, as is inference.
+
 Inference keeps no trace: predict_next(), which evaluate() calls, reads the
 final states from gru.final_state(), bit-identical to forward()'s, in memory
 that does not grow with the window length.
@@ -132,17 +138,21 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
     y is one sequence's (O,) target or a batch's (B, O) targets; the trace
     must come from forward() under the same parameters and batch shape, and
     every gate value in it is reused rather than recomputed. For a batch the
-    gradient is the mean of the per-sequence gradients.
+    gradient is the mean of the per-sequence gradients. Every buffer, the
+    target and the gradients take the dtype of p; the loss is a float.
     """
-    y = np.asarray(y, dtype=np.float64)
+    dtype = p.W_r.dtype
+    y = np.asarray(y, dtype=dtype)
     if y.ndim not in (1, 2) or y.shape[-1] != p.output_dim:
         raise TraceMismatchError(
             f"target has shape {y.shape}, expected ({p.output_dim},) or (B, {p.output_dim})")
     n_steps = len(trace.xs)
     batch = y.shape[:-1]
     if (trace.hs.shape != (n_steps + 1,) + batch + (p.hidden_dim,)
-            or trace.xs.shape != (n_steps,) + batch + (p.input_dim,)):
-        raise TraceMismatchError("trace dimensions do not match parameters and target")
+            or trace.xs.shape != (n_steps,) + batch + (p.input_dim,)
+            or trace.hs.dtype != dtype):
+        raise TraceMismatchError(
+            "trace dimensions or dtype do not match parameters and target")
 
     h = p.hidden_dim
     y_hat = trace.y_hat
@@ -151,10 +161,11 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
     dh = d_y @ p.W_out
 
     # pre-activation deltas of every slot, [r | u] side by side as in the trace
-    da_ru = np.empty(trace.ru.shape)
-    da_z = np.empty(trace.z.shape)
+    da_ru = np.empty(trace.ru.shape, dtype)
+    da_z = np.empty(trace.z.shape, dtype)
     w_ru = np.concatenate([p.W_r, p.W_u])
-    dh_tilde, tmp, tmp_ru = np.empty(dh.shape), np.empty(dh.shape), np.empty(da_ru.shape[1:])
+    dh_tilde, tmp = np.empty(dh.shape, dtype), np.empty(dh.shape, dtype)
+    tmp_ru = np.empty(da_ru.shape[1:], dtype)
     for t in reversed(range(n_steps)):
         h_prev, ru, z = trace.hs[t], trace.ru[t], trace.z[t]
         r, u = ru[..., :h], ru[..., h:]
@@ -294,6 +305,8 @@ class _Sgd:
 @dataclass
 class TrainReport:
     losses: list = field(default_factory=list)  # normalized units, one per step
+    grad_norms: list = field(default_factory=list)  # pre-clip global norm, one per step
+    clipped: list = field(default_factory=list)  # whether the step's gradient was clipped
     epochs: int = 0
     steps_per_epoch: int = 0
     final_mse_per_sector: np.ndarray = None  # denormalized, held-out
@@ -301,9 +314,11 @@ class TrainReport:
     duration_s: float = 0.0
 
     def history_csv(self) -> str:
-        lines = ["step,epoch,loss"]
-        for i, loss in enumerate(self.losses):
-            lines.append(f"{i},{i // self.steps_per_epoch},{float(loss)!r}")
+        lines = ["step,epoch,loss,grad_norm,clipped"]
+        for i, (loss, norm_g, clipped) in enumerate(
+                zip(self.losses, self.grad_norms, self.clipped, strict=True)):
+            lines.append(f"{i},{i // self.steps_per_epoch},{float(loss)!r},"
+                         f"{float(norm_g)!r},{int(clipped)}")
         return "\n".join(lines) + "\n"
 
 
@@ -316,6 +331,14 @@ def fit(dataset: WindowedDataset, cfg: TrainConfig,
     history is recorded in normalized units, and the report's held-out MSE
     is denormalized. Identical (seed, data, config) reruns produce bit-identical
     weights and history.
+
+    Each step's forward and backward run in float32 against float64 master
+    weights, as in mixed-precision training (Micikevicius et al., ICLR 2018):
+    the normalized rows are cast to float32 once, the parameters at every
+    step, and the gradients back to float64 before the norm, the clip and
+    the optimizer update, whose state stays float64 like the parameters
+    returned. The history records each step's loss, its pre-clip gradient
+    norm and whether the clip applied.
     """
     cfg.validate()
     if dataset.n_train < 1 or dataset.n_test < 1:
@@ -325,7 +348,7 @@ def fit(dataset: WindowedDataset, cfg: TrainConfig,
     # the training windows and targets hold exactly these rows
     w = dataset.window_len
     norm = Normalizer.fit_minmax(dataset.rows[:dataset.split_index + w])
-    rows = norm.normalize(dataset.rows)
+    rows = norm.normalize(dataset.rows).astype(np.float32)
     xn = cut_windows(rows, w, w, len(rows) - 1)
     yn = rows[w:]
 
@@ -338,12 +361,15 @@ def fit(dataset: WindowedDataset, cfg: TrainConfig,
 
     started = time.perf_counter()
     report = TrainReport(epochs=cfg.epochs, steps_per_epoch=cfg.steps_per_epoch)
+    h0 = np.zeros((cfg.batch_size, hidden_dim), np.float32)
     for step in range(cfg.epochs * cfg.steps_per_epoch):
         idx = batch_rng.integers(0, dataset.n_train, size=cfg.batch_size)
         # a diverging run overflows on purpose before it is caught below
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = gru.forward(p, np.zeros((cfg.batch_size, hidden_dim)), xn[idx])
-            loss, g = backward(p, trace, yn[idx])
+            p32 = p.astype(np.float32)
+            # no name holds the trace, so it is freed before the next forward
+            loss, g = backward(p32, gru.forward(p32, h0, xn[idx]), yn[idx])
+            g = g.astype(np.float64)
             norm_g = global_norm(g)
         if not np.isfinite(loss) or not all_finite(g):
             last = repr(report.losses[-1]) if report.losses else "none"
@@ -351,12 +377,15 @@ def fit(dataset: WindowedDataset, cfg: TrainConfig,
                 f"non-finite loss/gradient at step {step} "
                 f"(epoch {step // cfg.steps_per_epoch}, loss={loss}, "
                 f"last finite loss={last}, pre-clip gradient norm={norm_g})")
-        if cfg.gradient_clip_norm is not None and norm_g > cfg.gradient_clip_norm:
+        clipped = cfg.gradient_clip_norm is not None and norm_g > cfg.gradient_clip_norm
+        if clipped:
             factor = cfg.gradient_clip_norm / norm_g
             for arr in g.arrays().values():
                 arr *= factor
         opt.update(p, g)
         report.losses.append(float(loss))
+        report.grad_norms.append(norm_g)
+        report.clipped.append(clipped)
 
     result = evaluate(p, norm, dataset)
     report.final_mse_per_sector = result.mse_per_sector

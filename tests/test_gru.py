@@ -81,6 +81,25 @@ def test_forward_matches_scalar_oracle():
         assert np.max(np.abs(trace.h - np.array(ref_h))) <= 1e-12
 
 
+def test_float32_forward_matches_scalar_oracle_and_stays_float32():
+    # training steps float32 parameters; the oracle computes in float64 from
+    # the same float32 values, so the gap is float32 rounding alone (under
+    # 1e-7 here; 1e-6 is about ten float32 ulps at 1)
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        h, d, t = 5, 3, int(rng.integers(1, 40))
+        p = init_params(d, h, d, rng).astype(np.float32)
+        # float64 inputs and state are cast to the parameters' dtype
+        xs = rng.normal(size=(t, d))
+        trace = forward(p, np.zeros(h), xs)
+        for name in ("xs", "hs", "ru", "h_tilde", "z", "y_hat"):
+            assert getattr(trace, name).dtype == np.float32, name
+        ref_y, ref_h = forward_scalar(weights_as_lists(p), [0.0] * h,
+                                      xs.astype(np.float32).tolist())
+        assert np.max(np.abs(trace.y_hat - np.array(ref_y))) <= 1e-6
+        assert np.max(np.abs(trace.h - np.array(ref_h))) <= 1e-6
+
+
 def test_forward_is_a_fold_of_steps():
     rng = np.random.default_rng(3)
     small = init_params(2, 4, 2, rng)

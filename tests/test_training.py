@@ -2,6 +2,7 @@ import dataclasses
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from cdrsweep import (
     TraceMismatchError,
     TrainConfig,
     backward,
+    dumps_model,
     evaluate,
     fit,
     forward,
     grad_check,
     grad_check_by_tensor,
     init_params,
+    loads_model,
     make_windows,
     mse,
     predict_next,
@@ -320,6 +323,58 @@ def test_batched_backward_is_mean_of_sequence_gradients():
         assert np.max(np.abs(getattr(g_b, name) - total / 5)) < 1e-12, name
 
 
+def test_float32_backward_matches_float64_per_tensor():
+    # fit's step at its own shape: B=32, T=144, H=32, inputs in [0, 1]. The
+    # relative error of each float32 gradient tensor, in the Euclidean norm,
+    # read 2e-7 to 4.4e-7 over five seeds; the bound is 1e-5, about 80 ulps
+    rng = np.random.default_rng(12)
+    p = init_params(4, 32, 4, rng)
+    for arr in p.arrays().values():
+        arr += rng.normal(scale=0.1, size=arr.shape)
+    X = rng.uniform(size=(32, 144, 4)).astype(np.float32)
+    Y = rng.uniform(size=(32, 4)).astype(np.float32)
+    loss64, g64 = backward(p, forward(p, np.zeros((32, 32)), X), Y)
+
+    p32 = p.astype(np.float32)
+    # float64 state and targets do not upcast the float32 step
+    trace = forward(p32, np.zeros((32, 32)), X.astype(np.float64))
+    loss32, g32 = backward(p32, trace, Y.astype(np.float64))
+    assert isinstance(loss32, float)
+    assert abs(loss32 - loss64) <= 1e-5 * loss64
+    for name, want in g64.arrays().items():
+        got = getattr(g32, name)
+        assert got.dtype == np.float32, name
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want), name
+
+    # a trace of another dtype than the parameters is refused, not mixed in
+    with pytest.raises(TraceMismatchError, match="dtype"):
+        backward(p, trace, Y)
+
+
+def test_fit_steps_in_float32_and_keeps_one_trace_alive(monkeypatch):
+    ds = small_dataset()
+    cfg = TrainConfig(epochs=2, steps_per_epoch=4, batch_size=8, seed=3)
+    traces, real_forward = [], gru.forward
+
+    def recording_forward(p, h0, xs):
+        # every earlier step's trace is gone before the next forward allocates
+        assert all(ref() is None for ref in traces)
+        trace = real_forward(p, h0, xs)
+        assert p.W_r.dtype == trace.hs.dtype == trace.xs.dtype == np.float32
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(gru, "forward", recording_forward)
+    p, norm, _ = fit(ds, cfg, hidden_dim=6)
+    assert len(traces) == 8
+    # the master weights come back float64 and round-trip through model.txt
+    back, back_norm = loads_model(dumps_model(p, norm))
+    for name, arr in p.arrays().items():
+        assert arr.dtype == np.float64, name
+        assert np.array_equal(arr, getattr(back, name)), name
+    assert np.array_equal(norm.offset, back_norm.offset)
+
+
 def test_fit_is_bit_reproducible_and_seed_sensitive():
     ds = small_dataset()
     cfg = TrainConfig(epochs=2, steps_per_epoch=5, batch_size=8, seed=3)
@@ -394,10 +449,28 @@ def test_fit_loss_history_length_and_decrease():
     tail = np.mean(report.losses[-10:])
     assert tail < head, f"loss did not move: {head} -> {tail}"
     lines = report.history_csv().splitlines()
-    assert lines[0] == "step,epoch,loss"
+    assert lines[0] == "step,epoch,loss,grad_norm,clipped"
     assert lines[1].startswith("0,0,")
     assert lines[21].startswith("20,1,")
     assert len(lines) == 61
+
+
+@pytest.mark.parametrize("clip", [0.05, 5.0, None])
+def test_history_records_the_pre_clip_norm_and_each_clip(clip):
+    ds = small_dataset(n_slots=120, window=8)
+    cfg = TrainConfig(epochs=2, steps_per_epoch=10, batch_size=16, seed=1,
+                      gradient_clip_norm=clip)
+    _, _, report = fit(ds, cfg, hidden_dim=8)
+    rows = [line.split(",") for line in report.history_csv().splitlines()[1:]]
+    assert len(rows) == 20
+    norms = np.array([float(r[3]) for r in rows])
+    clipped = np.array([int(r[4]) for r in rows])
+    assert np.all(norms > 0) and set(clipped) <= {0, 1}
+    assert np.array_equal(norms, report.grad_norms)
+    assert np.array_equal(clipped == 1,
+                          norms > clip if clip is not None else np.zeros(20, bool))
+    # 0.05 is below every step's norm here and 5.0 above: both outcomes are seen
+    assert clipped.all() if clip == 0.05 else not clipped.any()
 
 
 def test_fit_diverges_cleanly_at_huge_learning_rate():
