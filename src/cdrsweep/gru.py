@@ -47,7 +47,8 @@ Training steps float32 copies of its float64 master weights (see
 training.fit); inference, the gradient check and the model file run on the
 float64 parameters themselves, so their bits do not depend on float32.
 
-All operations here are pure functions of their arguments; training-time
+All operations here are pure functions of their arguments, except that
+forward() computes into the buffers of a trace passed as out; training-time
 mutation lives in the trainer module.
 """
 
@@ -179,7 +180,10 @@ class ForwardTrace:
     hidden chain h[0..T] of shape (T+1, H), ru holds the two sigmoid gates
     side by side, [r | u] of shape (T, 2H), and h_tilde and z are (T, H);
     a batch inserts its axis second: (T, B, D), (T+1, B, H), (T, B, 2H) and
-    (T, B, H).
+    (T, B, H). da_ru and da_z are the buffers that training.backward() writes
+    its pre-activation deltas into, shaped like ru and z; it allocates them
+    on its first pass over a trace. A forward() given this trace as out
+    computes into all six buffers.
     """
 
     xs: np.ndarray
@@ -188,6 +192,8 @@ class ForwardTrace:
     h_tilde: np.ndarray
     z: np.ndarray
     y_hat: np.ndarray
+    da_ru: np.ndarray | None = None
+    da_z: np.ndarray | None = None
 
     @property
     def r(self) -> np.ndarray:
@@ -296,20 +302,35 @@ def _run(weights: tuple[np.ndarray, ...], x_rows: np.ndarray, hs: np.ndarray,
         h_next += h_prev
 
 
-def forward(p: GruParams, h0: np.ndarray, xs) -> ForwardTrace:
+def forward(p: GruParams, h0: np.ndarray, xs, out: ForwardTrace | None = None) -> ForwardTrace:
     """Run the recurrence over an input sequence and read out the final state.
 
     xs is one sequence of input vectors, a (T, input_dim) array with h0 of
     shape (H,), or a batch of them, (B, T, input_dim) with h0 of shape
     (B, H). Deterministic: identical arguments produce bit-identical traces.
+
+    out, an earlier trace of the same shapes and dtype, lends its buffers:
+    the new trace is computed into them, and out's values are overwritten.
+    A training loop so allocates one trace for all its steps
+    (DimensionMismatchError if the shapes or dtype differ).
     """
     h0, xs = _check_inputs(p, h0, xs)
     n_steps = xs.shape[0]
     # the trace is one chunk of length T
-    hs, ru, h_tilde, z = _buffers(n_steps, h0)
+    if out is None:
+        hs, ru, h_tilde, z = _buffers(n_steps, h0)
+    else:
+        hs, ru, h_tilde, z = out.hs, out.ru, out.h_tilde, out.z
+        if hs.shape != (n_steps + 1,) + h0.shape or hs.dtype != h0.dtype:
+            raise DimensionMismatchError(
+                f"out holds a {hs.dtype} trace of shape {hs.shape}, expected "
+                f"{h0.dtype} and {(n_steps + 1,) + h0.shape}")
+        hs[0] = h0
     _run(_step_weights(p), xs.reshape(n_steps, -1, p.input_dim), hs, ru, h_tilde, z)
     return ForwardTrace(xs=xs, hs=hs, ru=ru, h_tilde=h_tilde, z=z,
-                        y_hat=readout(p, hs[-1]))
+                        y_hat=readout(p, hs[-1]),
+                        da_ru=None if out is None else out.da_ru,
+                        da_z=None if out is None else out.da_z)
 
 
 def final_state(p: GruParams, h0: np.ndarray, xs) -> np.ndarray:

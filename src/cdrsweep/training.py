@@ -139,7 +139,9 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
     must come from forward() under the same parameters and batch shape, and
     every gate value in it is reused rather than recomputed. For a batch the
     gradient is the mean of the per-sequence gradients. Every buffer, the
-    target and the gradients take the dtype of p; the loss is a float.
+    target and the gradients take the dtype of p; the loss is a float. The
+    deltas are written into the trace's da_ru and da_z, allocated on the
+    first pass over a trace; the gradients share no memory with them.
     """
     dtype = p.W_r.dtype
     y = np.asarray(y, dtype=dtype)
@@ -160,9 +162,11 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
     d_y = 2.0 * (y_hat - y) / y_hat.size
     dh = d_y @ p.W_out
 
-    # pre-activation deltas of every slot, [r | u] side by side as in the trace
-    da_ru = np.empty(trace.ru.shape, dtype)
-    da_z = np.empty(trace.z.shape, dtype)
+    # pre-activation deltas of every slot, [r | u] side by side as in the
+    # trace, in buffers the trace keeps for the next pass
+    if trace.da_ru is None:
+        trace.da_ru, trace.da_z = np.empty(trace.ru.shape, dtype), np.empty(trace.z.shape, dtype)
+    da_ru, da_z = trace.da_ru, trace.da_z
     w_ru = np.concatenate([p.W_r, p.W_u])
     dh_tilde, tmp = np.empty(dh.shape, dtype), np.empty(dh.shape, dtype)
     tmp_ru = np.empty(da_ru.shape[1:], dtype)
@@ -337,8 +341,9 @@ def fit(dataset: WindowedDataset, cfg: TrainConfig,
     the normalized rows are cast to float32 once, the parameters at every
     step, and the gradients back to float64 before the norm, the clip and
     the optimizer update, whose state stays float64 like the parameters
-    returned. The history records each step's loss, its pre-clip gradient
-    norm and whether the clip applied.
+    returned. Every step computes into the buffers of one trace, so the loop
+    allocates no trace after its first step. The history records each step's
+    loss, its pre-clip gradient norm and whether the clip applied.
     """
     cfg.validate()
     if dataset.n_train < 1 or dataset.n_test < 1:
@@ -362,13 +367,17 @@ def fit(dataset: WindowedDataset, cfg: TrainConfig,
     started = time.perf_counter()
     report = TrainReport(epochs=cfg.epochs, steps_per_epoch=cfg.steps_per_epoch)
     h0 = np.zeros((cfg.batch_size, hidden_dim), np.float32)
+    # one trace for the whole run: a step that allocated its own would get
+    # fresh pages from the allocator, and faulting them in cost more than
+    # the float32 step saved
+    trace = None
     for step in range(cfg.epochs * cfg.steps_per_epoch):
         idx = batch_rng.integers(0, dataset.n_train, size=cfg.batch_size)
         # a diverging run overflows on purpose before it is caught below
         with np.errstate(over="ignore", invalid="ignore"):
             p32 = p.astype(np.float32)
-            # no name holds the trace, so it is freed before the next forward
-            loss, g = backward(p32, gru.forward(p32, h0, xn[idx]), yn[idx])
+            trace = gru.forward(p32, h0, xn[idx], out=trace)
+            loss, g = backward(p32, trace, yn[idx])
             g = g.astype(np.float64)
             norm_g = global_norm(g)
         if not np.isfinite(loss) or not all_finite(g):

@@ -2,12 +2,12 @@ import dataclasses
 import re
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
 
 from cdrsweep import (
+    DimensionMismatchError,
     DivergedLossError,
     EmptySplitError,
     NonFiniteInputError,
@@ -351,28 +351,63 @@ def test_float32_backward_matches_float64_per_tensor():
         backward(p, trace, Y)
 
 
-def test_fit_steps_in_float32_and_keeps_one_trace_alive(monkeypatch):
+def test_fit_steps_in_float32_in_one_set_of_buffers(monkeypatch):
     ds = small_dataset()
     cfg = TrainConfig(epochs=2, steps_per_epoch=4, batch_size=8, seed=3)
     traces, real_forward = [], gru.forward
 
-    def recording_forward(p, h0, xs):
-        # every earlier step's trace is gone before the next forward allocates
-        assert all(ref() is None for ref in traces)
-        trace = real_forward(p, h0, xs)
+    def recording_forward(p, h0, xs, out=None):
+        trace = real_forward(p, h0, xs, out=out)
         assert p.W_r.dtype == trace.hs.dtype == trace.xs.dtype == np.float32
-        traces.append(weakref.ref(trace))
+        traces.append(trace)
         return trace
 
     monkeypatch.setattr(gru, "forward", recording_forward)
     p, norm, _ = fit(ds, cfg, hidden_dim=6)
     assert len(traces) == 8
+    # every step computes into the first step's trace and delta buffers
+    for name in ("hs", "ru", "h_tilde", "z", "da_ru", "da_z"):
+        first = getattr(traces[0], name)
+        assert first.dtype == np.float32, name
+        assert all(getattr(t, name) is first for t in traces), name
     # the master weights come back float64 and round-trip through model.txt
     back, back_norm = loads_model(dumps_model(p, norm))
     for name, arr in p.arrays().items():
         assert arr.dtype == np.float64, name
         assert np.array_equal(arr, getattr(back, name)), name
     assert np.array_equal(norm.offset, back_norm.offset)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_reused_trace_gives_the_bits_of_a_fresh_one(dtype):
+    rng = np.random.default_rng(13)
+    p = init_params(3, 5, 3, rng).astype(dtype)
+    h0 = np.zeros((4, 5))
+    first, second = rng.normal(size=(2, 4, 7, 3))
+    y = rng.normal(size=(4, 3))
+    fresh = forward(p, h0, second)
+    want_loss, want = backward(p, fresh, y)
+
+    old = forward(p, h0, first)
+    backward(p, old, y)
+    reused = forward(p, h0, second, out=old)
+    assert reused.hs is old.hs and reused.da_ru is old.da_ru
+    for name in ("hs", "ru", "h_tilde", "z", "y_hat"):
+        assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+    loss, g = backward(p, reused, y)
+    assert loss == want_loss
+    for name, arr in want.arrays().items():
+        assert np.array_equal(getattr(g, name), arr), name
+        # the gradients do not alias the delta buffers the next pass overwrites
+        assert not np.shares_memory(getattr(g, name), reused.da_ru)
+        assert not np.shares_memory(getattr(g, name), reused.da_z)
+
+    # a trace of another length, batch or dtype cannot lend its buffers
+    other = p.astype(np.float32 if dtype == np.float64 else np.float64)
+    for q, bad_h0, bad_xs in ((p, h0, second[:, :6]), (p, h0[:3], second[:3]),
+                              (other, h0, second)):
+        with pytest.raises(DimensionMismatchError, match="out holds"):
+            forward(q, bad_h0, bad_xs, out=reused)
 
 
 def test_fit_is_bit_reproducible_and_seed_sensitive():
