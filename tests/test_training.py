@@ -509,16 +509,19 @@ def test_history_records_the_pre_clip_norm_and_each_clip(clip):
 
 
 def test_fit_diverges_cleanly_at_huge_learning_rate():
+    # the step runs in float32: a gradient that overflows it ends the run
+    # even while the loss, taken in float64, is still finite
     ds = small_dataset()
-    cfg = TrainConfig(epochs=2, steps_per_epoch=50, batch_size=8,
-                      learning_rate=1e6, optimizer="sgd",
-                      gradient_clip_norm=None, seed=0)
-    with pytest.raises(DivergedLossError) as caught:
-        fit(ds, cfg, hidden_dim=6)
-    message = str(caught.value)
-    assert re.search(r"at step \d+ \(epoch \d+,", message), message
-    assert re.search(r"last finite loss=(none|\d\S*)", message), message
-    assert "pre-clip gradient norm=" in message, message
+    for optimizer, learning_rate in (("sgd", 1e6), ("adam", 1e30)):
+        cfg = TrainConfig(epochs=2, steps_per_epoch=50, batch_size=8,
+                          learning_rate=learning_rate, optimizer=optimizer,
+                          gradient_clip_norm=None, seed=0)
+        with pytest.raises(DivergedLossError) as caught:
+            fit(ds, cfg, hidden_dim=6)
+        message = str(caught.value)
+        assert re.search(r"at step \d+ \(epoch \d+,", message), message
+        assert re.search(r"last finite loss=(none|\d\S*)", message), message
+        assert "pre-clip gradient norm=" in message, message
 
 
 def test_fit_rejects_bad_config_and_empty_split():
