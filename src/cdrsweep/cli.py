@@ -241,8 +241,7 @@ def _cmd_ingest(res: dict) -> int:
 
     totals = " ".join(f"{lab}={int(v)}"
                       for lab, v in zip(SECTOR_LABELS, series.counts.sum(axis=0)))
-    gaps = np.count_nonzero(~series.counts.any(axis=1))
-    print(f"slots={series.n_slots} gaps={gaps} {totals}")
+    print(f"slots={series.n_slots} gaps={series.gap_slots().size} {totals}")
     return EXIT_OK
 
 
@@ -356,7 +355,7 @@ def _cmd_simulate(res: dict) -> int:
     reports = []
 
     def report_chunks():
-        # one seed's rows at a time; the kept reports hold arrays, not text
+        # one seed's rows at a time; the kept runs hold their delays, not text
         yield simulator.REPORT_HEADER
         for i, cfg in enumerate(configs, 1):
             ues = simulator.draw_ues(cfg)
@@ -364,10 +363,10 @@ def _cmd_simulate(res: dict) -> int:
                 raise InvalidConfigError(
                     f"seed {i} of {len(configs)} (run seed {cfg.seed}) drew no UE: "
                     "raise --ue-rate or --sim-slots")
-            # every policy meets the same UEs, and the runs share their arrays
-            runs = [simulator.simulate(cfg, pol, ues) for pol in policy_objs]
+            # every policy meets the same UEs
+            runs = [simulator.simulate(ues, pol) for pol in policy_objs]
             reports.extend(runs)
-            yield simulator.report_csv(runs)
+            yield simulator.report_csv(ues, runs)
 
     _write_atomic(_out_path(res, res["report_out"]), report_chunks())
     _write_atomic(_out_path(res, res["summary_out"]), simulator.summary_csv(reports))
@@ -390,8 +389,7 @@ def _cmd_gradcheck(res: dict) -> int:
         params = gru.init_params(4, h, 4, rng)
         xs = rng.normal(size=(seq_len, 4))
         y = rng.normal(size=(4,))
-        errs = training.grad_check_by_tensor(params, (xs, y), res["epsilon"])
-        model_worst = max(errs.values())
+        model_worst = training.grad_check(params, (xs, y), res["epsilon"])
         worst = max(worst, model_worst)
         print(f"model {i}: hidden={h} len={seq_len} max_rel_err={model_worst:.3e}")
     ok = worst < res["threshold"]

@@ -180,10 +180,10 @@ class ForwardTrace:
     hidden chain h[0..T] of shape (T+1, H), ru holds the two sigmoid gates
     side by side, [r | u] of shape (T, 2H), and h_tilde and z are (T, H);
     a batch inserts its axis second: (T, B, D), (T+1, B, H), (T, B, 2H) and
-    (T, B, H). da_ru and da_z are the buffers that training.backward() writes
-    its pre-activation deltas into, shaped like ru and z; it allocates them
-    on its first pass over a trace. A forward() given this trace as out
-    computes into all six buffers.
+    (T, B, H). da_ru and da_z, shaped like ru and z, are the buffers that
+    training.backward() writes its pre-activation deltas into. forward()
+    allocates all six buffers, and a forward() given this trace as out
+    reuses all six.
     """
 
     xs: np.ndarray
@@ -192,8 +192,8 @@ class ForwardTrace:
     h_tilde: np.ndarray
     z: np.ndarray
     y_hat: np.ndarray
-    da_ru: np.ndarray | None = None
-    da_z: np.ndarray | None = None
+    da_ru: np.ndarray
+    da_z: np.ndarray
 
     @property
     def r(self) -> np.ndarray:
@@ -319,8 +319,9 @@ def forward(p: GruParams, h0: np.ndarray, xs, out: ForwardTrace | None = None) -
     # the trace is one chunk of length T
     if out is None:
         hs, ru, h_tilde, z = _buffers(n_steps, h0)
+        da_ru, da_z = np.empty_like(ru), np.empty_like(z)
     else:
-        hs, ru, h_tilde, z = out.hs, out.ru, out.h_tilde, out.z
+        hs, ru, h_tilde, z, da_ru, da_z = out.hs, out.ru, out.h_tilde, out.z, out.da_ru, out.da_z
         if hs.shape != (n_steps + 1,) + h0.shape or hs.dtype != h0.dtype:
             raise DimensionMismatchError(
                 f"out holds a {hs.dtype} trace of shape {hs.shape}, expected "
@@ -328,9 +329,7 @@ def forward(p: GruParams, h0: np.ndarray, xs, out: ForwardTrace | None = None) -
         hs[0] = h0
     _run(_step_weights(p), xs.reshape(n_steps, -1, p.input_dim), hs, ru, h_tilde, z)
     return ForwardTrace(xs=xs, hs=hs, ru=ru, h_tilde=h_tilde, z=z,
-                        y_hat=readout(p, hs[-1]),
-                        da_ru=None if out is None else out.da_ru,
-                        da_z=None if out is None else out.da_z)
+                        y_hat=readout(p, hs[-1]), da_ru=da_ru, da_z=da_z)
 
 
 def final_state(p: GruParams, h0: np.ndarray, xs) -> np.ndarray:

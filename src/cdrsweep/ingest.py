@@ -398,9 +398,9 @@ class SectorSeries:
     def slot_time_ms(self, i: int) -> int:
         return self.t0_ms + i * SLOT_MS
 
-    def gap_slots(self) -> list:
+    def gap_slots(self) -> np.ndarray:
         """Indices of slots with no activity in any sector."""
-        return [int(i) for i in np.flatnonzero(~self.counts.any(axis=1))]
+        return np.flatnonzero(~self.counts.any(axis=1))
 
 
 def aggregate(records, sector_map: SectorMap, count_mode: str = COUNT_MODES[0]) -> SectorSeries:
@@ -582,27 +582,27 @@ def load_sector_series(text: str) -> SectorSeries:
 
     Validates the header, the 600-second stride and integer counts from 0
     to 2**63 - 1; write_sector_series followed by load_sector_series is the
-    identity.
+    identity. Blank lines are skipped, and an error names the file row
+    (1-based, blank lines counted) where it occurred.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    rows = ((row_no, line) for row_no, line in enumerate(text.splitlines(), start=1)
+            if line.strip())
+    header = next(rows, (0, ""))[1].strip()
+    if not header:
         raise EmptyInputError("series file is empty")
-    header = lines[0].strip()
     if header != "time," + ",".join(SECTOR_LABELS):
         raise SeriesFormatError(f"unexpected header {header!r}")
-    if len(lines) < 2:
-        raise EmptyInputError("series file has no data rows")
 
     t0 = None
     counts = []
-    for row_no, line in enumerate(lines[1:], start=2):
+    for slot, (row_no, line) in enumerate(rows):
         parts = line.split(",")
         if len(parts) != 1 + len(SECTOR_LABELS):
             raise SeriesFormatError(f"row {row_no}: expected 5 columns, got {len(parts)}")
         ts = _parse_ts(parts[0])
         if t0 is None:
             t0 = ts
-        elif ts != t0 + (row_no - 2) * SLOT_MS:
+        elif ts != t0 + slot * SLOT_MS:
             raise SeriesFormatError(f"row {row_no}: timestamp {parts[0]} breaks the 600 s grid")
         try:
             values = [int(v) for v in parts[1:]]
@@ -613,5 +613,7 @@ def load_sector_series(text: str) -> SectorSeries:
         if max(values) > _INT64_MAX:
             raise SeriesFormatError(f"row {row_no}: count {max(values)} does not fit in int64")
         counts.append(values)
+    if not counts:
+        raise EmptyInputError("series file has no data rows")
 
     return SectorSeries(t0_ms=t0, counts=np.array(counts, dtype=np.int64))

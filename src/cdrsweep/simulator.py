@@ -12,7 +12,7 @@ split into independent substreams for arrivals, detection and schedule
 tie-breaking, so two policies simulated under the same seed face identical
 arrival streams and identical per-UE detection luck (common random numbers).
 draw_ues draws a seed's UEs once, and simulate resolves each policy against
-that one draw.
+that one draw; report_csv renders a draw's columns once for all its runs.
 """
 
 from __future__ import annotations
@@ -177,10 +177,10 @@ class PerSlotPolicy:
 
 @dataclass
 class SimReport:
+    """One policy's run on a draw_ues: the delay of each of its UEs, in the draw's order."""
+
     policy: str
     seed: int
-    sectors: np.ndarray     # int sector index per UE
-    arrival_us: np.ndarray
     delay_us: np.ndarray
 
     @property
@@ -255,16 +255,15 @@ def draw_ues(cfg: SimConfig) -> UeDraw:
                   burst=burst, slot=slot, ssb_pos=np.searchsorted(SSB_OFFSETS_US, phase))
 
 
-def simulate(cfg: SimConfig, policy: PerSlotPolicy, ues: UeDraw | None = None) -> SimReport:
-    """Resolve policy against ues, a draw_ues(cfg) of this very cfg (drawn
-    here when None); deterministic given cfg.seed.
+def simulate(ues: UeDraw, policy: PerSlotPolicy) -> SimReport:
+    """Resolve policy against ues, a draw_ues of the SimConfig it carries;
+    deterministic given the draw.
 
-    Every run of one draw returns the draw's own sectors and arrival_us
-    arrays. Bursts start every BURST_PERIOD_US from time 0, and burst b
-    belongs to slot b // BURSTS_PER_SLOT; a UE arriving near the horizon is
-    still followed until detection under the final slot's schedule. Slot k
-    uses the policy's schedule k; a single schedule serves every slot, and
-    any other policy needs at least cfg.n_slots schedules.
+    Bursts start every BURST_PERIOD_US from time 0, and burst b belongs to
+    slot b // BURSTS_PER_SLOT; a UE arriving near the horizon is still
+    followed until detection under the final slot's schedule. Slot k uses
+    the policy's schedule k; a single schedule serves every slot, and any
+    other policy needs at least ues.cfg.n_slots schedules.
 
     All UEs are resolved at once: a UE whose needed-th opportunity is the
     j-th SSB aimed at its sector counted from the start of its arrival burst
@@ -272,11 +271,7 @@ def simulate(cfg: SimConfig, policy: PerSlotPolicy, ues: UeDraw | None = None) -
     count in the slot. Only UEs whose jump leaves the slot are stepped to the
     next slot's first burst and resolved again.
     """
-    if ues is None:
-        ues = draw_ues(cfg)
-    elif ues.cfg is not cfg:
-        raise MismatchedConfigsError(
-            f"the UEs given for {policy.name!r} were drawn for another SimConfig")
+    cfg = ues.cfg
     offsets, counts, before = policy.offsets, policy.counts, policy.before
     if counts.shape[0] == 1:
         offsets = np.broadcast_to(offsets, (cfg.n_slots,) + offsets.shape[1:])
@@ -307,8 +302,7 @@ def simulate(cfg: SimConfig, policy: PerSlotPolicy, ues: UeDraw | None = None) -
     burst += j // n_sector
     delays = burst * BURST_PERIOD_US + offsets[slot, sectors, j % n_sector] - ues.arrival_us
 
-    return SimReport(policy=policy.name, seed=cfg.seed, sectors=sectors,
-                     arrival_us=ues.arrival_us, delay_us=delays)
+    return SimReport(policy=policy.name, seed=cfg.seed, delay_us=delays)
 
 
 def expected_delay_static(schedule: SweepSchedule, sector_shares) -> float:
@@ -473,10 +467,10 @@ def _put_digits(values: np.ndarray, out: np.ndarray) -> None:
     units[units == 0] = _ZERO_WORD   # the value 0 reads "0"
 
 
-def _digit_fields(rep: SimReport, name: str):
-    """rep's column name as (sign bit, whole units, thousandths), or
-    InvalidConfigError naming the run and row of a value '%.3f' cannot give."""
-    x = np.asarray(getattr(rep, name), dtype=np.float64)
+def _digit_fields(x: np.ndarray, rep: SimReport, name: str):
+    """x, the column name of the run rep, as (sign bit, whole units, thousandths),
+    or InvalidConfigError naming rep and the row of a value '%.3f' cannot give."""
+    x = np.asarray(x, dtype=np.float64)
     magnitude = np.abs(x)
     if not np.all(fits := magnitude < 2.0 ** 63):
         row = int(np.argmin(fits))
@@ -486,23 +480,23 @@ def _digit_fields(rep: SimReport, name: str):
     return (np.signbit(x), *_thousandths(magnitude))
 
 
-def _lead_words(rep: SimReport) -> np.ndarray:
-    """The words of rep's ue_id, sector and arrival_us columns, one row per
-    UE: ue_id | ",A,-" | arrival | ".ddd"."""
-    neg, whole, frac = _digit_fields(rep, "arrival_us")
-    ue = np.arange(rep.n_ues)
+def _lead_words(ues: UeDraw, first: SimReport) -> np.ndarray:
+    """The words of the ue_id, sector and arrival_us columns of ues, one row
+    per UE: ue_id | ",A,-" | arrival | ".ddd"; a bad arrival names first."""
+    neg, whole, frac = _digit_fields(ues.arrival_us, first, "arrival_us")
+    ue = np.arange(len(ues.arrival_us))
     u = _n_words(ue)
-    lead = np.empty((rep.n_ues, u + _n_words(whole) + 2), np.uint32)
+    lead = np.empty((ue.size, u + _n_words(whole) + 2), np.uint32)
     _put_digits(ue, lead[:, :u])
-    lead[:, u] = _SECTOR_WORDS[2 * rep.sectors + neg]
+    lead[:, u] = _SECTOR_WORDS[2 * ues.sectors + neg]
     _put_digits(whole, lead[:, u + 1:-1])
     lead[:, -1] = _FRAC_WORDS[frac]
     return lead
 
 
 def _run_rows(rep: SimReport, lead: np.ndarray) -> bytes:
-    """One run's report rows, UTF-8 encoded, given the _lead_words of its rows."""
-    neg, whole, frac = _digit_fields(rep, "delay_us")
+    """One run's report rows, UTF-8 encoded, given the _lead_words of its draw."""
+    neg, whole, frac = _digit_fields(rep.delay_us, rep, "delay_us")
     k = lead.shape[1]
     # words: lead | ",-" | delay | ".ddd" | "\n"
     body = np.empty((rep.n_ues, k + _n_words(whole) + 3), np.uint32)
@@ -517,28 +511,30 @@ def _run_rows(rep: SimReport, lead: np.ndarray) -> bytes:
     return prefix + rows[:-1].replace(b"\n", b"\n" + prefix) + b"\n"
 
 
-def report_csv(reports) -> str:
-    """Per-UE rows of the given runs, in the columns of REPORT_HEADER.
+def report_csv(ues: UeDraw, runs) -> str:
+    """Per-UE rows of the given runs of the draw ues, in the columns of REPORT_HEADER.
 
     Only rows, no header: a report file is REPORT_HEADER followed by the
-    rows of its runs, so it can be written a few runs at a time and never
-    held whole (the CLI writes one seed's runs at a time). Each run is
-    rendered column by column in numpy, with the digits '%.3f' would give;
-    an arrival or delay that is not finite, or 2**63 or more in magnitude,
-    raises InvalidConfigError naming its run and row. Consecutive runs that
-    hold the very same sectors and arrival_us arrays, as the runs of one
-    draw_ues do, render those columns once, and a bad arrival among them
-    names the first of those runs.
+    rows of its draws' runs, so it can be written one draw at a time and
+    never held whole (the CLI writes one seed's runs at a time). The draw's
+    ue_id, sector and arrival_us columns are rendered once, then each run's
+    delay_us column, all in numpy, with the digits '%.3f' would give. A run
+    whose seed or UE count is not its draw's raises MismatchedConfigsError
+    naming it, before any row is rendered. An arrival or delay that is not
+    finite, or 2**63 or more in magnitude, raises InvalidConfigError naming
+    its row and run; a bad arrival names the first run.
     """
-    rows, shared, lead = [], None, None
-    for rep in reports:
-        if not rep.n_ues:
-            continue
-        if shared is None or not (rep.sectors is shared.sectors
-                                  and rep.arrival_us is shared.arrival_us):
-            shared, lead = rep, _lead_words(rep)
-        rows.append(_run_rows(rep, lead))
-    return b"".join(rows).decode("utf-8", "surrogatepass")
+    runs = list(runs)
+    n_ues = len(ues.arrival_us)
+    for rep in runs:
+        if rep.seed != ues.cfg.seed or rep.n_ues != n_ues:
+            raise MismatchedConfigsError(
+                f"policy {rep.policy!r} seed {rep.seed} holds {rep.n_ues} UEs, "
+                f"but its draw is of seed {ues.cfg.seed} with {n_ues} UEs")
+    if not (runs and n_ues):
+        return ""
+    lead = _lead_words(ues, runs[0])
+    return b"".join(_run_rows(rep, lead) for rep in runs).decode("utf-8", "surrogatepass")
 
 
 def summary_csv(reports) -> str:

@@ -140,8 +140,8 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
     every gate value in it is reused rather than recomputed. For a batch the
     gradient is the mean of the per-sequence gradients. Every buffer, the
     target and the gradients take the dtype of p; the loss is a float. The
-    deltas are written into the trace's da_ru and da_z, allocated on the
-    first pass over a trace; the gradients share no memory with them.
+    deltas are written into the trace's da_ru and da_z buffers; the
+    gradients share no memory with them.
     """
     dtype = p.W_r.dtype
     y = np.asarray(y, dtype=dtype)
@@ -164,8 +164,6 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
 
     # pre-activation deltas of every slot, [r | u] side by side as in the
     # trace, in buffers the trace keeps for the next pass
-    if trace.da_ru is None:
-        trace.da_ru, trace.da_z = np.empty(trace.ru.shape, dtype), np.empty(trace.z.shape, dtype)
     da_ru, da_z = trace.da_ru, trace.da_z
     w_ru = np.concatenate([p.W_r, p.W_u])
     dh_tilde, tmp = np.empty(dh.shape, dtype), np.empty(dh.shape, dtype)

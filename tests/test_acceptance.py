@@ -18,6 +18,7 @@ from cdrsweep import (
     SimConfig,
     TrainConfig,
     build_schedule,
+    draw_ues,
     evaluate,
     expected_delay_static,
     fit,
@@ -177,7 +178,7 @@ def test_criterion_7_simulator_matches_closed_form():
             cfg = SimConfig(arrival_rates_per_s=shares * total_rate,
                             horizon_us=horizon_us, detect_prob=1.0,
                             seed=1000 + trial)
-            report = simulate(cfg, PerSlotPolicy.from_ranking(ranking, name="cal"))
+            report = simulate(draw_ues(cfg), PerSlotPolicy.from_ranking(ranking, name="cal"))
             assert report.n_ues > 90_000
             want = expected_delay_static(schedule, shares)
             rel = abs(report.mean_us - want) / want
@@ -221,7 +222,7 @@ def test_criterion_8_predicted_order_cuts_delay():
             cfg = SimConfig(arrival_rates_per_s=rates,
                             horizon_us=sim_slots * 600e6,
                             detect_prob=1.0, seed=int(s))
-            by_name = {pol.name: simulate(cfg, pol) for pol in policies}
+            by_name = {pol.name: simulate(draw_ues(cfg), pol) for pol in policies}
             for name, rep in by_name.items():
                 means[name].append(rep.mean_us)
             if by_name["predicted"].mean_us < by_name["sequential"].mean_us:

@@ -25,6 +25,7 @@ from cdrsweep import (
     compare,
     demo_raw_lines,
     demo_sector_map,
+    draw_ues,
     dumps_model,
     load_model,
     load_sector_series,
@@ -362,8 +363,9 @@ def test_predict_and_simulate_forecast_each_slot_from_the_window_before_it(workd
     cfg = SimConfig(arrival_rates_per_s=rates_from_counts(counts[start:], 0.1),
                     horizon_us=36 * SLOT_US,
                     seed=int(run_seeds.generate_state(1, np.uint64)[0]))
+    ues = draw_ues(cfg)
     assert (tmp_path / "sim_report.csv").read_text() == (
-        REPORT_HEADER + report_csv([simulate(cfg, policy)]))
+        REPORT_HEADER + report_csv(ues, [simulate(ues, policy)]))
 
 
 def test_simulate_report_matches_the_scalar_renderer_byte_for_byte(workdir, tmp_path):
@@ -383,14 +385,15 @@ def test_simulate_report_matches_the_scalar_renderer_byte_for_byte(workdir, tmp_
         PerSlotPolicy.from_values("predicted", preds, np.random.default_rng(predicted_ties)),
         PerSlotPolicy.from_values("oracle", counts[start:], np.random.default_rng(oracle_ties)),
     ]
-    runs = []
+    runs, rows = [], []
     for seed in run_seeds.generate_state(3, np.uint64):
         cfg = SimConfig(arrival_rates_per_s=rates_from_counts(counts[start:], 0.1),
                         horizon_us=6 * SLOT_US, detect_prob=0.5, seed=int(seed))
-        runs += [simulate(cfg, policy) for policy in policies]
+        ues = draw_ues(cfg)
+        runs += (seed_runs := [simulate(ues, policy) for policy in policies])
+        rows += [(r.policy, r.seed, ues.sectors, ues.arrival_us, r.delay_us) for r in seed_runs]
     assert len({r.seed for r in runs}) == 3 and all(r.n_ues for r in runs)
-    assert (tmp_path / "sim_report.csv").read_text() == report_csv_scalar(
-        [(r.policy, r.seed, r.sectors, r.arrival_us, r.delay_us) for r in runs])
+    assert (tmp_path / "sim_report.csv").read_text() == report_csv_scalar(rows)
     # the summary and the comparison still see every seed's runs
     assert (tmp_path / "sim_summary.csv").read_text() == summary_csv(runs)
     assert (tmp_path / "sim_compare.csv").read_text() == compare(runs).csv_text()
@@ -398,25 +401,23 @@ def test_simulate_report_matches_the_scalar_renderer_byte_for_byte(workdir, tmp_
 
 def test_simulate_draws_each_seed_once_and_its_runs_share_the_arrays(workdir, tmp_path,
                                                                     monkeypatch, capsys):
-    draw_arrivals, resolve = sim_mod._draw_arrivals, sim_mod.simulate
-    draws, runs = [], []
-    monkeypatch.setattr(sim_mod, "_draw_arrivals",
-                        lambda cfg, rng: draws.append(cfg.seed) or draw_arrivals(cfg, rng))
-    monkeypatch.setattr(sim_mod, "simulate",
-                        lambda *args: runs.append(run := resolve(*args)) or run)
+    draw, render = sim_mod.draw_ues, sim_mod.report_csv
+    draws, rendered = [], []
+    monkeypatch.setattr(sim_mod, "draw_ues", lambda cfg: draws.append(ues := draw(cfg)) or ues)
+    monkeypatch.setattr(sim_mod, "report_csv",
+                        lambda ues, runs: rendered.append((ues, runs)) or render(ues, runs))
     code = cli.main(["simulate", "--series", str(workdir / "series.csv"),
                      "--model", str(workdir / "model.txt"), "--window-len", "24",
                      "--policies", "sequential,predicted,oracle", "--n-seeds", "4",
                      "--sim-slots", "3", "--seed", "8", "--out-dir", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
-    assert len(draws) == 4 and len(set(draws)) == 4
-    assert len(runs) == 12 and all(type(r) is SimReport and r.n_ues for r in runs)
-    for i, seed in enumerate(draws):
-        seed_runs = runs[3 * i:3 * i + 3]
-        assert [(r.policy, r.seed) for r in seed_runs] == [
-            ("sequential", seed), ("predicted", seed), ("oracle", seed)]
-        assert all(r.arrival_us is seed_runs[0].arrival_us and r.sectors is seed_runs[0].sectors
-                   for r in seed_runs)
+    assert len(draws) == 4 and len({ues.cfg.seed for ues in draws}) == 4
+    # one report_csv call per seed, given that seed's draw and its three runs
+    assert [ues for ues, _ in rendered] == draws
+    for ues, runs in rendered:
+        assert all(type(r) is SimReport and r.n_ues == ues.arrival_us.size for r in runs)
+        assert [(r.policy, r.seed) for r in runs] == [
+            ("sequential", ues.cfg.seed), ("predicted", ues.cfg.seed), ("oracle", ues.cfg.seed)]
 
 
 def test_simulate_refuses_more_than_max_ues_per_run(workdir, tmp_path):
@@ -430,9 +431,9 @@ def test_simulate_refuses_more_than_max_ues_per_run(workdir, tmp_path):
 
 
 def test_simulate_memory_grows_by_the_kept_arrays_not_the_report_text(workdir, tmp_path):
-    # each UE keeps 16 bytes of arrays that its seed's runs share, and 8 per
-    # run (report row), for the summary and the comparison; its CSV text goes
-    # to the file with its seed's chunk and is not kept
+    # each UE keeps 8 bytes per run (report row), its delay, for the summary
+    # and the comparison; its draw and its CSV text go with its seed's chunk
+    # and are not kept
     def peak_and_rows(n_seeds):
         out = tmp_path / f"seeds_{n_seeds}"
         tracemalloc.start()
@@ -450,7 +451,7 @@ def test_simulate_memory_grows_by_the_kept_arrays_not_the_report_text(workdir, t
     peak_and_rows(1)  # one-time allocations of the first run stay out of the difference
     (small_peak, small_rows), (large_peak, large_rows) = peak_and_rows(4), peak_and_rows(16)
     assert large_rows - small_rows > 20_000
-    assert (large_peak - small_peak) / (large_rows - small_rows) <= 48
+    assert (large_peak - small_peak) / (large_rows - small_rows) <= 12
 
 
 def test_predict_rejects_slots_past_the_series(workdir):

@@ -147,7 +147,7 @@ def test_aggregate_record_count_and_gap_fill():
     series = aggregate(parse_raw(lines).records, demo_sector_map())
     assert series.n_slots == 3
     assert series.counts.tolist() == [[2, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
-    assert series.gap_slots() == [1]
+    assert series.gap_slots().tolist() == [1]
     assert series.slot_time_ms(2) == T0 + 2 * SLOT
 
 
@@ -527,6 +527,27 @@ def test_series_csv_takes_int64_counts_and_names_a_row_beyond_them():
     assert top.counts[0, 1] == 2**63 - 1
     with pytest.raises(SeriesFormatError, match=rf"^row 2: count {2**63} does not fit in int64$"):
         load_sector_series(good.replace("1,1,1,1", f"1,1,{2**63},1", 1))
+
+
+def test_series_csv_counts_blank_lines_in_the_row_it_names():
+    series = SectorSeries(t0_ms=T0, counts=np.arange(16).reshape(4, 4))
+    header, *data = write_sector_series(series).splitlines()
+    # file lines: blank, header, data 0, two blanks, data 1 to 3 on lines 6 to 8
+    lines = ["", header, data[0], "", "  ", *data[1:]]
+    back = load_sector_series("\n".join(lines))
+    assert back.t0_ms == series.t0_ms and np.array_equal(back.counts, series.counts)
+
+    bad_count = lines.copy()
+    bad_count[6] = data[2].replace(",9,", ",x,")
+    with pytest.raises(SeriesFormatError, match=r"^row 7: non-integer count$"):
+        load_sector_series("\n".join(bad_count))
+    off_grid = lines.copy()
+    off_grid[7] = data[3].replace("22:40", "22:41")
+    with pytest.raises(SeriesFormatError, match=r"^row 8: timestamp \S+ breaks the 600 s grid$"):
+        load_sector_series("\n".join(off_grid))
+    # without blank lines, the row is the file line as before
+    with pytest.raises(SeriesFormatError, match=r"^row 4: non-integer count$"):
+        load_sector_series("\n".join([header, *data[:2], bad_count[6], data[3]]))
 
 
 def test_series_rejects_negative_or_misshaped_counts():

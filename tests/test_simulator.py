@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 
@@ -67,13 +66,13 @@ def planted_arrivals(monkeypatch, times, sectors):
 
 def test_ue_at_burst_start_with_matching_first_slot(monkeypatch):
     planted_arrivals(monkeypatch, [0.0], [3])
-    report = simulate(uniform_cfg(), d_first_policy())
+    report = simulate(draw_ues(uniform_cfg()), d_first_policy())
     assert report.delay_us[0] == 0.0
 
 
 def test_ue_at_burst_start_under_sequential_waits_three_slots(monkeypatch):
     planted_arrivals(monkeypatch, [0.0], [3])
-    report = simulate(uniform_cfg(),
+    report = simulate(draw_ues(uniform_cfg()),
                       PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert abs(report.delay_us[0] - 3 * SLOT_DUR) < 1e-9
     assert abs(report.delay_us[0] - 53.5714285) < 1e-3
@@ -82,7 +81,7 @@ def test_ue_at_burst_start_under_sequential_waits_three_slots(monkeypatch):
 def test_ue_just_after_last_sector_slot_catches_next_burst(monkeypatch):
     # sector D's last SSB under sequential sits at offset 11 * slot
     planted_arrivals(monkeypatch, [11 * SLOT_DUR + 0.01], [3])
-    report = simulate(uniform_cfg(),
+    report = simulate(draw_ues(uniform_cfg()),
                       PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     expected = (20_000.0 + 3 * SLOT_DUR) - (11 * SLOT_DUR + 0.01)
     assert abs(report.delay_us[0] - expected) < 1e-9
@@ -92,7 +91,7 @@ def test_ue_just_after_last_sector_slot_catches_next_burst(monkeypatch):
 def test_mid_burst_arrival_picks_next_matching_slot(monkeypatch):
     # arrival between the two A-slots of a sequential burst
     planted_arrivals(monkeypatch, [2 * SLOT_DUR, 4.5 * SLOT_DUR], [0, 0])
-    report = simulate(uniform_cfg(),
+    report = simulate(draw_ues(uniform_cfg()),
                       PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert abs(report.delay_us[0] - 2 * SLOT_DUR) < 1e-9   # waits for slot 4
     assert abs(report.delay_us[1] - 3.5 * SLOT_DUR) < 1e-9  # waits for slot 8
@@ -101,10 +100,11 @@ def test_mid_burst_arrival_picks_next_matching_slot(monkeypatch):
 def test_every_sampled_delay_matches_the_static_rule():
     cfg = uniform_cfg(seed=42, total_rate=2.0)
     sched = build_schedule(sequential_ranking())
-    report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
+    ues = draw_ues(cfg)
+    report = simulate(ues, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert report.n_ues > 100
     period = BURST_PERIOD_US
-    for t, s, d in zip(report.arrival_us, report.sectors, report.delay_us):
+    for t, s, d in zip(ues.arrival_us, ues.sectors, report.delay_us):
         offs = np.array(sector_offsets_scalar(sched.slots, int(s)))
         phase = t % period
         later = offs[offs >= phase]
@@ -115,23 +115,23 @@ def test_every_sampled_delay_matches_the_static_rule():
 
 def test_simulation_is_deterministic_and_arrivals_are_paired():
     cfg = uniform_cfg(seed=7, total_rate=1.0)
-    a = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
-    b = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
-    assert np.array_equal(a.arrival_us, b.arrival_us)
+    ues_a, ues_b = draw_ues(cfg), draw_ues(cfg)
+    for name in ("arrival_us", "sectors", "needed"):
+        assert np.array_equal(getattr(ues_a, name), getattr(ues_b, name)), name
+    a = simulate(ues_a, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
+    b = simulate(ues_b, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert np.array_equal(a.delay_us, b.delay_us)
 
-    c = simulate(cfg, d_first_policy())
-    assert np.array_equal(a.arrival_us, c.arrival_us)
-    assert np.array_equal(a.sectors, c.sectors)
+    c = simulate(ues_a, d_first_policy())
     assert not np.array_equal(a.delay_us, c.delay_us)
 
 
 def test_detection_failures_stretch_delays():
-    sure = simulate(uniform_cfg(seed=3, total_rate=1.0),
-                    PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
-    flaky = simulate(uniform_cfg(seed=3, total_rate=1.0, detect_prob=0.4),
-                     PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
-    assert np.array_equal(sure.arrival_us, flaky.arrival_us)
+    sure_ues = draw_ues(uniform_cfg(seed=3, total_rate=1.0))
+    flaky_ues = draw_ues(uniform_cfg(seed=3, total_rate=1.0, detect_prob=0.4))
+    sure = simulate(sure_ues, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
+    flaky = simulate(flaky_ues, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
+    assert np.array_equal(sure_ues.arrival_us, flaky_ues.arrival_us)
     assert flaky.mean_us > sure.mean_us
     assert np.all(flaky.delay_us >= sure.delay_us - 1e-9)
     assert np.all(np.isfinite(flaky.delay_us))
@@ -141,8 +141,9 @@ def test_dominance_of_earlier_first_slot():
     # all arrivals in sector A: A-first beats A-last with matched arrivals
     rates = np.array([[1.0, 0.0, 0.0, 0.0]])
     cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=sim_mod.SLOT_US, seed=5)
-    a_first = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
-    a_last = simulate(cfg, PerSlotPolicy.from_ranking(
+    ues = draw_ues(cfg)
+    a_first = simulate(ues, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
+    a_last = simulate(ues, PerSlotPolicy.from_ranking(
         rank_sectors([0.0, 3.0, 2.0, 1.0], np.random.default_rng(0)), name="a_last"))
     assert a_first.mean_us < a_last.mean_us
     only_a = [1.0, 0.0, 0.0, 0.0]
@@ -154,8 +155,10 @@ def test_dominance_of_earlier_first_slot():
 def test_zero_rates_give_empty_report():
     cfg = SimConfig(arrival_rates_per_s=np.zeros((1, 4)),
                     horizon_us=sim_mod.SLOT_US, seed=0)
-    report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
+    ues = draw_ues(cfg)
+    report = simulate(ues, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert report.n_ues == 0
+    assert report_csv(ues, [report]) == ""
     assert np.isnan(report.mean_us)
     text = summary_csv([report])
     assert text.splitlines()[1] == "sequential,nan,nan,nan,0"
@@ -164,11 +167,11 @@ def test_zero_rates_give_empty_report():
 def test_compare_refuses_a_run_without_ues():
     cfg = uniform_cfg(seed=4, total_rate=0.2)
     seq = PerSlotPolicy.from_ranking(sequential_ranking(), "sequential")
-    empty = simulate(SimConfig(arrival_rates_per_s=np.zeros((1, 4)),
-                               horizon_us=sim_mod.SLOT_US, seed=5), seq)
+    empty = simulate(draw_ues(SimConfig(arrival_rates_per_s=np.zeros((1, 4)),
+                                        horizon_us=sim_mod.SLOT_US, seed=5)), seq)
     assert empty.n_ues == 0
     with pytest.raises(InvalidConfigError, match="'sequential' seed 5 has no UE"):
-        compare([simulate(cfg, seq), empty])
+        compare([simulate(draw_ues(cfg), seq), empty])
 
 
 def test_per_slot_policy_switches_schedules(monkeypatch):
@@ -179,7 +182,7 @@ def test_per_slot_policy_switches_schedules(monkeypatch):
     planted_arrivals(monkeypatch, [0.0, t2], [0, 0])
     cfg = SimConfig(arrival_rates_per_s=np.zeros((2, 4)),
                     horizon_us=2 * sim_mod.SLOT_US, seed=0)
-    report = simulate(cfg, policy)
+    report = simulate(draw_ues(cfg), policy)
     assert report.delay_us[0] == 0.0              # A leads slot 0's schedule
     assert report.delay_us[1] > 2 * SLOT_DUR - 1e-9  # A is ranked behind C,D now
 
@@ -187,7 +190,7 @@ def test_per_slot_policy_switches_schedules(monkeypatch):
     cfg = SimConfig(arrival_rates_per_s=np.zeros((3, 4)),
                     horizon_us=3 * sim_mod.SLOT_US, seed=0)
     with pytest.raises(InvalidConfigError):
-        simulate(cfg, policy)
+        simulate(draw_ues(cfg), policy)
 
 
 def test_simulate_rejects_schedules_missing_a_sector():
@@ -277,12 +280,13 @@ def test_detect_prob_has_a_floor_that_keeps_delays_renderable():
     assert floor == 45.0 * BURST_PERIOD_US / 2.0 ** 62
     rates = np.full((1, 4), 2.0)
     cfg = SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=floor, seed=1)
-    report = simulate(cfg, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
+    ues = draw_ues(cfg)
+    report = simulate(ues, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
     assert report.n_ues > 100
     # delays far beyond any slot, yet positive and below 2**62 us plus two bursts
     assert np.all(report.delay_us > 0)
     assert np.all(report.delay_us < 2.0 ** 62 + 2 * BURST_PERIOD_US)
-    assert report_csv([report]).count("\n") == report.n_ues
+    assert report_csv(ues, [report]).count("\n") == report.n_ues
     with pytest.raises(InvalidConfigError, match=r"detect_prob must be at least .* got 1e-300"):
         SimConfig(arrival_rates_per_s=rates, horizon_us=30e6, detect_prob=1e-300)
     below = float(np.nextafter(floor, 0.0))
@@ -376,7 +380,7 @@ def test_monte_carlo_tracks_the_closed_form():
 
     cfg = SimConfig(arrival_rates_per_s=(shares * 50.0).reshape(1, 4),
                     horizon_us=sim_mod.SLOT_US, seed=4)
-    report = simulate(cfg, policy)
+    report = simulate(draw_ues(cfg), policy)
     assert report.n_ues > 20_000
     expected = expected_delay_static(sched, shares)
     assert abs(report.mean_us - expected) / expected < 0.02
@@ -423,7 +427,8 @@ def test_paired_ci_is_narrower_than_unpaired():
     for seed in range(20):
         cfg = SimConfig(arrival_rates_per_s=shares * 0.5, horizon_us=sim_mod.SLOT_US,
                         seed=seed)
-        reports += [simulate(cfg, seq), simulate(cfg, skewed)]
+        ues = draw_ues(cfg)
+        reports += [simulate(ues, seq), simulate(ues, skewed)]
     row = compare(reports).rows[1]
 
     means_a = np.array([r.mean_us for r in reports[0::2]])
@@ -438,8 +443,7 @@ def test_paired_ci_is_narrower_than_unpaired():
 def test_compare_pairs_by_seed():
     def fake_report(policy, seed, mean):
         delays = np.array([mean])
-        return SimReport(policy=policy, seed=seed, sectors=np.zeros(1, dtype=np.int64),
-                         arrival_us=np.zeros(1), delay_us=delays)
+        return SimReport(policy=policy, seed=seed, delay_us=delays)
 
     reports = []
     for seed, (a, b) in enumerate([(10.0, 8.0), (12.0, 9.0), (11.0, 11.0)]):
@@ -470,17 +474,18 @@ def test_identical_policies_compare_to_zero():
     cfg_b = uniform_cfg(seed=2, total_rate=0.5)
     seq = PerSlotPolicy.from_ranking(sequential_ranking(), "sequential")
     twin = PerSlotPolicy.from_ranking(sequential_ranking(), name="twin")
-    reports = [simulate(cfg_a, seq), simulate(cfg_a, twin),
-               simulate(cfg_b, seq), simulate(cfg_b, twin)]
+    ues_a, ues_b = draw_ues(cfg_a), draw_ues(cfg_b)
+    reports = [simulate(ues_a, seq), simulate(ues_a, twin),
+               simulate(ues_b, seq), simulate(ues_b, twin)]
     comp = compare(reports)
     assert comp.rows[1].mean_diff_us == 0.0
     assert comp.rows[1].n_equal == 2
 
 
 def test_report_csv_layout():
-    report = simulate(uniform_cfg(seed=9, total_rate=0.2),
-                      PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
-    lines = (REPORT_HEADER + report_csv([report])).splitlines()
+    ues = draw_ues(uniform_cfg(seed=9, total_rate=0.2))
+    report = simulate(ues, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))
+    lines = (REPORT_HEADER + report_csv(ues, [report])).splitlines()
     assert lines[0] == "policy,seed,ue_id,sector,arrival_us,delay_us"
     assert len(lines) == 1 + report.n_ues
     first = lines[1].split(",")
@@ -534,28 +539,24 @@ def scalar_run(cfg, policy, planted=None):
 
 
 def assert_matches_scalar(cfg, policy, planted=None):
-    """simulate on a fresh draw, and on a shared draw_ues, equals scalar_run."""
-    report = simulate(cfg, policy)
+    """simulate on draw_ues(cfg) equals scalar_run; returns the draw and the run."""
     ues = draw_ues(cfg)
-    shared = simulate(cfg, policy, ues)
-    assert shared.arrival_us is ues.arrival_us and shared.sectors is ues.sectors
+    report = simulate(ues, policy)
     arrivals, sectors, delays = scalar_run(cfg, policy, planted)
-    for got in (report, shared):
-        assert np.array_equal(got.arrival_us, arrivals)
-        assert np.array_equal(got.sectors, sectors)
-        assert got.delay_us.dtype == delays.dtype
-        assert np.array_equal(got.delay_us, delays)  # bit for bit, not to a tolerance
-    return report
+    assert np.array_equal(ues.arrival_us, arrivals)
+    assert np.array_equal(ues.sectors, sectors)
+    assert report.delay_us.dtype == delays.dtype
+    assert np.array_equal(report.delay_us, delays)  # bit for bit, not to a tolerance
+    return ues, report
 
 
-def slots_crossed(cfg, report):
+def slots_crossed(ues, report):
     """UEs that detect in a later slot than the one they arrived in."""
     def slot_of(t):
         burst = (t // BURST_PERIOD_US).astype(np.int64)
-        return np.minimum(burst // BURSTS_PER_SLOT, cfg.n_slots - 1)
+        return np.minimum(burst // BURSTS_PER_SLOT, ues.cfg.n_slots - 1)
 
-    return int(np.sum(slot_of(report.arrival_us + report.delay_us)
-                      != slot_of(report.arrival_us)))
+    return int(np.sum(slot_of(ues.arrival_us + report.delay_us) != slot_of(ues.arrival_us)))
 
 
 @pytest.mark.parametrize("detect_prob", [1.0, 0.5, 0.1, 0.03])
@@ -585,8 +586,8 @@ def test_simulate_matches_scalar_oracle_bit_for_bit(monkeypatch, detect_prob):
             with monkeypatch.context() as patch:
                 planted = planted_arrivals(patch, late, rng.integers(0, 4, size=late.size))
                 reports.append(assert_matches_scalar(cfg, policy, planted))
-            for report in reports:
-                crossed += slots_crossed(cfg, report)
+            for ues, report in reports:
+                crossed += slots_crossed(ues, report)
                 n_ues += report.n_ues
     assert n_ues > 2_000
     assert crossed > 0
@@ -608,8 +609,7 @@ def test_simulate_matches_scalar_oracle_on_planted_edges(monkeypatch, detect_pro
     planted = planted_arrivals(monkeypatch, times, sectors)
     cfg = SimConfig(arrival_rates_per_s=np.zeros((3, 4)), horizon_us=3 * SLOT_US,
                     detect_prob=detect_prob, seed=3)
-    report = assert_matches_scalar(cfg, policy, planted)
-    assert slots_crossed(cfg, report) > 0
+    assert slots_crossed(*assert_matches_scalar(cfg, policy, planted)) > 0
 
 
 def test_count_table_matches_the_offsets_compare_on_planted_phases(monkeypatch):
@@ -640,49 +640,63 @@ def test_count_table_matches_the_offsets_compare_on_planted_phases(monkeypatch):
         assert_matches_scalar(cfg, policy, planted)
 
 
-def test_simulate_refuses_ues_drawn_for_another_config():
-    cfg = uniform_cfg(seed=5)
-    policy = d_first_policy()
-    for other in (uniform_cfg(seed=6), uniform_cfg(seed=5)):
-        with pytest.raises(MismatchedConfigsError, match="'d_first' were drawn for another"):
-            simulate(other, policy, draw_ues(cfg))
+def planted_draw(seed, sectors, arrival_us):
+    """A draw of these sectors and arrivals for seed; report_csv reads no more of one."""
+    zeros = np.zeros(len(arrival_us), dtype=np.int64)
+    return sim_mod.UeDraw(cfg=uniform_cfg(seed=seed), arrival_us=np.asarray(arrival_us, float),
+                          sectors=np.asarray(sectors, np.int64), needed=zeros + 1,
+                          burst=zeros, slot=zeros, ssb_pos=zeros)
+
+
+def test_report_csv_refuses_a_run_of_another_draw(monkeypatch):
+    ues = draw_ues(uniform_cfg(seed=5, total_rate=2.0))
+    good = simulate(ues, d_first_policy())
+    seq = PerSlotPolicy.from_ranking(sequential_ranking(), "sequential")
+    rendered = []
+    for name in ("_lead_words", "_run_rows"):
+        real = getattr(sim_mod, name)
+        monkeypatch.setattr(sim_mod, name,
+                            lambda *args, real=real: rendered.append(args) or real(*args))
+    # another seed, and the same seed with another UE count
+    for other in (uniform_cfg(seed=6, total_rate=2.0), uniform_cfg(seed=5, total_rate=1.0)):
+        bad = simulate(draw_ues(other), seq)
+        assert (bad.seed, bad.n_ues) != (good.seed, good.n_ues)
+        with pytest.raises(MismatchedConfigsError, match=re.escape(
+                f"policy 'sequential' seed {bad.seed} holds {bad.n_ues} UEs, "
+                f"but its draw is of seed 5 with {good.n_ues} UEs")):
+            report_csv(ues, [good, bad])
+        assert rendered == []
+    assert report_csv(ues, [good]).count("\n") == good.n_ues
 
 
 def test_report_csv_renders_the_columns_of_one_draw_once_and_byte_for_byte(monkeypatch):
-    cfg, other = (uniform_cfg(seed=s, total_rate=2.0, detect_prob=0.5) for s in (31, 32))
     policies = [PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"),
                 d_first_policy(), PerSlotPolicy.from_ranking(sequential_ranking(), "100%d")]
-    ues = draw_ues(cfg)
-    shared = [simulate(cfg, policy, ues) for policy in policies]
-    # equal arrays, but not the same objects
-    distinct = [dataclasses.replace(r, sectors=r.sectors.copy(), arrival_us=r.arrival_us.copy())
-                for r in shared]
-    empty = SimReport(policy="empty", seed=1, sectors=np.empty(0, dtype=np.int64),
-                      arrival_us=np.empty(0), delay_us=np.empty(0))
-    mixed = shared[:1] + [simulate(other, policy) for policy in policies[:2]] + [empty] + shared[1:]
     lead_words = sim_mod._lead_words
     renders = []
     monkeypatch.setattr(sim_mod, "_lead_words",
-                        lambda rep: renders.append(rep.policy) or lead_words(rep))
-    for runs, rendered in ((shared, ["sequential"]),
-                           (distinct, ["sequential", "d_first", "100%d"]),
-                           (mixed, ["sequential", "sequential", "d_first", "d_first"])):
+                        lambda ues, first: renders.append(first.policy) or lead_words(ues, first))
+    for seed in (31, 32):
+        ues = draw_ues(uniform_cfg(seed=seed, total_rate=2.0, detect_prob=0.5))
+        runs = [simulate(ues, policy) for policy in policies]
         renders.clear()
-        text = report_csv(runs)
-        assert renders == rendered
+        text = report_csv(ues, runs)
+        assert renders == ["sequential"]
         assert REPORT_HEADER + text == report_csv_scalar(
-            [(r.policy, r.seed, r.sectors, r.arrival_us, r.delay_us) for r in runs])
-        assert "".join(report_csv([r]) for r in runs) == text
+            [(r.policy, r.seed, ues.sectors, ues.arrival_us, r.delay_us) for r in runs])
+        # rows of consecutive runs of one draw concatenate to the rows of all of them
+        assert "".join(report_csv(ues, [r]) for r in runs) == text
+        assert report_csv(ues, []) == ""
 
 
 def test_report_csv_names_the_first_run_of_a_shared_arrival_it_cannot_render():
-    sectors, arrival_us = np.arange(3), np.array([1.0, 2.0, np.nan])
-    runs = [SimReport(policy=name, seed=4, sectors=sectors, arrival_us=arrival_us,
-                      delay_us=np.array([5.0, 6.0, 7.0])) for name in ("first", "second")]
+    ues = planted_draw(4, np.arange(3), [1.0, 2.0, np.nan])
+    runs = [SimReport(policy=name, seed=4, delay_us=np.array([5.0, 6.0, 7.0]))
+            for name in ("first", "second")]
     for start, name in ((0, "first"), (1, "second")):
         with pytest.raises(InvalidConfigError,
                            match=re.escape(f"policy {name!r} seed 4 row 2: arrival_us nan ")):
-            report_csv(runs[start:])
+            report_csv(ues, runs[start:])
 
 
 def test_report_csv_matches_scalar_renderer_byte_for_byte():
@@ -696,25 +710,23 @@ def test_report_csv_matches_scalar_renderer_byte_for_byte():
                        0.125, 19_999.9995, 1e12, -0.0004, -(2.0 ** 63 - 1024),
                        -5e-324, -(2.0 ** 52 - 0.5), -0.0, 7.0])
     sectors = np.array([0, 1, 2, 3, 3, 2, 1, 0, 0, 3, 1, 2, 0, 3, 2, 1])
-    reports = [SimReport(policy=name, seed=seed, sectors=sectors[::step],
-                         arrival_us=arrivals[::step], delay_us=delays[::step])
-               for name, seed, step in (("sequential", 0, 1),
-                                        ("predicted", 2**63 + 11, 2),
-                                        ("100%d", 7, 3),
-                                        ("s\u00e9quence \u2192", 3, 1),
-                                        ("nul\0name\0", 4, 5))]
-    reports.append(SimReport(policy="empty", seed=1, sectors=np.empty(0, dtype=np.int64),
-                             arrival_us=np.empty(0), delay_us=np.empty(0)))
-    runs = [(r.policy, r.seed, r.sectors.tolist(), r.arrival_us.tolist(),
-             r.delay_us.tolist()) for r in reports]
-    assert REPORT_HEADER + report_csv(reports) == report_csv_scalar(runs)
-    # rows of consecutive runs concatenate to the rows of all of them
-    assert "".join(report_csv([r]) for r in reports) == report_csv(reports)
+    runs = [(planted_draw(seed, sectors[::step], arrivals[::step]),
+             SimReport(policy=name, seed=seed, delay_us=delays[::step]))
+            for name, seed, step in (("sequential", 0, 1),
+                                     ("predicted", 2**63 + 11, 2),
+                                     ("100%d", 7, 3),
+                                     ("s\u00e9quence \u2192", 3, 1),
+                                     ("nul\0name\0", 4, 5))]
+    runs.append((planted_draw(1, [], []), SimReport(policy="empty", seed=1, delay_us=np.empty(0))))
+    text = "".join(report_csv(ues, [rep]) for ues, rep in runs)
+    assert REPORT_HEADER + text == report_csv_scalar(
+        [(rep.policy, rep.seed, ues.sectors.tolist(), ues.arrival_us.tolist(),
+          rep.delay_us.tolist()) for ues, rep in runs])
 
-    sim = [simulate(uniform_cfg(seed=9, total_rate=2.0, detect_prob=0.5),
-                    PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))]
-    assert REPORT_HEADER + report_csv(sim) == report_csv_scalar(
-        [(r.policy, r.seed, r.sectors, r.arrival_us, r.delay_us) for r in sim])
+    ues = draw_ues(uniform_cfg(seed=9, total_rate=2.0, detect_prob=0.5))
+    sim = [simulate(ues, PerSlotPolicy.from_ranking(sequential_ranking(), "sequential"))]
+    assert REPORT_HEADER + report_csv(ues, sim) == report_csv_scalar(
+        [(r.policy, r.seed, ues.sectors, ues.arrival_us, r.delay_us) for r in sim])
 
 
 def test_report_csv_matches_percent_format_on_fuzzed_values():
@@ -729,8 +741,8 @@ def test_report_csv_matches_percent_format_on_fuzzed_values():
     values *= rng.choice([-1.0, 1.0], values.size)
     values = values[rng.permutation(values.size)]
     assert values.size >= 100_000
-    rows = report_csv([SimReport(policy="p", seed=0, sectors=np.zeros(values.size, np.int64),
-                                 arrival_us=values, delay_us=values[::-1])]).splitlines()
+    rows = report_csv(planted_draw(0, np.zeros(values.size, np.int64), values),
+                      [SimReport(policy="p", seed=0, delay_us=values[::-1])]).splitlines()
     assert [row.split(",")[4] for row in rows] == ["%.3f" % v for v in values.tolist()]
     assert [row.split(",")[5] for row in rows] == ["%.3f" % v for v in values[::-1].tolist()]
 
@@ -742,7 +754,7 @@ def test_report_csv_refuses_a_value_it_cannot_render(value, column):
               "delay_us": np.array([5.0, 6.0, 7.0, 8.0])}
     fields[column][2] = value
     fields[column][3] = value
-    report = SimReport(policy="predicted", seed=17, sectors=np.arange(4), **fields)
+    report = SimReport(policy="predicted", seed=17, delay_us=fields["delay_us"])
     with pytest.raises(InvalidConfigError,
                        match=re.escape(f"policy 'predicted' seed 17 row 2: {column} {value} ")):
-        report_csv([report])
+        report_csv(planted_draw(17, np.arange(4), fields["arrival_us"]), [report])
