@@ -35,14 +35,19 @@ from .ingest import (
     COUNT_MODES,
     MAX_SLOTS,
     SECTOR_LABELS,
+    ParseResult,
     SectorMap,
-    aggregate,
+    SlotGrid,
     check_window_args,
     load_sector_series,
     make_windows,
-    parse_raw,
-    write_sector_series,
+    parse_batches,
+    sector_series_blocks,
 )
+# ingest streams through parse_batches and a SlotGrid. parse_raw and
+# aggregate, the same two steps over a whole input, stay importable here as
+# cli.parse_raw and cli.aggregate, the names bench/tracer.py wraps them by.
+from .ingest import aggregate, parse_raw  # noqa: F401
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -228,16 +233,19 @@ def _read_lines(fh):
 
 
 def _cmd_ingest(res: dict) -> int:
-    sector_map = SectorMap.from_squares(res["squares"])
+    # each parsed batch goes into the grid as it comes; no record is kept
+    grid = SlotGrid(SectorMap.from_squares(res["squares"]), res["count_mode"])
+    log = ParseResult()  # only its issues are filled
     with open(res["raw"], encoding="utf-8") as fh:
-        parsed = parse_raw(_read_lines(fh))
-    for issue in parsed.issues[:20]:
+        for records in parse_batches(_read_lines(fh), log):
+            grid.add(records)
+    for issue in log.issues[:20]:
         print(f"line {issue.line_no}: {issue.reason}", file=sys.stderr)
-    if parsed.n_issues > 20:
-        print(f"... {parsed.n_issues - 20} more issues", file=sys.stderr)
+    if log.n_issues > 20:
+        print(f"... {log.n_issues - 20} more issues", file=sys.stderr)
 
-    series = aggregate(parsed.records, sector_map, count_mode=res["count_mode"])
-    _write_atomic(_out_path(res, res["out"]), write_sector_series(series))
+    series = grid.series()
+    _write_atomic(_out_path(res, res["out"]), sector_series_blocks(series))
 
     totals = " ".join(f"{lab}={int(v)}"
                       for lab, v in zip(SECTOR_LABELS, series.counts.sum(axis=0)))
@@ -406,7 +414,7 @@ def _cmd_fixture(res: dict) -> int:
         series = fixtures.synthetic_series(
             n_slots=res["slots"], seed=res["seed"], shares=res["shares"])
         out = _out_path(res, res["out"] or "synthetic.csv")
-        _write_atomic(out, write_sector_series(series))
+        _write_atomic(out, sector_series_blocks(series))
     print(f"wrote {out}")
     return EXIT_OK
 

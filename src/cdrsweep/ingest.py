@@ -9,13 +9,17 @@ Activity fields may be empty; a line with no activity value at all is not a
 CDR event and is reported, not counted. Aggregation buckets events into
 consecutive 600-second slots for the four sectors A..D of one cell.
 
-Ingest reads its input once, a batch of lines at a time, and keeps only
-three numeric columns per counted line (square id, slot start, activity
-sum; see RECORD_DTYPE) and the reported issues, so the input text itself
-need never be held in memory. The aggregated series covers every slot
-between the first and last record, and that span is bounded by MAX_SLOTS.
+Ingest reads its input once, a batch of lines at a time. parse_batches
+yields each batch's counted lines as three numeric columns (square id,
+slot start, activity sum; see RECORD_DTYPE) and keeps the reported issues,
+so the input text itself need never be held in memory. A SlotGrid adds
+each batch to its per-slot, per-sector cells as it arrives, so nothing is
+kept per line: what ingest holds depends on the slot span, not on the
+number of lines. The aggregated series covers every slot between the
+first and last record, and that span is bounded by MAX_SLOTS. parse_raw
+and aggregate are the same two steps over one whole input.
 
-parse_raw takes up to _BATCH_LINES lines at a time and parses at most
+parse_batches takes up to _BATCH_LINES lines at a time and parses at most
 _BATCH_CHARS characters of them together. A canonical line (see
 _canonical) that gives one record and no issue is parsed in bulk with
 numpy. Every other line goes through the per-line parser _parse_lines, the
@@ -23,8 +27,9 @@ one place where the rules for those lines are written and the one source
 of issues. Both give the same records, merged back into line order. Of
 the issues, the first _MAX_ISSUES are kept, plus a count of them all. A
 batch's temporaries stay within about 40 bytes per character of its text:
-2.5 MB at most for 64 Ki characters of tabs, about 0.6 MB for 1,024 lines
-of a CDR extract.
+2.5 MB at most for 64 Ki characters of tabs, about 0.4 MB for 1,024 lines
+of a CDR extract. write_sector_series renders the series _WRITE_ROWS rows
+at a time (sector_series_blocks), so writing it adds a fixed amount too.
 """
 
 from __future__ import annotations
@@ -65,17 +70,17 @@ _MAX_TS_MS = 253_402_300_799_999
 # activity values, in field order
 RECORD_DTYPE = np.dtype([("square_id", np.int64), ("slot_start_ms", np.int64),
                          ("activity_sum", np.float64)])
-# parse_raw takes at most _BATCH_LINES lines from its input at a time, and
+# parse_batches takes at most _BATCH_LINES lines from its input at a time, and
 # parses at most _BATCH_CHARS characters of them together (see _spans)
 _BATCH_LINES = 1024
 _BATCH_CHARS = 64 * 1024
-# parse_raw keeps the first _MAX_ISSUES issues and counts the rest
+# parse_batches keeps the first _MAX_ISSUES issues and counts the rest
 _MAX_ISSUES = 10_000
 _TAB, _DOT, _ZERO = b"\t.0"
 # an integer of at most 15 digits is below 2**53, so float64 holds it exactly
 _EXACT_DIGITS = 15
-# write_sector_series renders this many rows at a time
-_WRITE_ROWS = 4096
+# sector_series_blocks renders this many rows at a time
+_WRITE_ROWS = 512
 
 
 def check_shares(shares) -> np.ndarray:
@@ -97,8 +102,10 @@ class ParseIssue:
 @dataclass
 class ParseResult:
     # one RECORD_DTYPE row per counted line, in line order; a record array, so
-    # records.square_id and records[i].square_id work as records["square_id"]
-    records: np.recarray
+    # records.square_id and records[i].square_id work as records["square_id"].
+    # Left out, it is empty: parse_batches fills only the issue fields.
+    records: np.recarray = field(
+        default_factory=lambda: np.empty(0, dtype=RECORD_DTYPE).view(np.recarray))
     issues: list[ParseIssue] = field(default_factory=list)
     # how many issues were found; issues may hold only the first of them.
     # Left as None, it is len(issues).
@@ -109,18 +116,23 @@ class ParseResult:
             self.n_issues = len(self.issues)
 
 
-def parse_raw(lines) -> ParseResult:
-    """Parse tab-separated CDR lines in one pass into columnar records.
+def parse_batches(lines, log: ParseResult):
+    """Parse tab-separated CDR lines in one pass, yielding columnar records.
 
     lines is a str (split with str.splitlines) or any iterable of lines,
     such as a generator over an open file, which is consumed once and never
     held whole. Each counted line becomes one RECORD_DTYPE row; no per-line
-    object is kept. Malformed lines become ParseIssue entries carrying their
+    object is kept. The rows come out a batch at a time, in line order,
+    each batch a RECORD_DTYPE array that is never empty.
+    Malformed lines become ParseIssue entries in log.issues, carrying their
     1-based line number, in line order; they are never silently dropped.
-    The first _MAX_ISSUES of them are kept, and n_issues counts them all.
-    Raises EmptyInputError when no line gives a record or an issue (the
-    input is empty or blank), and OutOfRangeError, naming the line, for a
-    square id that does not fit in int64 or a timestamp after the year 9999.
+    The first _MAX_ISSUES of them are kept, and log.n_issues counts them
+    all. log is a ParseResult, such as a new ParseResult(); its records
+    are left as they are.
+    Raises EmptyInputError, once the lines are used up, when no line gave a
+    record or an issue (the input is empty or blank), and OutOfRangeError,
+    naming the line, for a square id that does not fit in int64 or a
+    timestamp after the year 9999.
 
     The lines are taken _BATCH_LINES at a time. In a batch, the lines that
     _parse_bulk takes are parsed together in numpy, every other line by the
@@ -130,25 +142,38 @@ def parse_raw(lines) -> ParseResult:
     if isinstance(lines, str):
         lines = lines.splitlines()
 
-    # the RECORD_DTYPE rows, appended batch by batch and read in place at the end
-    rows = bytearray()
-    issues: list[ParseIssue] = []
-    n_issues = 0
+    issues = log.issues
+    counted = False
     pending = iter(lines)
     first = 1  # the line number of batch[0]
     while batch := list(islice(pending, _BATCH_LINES)):
         kept = len(issues)
         widths = np.fromiter(map(len, batch), dtype=np.intp, count=len(batch))
         for lo, hi in _spans(widths):
-            _parse_batch(batch[lo:hi], widths[lo:hi], first + lo, rows, issues)
-        n_issues += len(issues) - kept
+            records = _parse_batch(batch[lo:hi], widths[lo:hi], first + lo, issues)
+            if records.size:
+                counted = True
+                yield records
+        log.n_issues += len(issues) - kept
         del issues[_MAX_ISSUES:]
         first += len(batch)
 
-    if not rows and not n_issues:
+    if not counted and not log.n_issues:
         raise EmptyInputError("input contains no lines")
-    records = np.frombuffer(rows, dtype=RECORD_DTYPE).view(np.recarray)
-    return ParseResult(records=records, issues=issues, n_issues=n_issues)
+
+
+def parse_raw(lines) -> ParseResult:
+    """parse_batches(lines) gathered into one ParseResult.
+
+    Its records are every batch's, concatenated in line order; its issues
+    and n_issues are those parse_batches logged. Raises what parse_batches
+    raises.
+    """
+    result = ParseResult()
+    batches = list(parse_batches(lines, result))
+    if batches:
+        result.records = np.concatenate(batches).view(np.recarray)
+    return result
 
 
 def _spans(widths: np.ndarray):
@@ -166,9 +191,8 @@ def _spans(widths: np.ndarray):
         lo = hi
 
 
-def _parse_batch(lines: list, widths: np.ndarray, first: int, rows: bytearray,
-                 issues: list) -> None:
-    """Parse lines, numbered from first, onto rows and issues."""
+def _parse_batch(lines: list, widths: np.ndarray, first: int, issues: list) -> np.ndarray:
+    """The RECORD_DTYPE records of lines, numbered from first; issues go to issues."""
     bulk, records = _parse_bulk(lines, widths)
     each: list = []
     _parse_lines(((first + i, lines[i]) for i in np.flatnonzero(~bulk).tolist()), each, issues)
@@ -176,7 +200,7 @@ def _parse_batch(lines: list, widths: np.ndarray, first: int, rows: bytearray,
         # each per-line record goes after the bulk records of the lines before it
         at = np.searchsorted(np.flatnonzero(bulk), [row[0] - first for row in each])
         records = np.insert(records, at, np.array([row[1:] for row in each], dtype=RECORD_DTYPE))
-    rows += records.tobytes()
+    return records
 
 
 def _parse_bulk(lines: list, widths: np.ndarray):
@@ -237,21 +261,38 @@ def _canonical(lines: list, widths: np.ndarray) -> np.ndarray:
     np.cumsum(widths + 1, out=starts[1:])
     marks = np.flatnonzero(data - _ZERO > 9)  # every byte but a digit
     kind = data[marks]
-    tabs = marks[kind == _TAB]
-    first_tab = np.searchsorted(tabs, starts)
     others = np.searchsorted(marks[(kind != _TAB) & (kind != _DOT)], starts)
+    at_tab = np.flatnonzero(kind == _TAB)  # the tabs among the marks
+    tabs = marks[at_tab]
+    del marks, kind  # a batch of tabs holds 8 bytes per character in each
+    first_tab = np.searchsorted(tabs, starts)
     picked = np.flatnonzero((np.diff(first_tab) == _MAX_FIELDS) & (np.diff(others) == 0))
 
-    # field k of the batch ends at tabs[k]; fields[i, j] is field j of picked line i
-    width = np.diff(tabs, prepend=-1) - 1
-    dots = np.bincount(np.searchsorted(tabs, marks[kind == _DOT]), minlength=len(tabs))
+    # field k of the batch ends at tabs[k]. Every mark between two tabs of a
+    # picked line is a dot, so dots[k] counts the dots of field k there.
+    width, dots = _gaps(tabs), _gaps(at_tab)
     is_int = (width > 0) & (width <= _EXACT_DIGITS) & (dots == 0)
     is_value = (width == 0) | ((dots <= 1) & (width > dots))
-    fields = first_tab[picked, None] + np.arange(_MAX_FIELDS)
-    activity = fields[:, 3:]
-    ok = (is_int[fields[:, :2]].all(axis=1) & is_value[activity].all(axis=1)
-          & (width[activity] > 0).any(axis=1))
-    return picked[ok]
+    field = first_tab[picked]  # field 0 of each picked line
+    ok = is_int[field] & is_int[field + 1]
+    filled = np.zeros(len(picked), dtype=bool)
+    for j in range(3, _MAX_FIELDS):  # the activity fields
+        ok &= is_value[field + j]
+        filled |= width[field + j] > 0
+    return picked[ok & filled]
+
+
+def _gaps(ends: np.ndarray) -> np.ndarray:
+    """ends[k] - ends[k - 1] - 1 for every k, with ends[-1] read as -1.
+
+    For the ascending places where consecutive runs end, that is how many
+    places each run holds before its end. Only the result is allocated.
+    """
+    gaps = np.empty_like(ends)
+    np.subtract(ends[1:], ends[:-1], out=gaps[1:])
+    gaps -= 1
+    gaps[:1] = ends[:1]
+    return gaps
 
 
 def _parse_lines(numbered, rows: list, issues: list) -> None:
@@ -259,7 +300,7 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
 
     Appends (line_no, square_id, slot_start, activity_sum) to rows for
     each counted line and a ParseIssue to issues for each malformed one,
-    skips blank lines, and raises OutOfRangeError as parse_raw does.
+    skips blank lines, and raises OutOfRangeError as parse_batches does.
     """
     for line_no, line in numbered:
         stripped = line.rstrip("\r\n")
@@ -333,12 +374,20 @@ class SectorMap:
     """Bijection between the four grid squares of one cell and sectors A..D."""
 
     by_square: dict
+    # the squares that fit in int64, ascending, then a pad entry for the ids
+    # above them all; and the sector index of each of those squares
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
+    _sectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.by_square) != 4:
             raise ValueError(f"sector map needs exactly 4 squares, got {len(self.by_square)}")
         if sorted(self.by_square.values()) != sorted(SECTOR_LABELS):
             raise ValueError(f"sector labels must be exactly {SECTOR_LABELS}")
+        squares = sorted(s for s in self.by_square if -2**63 <= s < 2**63)
+        self._keys = np.array(squares + [0], dtype=np.int64)
+        self._sectors = np.array([SECTOR_LABELS.index(self.by_square[s]) for s in squares],
+                                 dtype=np.intp)
 
     @classmethod
     def from_squares(cls, square_ids) -> "SectorMap":
@@ -360,17 +409,11 @@ class SectorMap:
         Each id is looked up among the four squares with one searchsorted,
         so the temporaries are a few arrays of the ids' length.
         """
-        # the squares ascending (one beyond int64 matches no id), then a pad
-        # entry for the ids above them all
-        squares = sorted(s for s in self.by_square if -2**63 <= s < 2**63)
-        keys = np.array(squares + [0], dtype=np.int64)
-        sectors = np.array([SECTOR_LABELS.index(self.by_square[s]) for s in squares],
-                           dtype=np.intp)
-        at = np.searchsorted(keys[:-1], square_ids)
-        unknown = np.flatnonzero((keys[at] != square_ids) | (at == len(squares)))
+        at = np.searchsorted(self._keys[:-1], square_ids)
+        unknown = np.flatnonzero((self._keys[at] != square_ids) | (at == len(self._sectors)))
         if unknown.size:
             raise UnknownSquareError(f"unknown square id {square_ids[unknown[0]]}")
-        return sectors[at]
+        return self._sectors[at]
 
 
 @dataclass
@@ -403,50 +446,134 @@ class SectorSeries:
         return np.flatnonzero(~self.counts.any(axis=1))
 
 
+class SlotGrid:
+    """Per-slot, per-sector cells that RECORD_DTYPE batches are added to as they arrive.
+
+    add(records) takes one batch, such as parse_batches yields, and
+    series() returns what aggregate returns for all the batches added, in
+    order, as one array: every cell is summed in record order. The grid
+    holds one cell per sector and slot of the span seen so far (a little
+    more while it grows), never more than MAX_SLOTS slots, so its memory
+    depends on that span, not on the number of records. It grows
+    geometrically on the side a batch lands.
+
+    Records whose slot starts lie on one 10-minute grid, as parse_batches
+    gives them, are bucketed as a single aggregate call would bucket them;
+    other slot starts are bucketed against the earliest one of the first
+    batch. An error is found as the records arrive, after which the cells
+    are dropped and only the first and last slot start are followed;
+    series() raises it. See aggregate for the errors and their order.
+    """
+
+    def __init__(self, sector_map: SectorMap, count_mode: str = COUNT_MODES[0]):
+        if count_mode not in COUNT_MODES:
+            raise ValueError(f"unknown count_mode {count_mode!r}")
+        self.sector_map = sector_map
+        self.count_mode = count_mode
+        self._t_min = self._t_max = None  # the first and last slot start added
+        self._origin = 0  # the time of slot 0: the first batch's first slot start
+        self._lo = 0  # the slot of _cells[0]
+        self._cells = None  # (capacity, n_sectors), from the first record until an error
+        self._unknown = None  # the UnknownSquareError of the first square not in sector_map
+
+    def add(self, records: np.ndarray) -> None:
+        """Add a RECORD_DTYPE array's records, each to its cell, in array order."""
+        starts = records["slot_start_ms"]
+        if not starts.size:
+            return
+        first, last = int(starts.min()), int(starts.max())
+        if self._t_min is None:
+            self._origin, self._t_min, self._t_max = first, first, last
+        else:
+            self._t_min, self._t_max = min(self._t_min, first), max(self._t_max, last)
+        if self._n_slots() <= MAX_SLOTS and self._unknown is None:
+            try:
+                sectors = self.sector_map.sector_indices(records["square_id"])
+            except UnknownSquareError as err:
+                self._unknown = err
+        # once an error is certain (the span only widens), follow the span only
+        if self._n_slots() > MAX_SLOTS or self._unknown is not None:
+            self._cells = None
+            return
+
+        self._fit(self._slot(first), self._slot(last))
+        cells = ((starts - self._origin) // SLOT_MS - self._lo) * len(SECTOR_LABELS) + sectors
+        # np.add.at adds unbuffered, in index order: each cell in record order.
+        # A sum that overflows to inf is reported by series() as beyond int64.
+        with np.errstate(over="ignore"):
+            np.add.at(self._cells.reshape(-1), cells,
+                      1 if self.count_mode == "record_count" else records["activity_sum"])
+
+    def series(self) -> SectorSeries:
+        """The SectorSeries of every record added; raises as aggregate does."""
+        if self._t_min is None:
+            raise EmptyInputError("no records to aggregate")
+        n_slots = self._n_slots()
+        if n_slots > MAX_SLOTS:
+            raise OutOfRangeError(
+                f"timestamps from {self._t_min} to {self._t_max} ms span {n_slots} slots, "
+                f"more than the {MAX_SLOTS} allowed")
+        if self._unknown is not None:
+            raise self._unknown
+
+        first = self._slot(self._t_min)
+        t0 = self._origin + first * SLOT_MS
+        cells = self._cells[first - self._lo:first - self._lo + n_slots]
+        if self.count_mode == "record_count":
+            return SectorSeries(t0_ms=t0, counts=cells.copy())
+        sums = np.rint(cells).reshape(-1)
+        too_big = np.flatnonzero(~(sums < 2.0**63))
+        if too_big.size:
+            i, s = divmod(int(too_big[0]), len(SECTOR_LABELS))
+            raise OutOfRangeError(
+                f"activity sum {sums[too_big[0]]} of sector {SECTOR_LABELS[s]} in slot "
+                f"{_format_ts(t0 + i * SLOT_MS)} does not fit in int64")
+        return SectorSeries(t0_ms=t0, counts=sums.astype(np.int64).reshape(n_slots, -1))
+
+    def _slot(self, t_ms: int) -> int:
+        return (t_ms - self._origin) // SLOT_MS
+
+    def _n_slots(self) -> int:
+        return self._slot(self._t_max) - self._slot(self._t_min) + 1
+
+    def _fit(self, first: int, last: int) -> None:
+        """Make the cells cover slots first to last, and every slot added before."""
+        if self._cells is None:
+            dtype = np.int64 if self.count_mode == "record_count" else np.float64
+            self._lo = first
+            self._cells = np.zeros((last - first + 1, len(SECTOR_LABELS)), dtype=dtype)
+            return
+        old, lo = self._cells, self._lo
+        if lo <= first and last < lo + len(old):
+            return
+        need_lo, need_hi = self._slot(self._t_min), self._slot(self._t_max) + 1
+        size = min(max(need_hi - need_lo, 2 * len(old)), MAX_SLOTS)
+        # the room to spare goes on the side the batch went past
+        new_lo = need_hi - size if first < lo else need_lo
+        self._cells = np.zeros((size, old.shape[1]), dtype=old.dtype)
+        a, b = max(lo, new_lo), min(lo + len(old), new_lo + size)
+        self._cells[a - new_lo:b - new_lo] = old[a - lo:b - lo]
+        self._lo = new_lo
+
+
 def aggregate(records, sector_map: SectorMap, count_mode: str = COUNT_MODES[0]) -> SectorSeries:
-    """Bucket records into a SectorSeries, vectorised over the record columns.
+    """Bucket records into a SectorSeries: one SlotGrid, added to once.
 
     records is a RECORD_DTYPE array such as ParseResult.records (or anything
     np.asarray turns into one). record_count counts one per record (the
     default); activity_sum adds the records' activity sums into each cell in
     record order and rounds each cell to the nearest integer (ties to even).
     Slots between the first and last record with no events are materialized
-    as zeros. Raises UnknownSquareError for the first record whose square is
-    not in sector_map, and OutOfRangeError when the records span more than
-    MAX_SLOTS slots (checked before the series is allocated) or a rounded
-    cell sum does not fit in int64 (checked before the cast).
+    as zeros. Raises, in this order: ValueError for an unknown count_mode;
+    EmptyInputError when there is no record; OutOfRangeError when the
+    records span more than MAX_SLOTS slots (checked before the series is
+    allocated), naming the first and last slot start; UnknownSquareError for
+    the first record whose square is not in sector_map; and OutOfRangeError
+    when a rounded cell sum does not fit in int64 (checked before the cast).
     """
-    if count_mode not in COUNT_MODES:
-        raise ValueError(f"unknown count_mode {count_mode!r}")
-    records = np.asarray(records, dtype=RECORD_DTYPE)
-    if not records.size:
-        raise EmptyInputError("no records to aggregate")
-
-    slot_starts = records["slot_start_ms"]
-    t0, t_last = int(slot_starts.min()), int(slot_starts.max())
-    n_slots = (t_last - t0) // SLOT_MS + 1
-    if n_slots > MAX_SLOTS:
-        raise OutOfRangeError(
-            f"timestamps from {t0} to {t_last} ms span {n_slots} slots, "
-            f"more than the {MAX_SLOTS} allowed")
-
-    n_sectors = len(SECTOR_LABELS)
-    sectors = sector_map.sector_indices(records["square_id"])
-    cells = (slot_starts - t0) // SLOT_MS * n_sectors + sectors
-    if count_mode == "record_count":
-        counts = np.bincount(cells, minlength=n_slots * n_sectors)
-    else:
-        # bincount adds each cell's weights in record order
-        sums = np.rint(np.bincount(cells, weights=records["activity_sum"],
-                                   minlength=n_slots * n_sectors))
-        too_big = np.flatnonzero(~(sums < 2.0**63))
-        if too_big.size:
-            i, s = divmod(int(too_big[0]), n_sectors)
-            raise OutOfRangeError(
-                f"activity sum {sums[too_big[0]]} of sector {SECTOR_LABELS[s]} in slot "
-                f"{_format_ts(t0 + i * SLOT_MS)} does not fit in int64")
-        counts = sums.astype(np.int64)
-    return SectorSeries(t0_ms=t0, counts=counts.reshape(n_slots, n_sectors))
+    grid = SlotGrid(sector_map, count_mode)
+    grid.add(np.asarray(records, dtype=RECORD_DTYPE))
+    return grid.series()
 
 
 @dataclass
@@ -556,25 +683,30 @@ def _parse_ts(text: str) -> int:
 
 
 def write_sector_series(series: SectorSeries) -> str:
+    """The normalized CSV as one str: the blocks of sector_series_blocks joined."""
+    return "".join(sector_series_blocks(series))
+
+
+def sector_series_blocks(series: SectorSeries):
     """Render the normalized CSV: header time,A,B,C,D then one row per slot.
 
-    The rows are rendered _WRITE_ROWS at a time with numpy string
-    operations. A slot time outside the years 1 to 9999 raises as
-    datetime does; a year before 1000 is written with four digits.
+    Yields the header, then the rows _WRITE_ROWS at a time, each block
+    rendered with numpy string operations. A slot time outside the years
+    1 to 9999 raises as datetime does, before anything is yielded; a year
+    before 1000 is written with four digits.
     """
-    parts = ["time," + ",".join(SECTOR_LABELS) + "\n"]
     if series.n_slots:
         _format_ts(series.t0_ms)  # the first and the last slot time are in range
         _format_ts(series.slot_time_ms(series.n_slots - 1))
         digits = len(str(int(series.counts.max())))
+    yield "time," + ",".join(SECTOR_LABELS) + "\n"
     for lo in range(0, series.n_slots, _WRITE_ROWS):
         ms = series.t0_ms + np.arange(lo, min(lo + _WRITE_ROWS, series.n_slots)) * SLOT_MS
         row = np.char.add(np.datetime_as_string((ms // 1000).astype("datetime64[s]"), unit="s"),
                           "Z")
         for column in series.counts[lo:lo + len(ms)].T.astype(f"U{digits}"):
             row = np.char.add(np.char.add(row, ","), column)
-        parts.append("\n".join(row.tolist()) + "\n")
-    return "".join(parts)
+        yield "\n".join(row.tolist()) + "\n"
 
 
 def load_sector_series(text: str) -> SectorSeries:

@@ -171,6 +171,58 @@ def test_ingest_counts_every_issue_past_the_twenty_it_shows(tmp_path):
     assert proc.stdout == "slots=1 gaps=0 A=1 B=0 C=0 D=0\n"
 
 
+_GOOD = f"5060\t{T0}\t39\t1\n"
+
+
+@pytest.mark.parametrize("raw, errors", [
+    # an issue in each of the three batches and an unknown square in the
+    # second and the third: the first unknown square is named, after every issue
+    ("x\n" + _GOOD * 1500 + "5060\tsoon\t39\t1\n" + f"7777\t{T0 + 600_000}\t39\t1\n"
+     + _GOOD * 1500 + f"8888\t{T0}\t39\t1\n" + f"5061\t{T0 + 7}\t39\t2\n",
+     ["line 1: fewer than 2 fields", "line 1502: bad timestamp 'soon'",
+      f"line 3005: timestamp {T0 + 7} not slot-aligned; floored to {T0}",
+      "error: unknown square id 7777"]),
+    # an unknown square in the first batch, a span too wide in the second,
+    # and the first slot start in the third: the span error names the whole input
+    (f"7777\t{T0}\t39\t1\n" + _GOOD * 1500 + f"5061\t{T0 + MAX_SLOTS * 600_000}\t39\t1\n"
+     + "x\n" + _GOOD * 1500 + f"5161\t{T0 - 3 * 600_000}\t39\t1\n",
+     ["line 1503: fewer than 2 fields",
+      f"error: timestamps from {T0 - 3 * 600_000} to {T0 + MAX_SLOTS * 600_000} ms span "
+      f"{MAX_SLOTS + 4} slots, more than the {MAX_SLOTS} allowed"]),
+], ids=["unknown-square", "span-and-unknown-square"])
+def test_ingest_prints_every_issue_then_the_first_error(tmp_path, raw, errors):
+    (tmp_path / "raw.tsv").write_text(raw)
+    proc = run_cli(["ingest", "--raw", "raw.tsv", "--out", "series.csv"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[1:] == errors
+    assert proc.stdout == "" and not (tmp_path / "series.csv").exists()
+
+
+def test_ingest_memory_does_not_grow_with_the_line_count(tmp_path):
+    # each parsed batch goes into the slot grid; nothing is kept per line
+    rng = np.random.default_rng(11)
+
+    def peak(n_lines):
+        slots = rng.integers(0, 2016, size=n_lines)
+        slots[:2] = 0, 2015  # the same span at every size
+        squares = rng.choice([5060, 5061, 5160, 5161], size=n_lines).tolist()
+        raw = tmp_path / f"raw_{n_lines}.tsv"
+        raw.write_text("".join(f"{sq}\t{T0 + 600_000 * k}\t39\t{k % 7}.25\t\t3\t\t\n"
+                               for sq, k in zip(squares, slots.tolist())))
+        tracemalloc.start()
+        try:
+            code = cli.main(["ingest", "--raw", str(raw), "--count-mode", "activity_sum",
+                             "--out", str(tmp_path / f"series_{n_lines}.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    peak(2_000)  # one-time allocations of the first run stay out of the difference
+    assert abs(peak(120_000) - peak(30_000)) < 2**20
+
+
 def test_missing_input_file_is_an_io_error(workdir):
     proc = run_cli(["ingest", "--raw", "no_such_file.tsv"], cwd=workdir)
     assert proc.returncode == 1

@@ -22,7 +22,7 @@ from cdrsweep import (
 )
 from cdrsweep import ingest
 from cdrsweep.fixtures import demo_raw_lines, demo_sector_map, DEMO_SLOT_COUNTS, synthetic_series
-from cdrsweep.ingest import _BATCH_LINES, _MAX_ISSUES, cut_windows
+from cdrsweep.ingest import _BATCH_LINES, _MAX_ISSUES, SlotGrid, cut_windows
 from _oracles import aggregate_scalar, parse_raw_scalar, write_sector_series_scalar
 
 T0 = 1_384_726_200_000
@@ -226,6 +226,88 @@ def test_aggregate_adds_each_cell_in_record_order():
         oracle = aggregate_scalar(parse_raw_scalar(lines).records, demo_sector_map(),
                                   count_mode="activity_sum")
         assert series.counts[0, 0] == oracle.counts[0, 0] == want
+
+
+def _grid_series(batches, smap, mode):
+    grid = SlotGrid(smap, mode)
+    for batch in batches:
+        grid.add(batch)
+    return grid.series()
+
+
+def _random_splits(rng, records, n_splits):
+    cuts = np.sort(rng.integers(0, len(records) + 1, size=n_splits))
+    return np.split(records, cuts)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_grid_fed_in_random_batches_gives_one_aggregates_series(seed):
+    rng = np.random.default_rng(seed)
+    # the first lines sit in the middle of the span, so that later batches
+    # land before the grid, after it and on both sides at once
+    slots = np.concatenate([rng.integers(90, 110, size=40), rng.integers(0, 400, size=460)])
+    values = ("0.1", "0.2", "2.675", "0.3333333333333333", "1e-3", "7")
+    lines = [full(int(rng.choice([5060, 5061, 5160, 5161])), T0 + int(k) * SLOT,
+                  *rng.choice(values, size=int(rng.integers(1, 6))).tolist()) for k in slots]
+    records, oracle_records = parse_raw(lines).records, parse_raw_scalar(lines).records
+    smap = demo_sector_map()
+    for mode in ("record_count", "activity_sum"):
+        whole = aggregate(records, smap, count_mode=mode)
+        oracle = aggregate_scalar(oracle_records, smap, count_mode=mode)
+        assert (whole.t0_ms, whole.counts.tobytes()) == (oracle.t0_ms, oracle.counts.tobytes())
+        for n_splits in (1, 3, 20, 200):
+            series = _grid_series(_random_splits(rng, records, n_splits), smap, mode)
+            assert series.t0_ms == whole.t0_ms
+            assert series.counts.dtype == whole.counts.dtype
+            assert series.counts.tobytes() == whole.counts.tobytes()
+
+
+def test_the_grid_reaches_exactly_max_slots_over_several_batches():
+    smap = demo_sector_map()
+    last = T0 + (MAX_SLOTS - 1) * SLOT
+    batches = [np.array(rows, dtype=RECORD_DTYPE) for rows in (
+        [(5061, T0 + 500_000 * SLOT, 2.5), (5061, T0 + 500_001 * SLOT, 0.5)],
+        [(5060, T0 + 10 * SLOT, 1.0)],  # before the grid
+        [(5161, last, 3.5), (5160, T0 + 700_000 * SLOT, 1.0)],  # after it
+        [(5060, T0, 1.5), (5161, last, 1.0)],  # the whole span
+    )]
+    records = np.concatenate(batches)
+    for mode in ("record_count", "activity_sum"):
+        series = _grid_series(batches, smap, mode)
+        whole = aggregate(records, smap, count_mode=mode)
+        assert series.n_slots == MAX_SLOTS and series.t0_ms == T0
+        assert series.counts.tobytes() == whole.counts.tobytes()
+    # one slot more is refused, whichever batch goes past
+    with pytest.raises(OutOfRangeError, match=f"span {MAX_SLOTS + 1} slots"):
+        _grid_series(batches + [np.array([(5060, last + SLOT, 1.0)], dtype=RECORD_DTYPE)],
+                     smap, "record_count")
+
+
+def test_the_grid_raises_the_span_error_before_an_unknown_square_naming_the_whole_input():
+    smap = demo_sector_map()
+    batches = [np.array(rows, dtype=RECORD_DTYPE) for rows in (
+        [(5060, T0 + 10 * SLOT, 1.0)],
+        [(7777, T0 + 20 * SLOT, 1.0), (8888, T0, 1.0)],  # unknown, the span still fits
+        [(5061, T0 + MAX_SLOTS * SLOT, 1.0)],  # the span is now too wide
+        [(5061, T0 + 2 * MAX_SLOTS * SLOT, 1.0)],  # and wider still
+        [(7777, T0 - 5 * SLOT, 1.0)],  # the first slot start comes last
+    )]
+    first, last = T0 - 5 * SLOT, T0 + 2 * MAX_SLOTS * SLOT
+    message = (f"^timestamps from {first} to {last} ms span {2 * MAX_SLOTS + 6} slots, "
+               f"more than the {MAX_SLOTS} allowed$")
+    with pytest.raises(OutOfRangeError, match=message):
+        _grid_series(batches, smap, "record_count")
+    with pytest.raises(OutOfRangeError, match=message):
+        aggregate(np.concatenate(batches), smap)
+    # within the span, the first unknown square in record order is named
+    with pytest.raises(UnknownSquareError, match="^unknown square id 7777$"):
+        _grid_series(batches[:2] + batches[4:], smap, "activity_sum")
+    # and an unknown square comes before a cell beyond int64
+    too_big = np.array([(5060, T0, 1e308), (5060, T0, 1e308)], dtype=RECORD_DTYPE)
+    with pytest.raises(OutOfRangeError, match="^activity sum inf of sector A"):
+        _grid_series([too_big], smap, "activity_sum")
+    with pytest.raises(UnknownSquareError, match="^unknown square id 7777$"):
+        _grid_series([too_big, batches[1]], smap, "activity_sum")
 
 
 _SQUARES = ("5060", "5061", "5160", "5161", " 5161 ", "+5060")
