@@ -7,7 +7,11 @@ The raw input is tab-separated text, one record per line:
 
 Activity fields may be empty; a line with no activity value at all is not a
 CDR event and is reported, not counted. Aggregation buckets events into
-consecutive 600-second slots for the four sectors A..D of one cell.
+consecutive 600-second slots for the four sectors A..D of one cell. One
+slot rule holds throughout: a timestamp belongs to slot
+slot_start_ms // SLOT_MS, which starts on the 10-minute grid. The parser
+floors an off-grid timestamp to that slot's start (and reports it), and
+aggregation counts any slot start in that slot.
 
 Ingest reads its input once, a batch of lines at a time. parse_batches
 yields each batch's counted lines as three numeric columns (square id,
@@ -397,14 +401,8 @@ class SectorMap:
             raise ValueError(f"duplicate square ids in {ids}")
         return cls(by_square=dict(zip(ids, SECTOR_LABELS)))
 
-    def sector_index(self, square_id: int) -> int:
-        try:
-            return SECTOR_LABELS.index(self.by_square[square_id])
-        except KeyError:
-            raise UnknownSquareError(f"unknown square id {square_id}") from None
-
     def sector_indices(self, square_ids: np.ndarray) -> np.ndarray:
-        """sector_index of every id; the first unknown id in array order raises.
+        """The SECTOR_LABELS index of every id's sector; the first unknown id raises.
 
         Each id is looked up among the four squares with one searchsorted,
         so the temporaries are a few arrays of the ids' length.
@@ -457,12 +455,12 @@ class SlotGrid:
     depends on that span, not on the number of records. It grows
     geometrically on the side a batch lands.
 
-    Records whose slot starts lie on one 10-minute grid, as parse_batches
-    gives them, are bucketed as a single aggregate call would bucket them;
-    other slot starts are bucketed against the earliest one of the first
-    batch. An error is found as the records arrive, after which the cells
-    are dropped and only the first and last slot start are followed;
-    series() raises it. See aggregate for the errors and their order.
+    A record goes to its absolute slot, slot_start_ms // SLOT_MS: the
+    10-minute slot that contains its slot start, the one parse_batches
+    floors an off-grid timestamp to. The grid keeps only slot numbers. An
+    error is found as the records arrive, after which the cells are dropped
+    and only the first and last slot are followed; series() raises it. See
+    aggregate for the errors and their order.
     """
 
     def __init__(self, sector_map: SectorMap, count_mode: str = COUNT_MODES[0]):
@@ -470,34 +468,33 @@ class SlotGrid:
             raise ValueError(f"unknown count_mode {count_mode!r}")
         self.sector_map = sector_map
         self.count_mode = count_mode
-        self._t_min = self._t_max = None  # the first and last slot start added
-        self._origin = 0  # the time of slot 0: the first batch's first slot start
+        self._first = self._last = None  # the first and last slot added
         self._lo = 0  # the slot of _cells[0]
         self._cells = None  # (capacity, n_sectors), from the first record until an error
         self._unknown = None  # the UnknownSquareError of the first square not in sector_map
 
     def add(self, records: np.ndarray) -> None:
         """Add a RECORD_DTYPE array's records, each to its cell, in array order."""
-        starts = records["slot_start_ms"]
-        if not starts.size:
+        slots = records["slot_start_ms"] // SLOT_MS
+        if not slots.size:
             return
-        first, last = int(starts.min()), int(starts.max())
-        if self._t_min is None:
-            self._origin, self._t_min, self._t_max = first, first, last
-        else:
-            self._t_min, self._t_max = min(self._t_min, first), max(self._t_max, last)
-        if self._n_slots() <= MAX_SLOTS and self._unknown is None:
+        first, last = int(slots.min()), int(slots.max())
+        if self._first is not None:
+            first, last = min(self._first, first), max(self._last, last)
+        self._first, self._last = first, last
+        too_wide = last - first + 1 > MAX_SLOTS
+        if not too_wide and self._unknown is None:
             try:
                 sectors = self.sector_map.sector_indices(records["square_id"])
             except UnknownSquareError as err:
                 self._unknown = err
         # once an error is certain (the span only widens), follow the span only
-        if self._n_slots() > MAX_SLOTS or self._unknown is not None:
+        if too_wide or self._unknown is not None:
             self._cells = None
             return
 
-        self._fit(self._slot(first), self._slot(last))
-        cells = ((starts - self._origin) // SLOT_MS - self._lo) * len(SECTOR_LABELS) + sectors
+        self._fit(first, last)
+        cells = (slots - self._lo) * len(SECTOR_LABELS) + sectors
         # np.add.at adds unbuffered, in index order: each cell in record order.
         # A sum that overflows to inf is reported by series() as beyond int64.
         with np.errstate(over="ignore"):
@@ -506,19 +503,18 @@ class SlotGrid:
 
     def series(self) -> SectorSeries:
         """The SectorSeries of every record added; raises as aggregate does."""
-        if self._t_min is None:
+        if self._first is None:
             raise EmptyInputError("no records to aggregate")
-        n_slots = self._n_slots()
+        n_slots = self._last - self._first + 1
         if n_slots > MAX_SLOTS:
             raise OutOfRangeError(
-                f"timestamps from {self._t_min} to {self._t_max} ms span {n_slots} slots, "
-                f"more than the {MAX_SLOTS} allowed")
+                f"timestamps from {self._first * SLOT_MS} to {self._last * SLOT_MS} ms span "
+                f"{n_slots} slots, more than the {MAX_SLOTS} allowed")
         if self._unknown is not None:
             raise self._unknown
 
-        first = self._slot(self._t_min)
-        t0 = self._origin + first * SLOT_MS
-        cells = self._cells[first - self._lo:first - self._lo + n_slots]
+        t0 = self._first * SLOT_MS
+        cells = self._cells[self._first - self._lo:self._last + 1 - self._lo]
         if self.count_mode == "record_count":
             return SectorSeries(t0_ms=t0, counts=cells.copy())
         sums = np.rint(cells).reshape(-1)
@@ -530,14 +526,8 @@ class SlotGrid:
                 f"{_format_ts(t0 + i * SLOT_MS)} does not fit in int64")
         return SectorSeries(t0_ms=t0, counts=sums.astype(np.int64).reshape(n_slots, -1))
 
-    def _slot(self, t_ms: int) -> int:
-        return (t_ms - self._origin) // SLOT_MS
-
-    def _n_slots(self) -> int:
-        return self._slot(self._t_max) - self._slot(self._t_min) + 1
-
     def _fit(self, first: int, last: int) -> None:
-        """Make the cells cover slots first to last, and every slot added before."""
+        """Make the cells cover slots first to last, the span of every record added."""
         if self._cells is None:
             dtype = np.int64 if self.count_mode == "record_count" else np.float64
             self._lo = first
@@ -546,10 +536,9 @@ class SlotGrid:
         old, lo = self._cells, self._lo
         if lo <= first and last < lo + len(old):
             return
-        need_lo, need_hi = self._slot(self._t_min), self._slot(self._t_max) + 1
-        size = min(max(need_hi - need_lo, 2 * len(old)), MAX_SLOTS)
+        size = min(max(last + 1 - first, 2 * len(old)), MAX_SLOTS)
         # the room to spare goes on the side the batch went past
-        new_lo = need_hi - size if first < lo else need_lo
+        new_lo = last + 1 - size if first < lo else first
         self._cells = np.zeros((size, old.shape[1]), dtype=old.dtype)
         a, b = max(lo, new_lo), min(lo + len(old), new_lo + size)
         self._cells[a - new_lo:b - new_lo] = old[a - lo:b - lo]
@@ -560,16 +549,20 @@ def aggregate(records, sector_map: SectorMap, count_mode: str = COUNT_MODES[0]) 
     """Bucket records into a SectorSeries: one SlotGrid, added to once.
 
     records is a RECORD_DTYPE array such as ParseResult.records (or anything
-    np.asarray turns into one). record_count counts one per record (the
-    default); activity_sum adds the records' activity sums into each cell in
-    record order and rounds each cell to the nearest integer (ties to even).
-    Slots between the first and last record with no events are materialized
-    as zeros. Raises, in this order: ValueError for an unknown count_mode;
+    np.asarray turns into one). Each record goes to the slot that contains
+    its slot start, slot_start_ms // SLOT_MS, so an off-grid slot start
+    counts as the slot start parse_batches floors it to, and t0_ms is on the
+    grid. record_count counts one per record (the default); activity_sum
+    adds the records' activity sums into each cell in record order and
+    rounds each cell to the nearest integer (ties to even). Slots between
+    the first and last record with no events are materialized as zeros.
+    Raises, in this order: ValueError for an unknown count_mode;
     EmptyInputError when there is no record; OutOfRangeError when the
     records span more than MAX_SLOTS slots (checked before the series is
-    allocated), naming the first and last slot start; UnknownSquareError for
-    the first record whose square is not in sector_map; and OutOfRangeError
-    when a rounded cell sum does not fit in int64 (checked before the cast).
+    allocated), naming the start of the first and last slot;
+    UnknownSquareError for the first record whose square is not in
+    sector_map; and OutOfRangeError when a rounded cell sum does not fit in
+    int64 (checked before the cast).
     """
     grid = SlotGrid(sector_map, count_mode)
     grid.add(np.asarray(records, dtype=RECORD_DTYPE))

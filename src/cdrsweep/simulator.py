@@ -34,7 +34,7 @@ from .scheduler import (
 )
 
 SLOT_US = SLOT_MS * 1000.0  # one 10-minute aggregation slot, in microseconds
-BURSTS_PER_SLOT = 30_000    # SLOT_US / BURST_PERIOD_US
+BURSTS_PER_SLOT = int(SLOT_US // BURST_PERIOD_US)  # 30,000; a slot is whole bursts
 N_SECTORS = len(SECTOR_LABELS)
 # The most UEs a run may expect to draw (the sum of rate x duration over its
 # slots). Drawing, resolving three policies and rendering their report rows

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cdrsweep import gru
-from cdrsweep.errors import EmptyInputError
+from cdrsweep.errors import EmptyInputError, UnknownSquareError
 from cdrsweep.ingest import (
     _FIELD_DELIMITER,
     _MAX_FIELDS,
@@ -386,7 +386,10 @@ def aggregate_scalar(records, sector_map: SectorMap, count_mode: str = "record_c
 
     acc = np.zeros((n_slots, len(SECTOR_LABELS)), dtype=np.float64)
     for r in records:
-        s = sector_map.sector_index(r.square_id)
+        try:
+            s = SECTOR_LABELS.index(sector_map.by_square[r.square_id])
+        except KeyError:
+            raise UnknownSquareError(f"unknown square id {r.square_id}") from None
         i = (r.slot_start_ms - t0) // SLOT_MS
         if count_mode == "record_count":
             acc[i, s] += 1

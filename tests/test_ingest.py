@@ -7,6 +7,7 @@ import pytest
 from cdrsweep import (
     MAX_SLOTS,
     RECORD_DTYPE,
+    SECTOR_LABELS,
     EmptyInputError,
     OutOfRangeError,
     SectorMap,
@@ -113,20 +114,20 @@ def test_parse_floors_misaligned_timestamp_and_reports_it():
 
 def test_sector_map_roundtrip_and_unknown_square():
     smap = SectorMap.from_squares([10, 20, 30, 40])
-    assert smap.sector_index(10) == 0
-    assert smap.sector_index(40) == 3
+    assert smap.sector_indices(np.array([10, 40], dtype=np.int64)).tolist() == [0, 3]
     with pytest.raises(UnknownSquareError, match="99"):
-        smap.sector_index(99)
+        smap.sector_indices(np.array([99], dtype=np.int64))
     with pytest.raises(ValueError):
         SectorMap.from_squares([10, 10, 30, 40])
     with pytest.raises(ValueError):
         SectorMap.from_squares([10, 20, 30])
 
 
-def test_sector_indices_match_sector_index_and_name_the_first_unknown_id():
+def test_sector_indices_match_the_map_and_name_the_first_unknown_id():
     smap = SectorMap.from_squares([40, -3, 2**70, 7])
     ids = np.array([7, 40, -3, 7, 40, -3], dtype=np.int64)
-    assert smap.sector_indices(ids).tolist() == [smap.sector_index(int(i)) for i in ids]
+    assert smap.sector_indices(ids).tolist() == [
+        SECTOR_LABELS.index(smap.by_square[int(i)]) for i in ids]
     for bad, first in (([7, 41, 0], 41), ([0, 7], 0), ([2**63 - 1], 2**63 - 1), ([-2**63], -2**63),
                        ([-4, 99], -4)):
         with pytest.raises(UnknownSquareError, match=f"^unknown square id {first}$"):
@@ -260,6 +261,36 @@ def test_the_grid_fed_in_random_batches_gives_one_aggregates_series(seed):
             assert series.t0_ms == whole.t0_ms
             assert series.counts.dtype == whole.counts.dtype
             assert series.counts.tobytes() == whole.counts.tobytes()
+
+
+def test_an_off_grid_slot_start_counts_in_the_slot_that_contains_it():
+    smap = demo_sector_map()
+    # 22:11 and 22:20 are two slots, and the series starts on the grid at 22:10
+    records = np.array([(5060, T0 + 60_000, 1.0), (5061, T0 + SLOT, 1.0)], dtype=RECORD_DTYPE)
+    series = aggregate(records, smap)
+    assert series.t0_ms == T0
+    assert series.counts.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    # the span is counted in slots too: 22:11 to 22:10 MAX_SLOTS slots later is one too many
+    records["slot_start_ms"][1] = T0 + MAX_SLOTS * SLOT
+    with pytest.raises(OutOfRangeError, match=(
+            f"^timestamps from {T0} to {T0 + MAX_SLOTS * SLOT} ms span {MAX_SLOTS + 1} slots")):
+        aggregate(records, smap)
+
+    rng = np.random.default_rng(3)
+    records = np.zeros(300, dtype=RECORD_DTYPE)
+    records["square_id"] = rng.choice([5060, 5061, 5160, 5161], size=300)
+    records["slot_start_ms"] = T0 + rng.integers(-5, 50, size=300) * SLOT + rng.integers(
+        0, SLOT, size=300)
+    records["activity_sum"] = rng.choice([0.1, 0.2, 2.675, 7.0], size=300)
+    floored = records.copy()
+    floored["slot_start_ms"] -= floored["slot_start_ms"] % SLOT
+    for mode in ("record_count", "activity_sum"):
+        want = aggregate(floored, smap, count_mode=mode)
+        for series in [aggregate(records, smap, count_mode=mode)] + [
+                _grid_series(_random_splits(rng, records, n_splits), smap, mode)
+                for n_splits in (1, 3, 20, 200)]:
+            assert series.t0_ms == want.t0_ms
+            assert series.counts.tobytes() == want.counts.tobytes()
 
 
 def test_the_grid_reaches_exactly_max_slots_over_several_batches():
@@ -575,6 +606,8 @@ def test_series_csv_roundtrip():
     header, first = text.splitlines()[:2]
     assert header == "time,A,B,C,D"
     assert first.startswith("2013-11-17T22:10:00Z,")
+    # a stamp without "Z" is read as UTC
+    assert load_sector_series(text.replace("Z,", ",")).t0_ms == T0
 
 
 @pytest.mark.parametrize("series", [
@@ -592,8 +625,14 @@ def test_series_csv_rejects_bad_input():
         SectorSeries(t0_ms=T0, counts=np.ones((3, 4), dtype=np.int64)))
     with pytest.raises(EmptyInputError):
         load_sector_series("")
+    with pytest.raises(EmptyInputError, match="^series file has no data rows$"):
+        load_sector_series("time,A,B,C,D\n")
     with pytest.raises(SeriesFormatError):
         load_sector_series(good.replace("time,A,B,C,D", "time,A,B,C"))
+    with pytest.raises(SeriesFormatError, match="^row 3: expected 5 columns, got 4$"):
+        load_sector_series(good.replace("22:20:00Z,1,1,1,1", "22:20:00Z,1,1,1"))
+    with pytest.raises(SeriesFormatError, match="^bad timestamp 'notatime'$"):
+        load_sector_series(good.replace("2013-11-17T22:20:00Z", "notatime"))
     with pytest.raises(SeriesFormatError):
         load_sector_series(good.replace("22:20", "22:21"))  # breaks the grid
     with pytest.raises(SeriesFormatError):

@@ -72,9 +72,31 @@ def test_truncation_detected():
     lines = dumps_model(p, norm).splitlines()
     with pytest.raises(TruncatedFileError):
         loads_model("\n".join(lines[:10]))
-    # missing end marker specifically
-    with pytest.raises((TruncatedFileError, ModelFormatError)):
+    # a file cut just before its end marker is truncated too
+    with pytest.raises(TruncatedFileError):
         loads_model("\n".join(lines[:-1]))
+
+
+def _edit_line(text, i, new):
+    lines = text.splitlines()
+    lines[i] = new(lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("i, edit, message", [
+    (0, lambda s: s + " x", "malformed header: GRUCDR 1 x"),
+    (0, lambda s: "GRUCDR one", "malformed header: GRUCDR one"),
+    (1, lambda s: s.replace("dims", "dimz"), "missing dims line"),
+    (1, lambda s: s + " 4", "missing dims line"),
+    (1, lambda s: s.replace(" 2 ", " two "), r"bad dims: \['4', 'two', '4'\]"),
+    (2, lambda s: s + " x", r"bad dimensions for W_r: \['2', '2', 'x'\]"),
+    (3, lambda s: s.rsplit(" ", 1)[0], "W_r: row has 1 values, expected 2"),
+    (-1, lambda s: "fin", "missing end marker"),
+])
+def test_each_format_error_names_what_is_wrong(i, edit, message):
+    p, norm = make_pair(h=2)
+    with pytest.raises(ModelFormatError, match=f"^{message}$"):
+        loads_model(_edit_line(dumps_model(p, norm), i, edit))
 
 
 def test_dimension_mismatch_detected():
