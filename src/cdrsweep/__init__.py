@@ -80,6 +80,7 @@ from .simulator import (
     draw_ues,
     expected_delay_static,
     rates_from_counts,
+    report_bytes,
     report_csv,
     simulate,
     summary_csv,

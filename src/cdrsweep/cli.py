@@ -177,10 +177,11 @@ def _print_resolved(command: str, res: dict) -> None:
 def _write_atomic(path: Path, content) -> None:
     """Replace path with content through a temp file unique to this write.
 
-    content is a str, written in one call, or an iterable of str chunks,
-    written as they come. Concurrent writers never share a temp file. On any
-    failure, an exception from the iterable included, the temp file and the
-    directories this call made (while empty) go, and path keeps its old content.
+    content is a str, written in one call, or an iterable of str or bytes
+    chunks, written as they come; a str is encoded as strict UTF-8.
+    Concurrent writers never share a temp file. On any failure, an exception
+    from the iterable included, the temp file and the directories this call
+    made (while empty) go, and path keeps its old content.
     """
     path = Path(path)
     made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
@@ -190,11 +191,11 @@ def _write_atomic(path: Path, content) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(fd, "wb") as fh:
             # mkstemp creates the file 0600; give it the mode open(path) would
             os.fchmod(fd, 0o666 & ~umask)
             for chunk in [content] if isinstance(content, str) else content:
-                fh.write(chunk)
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         if tmp is not None:
@@ -360,11 +361,18 @@ def _cmd_simulate(res: dict) -> int:
             policy_objs.append(simulator.PerSlotPolicy.from_values(
                 "predicted", preds, np.random.default_rng(predicted_ties)))
 
-    reports = []
+    # the delays of every run, seed after seed, in one row per policy: room
+    # for the expected UEs and four standard deviations of their Poisson
+    # total, grown geometrically if the draws hold more
+    expected = len(configs) * configs[0].expected_ues
+    kept = np.empty((len(policy_objs), int(expected + 4 * math.sqrt(expected)) + 16))
+    spans = []  # (seed, first, end) of each seed's columns of kept
 
     def report_chunks():
-        # one seed's rows at a time; the kept runs hold their delays, not text
+        nonlocal kept
+        # one run's rows at a time; the runs go, their delays stay in kept
         yield simulator.REPORT_HEADER
+        end = 0
         for i, cfg in enumerate(configs, 1):
             ues = simulator.draw_ues(cfg)
             if not ues.arrival_us.size:
@@ -373,10 +381,19 @@ def _cmd_simulate(res: dict) -> int:
                     "raise --ue-rate or --sim-slots")
             # every policy meets the same UEs
             runs = [simulator.simulate(ues, pol) for pol in policy_objs]
-            reports.extend(runs)
-            yield simulator.report_csv(ues, runs)
+            first, end = end, end + ues.arrival_us.size
+            if end > kept.shape[1]:
+                grown = np.empty((kept.shape[0], max(end, 2 * kept.shape[1])))
+                grown[:, :first] = kept[:, :first]
+                kept = grown
+            for row, run in zip(kept, runs):
+                row[first:end] = run.delay_us
+            spans.append((cfg.seed, first, end))
+            yield from simulator.report_bytes(ues, runs)
 
     _write_atomic(_out_path(res, res["report_out"]), report_chunks())
+    reports = [simulator.SimReport(pol.name, seed, row[first:end])
+               for seed, first, end in spans for pol, row in zip(policy_objs, kept)]
     _write_atomic(_out_path(res, res["summary_out"]), simulator.summary_csv(reports))
     comparison = simulator.compare(reports)
     _write_atomic(_out_path(res, res["compare_out"]), comparison.csv_text())

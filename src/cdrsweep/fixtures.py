@@ -27,6 +27,8 @@ DEMO_SLOT_COUNTS = (
 # Monday 2013-11-04 00:00 UTC
 SYNTHETIC_T0_MS = 1_383_523_200_000
 SLOTS_PER_DAY = 144
+# synthetic_series draws its counts this many slots at a time
+_DRAW_SLOTS = 4096
 
 
 def demo_sector_map() -> SectorMap:
@@ -59,22 +61,26 @@ def synthetic_series(n_slots: int = 2016, seed: int = 2013,
     With shares the total intensity follows one daily curve and is split in
     the given proportions, so the busiest sector stays busiest all day.
     A series spans 1 to MAX_SLOTS slots, checked before anything is allocated.
+    The counts are drawn _DRAW_SLOTS slots at a time, in row order, so the
+    generator gives the counts one draw over all slots would, and only the
+    counts are held whole.
     """
     if not 1 <= n_slots <= MAX_SLOTS:
         raise ValueError(f"n_slots must be between 1 and {MAX_SLOTS}, got {n_slots}")
-    rng = np.random.default_rng(seed)
-    t = np.arange(n_slots)
-    angle = 2.0 * np.pi * t / SLOTS_PER_DAY
-
     if shares is None:
         base = np.array([6.0, 9.0, 5.0, 11.0])
         amp = np.array([10.0, 14.0, 8.0, 16.0])
         phase = np.array([0.0, 0.9, 2.1, 4.0])
-        lam = base + amp * 0.5 * (1.0 + np.sin(angle[:, None] + phase))
     else:
         shares = check_shares(shares)
-        total = 20.0 + 18.0 * (1.0 + np.sin(angle + 1.3))
-        lam = total[:, None] * shares
-
-    counts = rng.poisson(lam)
+    rng = np.random.default_rng(seed)
+    counts = np.empty((n_slots, 4), dtype=np.int64)
+    for lo in range(0, n_slots, _DRAW_SLOTS):
+        angle = 2.0 * np.pi * np.arange(lo, min(lo + _DRAW_SLOTS, n_slots)) / SLOTS_PER_DAY
+        if shares is None:
+            lam = base + amp * 0.5 * (1.0 + np.sin(angle[:, None] + phase))
+        else:
+            total = 20.0 + 18.0 * (1.0 + np.sin(angle + 1.3))
+            lam = total[:, None] * shares
+        counts[lo:lo + len(angle)] = rng.poisson(lam)
     return SectorSeries(t0_ms=SYNTHETIC_T0_MS, counts=counts)

@@ -662,14 +662,14 @@ def _format_ts(ms: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _parse_ts(text: str) -> int:
+def _parse_ts(text: str, row_no: int) -> int:
     cleaned = text.strip().replace(" ", "T")
     if cleaned.endswith("Z"):
         cleaned = cleaned[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(cleaned)
     except ValueError:
-        raise SeriesFormatError(f"bad timestamp {text!r}") from None
+        raise SeriesFormatError(f"row {row_no}: bad timestamp {text!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp()) * 1000
@@ -724,7 +724,7 @@ def load_sector_series(text: str) -> SectorSeries:
         parts = line.split(",")
         if len(parts) != 1 + len(SECTOR_LABELS):
             raise SeriesFormatError(f"row {row_no}: expected 5 columns, got {len(parts)}")
-        ts = _parse_ts(parts[0])
+        ts = _parse_ts(parts[0], row_no)
         if t0 is None:
             t0 = ts
         elif ts != t0 + slot * SLOT_MS:

@@ -12,7 +12,8 @@ split into independent substreams for arrivals, detection and schedule
 tie-breaking, so two policies simulated under the same seed face identical
 arrival streams and identical per-UE detection luck (common random numbers).
 draw_ues draws a seed's UEs once, and simulate resolves each policy against
-that one draw; report_csv renders a draw's columns once for all its runs.
+that one draw; report_bytes renders a draw's columns once for all its runs
+and yields their rows one run at a time, and report_csv joins them.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ SLOT_US = SLOT_MS * 1000.0  # one 10-minute aggregation slot, in microseconds
 BURSTS_PER_SLOT = int(SLOT_US // BURST_PERIOD_US)  # 30,000; a slot is whole bursts
 N_SECTORS = len(SECTOR_LABELS)
 # The most UEs a run may expect to draw (the sum of rate x duration over its
-# slots). Drawing, resolving three policies and rendering their report rows
-# peaked at about 510 bytes per UE (tracemalloc, 1M UEs), so a seed of the
-# CLI stays near 2 GB however high the rates are set.
+# slots). Drawing, resolving three policies and writing their report rows
+# peaked at about 260 bytes per UE (tracemalloc, 1M UEs), so a seed of the
+# CLI stays near 1.1 GB however high the rates are set.
 MAX_UES = 2 ** 22
 REPORT_HEADER = "policy,seed,ue_id,sector,arrival_us,delay_us\n"  # see report_csv
 
@@ -92,13 +93,7 @@ class SimConfig:
                 f"/ 2**62) to keep every delay below 2**62 us, got {self.detect_prob}")
         if 1 < r.shape[0] < self.n_slots:
             raise InvalidConfigError(f"{r.shape[0]} rate rows cannot cover {self.n_slots} slots")
-        if r.shape[0] == 1:
-            expected = float(r.sum()) * self.horizon_us / 1e6
-        else:
-            starts = np.arange(self.n_slots) * SLOT_US
-            slot_us = np.minimum(self.horizon_us, starts + SLOT_US) - starts
-            expected = float(slot_us @ r[:self.n_slots].sum(axis=1)) / 1e6
-        if not expected <= MAX_UES:
+        if not (expected := self.expected_ues) <= MAX_UES:
             raise InvalidConfigError(
                 f"the rates give {expected:.4g} UEs per run on average, "
                 f"more than MAX_UES = {MAX_UES}")
@@ -106,6 +101,16 @@ class SimConfig:
     @property
     def n_slots(self) -> int:
         return int(np.ceil(self.horizon_us / SLOT_US))
+
+    @property
+    def expected_ues(self) -> float:
+        """The mean UE count of a run: the sum of rate x duration over its slots."""
+        r = self.arrival_rates_per_s
+        if r.shape[0] == 1:
+            return float(r.sum()) * self.horizon_us / 1e6
+        starts = np.arange(self.n_slots) * SLOT_US
+        slot_us = np.minimum(self.horizon_us, starts + SLOT_US) - starts
+        return float(slot_us @ r[:self.n_slots].sum(axis=1)) / 1e6
 
 
 def check_mean_rate(mean_total_rate_per_s: float) -> None:
@@ -212,8 +217,13 @@ def _draw_arrivals(cfg: SimConfig, rng: np.random.Generator):
     times = np.concatenate(times)
     # counts runs over (slot, sector) pairs in the order times were drawn
     sectors = np.repeat(np.tile(np.arange(N_SECTORS), cfg.n_slots), counts)
-    order = np.argsort(times, kind="stable")
-    return times[order], sectors[order]
+    order = np.argsort(times)
+    ordered = times[order]
+    # the default sort may put equal times out of draw order; only then sort stably
+    if np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(times, kind="stable")
+        ordered = times[order]
+    return ordered, sectors[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,7 +505,8 @@ def _lead_words(ues: UeDraw, first: SimReport) -> np.ndarray:
 
 
 def _run_rows(rep: SimReport, lead: np.ndarray) -> bytes:
-    """One run's report rows, UTF-8 encoded, given the _lead_words of its draw."""
+    """One run's report rows without their policy,seed, prefix, UTF-8
+    encoded, given the _lead_words of its draw."""
     neg, whole, frac = _digit_fields(rep.delay_us, rep, "delay_us")
     k = lead.shape[1]
     # words: lead | ",-" | delay | ".ddd" | "\n"
@@ -505,24 +516,17 @@ def _run_rows(rep: SimReport, lead: np.ndarray) -> bytes:
     _put_digits(whole, body[:, k + 1:-2])
     body[:, -2] = _FRAC_WORDS[frac]
     body[:, -1] = _NEWLINE_WORD
-    rows = body.tobytes().translate(None, b"\0")
-    # the prefix goes in after the NULs are gone: a policy name may hold one
-    prefix = f"{rep.policy},{rep.seed},".encode("utf-8", "surrogatepass")
-    return prefix + rows[:-1].replace(b"\n", b"\n" + prefix) + b"\n"
+    return body.tobytes().translate(None, b"\0")
 
 
-def report_csv(ues: UeDraw, runs) -> str:
-    """Per-UE rows of the given runs of the draw ues, in the columns of REPORT_HEADER.
+def report_bytes(ues: UeDraw, runs):
+    """Yield the report rows of report_csv as UTF-8 bytes, one run at a time.
 
-    Only rows, no header: a report file is REPORT_HEADER followed by the
-    rows of its draws' runs, so it can be written one draw at a time and
-    never held whole (the CLI writes one seed's runs at a time). The draw's
-    ue_id, sector and arrival_us columns are rendered once, then each run's
-    delay_us column, all in numpy, with the digits '%.3f' would give. A run
-    whose seed or UE count is not its draw's raises MismatchedConfigsError
-    naming it, before any row is rendered. An arrival or delay that is not
-    finite, or 2**63 or more in magnitude, raises InvalidConfigError naming
-    its row and run; a bad arrival names the first run.
+    Each run gives two pieces: its policy,seed, prefix, then its rows with
+    the prefix put after every newline but the last, so no row text is
+    copied to join it. Refusals are those of report_csv, raised before the
+    first piece; a policy name with a lone surrogate is encoded with
+    surrogatepass.
     """
     runs = list(runs)
     n_ues = len(ues.arrival_us)
@@ -532,9 +536,30 @@ def report_csv(ues: UeDraw, runs) -> str:
                 f"policy {rep.policy!r} seed {rep.seed} holds {rep.n_ues} UEs, "
                 f"but its draw is of seed {ues.cfg.seed} with {n_ues} UEs")
     if not (runs and n_ues):
-        return ""
+        return
     lead = _lead_words(ues, runs[0])
-    return b"".join(_run_rows(rep, lead) for rep in runs).decode("utf-8", "surrogatepass")
+    for rep in runs:
+        # the prefix goes in after the NULs are gone: a policy name may hold one
+        prefix = f"{rep.policy},{rep.seed},".encode("utf-8", "surrogatepass")
+        yield prefix
+        yield _run_rows(rep, lead).replace(b"\n", b"\n" + prefix, n_ues - 1)
+
+
+def report_csv(ues: UeDraw, runs) -> str:
+    """Per-UE rows of the given runs of the draw ues, in the columns of REPORT_HEADER.
+
+    Only rows, no header: a report file is REPORT_HEADER followed by the
+    rows of its draws' runs, so it can be written one draw at a time and
+    never held whole (the CLI writes the report_bytes of one run at a time).
+    The draw's ue_id, sector and arrival_us columns are rendered once, then
+    each run's delay_us column, all in numpy, with the digits '%.3f' would
+    give. A run whose seed or UE count is not its draw's raises
+    MismatchedConfigsError naming it, before any row is rendered. An arrival
+    or delay that is not finite, or 2**63 or more in magnitude, raises
+    InvalidConfigError naming its row and run; a bad arrival names the first
+    run.
+    """
+    return b"".join(report_bytes(ues, runs)).decode("utf-8", "surrogatepass")
 
 
 def summary_csv(reports) -> str:
@@ -546,8 +571,12 @@ def summary_csv(reports) -> str:
     for pol, chunks in pooled.items():
         delays = np.concatenate(chunks)
         if delays.size:
-            lines.append(f"{pol},{delays.mean():.3f},{np.median(delays):.3f},"
-                         f"{np.percentile(delays, 95):.3f},{delays.size}")
+            mean = delays.mean()
+            # order statistics depend only on the values, so the pooled copy,
+            # and never a report's delays, may be reordered to find them
+            median = np.median(delays, overwrite_input=True)
+            p95 = np.percentile(delays, 95, overwrite_input=True)
+            lines.append(f"{pol},{mean:.3f},{median:.3f},{p95:.3f},{delays.size}")
         else:
             lines.append(f"{pol},nan,nan,nan,0")
     return "\n".join(lines) + "\n"

@@ -14,6 +14,8 @@ gradient check, kept as it was (two gru.forward calls per moved scalar)
 except that it moves the scalars of a copy of the parameters.
 write_sector_series_scalar is the earlier series writer, kept as it was
 (one datetime and one str() per count, row by row).
+synthetic_counts_one_draw is the earlier fixture draw, kept as it was (the
+whole rate table, then one Poisson draw over it).
 """
 
 import math
@@ -407,3 +409,21 @@ def write_sector_series_scalar(series: SectorSeries) -> str:
         row = ",".join(str(int(v)) for v in series.counts[i])
         lines.append(f"{_format_ts(series.slot_time_ms(i))},{row}")
     return "\n".join(lines) + "\n"
+
+
+def synthetic_counts_one_draw(n_slots, seed, shares=None):
+    """The counts of fixtures.synthetic_series, drawn in one call over all slots."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_slots)
+    angle = 2.0 * np.pi * t / 144
+
+    if shares is None:
+        base = np.array([6.0, 9.0, 5.0, 11.0])
+        amp = np.array([10.0, 14.0, 8.0, 16.0])
+        phase = np.array([0.0, 0.9, 2.1, 4.0])
+        lam = base + amp * 0.5 * (1.0 + np.sin(angle[:, None] + phase))
+    else:
+        total = 20.0 + 18.0 * (1.0 + np.sin(angle + 1.3))
+        lam = total[:, None] * np.asarray(shares, dtype=np.float64)
+
+    return rng.poisson(lam)

@@ -453,10 +453,10 @@ def test_simulate_report_matches_the_scalar_renderer_byte_for_byte(workdir, tmp_
 
 def test_simulate_draws_each_seed_once_and_its_runs_share_the_arrays(workdir, tmp_path,
                                                                     monkeypatch, capsys):
-    draw, render = sim_mod.draw_ues, sim_mod.report_csv
+    draw, render = sim_mod.draw_ues, sim_mod.report_bytes
     draws, rendered = [], []
     monkeypatch.setattr(sim_mod, "draw_ues", lambda cfg: draws.append(ues := draw(cfg)) or ues)
-    monkeypatch.setattr(sim_mod, "report_csv",
+    monkeypatch.setattr(sim_mod, "report_bytes",
                         lambda ues, runs: rendered.append((ues, runs)) or render(ues, runs))
     code = cli.main(["simulate", "--series", str(workdir / "series.csv"),
                      "--model", str(workdir / "model.txt"), "--window-len", "24",
@@ -464,12 +464,29 @@ def test_simulate_draws_each_seed_once_and_its_runs_share_the_arrays(workdir, tm
                      "--sim-slots", "3", "--seed", "8", "--out-dir", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
     assert len(draws) == 4 and len({ues.cfg.seed for ues in draws}) == 4
-    # one report_csv call per seed, given that seed's draw and its three runs
+    # one report_bytes call per seed, given that seed's draw and its three runs
     assert [ues for ues, _ in rendered] == draws
     for ues, runs in rendered:
         assert all(type(r) is SimReport and r.n_ues == ues.arrival_us.size for r in runs)
         assert [(r.policy, r.seed) for r in runs] == [
             ("sequential", ues.cfg.seed), ("predicted", ues.cfg.seed), ("oracle", ues.cfg.seed)]
+
+
+def test_simulate_keeps_the_same_delays_when_its_buffers_must_grow(workdir, tmp_path,
+                                                                   monkeypatch):
+    # the kept delays are sized from SimConfig.expected_ues; with room for a
+    # few UEs only, every seed grows them, and no output changes
+    def outputs(out):
+        code = cli.main(["simulate", "--series", str(workdir / "series.csv"),
+                         "--policies", "sequential,oracle", "--n-seeds", "5",
+                         "--sim-slots", "4", "--seed", "2", "--out-dir", str(out)])
+        assert code == 0
+        return [(out / name).read_bytes()
+                for name in ("sim_report.csv", "sim_summary.csv", "sim_compare.csv")]
+
+    sized = outputs(tmp_path / "sized")
+    monkeypatch.setattr(SimConfig, "expected_ues", property(lambda cfg: 0.01))
+    assert outputs(tmp_path / "grown") == sized
 
 
 def test_simulate_refuses_more_than_max_ues_per_run(workdir, tmp_path):
@@ -859,16 +876,26 @@ def test_atomic_write_sends_a_str_in_one_call_and_chunks_as_they_come(tmp_path, 
         def __exit__(self, *exc):
             self.fh.close()
 
-        def write(self, text):
-            writes.append(text)
-            self.fh.write(text)
+        def write(self, data):
+            writes.append(data)
+            self.fh.write(data)
 
     monkeypatch.setattr(cli, "open", lambda *a, **kw: Recorder(real_open(*a, **kw)),
                         raising=False)
     cli._write_atomic(tmp_path / "one.csv", "a,b\n1,2\n")
     cli._write_atomic(tmp_path / "two.csv", iter(["a,b\n", "", "1,2\n"]))
-    assert writes == ["a,b\n1,2\n", "a,b\n", "", "1,2\n"]
+    assert writes == [b"a,b\n1,2\n", b"a,b\n", b"", b"1,2\n"]
     assert (tmp_path / "two.csv").read_text() == "a,b\n1,2\n"
+    # bytes chunks go as they are, str chunks as strict UTF-8, and may mix
+    writes.clear()
+    cli._write_atomic(tmp_path / "three.csv", iter([b"s\xc3\xa9q,\n", "\u2192\n"]))
+    assert writes == [b"s\xc3\xa9q,\n", "\u2192\n".encode()]
+    assert (tmp_path / "three.csv").read_text(encoding="utf-8") == "s\u00e9q,\n\u2192\n"
+    # a lone surrogate has no UTF-8 encoding: refused, and the old file stays
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_atomic(tmp_path / "three.csv", iter(["a\n", "\ud800\n"]))
+    assert (tmp_path / "three.csv").read_text(encoding="utf-8") == "s\u00e9q,\n\u2192\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "three.csv", "two.csv"]
 
 
 def _chunks_failing_after_the_first():

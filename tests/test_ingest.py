@@ -631,7 +631,7 @@ def test_series_csv_rejects_bad_input():
         load_sector_series(good.replace("time,A,B,C,D", "time,A,B,C"))
     with pytest.raises(SeriesFormatError, match="^row 3: expected 5 columns, got 4$"):
         load_sector_series(good.replace("22:20:00Z,1,1,1,1", "22:20:00Z,1,1,1"))
-    with pytest.raises(SeriesFormatError, match="^bad timestamp 'notatime'$"):
+    with pytest.raises(SeriesFormatError, match="^row 3: bad timestamp 'notatime'$"):
         load_sector_series(good.replace("2013-11-17T22:20:00Z", "notatime"))
     with pytest.raises(SeriesFormatError):
         load_sector_series(good.replace("22:20", "22:21"))  # breaks the grid

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cdrsweep.simulator as sim_mod
+from cdrsweep import fixtures
 from cdrsweep import (
     BURST_PERIOD_US,
     MAX_SLOTS,
@@ -40,6 +41,7 @@ from _oracles import (
     report_csv_scalar,
     sector_offsets_scalar,
     simulate_scalar,
+    synthetic_counts_one_draw,
 )
 
 SLOT_DUR = 250.0 / 14
@@ -416,6 +418,15 @@ def test_synthetic_series_rejects_bad_shares(shares):
         expected_delay_static(build_schedule(sequential_ranking()), shares)
 
 
+@pytest.mark.parametrize("shares", [None, (0.1, 0.15, 0.25, 0.5)])
+def test_synthetic_series_draws_in_blocks_what_one_draw_gives(shares):
+    n_slots = 3 * fixtures._DRAW_SLOTS + 123   # three whole blocks and a part
+    for seed in (0, 2013):
+        counts = synthetic_series(n_slots, seed=seed, shares=shares).counts
+        want = synthetic_counts_one_draw(n_slots, seed, shares)
+        assert counts.dtype == want.dtype and counts.tobytes() == want.tobytes()
+
+
 def test_paired_ci_is_narrower_than_unpaired():
     # common random numbers: both policies see the same arrivals per seed,
     # so the per-seed means move together and their differences vary less
@@ -497,6 +508,22 @@ def test_report_csv_layout():
     assert summary[1].split(",")[4] == str(report.n_ues)
 
 
+@pytest.mark.parametrize("n_ues", [7, 8])   # pooled over three seeds: 21 and 24 UEs
+def test_summary_csv_leaves_shared_delays_as_they_are(n_ues):
+    # the CLI keeps each policy's delays in one buffer and reports views of it
+    kept = np.random.default_rng(n_ues).exponential(5000.0, size=(2, 3 * n_ues))
+    before = kept.copy()
+    views = [SimReport(policy, seed, kept[p, seed * n_ues:(seed + 1) * n_ues])
+             for seed in range(3) for p, policy in enumerate(("first", "second"))]
+    text = summary_csv(views)
+    assert kept.tobytes() == before.tobytes()
+    assert text == summary_csv([SimReport(r.policy, r.seed, r.delay_us.copy()) for r in views])
+    assert text.splitlines()[1:] == [
+        f"{policy},{delays.mean():.3f},{np.median(delays.copy()):.3f},"
+        f"{np.percentile(delays.copy(), 95):.3f},{3 * n_ues}"
+        for policy, delays in zip(("first", "second"), before)]
+
+
 @pytest.mark.parametrize("rates, n_slots", [
     (np.full((1, 4), 0.01), 5),                                   # one row for every slot
     (np.random.default_rng(2).uniform(0, 0.01, (6, 4)), 5.4),     # per-slot, partial last
@@ -513,6 +540,44 @@ def test_draw_arrivals_matches_the_scalar_oracle_bit_for_bit(rates, n_slots):
                                     SLOT_US, np.random.default_rng(seed))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+class PlantedStream:
+    """An arrival substream for _draw_arrivals: each Poisson draw gives the
+    next of counts, and each uniform draw the next of times."""
+
+    def __init__(self, counts, times):
+        self.counts, self.times = iter(counts), iter(times)
+
+    def poisson(self, lam):
+        return next(self.counts)
+
+    def uniform(self, low, high, size):
+        times = next(self.times)
+        assert times.size == size
+        return times
+
+
+@pytest.mark.parametrize("ties", [True, False])
+def test_draw_arrivals_sorts_stably_only_when_times_tie(monkeypatch, ties):
+    cfg = SimConfig(arrival_rates_per_s=np.full((1, 4), 0.01), horizon_us=2 * SLOT_US)
+    counts = [300, 0, 250, 200, 180, 220, 0, 150]   # two slots of four sectors
+    rng = np.random.default_rng(7)
+    # with ties, times on a coarse grid: many equal times across sectors
+    times = [rng.integers(0, 40, n) * 1e6 if ties else rng.uniform(0, 4e7, n)
+             for n in counts if n]
+    want = draw_arrivals_scalar(cfg.arrival_rates_per_s.tolist(), cfg.horizon_us, SLOT_US,
+                                PlantedStream(counts, times))
+    if ties:   # the default sort does not keep the draw order of equal times
+        assert not np.array_equal(want[1], np.repeat(np.arange(8) % 4, counts)[
+            np.argsort(np.concatenate(times))])
+    kinds, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda a, kind=None: kinds.append(kind) or argsort(a, kind=kind))
+    got = sim_mod._draw_arrivals(cfg, PlantedStream(counts, times))
+    assert kinds == ([None, "stable"] if ties else [None])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def scalar_run(cfg, policy, planted=None):
