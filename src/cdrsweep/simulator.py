@@ -579,4 +579,5 @@ def summary_csv(reports) -> str:
             lines.append(f"{pol},{mean:.3f},{median:.3f},{p95:.3f},{delays.size}")
         else:
             lines.append(f"{pol},nan,nan,nan,0")
+        del delays  # so that no two policies' pooled copies are held at once
     return "\n".join(lines) + "\n"
