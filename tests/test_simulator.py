@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import cdrsweep.simulator as sim_mod
-from cdrsweep import fixtures
 from cdrsweep import (
     BURST_PERIOD_US,
     MAX_SLOTS,
@@ -32,6 +31,7 @@ from cdrsweep import (
     summary_csv,
     synthetic_series,
 )
+from cdrsweep.fixtures import _DRAW_SLOTS
 from cdrsweep.simulator import BURSTS_PER_SLOT, DETECT_PROB_FLOOR, MAX_UES
 
 from _oracles import (
@@ -420,7 +420,7 @@ def test_synthetic_series_rejects_bad_shares(shares):
 
 @pytest.mark.parametrize("shares", [None, (0.1, 0.15, 0.25, 0.5)])
 def test_synthetic_series_draws_in_blocks_what_one_draw_gives(shares):
-    n_slots = 3 * fixtures._DRAW_SLOTS + 123   # three whole blocks and a part
+    n_slots = 3 * _DRAW_SLOTS + 123   # three whole blocks and a part
     for seed in (0, 2013):
         counts = synthetic_series(n_slots, seed=seed, shares=shares).counts
         want = synthetic_counts_one_draw(n_slots, seed, shares)
