@@ -706,9 +706,10 @@ def load_sector_series(text: str) -> SectorSeries:
     """Parse the normalized CSV back into a SectorSeries.
 
     Validates the header, the 600-second stride and integer counts from 0
-    to 2**63 - 1; write_sector_series followed by load_sector_series is the
-    identity. Blank lines are skipped, and an error names the file row
-    (1-based, blank lines counted) where it occurred.
+    to 2**63 - 1, and at most MAX_SLOTS data rows; write_sector_series
+    followed by load_sector_series is the identity. Blank lines are skipped,
+    and an error names the file row (1-based, blank lines counted) where it
+    occurred.
     """
     rows = ((row_no, line) for row_no, line in enumerate(text.splitlines(), start=1)
             if line.strip())
@@ -721,6 +722,8 @@ def load_sector_series(text: str) -> SectorSeries:
     t0 = None
     counts = []
     for slot, (row_no, line) in enumerate(rows):
+        if slot == MAX_SLOTS:
+            raise SeriesFormatError(f"row {row_no}: more than {MAX_SLOTS} data rows")
         parts = line.split(",")
         if len(parts) != 1 + len(SECTOR_LABELS):
             raise SeriesFormatError(f"row {row_no}: expected 5 columns, got {len(parts)}")

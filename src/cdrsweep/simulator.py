@@ -11,6 +11,9 @@ independently with detect_prob. The whole run is driven by one 64-bit seed
 split into independent substreams for arrivals, detection and schedule
 tie-breaking, so two policies simulated under the same seed face identical
 arrival streams and identical per-UE detection luck (common random numbers).
+The arrival substream gives every (slot, sector) count in slot-major order,
+then every arrival time in the same order, one generator call each; seeded
+simulate outputs changed once when the counts moved ahead of the times.
 draw_ues draws a seed's UEs once, and simulate resolves each policy against
 that one draw; report_bytes renders a draw's columns once for all its runs
 and yields their rows one run at a time, and report_csv joins them.
@@ -199,24 +202,15 @@ class SimReport:
 
 def _draw_arrivals(cfg: SimConfig, rng: np.random.Generator):
     """Poisson arrivals per (slot, sector), then one stream sorted by time."""
-    rates = cfg.arrival_rates_per_s
-    if rates.shape[0] == 1:
-        rates = np.repeat(rates, cfg.n_slots, axis=0)
-
-    times, counts = [], []
-    for k in range(cfg.n_slots):
-        start = k * SLOT_US
-        dur_us = min(cfg.horizon_us, start + SLOT_US) - start
-        for s in range(N_SECTORS):
-            counts.append(n := rng.poisson(rates[k, s] * dur_us / 1e6))
-            if n:
-                times.append(rng.uniform(start, start + dur_us, size=n))
-
-    if not times:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    times = np.concatenate(times)
+    n = cfg.n_slots
+    starts = np.arange(n) * SLOT_US
+    dur_us = np.minimum(cfg.horizon_us, starts + SLOT_US) - starts
+    # every count, then every time, both slot-major; a one-row rate table broadcasts
+    counts = rng.poisson(cfg.arrival_rates_per_s[:n] * dur_us[:, None] / 1e6)
+    per_slot = counts.sum(axis=1)
+    times = rng.uniform(np.repeat(starts, per_slot), np.repeat(starts + dur_us, per_slot))
     # counts runs over (slot, sector) pairs in the order times were drawn
-    sectors = np.repeat(np.tile(np.arange(N_SECTORS), cfg.n_slots), counts)
+    sectors = np.repeat(np.tile(np.arange(N_SECTORS), n), counts.ravel())
     order = np.argsort(times)
     ordered = times[order]
     # the default sort may put equal times out of draw order; only then sort stably

@@ -7,9 +7,12 @@ The exceptions are parse_raw_scalar and aggregate_scalar: the earlier
 per-record ingest, kept as it was (one RawCdrRecord per counted line, one
 accumulator update per record), which returns the package's ParseResult
 and SectorSeries so the columnar path can be compared field by field.
-draw_arrivals_scalar is the earlier arrival draw, kept as it was (one
-np.full per slot and sector): it must make the same numpy generator calls
-in the same order as the code it pins. grad_check_loop is the earlier
+draw_arrivals_scalar is the earlier arrival draw (one poisson call per
+slot and sector, and one uniform call and one np.full per pair with
+arrivals), reordered to the stream of the code it pins: every count first,
+in slot-major order, then every pair's times. numpy's array-argument
+poisson and uniform use up the stream one element at a time, so these
+scalar calls draw the same values. grad_check_loop is the earlier
 gradient check, kept as it was (two gru.forward calls per moved scalar)
 except that it moves the scalars of a copy of the parameters.
 write_sector_series_scalar is the earlier series writer, kept as it was
@@ -159,20 +162,23 @@ def draw_arrivals_scalar(rates, horizon_us, slot_us, rng):
     """Poisson arrivals per (slot, sector), then one stream sorted by time.
 
     rates holds one row of per-sector rates per slot, or a single row for
-    every slot; rng is the arrival substream. Each (slot, sector) pair draws
-    its count, then, if any, its times, and labels them with one np.full.
+    every slot; rng is the arrival substream. Every (slot, sector) pair
+    draws its count first, in slot-major order; then each pair with any
+    draws its times and labels them with one np.full.
     """
     n_slots = math.ceil(horizon_us / slot_us)
-    times, sectors = [], []
+    pairs = []
     for k in range(n_slots):
         row = rates[0] if len(rates) == 1 else rates[k]
         start = k * slot_us
         dur_us = min(horizon_us, start + slot_us) - start
         for s in range(len(row)):
-            n = rng.poisson(row[s] * dur_us / 1e6)
-            if n:
-                times.append(rng.uniform(start, start + dur_us, size=n))
-                sectors.append(np.full(n, s, dtype=np.int64))
+            pairs.append((start, dur_us, s, rng.poisson(row[s] * dur_us / 1e6)))
+    times, sectors = [], []
+    for start, dur_us, s, n in pairs:
+        if n:
+            times.append(rng.uniform(start, start + dur_us, size=n))
+            sectors.append(np.full(n, s, dtype=np.int64))
     if not times:
         return np.empty(0), np.empty(0, dtype=np.int64)
     times = np.concatenate(times)

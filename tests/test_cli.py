@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdrsweep.ingest as ingest_mod
 import cdrsweep.simulator as sim_mod
 from cdrsweep import (
     MAX_SLOTS,
@@ -317,6 +318,16 @@ def test_a_series_count_beyond_int64_names_its_row(tmp_path):
     assert proc.stderr.splitlines()[-1] == (
         "error: row 4: count 100000000000000000000 does not fit in int64")
     assert "Traceback" not in proc.stderr
+
+
+def test_a_series_longer_than_max_slots_is_a_validation_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ingest_mod, "MAX_SLOTS", 3)
+    (tmp_path / "long.csv").write_text(write_sector_series(synthetic_series(4, seed=1)))
+    code = cli.main(["train", "--series", str(tmp_path / "long.csv"), "--window-len", "3",
+                     "--model-out", str(tmp_path / "model.txt")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: row 5: more than 3 data rows"
+    assert not (tmp_path / "model.txt").exists()
 
 
 def test_train_rejects_window_longer_than_series(workdir):

@@ -671,6 +671,16 @@ def test_series_csv_counts_blank_lines_in_the_row_it_names():
         load_sector_series("\n".join([header, *data[:2], bad_count[6], data[3]]))
 
 
+def test_series_csv_refuses_the_data_row_after_max_slots(monkeypatch):
+    monkeypatch.setattr(ingest, "MAX_SLOTS", 3)
+    header, *data = write_sector_series(
+        SectorSeries(t0_ms=T0, counts=np.arange(16).reshape(4, 4))).splitlines()
+    back = load_sector_series("\n".join([header, *data[:3]]))
+    assert np.array_equal(back.counts, np.arange(12).reshape(3, 4))
+    with pytest.raises(SeriesFormatError, match=r"^row 5: more than 3 data rows$"):
+        load_sector_series("\n".join([header, *data]))
+
+
 def test_series_rejects_negative_or_misshaped_counts():
     with pytest.raises(ValueError):
         SectorSeries(t0_ms=T0, counts=np.array([[1, 2, 3]]))

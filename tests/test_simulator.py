@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -543,19 +544,51 @@ def test_draw_arrivals_matches_the_scalar_oracle_bit_for_bit(rates, n_slots):
 
 
 class PlantedStream:
-    """An arrival substream for _draw_arrivals: each Poisson draw gives the
-    next of counts, and each uniform draw the next of times."""
+    """An arrival substream that serves planted values in draw order, one per
+    element of each request, as numpy's generator does: poisson takes the
+    next of counts and uniform the next of times, whether a call asks for
+    one value or for an array of them."""
 
     def __init__(self, counts, times):
-        self.counts, self.times = iter(counts), iter(times)
+        self.counts, self.times = np.asarray(counts), np.concatenate(times)
+        self.used = {"counts": 0, "times": 0}
+
+    def _next(self, name, shape):
+        start = self.used[name]
+        self.used[name] += math.prod(shape)
+        return getattr(self, name)[start:self.used[name]].reshape(shape)[()]
 
     def poisson(self, lam):
-        return next(self.counts)
+        return self._next("counts", np.shape(lam))
 
-    def uniform(self, low, high, size):
-        times = next(self.times)
-        assert times.size == size
-        return times
+    def uniform(self, low, high, size=None):
+        return self._next("times", np.broadcast(low, high).shape if size is None else (size,))
+
+
+class CountingStream:
+    """A real generator that counts the calls made to each of its methods."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), {}
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("n_slots", [1, 36])
+def test_draw_arrivals_makes_one_poisson_and_one_uniform_call_per_run(n_slots):
+    cfg = SimConfig(arrival_rates_per_s=np.full((1, 4), 0.02), horizon_us=n_slots * SLOT_US)
+    stream = CountingStream(3)
+    got = sim_mod._draw_arrivals(cfg, stream)
+    assert stream.calls == {"poisson": 1, "uniform": 1}
+    assert got[0].size > 0
+    for g, w in zip(got, sim_mod._draw_arrivals(cfg, np.random.default_rng(3))):
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("ties", [True, False])
