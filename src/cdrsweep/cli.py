@@ -212,7 +212,9 @@ def _out_path(res: dict, name: str) -> Path:
 
 
 def _load_series(path: str):
-    return load_sector_series(Path(path).read_text(encoding="utf-8"))
+    # read block by block: a refused row stops the read there
+    with open(path, encoding="utf-8") as fh:
+        return load_sector_series(_read_lines(fh))
 
 
 def _read_lines(fh):

@@ -39,7 +39,13 @@ Within a chunk:
   chunk length changes no bit; each step only adds its recurrent term and
   applies the activation in place;
 - the sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which cannot
-  overflow for any input.
+  overflow for any input. The [r | u] weights and bias are halved once per
+  call (see _step_weights), so the buffer holds x / 2 and a step starts at
+  the tanh; bit for bit this is the halving per step it replaces, outside
+  the subnormal range, and a subnormal x / 2 gives the gate 0.5 either way;
+- one model's two products per step are ndarray.dot calls, which reach the
+  same BLAS routine as np.matmul, with the same bits, at a smaller cost
+  per call; a stack of models needs np.matmul's broadcasting and keeps it.
 
 Every function computes in the dtype of the parameters it is given: the
 inputs, the initial state, the buffers and the readout are cast to it.
@@ -91,11 +97,13 @@ def sigmoid(x):
     Evaluated as 0.5 * (1 + tanh(x / 2)), which overflows for no input:
     it is exactly 0 at -inf and exactly 1 at +inf.
     """
-    return _sigmoid_in_place(np.array(x, dtype=np.float64))
-
-
-def _sigmoid_in_place(a: np.ndarray) -> np.ndarray:
+    a = np.array(x, dtype=np.float64)
     a *= 0.5
+    return _sigmoid_of_half(a)
+
+
+def _sigmoid_of_half(a: np.ndarray) -> np.ndarray:
+    """sigmoid(2 * a), in place: 0.5 * (1 + tanh(a))."""
     np.tanh(a, out=a)
     a += 1.0
     a *= 0.5
@@ -245,14 +253,20 @@ def _step_weights(p: GruParams) -> tuple[np.ndarray, ...]:
     A stack of K models keeps its leading axis: (K, D, 2H), (K, 1, 2H) and
     so on. Transposed weights are C-ordered copies: BLAS multiplies those
     about twice as fast as transposed views at these sizes.
+
+    The [r | u] weights and bias come halved, so that _run computes the
+    halved pre-activation a / 2 that the sigmoid's tanh takes, without a
+    halving per step. Scaling by a power of two commutes with rounding, so
+    this keeps the bits of halving the sum, unless a weight, product or
+    partial sum is subnormal once halved (or a sum overflows unhalved).
     """
     def t(a):
         return a.swapaxes(-1, -2).copy()
 
-    return (t(np.concatenate([p.R_r, p.R_u], axis=-2)),
-            np.concatenate([p.b_r, p.b_u], axis=-1)[..., None, :],
+    return (t(np.concatenate([p.R_r, p.R_u], axis=-2)) * 0.5,
+            np.concatenate([p.b_r, p.b_u], axis=-1)[..., None, :] * 0.5,
             t(p.R_z), p.b_z[..., None, :],
-            t(np.concatenate([p.W_r, p.W_u], axis=-2)), t(p.W_z))
+            t(np.concatenate([p.W_r, p.W_u], axis=-2)) * 0.5, t(p.W_z))
 
 
 def _buffers(n_steps: int, h0: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -279,22 +293,24 @@ def _run(weights: tuple[np.ndarray, ...], x_rows: np.ndarray, hs: np.ndarray,
     n_steps, h = len(x_rows), hs.shape[-1]
     models = w_in_z.shape[:-2]  # () for one model, (K,) for a stack
     x_rows = x_rows.reshape((n_steps,) + (1,) * len(models) + x_rows.shape[1:])
-    # Input projections of every slot of the chunk, as pre-activations: one
-    # stacked product, so each slot (and model) is the same BLAS call that a
-    # one-slot forward (gru_step) of one model makes, and gives the same bits.
+    # Input projections of every slot of the chunk, as pre-activations ([r | u]
+    # halved): one stacked product, so each slot (and model) is the same BLAS
+    # call that a one-slot forward (gru_step) of one model makes, and gives
+    # the same bits.
     np.matmul(x_rows, w_in_ru, out=ru.reshape((n_steps,) + models + (-1, 2 * h)))
     ru += b_ru
     np.matmul(x_rows, w_in_z, out=z.reshape((n_steps,) + models + (-1, h)))
     z += b_z
 
+    # the product for each step's two recurrent terms, chosen once per call
+    product = np.matmul if models else np.ndarray.dot
     rec_ru, rec_z = np.empty(ru.shape[1:], ru.dtype), np.empty(hs.shape[1:], hs.dtype)
-    for t in range(n_steps):
-        h_prev, ru_t, h_tilde_t, z_t, h_next = hs[t], ru[t], h_tilde[t], z[t], hs[t + 1]
-        ru_t += np.matmul(h_prev, w_ru_t, out=rec_ru)
-        _sigmoid_in_place(ru_t)
-        r_t, u_t = ru_t[..., :h], ru_t[..., h:]
+    for h_prev, ru_t, r_t, u_t, h_tilde_t, z_t, h_next in zip(
+            hs[:-1], ru, ru[..., :h], ru[..., h:], h_tilde, z, hs[1:]):
+        ru_t += product(h_prev, w_ru_t, out=rec_ru)
+        _sigmoid_of_half(ru_t)
         np.multiply(h_prev, r_t, out=h_tilde_t)
-        z_t += np.matmul(h_tilde_t, w_z_t, out=rec_z)
+        z_t += product(h_tilde_t, w_z_t, out=rec_z)
         np.tanh(z_t, out=z_t)
         # h[t] = (1 - u) * h[t-1] + u * z, as h[t-1] + u * (z - h[t-1])
         np.subtract(z_t, h_prev, out=h_next)

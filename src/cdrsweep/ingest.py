@@ -39,6 +39,7 @@ at a time (sector_series_blocks), so writing it adds a fixed amount too.
 from __future__ import annotations
 
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import compress, islice
@@ -702,17 +703,19 @@ def sector_series_blocks(series: SectorSeries):
         yield "\n".join(row.tolist()) + "\n"
 
 
-def load_sector_series(text: str) -> SectorSeries:
+def load_sector_series(text: str | Iterable[str]) -> SectorSeries:
     """Parse the normalized CSV back into a SectorSeries.
 
-    Validates the header, the 600-second stride and integer counts from 0
-    to 2**63 - 1, and at most MAX_SLOTS data rows; write_sector_series
-    followed by load_sector_series is the identity. Blank lines are skipped,
-    and an error names the file row (1-based, blank lines counted) where it
-    occurred.
+    text is the whole file, or its lines without line ends (as
+    str.splitlines gives them), which are read only up to the first row in
+    error. Validates the header, the 600-second stride and integer counts
+    from 0 to 2**63 - 1, and at most MAX_SLOTS data rows;
+    write_sector_series followed by load_sector_series is the identity.
+    Blank lines are skipped, and an error names the file row (1-based,
+    blank lines counted) where it occurred.
     """
-    rows = ((row_no, line) for row_no, line in enumerate(text.splitlines(), start=1)
-            if line.strip())
+    lines = text.splitlines() if isinstance(text, str) else text
+    rows = ((row_no, line) for row_no, line in enumerate(lines, start=1) if line.strip())
     header = next(rows, (0, ""))[1].strip()
     if not header:
         raise EmptyInputError("series file is empty")

@@ -5,12 +5,19 @@ trace's time-first slices in reverse, following the gate structure of the
 forward pass (including the h_tilde = h_prev * r path into the candidate),
 and stores each slot's pre-activation deltas in stacked buffers laid out
 like the trace: [r | u] side by side, (T, ..., 2H), and the candidate's
-(T, ..., H). Inside the loop the two sigmoid gates share one product with
-[W_r; W_u]; after it every weight and bias gradient is one product or sum
-over all T*B rows. It is the only reverse pass: fit() runs it on (B, T, D)
-batches, the gradient check on single (T, D) sequences. Gradients come back
-as a GruParams of the same shapes. Tests pin forward() to the scalar
-reference in tests/_oracles.py and backward() to central finite differences.
+(T, ..., H). The factors of those deltas that do not depend on the
+incoming dh, z - h[t-1] and (1 - z^2) * u, are computed for all slots
+before the loop, straight into the two buffers, and each step multiplies
+its slot by dh in place: the same operations in the same order per
+element, so the same bits as computing them inside the step. Inside the
+loop the two sigmoid gates share one product with [W_r; W_u], and the
+products are ndarray.dot calls, as in gru._run; after it every weight and
+bias gradient is one product or sum over all T*B rows. It is the only
+reverse pass: fit() runs it on (B, T, D) batches, the gradient check on
+single (T, D) sequences. Gradients come back as a GruParams of the same
+shapes. Tests pin forward() to the scalar reference in tests/_oracles.py,
+backward() to central finite differences, and both bit for bit to the
+earlier time loops kept there.
 
 The gradient check is stacked: for each parameter tensor it builds the
 models with one scalar moved by +epsilon and by -epsilon and runs them all
@@ -163,35 +170,38 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
     dh = d_y @ p.W_out
 
     # pre-activation deltas of every slot, [r | u] side by side as in the
-    # trace, in buffers the trace keeps for the next pass
+    # trace, in buffers the trace keeps for the next pass. The factors that
+    # do not depend on dh go in first, for all slots at once; each step
+    # multiplies its slot by dh in place. From
+    # h[t] = h[t-1] + u * (z - h[t-1]) and z = tanh(a_z):
+    hs, ru, z, r, u = trace.hs, trace.ru, trace.z, trace.r, trace.u
     da_ru, da_z = trace.da_ru, trace.da_z
+    dr, du = da_ru[..., :h], da_ru[..., h:]
+    np.subtract(z, hs[:-1], out=du)
+    np.multiply(z, z, out=da_z)
+    np.subtract(1.0, da_z, out=da_z)
+    da_z *= u
+    # the products as gru._run makes them, ndarray.dot for 2-D weights
+    product = np.ndarray.dot
     w_ru = np.concatenate([p.W_r, p.W_u])
     dh_tilde, tmp = np.empty(dh.shape, dtype), np.empty(dh.shape, dtype)
     tmp_ru = np.empty(da_ru.shape[1:], dtype)
-    for t in reversed(range(n_steps)):
-        h_prev, ru, z = trace.hs[t], trace.ru[t], trace.z[t]
-        r, u = ru[..., :h], ru[..., h:]
-        da_ru_t, da_z_t = da_ru[t], da_z[t]
-        dr, du = da_ru_t[..., :h], da_ru_t[..., h:]
-
-        # h[t] = h[t-1] + u * (z - h[t-1]) and z = tanh(a_z)
-        np.subtract(z, h_prev, out=du)
-        du *= dh
-        np.multiply(z, z, out=da_z_t)
-        np.subtract(1.0, da_z_t, out=da_z_t)
-        da_z_t *= u
+    for h_prev, ru_t, r_t, u_t, da_ru_t, dr_t, du_t, da_z_t in zip(
+            hs[-2::-1], ru[::-1], r[::-1], u[::-1], da_ru[::-1], dr[::-1], du[::-1],
+            da_z[::-1]):
+        du_t *= dh
         da_z_t *= dh
         # h_tilde = h[t-1] * r feeds a_z
-        np.matmul(da_z_t, p.W_z, out=dh_tilde)
-        np.multiply(dh_tilde, h_prev, out=dr)
+        product(da_z_t, p.W_z, out=dh_tilde)
+        np.multiply(dh_tilde, h_prev, out=dr_t)
         # both sigmoid gates at once: s' = s * (1 - s)
-        np.subtract(1.0, ru, out=tmp_ru)
-        tmp_ru *= ru
+        np.subtract(1.0, ru_t, out=tmp_ru)
+        tmp_ru *= ru_t
         da_ru_t *= tmp_ru
 
-        dh -= np.multiply(dh, u, out=tmp)
-        dh += np.multiply(dh_tilde, r, out=tmp)
-        dh += np.matmul(da_ru_t, w_ru, out=tmp)
+        dh -= np.multiply(dh, u_t, out=tmp)
+        dh += np.multiply(dh_tilde, r_t, out=tmp)
+        dh += product(da_ru_t, w_ru, out=tmp)
 
     # every weight gradient is one product over all T*B rows
     rows_ru, rows_z = da_ru.reshape(-1, 2 * h), da_z.reshape(-1, h)

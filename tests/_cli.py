@@ -4,7 +4,8 @@ The child runs from a test's tmp directory, where a relative PYTHONPATH
 (such as `PYTHONPATH=src`) no longer points at the package. So the child
 gets an absolute PYTHONPATH that starts with the directory holding the
 `cdrsweep` package this test process imported, and runs the same code,
-whether that comes from `src/` or from an installed copy.
+whether that comes from `src/` or from an installed copy. The child
+writes no bytecode, as the test process does not (see conftest.py).
 """
 
 import os
@@ -19,7 +20,7 @@ PACKAGE_PARENT = str(Path(cdrsweep.__file__).resolve().parent.parent)
 
 def run_cli(args, cwd):
     rest = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": PACKAGE_PARENT + (os.pathsep + rest if rest else "")}
     return subprocess.run(
         [sys.executable, "-m", "cdrsweep", *[str(a) for a in args]],

@@ -19,6 +19,10 @@ write_sector_series_scalar is the earlier series writer, kept as it was
 (one datetime and one str() per count, row by row).
 synthetic_counts_one_draw is the earlier fixture draw, kept as it was (the
 whole rate table, then one Poisson draw over it).
+forward_loop and backward_loop are the earlier GRU time loops, kept as they
+were (np.matmul for every product, and every factor of a slot computed
+inside its step). They take the package's GruParams and ForwardTrace, and
+pin the hoisted forward and backward to the same bits, not to a tolerance.
 """
 
 import math
@@ -104,6 +108,124 @@ def _flatten(values):
 def weights_as_lists(p):
     """Convert a GruParams into the nested-list dict the oracle consumes."""
     return {name: arr.tolist() for name, arr in p.arrays().items()}
+
+
+def _step_weights_loop(p):
+    """The earlier gru._step_weights, kept as it was."""
+    def t(a):
+        return a.swapaxes(-1, -2).copy()
+
+    return (t(np.concatenate([p.R_r, p.R_u], axis=-2)),
+            np.concatenate([p.b_r, p.b_u], axis=-1)[..., None, :],
+            t(p.R_z), p.b_z[..., None, :],
+            t(np.concatenate([p.W_r, p.W_u], axis=-2)), t(p.W_z))
+
+
+def _run_loop(weights, x_rows, hs, ru, h_tilde, z):
+    """The earlier gru._run, kept as it was (np.matmul for every product,
+    the sigmoid's first halving inside the loop)."""
+    w_in_ru, b_ru, w_in_z, b_z, w_ru_t, w_z_t = weights
+    n_steps, h = len(x_rows), hs.shape[-1]
+    models = w_in_z.shape[:-2]
+    x_rows = x_rows.reshape((n_steps,) + (1,) * len(models) + x_rows.shape[1:])
+    np.matmul(x_rows, w_in_ru, out=ru.reshape((n_steps,) + models + (-1, 2 * h)))
+    ru += b_ru
+    np.matmul(x_rows, w_in_z, out=z.reshape((n_steps,) + models + (-1, h)))
+    z += b_z
+
+    rec_ru, rec_z = np.empty(ru.shape[1:], ru.dtype), np.empty(hs.shape[1:], hs.dtype)
+    for t in range(n_steps):
+        h_prev, ru_t, h_tilde_t, z_t, h_next = hs[t], ru[t], h_tilde[t], z[t], hs[t + 1]
+        ru_t += np.matmul(h_prev, w_ru_t, out=rec_ru)
+        ru_t *= 0.5
+        np.tanh(ru_t, out=ru_t)
+        ru_t += 1.0
+        ru_t *= 0.5
+        r_t, u_t = ru_t[..., :h], ru_t[..., h:]
+        np.multiply(h_prev, r_t, out=h_tilde_t)
+        z_t += np.matmul(h_tilde_t, w_z_t, out=rec_z)
+        np.tanh(z_t, out=z_t)
+        np.subtract(z_t, h_prev, out=h_next)
+        h_next *= u_t
+        h_next += h_prev
+
+
+def forward_loop(p, h0, xs):
+    """hs, ru, h_tilde and z of the earlier one-chunk forward, time first.
+
+    p is one model with xs of shape (T, D) or (B, T, D) and h0 of shape
+    (H,) or (B, H), or a stack of K models (every array with a leading
+    model axis) run on one (T, D) sequence from (K, 1, H) states, as
+    gru.stacked_final_state runs it. Everything is in the dtype of p.
+    """
+    dtype = p.W_r.dtype
+    xs = np.asarray(xs, dtype=dtype).swapaxes(0, -2)
+    h0 = np.asarray(h0, dtype=dtype)
+    n_steps = len(xs)
+    hs = np.empty((n_steps + 1,) + h0.shape, dtype)
+    hs[0] = h0
+    ru = np.empty((n_steps,) + h0.shape[:-1] + (2 * h0.shape[-1],), dtype)
+    h_tilde, z = np.empty((n_steps,) + h0.shape, dtype), np.empty((n_steps,) + h0.shape, dtype)
+    _run_loop(_step_weights_loop(p), xs.reshape(n_steps, -1, xs.shape[-1]), hs, ru, h_tilde, z)
+    return hs, ru, h_tilde, z
+
+
+def backward_loop(p, trace, y):
+    """The earlier training.backward, kept as it was (every factor of a
+    slot's deltas computed inside its step, np.matmul for every product),
+    except that it writes its deltas into buffers of its own, not the
+    trace's. Returns the loss, the gradients as a dict in PARAM_FIELDS
+    order, and the (da_ru, da_z) deltas.
+    """
+    from cdrsweep.training import mse
+
+    dtype = p.W_r.dtype
+    y = np.asarray(y, dtype=dtype)
+    n_steps, h = len(trace.xs), p.hidden_dim
+    y_hat = trace.y_hat
+    loss = mse(y_hat, y)
+    d_y = 2.0 * (y_hat - y) / y_hat.size
+    dh = d_y @ p.W_out
+
+    da_ru, da_z = np.empty_like(trace.ru), np.empty_like(trace.z)
+    w_ru = np.concatenate([p.W_r, p.W_u])
+    dh_tilde, tmp = np.empty(dh.shape, dtype), np.empty(dh.shape, dtype)
+    tmp_ru = np.empty(da_ru.shape[1:], dtype)
+    for t in reversed(range(n_steps)):
+        h_prev, ru, z = trace.hs[t], trace.ru[t], trace.z[t]
+        r, u = ru[..., :h], ru[..., h:]
+        da_ru_t, da_z_t = da_ru[t], da_z[t]
+        dr, du = da_ru_t[..., :h], da_ru_t[..., h:]
+
+        np.subtract(z, h_prev, out=du)
+        du *= dh
+        np.multiply(z, z, out=da_z_t)
+        np.subtract(1.0, da_z_t, out=da_z_t)
+        da_z_t *= u
+        da_z_t *= dh
+        np.matmul(da_z_t, p.W_z, out=dh_tilde)
+        np.multiply(dh_tilde, h_prev, out=dr)
+        np.subtract(1.0, ru, out=tmp_ru)
+        tmp_ru *= ru
+        da_ru_t *= tmp_ru
+
+        dh -= np.multiply(dh, u, out=tmp)
+        dh += np.multiply(dh_tilde, r, out=tmp)
+        dh += np.matmul(da_ru_t, w_ru, out=tmp)
+
+    rows_ru, rows_z = da_ru.reshape(-1, 2 * h), da_z.reshape(-1, h)
+    h_rows = trace.hs[:-1].reshape(-1, h)
+    x_rows = trace.xs.reshape(-1, p.input_dim)
+    g_w_ru, g_r_ru, g_b_ru = rows_ru.T @ h_rows, rows_ru.T @ x_rows, rows_ru.sum(axis=0)
+    d_y_rows = d_y.reshape(-1, p.output_dim)
+    g = {
+        "W_r": g_w_ru[:h], "R_r": g_r_ru[:h], "b_r": g_b_ru[:h],
+        "W_z": rows_z.T @ trace.h_tilde.reshape(-1, h), "R_z": rows_z.T @ x_rows,
+        "b_z": rows_z.sum(axis=0),
+        "W_u": g_w_ru[h:], "R_u": g_r_ru[h:], "b_u": g_b_ru[h:],
+        "W_out": d_y_rows.T @ trace.h.reshape(-1, h), "b_out": d_y_rows.sum(axis=0),
+    }
+    return loss, g, (da_ru, da_z)
 
 
 def sector_offsets_scalar(slots, sector, burst_us=250.0):

@@ -19,6 +19,7 @@ from cdrsweep import (
     Normalizer,
     PerSlotPolicy,
     SectorSeries,
+    SeriesFormatError,
     SimConfig,
     SimReport,
     aggregate,
@@ -328,6 +329,26 @@ def test_a_series_longer_than_max_slots_is_a_validation_error(tmp_path, monkeypa
     assert code == 2
     assert capsys.readouterr().err.splitlines()[-1] == "error: row 5: more than 3 data rows"
     assert not (tmp_path / "model.txt").exists()
+
+
+def test_a_series_is_read_only_up_to_the_refused_row(tmp_path, monkeypatch):
+    path = tmp_path / "long.csv"
+    text = write_sector_series(synthetic_series(200_000, seed=1))  # 6.3 MB
+    path.write_text(text)
+    # the lines of the file load as the whole text does
+    assert np.array_equal(load_sector_series(iter(text.splitlines())).counts,
+                          load_sector_series(text).counts)
+    del text
+    monkeypatch.setattr(ingest_mod, "MAX_SLOTS", 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SeriesFormatError, match="^row 5: more than 3 data rows$"):
+            cli._load_series(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # reading and splitting the whole file first peaked at 17.6 MB
+    assert peak < 2**20
 
 
 def test_train_rejects_window_longer_than_series(workdir):

@@ -14,7 +14,7 @@ from cdrsweep import (
 )
 from cdrsweep import gru
 
-from _oracles import forward_scalar, gru_step_scalar, weights_as_lists
+from _oracles import forward_loop, forward_scalar, gru_step_scalar, weights_as_lists
 
 
 def zero_params(h=1, d=1, o=1):
@@ -183,6 +183,93 @@ def test_stacked_final_state_is_each_models_final_state_bit_for_bit(monkeypatch)
         assert got.shape == (5, 1, 8)
         for k, h in enumerate(want):
             assert got[k, 0].tobytes() == h.tobytes()
+
+
+# (dtype, batch, T, H) of the cases pinned to the earlier time loops: fit's
+# float32 batch, a batch of one, H = 1, an odd H, one slot, and float64
+# single sequences drawn as the gradient check draws them
+LOOP_CASES = [
+    (np.float32, (32,), 144, 32),
+    (np.float32, (1,), 144, 32),
+    (np.float32, (5,), 20, 1),
+    (np.float32, (6,), 30, 7),
+    (np.float32, (4,), 1, 8),
+    (np.float64, (), None, 4),
+    (np.float64, (), None, 8),
+]
+
+
+def loop_case(dtype, batch, n_steps, h, seed=0):
+    """A model, initial state, inputs and targets for one LOOP_CASES entry.
+
+    A single float64 sequence (n_steps None) is drawn as `cdrsweep
+    gradcheck` draws its first model (length, parameters, inputs, target)
+    and starts from a zero state; the others get inputs in [0, 1), like
+    fit's normalized rows.
+    """
+    rng = np.random.default_rng(seed)
+    if n_steps is None:
+        n_steps = int(rng.integers(3, 11))
+        p = init_params(4, h, 4, rng)
+        return p, np.zeros(h), rng.normal(size=(n_steps, 4)), rng.normal(size=(4,))
+    p = init_params(4, h, 4, rng).astype(dtype)
+    h0 = (0.5 * rng.normal(size=batch + (h,))).astype(dtype)
+    xs = rng.random(batch + (n_steps, 4)).astype(dtype)
+    return p, h0, xs, rng.random(batch + (4,)).astype(dtype)
+
+
+def case_id(case):
+    dtype, batch, n_steps, h = case
+    return f"{np.dtype(dtype).name}-B{batch}-T{n_steps}-H{h}"
+
+
+@pytest.mark.parametrize("case", LOOP_CASES, ids=case_id)
+def test_forward_and_final_states_match_the_earlier_loop_bit_for_bit(case, monkeypatch):
+    p, h0, xs, _ = loop_case(*case)
+    want = dict(zip(("hs", "ru", "h_tilde", "z"), forward_loop(p, h0, xs)))
+    trace = forward(p, h0, xs)
+    for name, arr in want.items():
+        got = getattr(trace, name)
+        assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), name
+    assert final_state(p, h0, xs).tobytes() == want["hs"][-1].tobytes()
+
+    # three models of the case's shapes, run on its first sequence as a stack
+    models = [p] + [init_params(4, p.hidden_dim, 4, np.random.default_rng(k)).astype(
+        p.W_r.dtype) for k in (1, 2)]
+    stack = GruParams(**{name: np.stack([getattr(m, name) for m in models])
+                         for name in gru.PARAM_FIELDS})
+    seq = xs.reshape((-1,) + xs.shape[-2:])[0]
+    stacked_want = forward_loop(stack, np.zeros((3, 1, p.hidden_dim)), seq)[0][-1]
+    # the whole sequence in one chunk, then chunks of one slot
+    for chunk_bytes in (gru.CHUNK_BYTES, 1):
+        monkeypatch.setattr(gru, "CHUNK_BYTES", chunk_bytes)
+        assert gru.stacked_final_state(stack, seq).tobytes() == stacked_want.tobytes()
+        assert final_state(p, h0, xs).tobytes() == want["hs"][-1].tobytes()
+
+
+def test_subnormal_gate_weights_keep_the_earlier_loops_bits():
+    # The [r | u] weights are halved once instead of each pre-activation at
+    # every step, which is exact outside the subnormal range. Planted here:
+    # every [r | u] weight and bias an odd multiple of the least float32
+    # subnormal, so halving rounds them (the caveat is live), and the gate
+    # pre-activations are subnormal. Their gates still keep the bits, since
+    # 1 + tanh(a) rounds to 1 for any subnormal a: the difference stays in
+    # the pre-activation, which the trace does not keep.
+    rng = np.random.default_rng(5)
+    p, h0, xs, _ = loop_case(np.float32, (8,), 12, 6, seed=5)
+    least = np.float32(np.finfo(np.float32).smallest_subnormal)
+    for name in ("W_r", "R_r", "b_r", "W_u", "R_u", "b_u"):
+        shape = getattr(p, name).shape
+        odd = (2 * rng.integers(1, 50, size=shape) + 1).astype(np.float32)
+        setattr(p, name, odd * least)
+    w_in_ru = gru._step_weights(p)[0]
+    assert w_in_ru.dtype == np.float32
+    assert np.any(w_in_ru * 2 != np.concatenate([p.R_r, p.R_u]).T)
+    want = dict(zip(("hs", "ru", "h_tilde", "z"), forward_loop(p, h0, xs)))
+    assert np.all(want["ru"] == 0.5)
+    trace = forward(p, h0, xs)
+    for name, arr in want.items():
+        assert getattr(trace, name).tobytes() == arr.tobytes(), name
 
 
 def test_final_state_rejects_what_forward_rejects():

@@ -34,8 +34,14 @@ from cdrsweep import (
 from cdrsweep import gru, training
 from cdrsweep.ingest import cut_windows
 
-from _oracles import forward_scalar, grad_check_loop, mse_scalar, weights_as_lists
-from test_gru import zero_params
+from _oracles import (
+    backward_loop,
+    forward_scalar,
+    grad_check_loop,
+    mse_scalar,
+    weights_as_lists,
+)
+from test_gru import LOOP_CASES, case_id, loop_case, zero_params
 
 
 def small_dataset(n_slots=60, window=6, seed=0, fraction=0.8):
@@ -408,6 +414,38 @@ def test_a_reused_trace_gives_the_bits_of_a_fresh_one(dtype):
                               (other, h0, second)):
         with pytest.raises(DimensionMismatchError, match="out holds"):
             forward(q, bad_h0, bad_xs, out=reused)
+
+
+@pytest.mark.parametrize("case", LOOP_CASES, ids=case_id)
+def test_backward_matches_the_earlier_loop_bit_for_bit(case):
+    p, h0, xs, y = loop_case(*case)
+    trace = forward(p, h0, xs)
+    want_loss, want, (want_da_ru, want_da_z) = backward_loop(p, trace, y)
+    for _ in range(2):  # a second pass over the same trace writes the same deltas
+        loss, g = backward(p, trace, y)
+        assert loss == want_loss
+        for name, arr in want.items():
+            got = getattr(g, name)
+            assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), name
+        assert trace.da_ru.tobytes() == want_da_ru.tobytes()
+        assert trace.da_z.tobytes() == want_da_z.tobytes()
+
+
+def test_a_training_step_allocates_no_trace_sized_buffer():
+    # fit's size: a (T, B, H) float32 buffer is 0.6 MB. The step's own
+    # temporaries (the weight layouts, a few (B, H) rows, the gradients)
+    # peak at about 50 KB in forward and 125 KB in backward.
+    p, h0, xs, y = loop_case(np.float32, (32,), 144, 32)
+    trace = forward(p, h0, xs)
+    backward(p, trace, y)
+    for run in (lambda: forward(p, h0, xs, out=trace), lambda: backward(p, trace, y)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 def test_fit_is_bit_reproducible_and_seed_sensitive():
