@@ -21,18 +21,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import math
 import os
 import sys
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from . import fixtures, gru, model_io, scheduler, simulator, training
 from .errors import CdrSweepError, DivergedLossError, InvalidConfigError
+# Each handler imports the other modules it runs, so a command loads only
+# what it needs: ingest runs on this module, errors and ingest alone.
 from .ingest import (
+    _BATCH_CHARS,
     COUNT_MODES,
+    DEFAULT_SQUARES,
     MAX_SLOTS,
     SECTOR_LABELS,
     ParseResult,
@@ -41,10 +46,10 @@ from .ingest import (
     check_window_args,
     load_sector_series,
     make_windows,
-    parse_batches,
+    parse_blocks,
     sector_series_blocks,
 )
-# ingest streams through parse_batches and a SlotGrid. parse_raw and
+# ingest streams through parse_blocks and a SlotGrid. parse_raw and
 # aggregate, the same two steps over a whole input, stay importable here as
 # cli.parse_raw and cli.aggregate, the names bench/tracer.py wraps them by.
 from .ingest import aggregate, parse_raw  # noqa: F401
@@ -55,8 +60,9 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGED = 3
 
 POLICIES = ("sequential", "predicted", "oracle")
-# ingest reads its raw file in blocks of this many characters
-_READ_CHARS = 16 * 1024
+# files are read in blocks of at most this many characters (unless one line
+# is longer): as many as the ingest parser takes from a block's bytes
+_READ_CHARS = _BATCH_CHARS
 
 # an option default: the flag (or its config key) must be given
 REQUIRED = object()
@@ -107,7 +113,7 @@ def _listed(item, unique=False):
 
 
 # (dest, converter, default); flag and config-file text pass through the same
-# converter, a default is taken as it is.
+# converter, a default is taken as it is (a _default is read first).
 _GLOBAL_OPTS = [
     ("seed", int, 0),
     ("out_dir", str, "."),
@@ -158,7 +164,7 @@ def _resolve(args, opts) -> dict:
         if raw is None:
             if default is REQUIRED:
                 raise InvalidConfigError(f"{flag} is required")
-            resolved[dest] = default
+            resolved[dest] = default() if callable(default) else default
             continue
         try:
             resolved[dest] = convert(raw)
@@ -217,22 +223,31 @@ def _load_series(path: str):
         return load_sector_series(_read_lines(fh))
 
 
-def _read_lines(fh):
-    """The lines of a text file as fh.read().splitlines() gives them, read _READ_CHARS at a time.
+def _read_blocks(fh):
+    """The text of fh in blocks of whole lines, each ending in "\n" but the last.
 
-    Each block is cut after its last "\n", which ends a line for
-    str.splitlines whatever follows it.
+    A block holds at most _READ_CHARS characters, unless a line is longer:
+    it is cut after its last "\n", which ends a line for str.splitlines
+    whatever follows it, and the rest begins the next block.
     """
-    pending = []  # the text read since the last "\n"
-    while block := fh.read(_READ_CHARS):
-        cut = block.rfind("\n") + 1
+    pending, size = [], 0  # the text read since the last "\n", and its length
+    while chunk := fh.read(_READ_CHARS - size if size < _READ_CHARS else _READ_CHARS):
+        cut = chunk.rfind("\n") + 1
         if cut:
-            pending.append(block[:cut])
-            yield from "".join(pending).splitlines()
-            pending = [block[cut:]]
+            pending.append(chunk[:cut])
+            yield "".join(pending)
+            pending, size = [chunk[cut:]], len(chunk) - cut
         else:
-            pending.append(block)
-    yield from "".join(pending).splitlines()
+            pending.append(chunk)
+            size += len(chunk)
+    if size:
+        yield "".join(pending)
+
+
+def _read_lines(fh):
+    """The lines of a text file as fh.read().splitlines() gives them, a block at a time."""
+    for block in _read_blocks(fh):
+        yield from block.splitlines()
 
 
 def _cmd_ingest(res: dict) -> int:
@@ -240,7 +255,7 @@ def _cmd_ingest(res: dict) -> int:
     grid = SlotGrid(SectorMap.from_squares(res["squares"]), res["count_mode"])
     log = ParseResult()  # only its issues are filled
     with open(res["raw"], encoding="utf-8") as fh:
-        for records in parse_batches(_read_lines(fh), log):
+        for records in parse_blocks(_read_blocks(fh), log):
             grid.add(records)
     for issue in log.issues[:20]:
         print(f"line {issue.line_no}: {issue.reason}", file=sys.stderr)
@@ -257,6 +272,8 @@ def _cmd_ingest(res: dict) -> int:
 
 
 def _cmd_train(res: dict) -> int:
+    from . import model_io, training
+
     cfg = training.TrainConfig(
         epochs=res["epochs"], steps_per_epoch=res["steps"], batch_size=res["batch"],
         learning_rate=res["lr"], optimizer=res["optimizer"],
@@ -276,6 +293,8 @@ def _cmd_train(res: dict) -> int:
 
 
 def _predict_vector(res: dict):
+    from . import model_io, training
+
     params, norm = model_io.load_model(res["model"])
     series = _load_series(res["series"])
     at_slot = res["at_slot"] if res["at_slot"] is not None else series.n_slots
@@ -294,6 +313,8 @@ def _cmd_predict(res: dict) -> int:
 
 
 def _cmd_schedule(res: dict) -> int:
+    from . import scheduler
+
     pred, at_slot = _predict_vector(res)
     ranking = scheduler.rank_sectors(pred, np.random.default_rng(res["seed"]))
     sched = scheduler.build_schedule(ranking)
@@ -305,6 +326,8 @@ def _cmd_schedule(res: dict) -> int:
 
 
 def _cmd_eval(res: dict) -> int:
+    from . import model_io, training
+
     check_window_args(res["window_len"], res["train_fraction"])
     params, norm = model_io.load_model(res["model"])
     series = _load_series(res["series"])
@@ -322,6 +345,8 @@ def _cmd_eval(res: dict) -> int:
 
 
 def _cmd_simulate(res: dict) -> int:
+    from . import model_io, scheduler, simulator, training
+
     # the one rule that ties two options together
     if "predicted" in res["policies"] and res["model"] is None:
         raise InvalidConfigError("the predicted policy needs --model")
@@ -407,6 +432,8 @@ def _cmd_simulate(res: dict) -> int:
 
 
 def _cmd_gradcheck(res: dict) -> int:
+    from . import gru, training
+
     rng = np.random.default_rng(res["seed"])
     hiddens = res["hidden"]
     worst = 0.0
@@ -426,6 +453,8 @@ def _cmd_gradcheck(res: dict) -> int:
 
 
 def _cmd_fixture(res: dict) -> int:
+    from . import fixtures
+
     if res["kind"] == "raw":
         out = _out_path(res, res["out"] or "raw_demo.tsv")
         _write_atomic(out, "\n".join(fixtures.demo_raw_lines()) + "\n")
@@ -438,6 +467,15 @@ def _cmd_fixture(res: dict) -> int:
     return EXIT_OK
 
 
+def _default(module: str, name: str):
+    """A library default, module's attribute name (dotted), read when it is used.
+
+    _resolve reads it only when the option takes its default, so a module is
+    imported by the commands that run it alone, and the value is written once.
+    """
+    return lambda: attrgetter(name)(importlib.import_module(f".{module}", __package__))
+
+
 # options that several subcommands share
 _SERIES = ("series", str, REQUIRED)
 _MODEL = ("model", str, REQUIRED)
@@ -448,19 +486,19 @@ _AT_SLOT = ("at_slot", int, None)
 _COMMANDS = {
     "ingest": (_cmd_ingest, [
         ("raw", str, REQUIRED),
-        ("squares", _listed(int), list(fixtures.DEFAULT_SQUARES)),
+        ("squares", _listed(int), list(DEFAULT_SQUARES)),
         ("count_mode", _one_of(COUNT_MODES), COUNT_MODES[0]),
         ("out", str, "series.csv"),
     ]),
     "train": (_cmd_train, [
         _SERIES, _WINDOW, _FRACTION,
         ("hidden", _bounded(int, least=1), 32),
-        ("epochs", int, training.TrainConfig.epochs),
-        ("steps", int, training.TrainConfig.steps_per_epoch),
-        ("batch", int, training.TrainConfig.batch_size),
-        ("lr", float, training.TrainConfig.learning_rate),
-        ("optimizer", str, training.TrainConfig.optimizer),
-        ("clip", _clip_value, training.TrainConfig.gradient_clip_norm),
+        ("epochs", int, _default("training", "TrainConfig.epochs")),
+        ("steps", int, _default("training", "TrainConfig.steps_per_epoch")),
+        ("batch", int, _default("training", "TrainConfig.batch_size")),
+        ("lr", float, _default("training", "TrainConfig.learning_rate")),
+        ("optimizer", str, _default("training", "TrainConfig.optimizer")),
+        ("clip", _clip_value, _default("training", "TrainConfig.gradient_clip_norm")),
         ("model_out", str, "model.txt"),
         ("history_out", str, "history.csv"),
     ]),
@@ -476,7 +514,7 @@ _COMMANDS = {
         ("n_seeds", _bounded(int, least=1), 30),
         ("sim_slots", _bounded(int, least=1), 36),
         ("ue_rate", float, 0.1),
-        ("detect_prob", float, simulator.SimConfig.detect_prob),
+        ("detect_prob", float, _default("simulator", "SimConfig.detect_prob")),
         ("report_out", str, "sim_report.csv"),
         ("summary_out", str, "sim_summary.csv"),
         ("compare_out", str, "sim_compare.csv"),

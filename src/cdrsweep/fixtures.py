@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import MAX_SLOTS, SLOT_MS, SectorMap, SectorSeries, check_shares
-
-DEFAULT_SQUARES = (5060, 5061, 5160, 5161)
+from .ingest import (
+    DEFAULT_SQUARES,
+    MAX_SLOTS,
+    SLOT_MS,
+    SectorMap,
+    SectorSeries,
+    check_shares,
+)
 
 # Five slots starting 2013-11-17 22:10 UTC; row i gives counts for A,B,C,D.
 DEMO_T0_MS = 1_384_726_200_000

@@ -13,27 +13,30 @@ slot_start_ms // SLOT_MS, which starts on the 10-minute grid. The parser
 floors an off-grid timestamp to that slot's start (and reports it), and
 aggregation counts any slot start in that slot.
 
-Ingest reads its input once, a batch of lines at a time. parse_batches
-yields each batch's counted lines as three numeric columns (square id,
-slot start, activity sum; see RECORD_DTYPE) and keeps the reported issues,
-so the input text itself need never be held in memory. A SlotGrid adds
-each batch to its per-slot, per-sector cells as it arrives, so nothing is
-kept per line: what ingest holds depends on the slot span, not on the
-number of lines. The aggregated series covers every slot between the
-first and last record, and that span is bounded by MAX_SLOTS. parse_raw
-and aggregate are the same two steps over one whole input.
+Ingest reads its input once, a block of text or a batch of lines at a
+time. parse_blocks (blocks of whole lines, as the CLI reads a file) and
+parse_batches (lines) yield each block's counted lines as three numeric
+columns (square id, slot start, activity sum; see RECORD_DTYPE) and keep
+the reported issues, so the input text itself need never be held in
+memory. A SlotGrid adds each batch to its per-slot, per-sector cells as it
+arrives, so nothing is kept per line: what ingest holds depends on the slot
+span, not on the number of lines. The aggregated series covers every slot
+between the first and last record, and that span is bounded by MAX_SLOTS.
+parse_raw and aggregate are the same two steps over one whole input.
 
-parse_batches takes up to _BATCH_LINES lines at a time and parses at most
-_BATCH_CHARS characters of them together. A canonical line (see
-_canonical) that gives one record and no issue is parsed in bulk with
-numpy. Every other line goes through the per-line parser _parse_lines, the
-one place where the rules for those lines are written and the one source
-of issues. Both give the same records, merged back into line order. Of
-the issues, the first _MAX_ISSUES are kept, plus a count of them all. A
-batch's temporaries stay within about 40 bytes per character of its text:
-2.5 MB at most for 64 Ki characters of tabs, about 0.4 MB for 1,024 lines
-of a CDR extract. write_sector_series renders the series _WRITE_ROWS rows
-at a time (sector_series_blocks), so writing it adds a fixed amount too.
+Both parse at most _BATCH_CHARS characters together, from their bytes:
+parse_blocks a block as it is, numpy finding its lines, and parse_batches
+up to _BATCH_LINES lines at a time, joined. A canonical line (see
+_parse_bulk) that gives one record and no issue is parsed in bulk with
+numpy, and no str is made for it. Every other line is sliced out and goes
+through the per-line parser _parse_lines, the one place where the rules
+for those lines are written and the one source of issues. Both give the
+same records, merged back into line order. Of the issues, the first
+_MAX_ISSUES are kept, plus a count of them all. A block's temporaries stay
+within about 40 bytes per character of its text: 2.5 MB at most for 64 Ki
+characters of tabs, about 0.9 MB for 64 Ki characters of a CDR extract.
+write_sector_series renders the series _WRITE_ROWS rows at a time
+(sector_series_blocks), so writing it adds a fixed amount too.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import io
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import compress, islice
+from itertools import islice
 from math import isfinite
 
 import numpy as np
@@ -57,6 +60,8 @@ from .errors import (
 )
 
 SECTOR_LABELS = ("A", "B", "C", "D")
+# the four grid squares of the demo cell, sectors A..D in order; ingest's default
+DEFAULT_SQUARES = (5060, 5061, 5160, 5161)
 SLOT_MS = 600_000
 # the longest series aggregate builds: 1,000,000 ten-minute slots, about 19
 # years. A timestamp in microseconds among milliseconds would otherwise ask
@@ -76,12 +81,16 @@ _MAX_TS_MS = 253_402_300_799_999
 RECORD_DTYPE = np.dtype([("square_id", np.int64), ("slot_start_ms", np.int64),
                          ("activity_sum", np.float64)])
 # parse_batches takes at most _BATCH_LINES lines from its input at a time, and
-# parses at most _BATCH_CHARS characters of them together (see _spans)
+# parses at most _BATCH_CHARS characters of them together (see _spans);
+# parse_blocks parses a block of at most _BATCH_CHARS characters from its
+# bytes, and the per-line parser takes at most _BATCH_LINES lines at a time
 _BATCH_LINES = 1024
 _BATCH_CHARS = 64 * 1024
 # parse_batches keeps the first _MAX_ISSUES issues and counts the rest
 _MAX_ISSUES = 10_000
-_TAB, _DOT, _ZERO = b"\t.0"
+_TAB, _DOT, _ZERO, _NL = b"\t.0\n"
+# the line breaks of str.splitlines, other than "\n", that are ASCII
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 # an integer of at most 15 digits is below 2**53, so float64 holds it exactly
 _EXACT_DIGITS = 15
 # sector_series_blocks renders this many rows at a time
@@ -139,32 +148,28 @@ def parse_batches(lines, log: ParseResult):
     naming the line, for a square id that does not fit in int64 or a
     timestamp after the year 9999.
 
-    The lines are taken _BATCH_LINES at a time. In a batch, the lines that
-    _parse_bulk takes are parsed together in numpy, every other line by the
-    per-line parser _parse_lines, and their records are merged back into
-    line order.
+    The lines are taken _BATCH_LINES at a time, and each run of them that
+    fits in _BATCH_CHARS is joined and parsed as parse_blocks parses a block.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
+    return _parse_texts(_joined_lines(lines), log)
 
-    issues = log.issues
-    counted = False
-    pending = iter(lines)
-    first = 1  # the line number of batch[0]
-    while batch := list(islice(pending, _BATCH_LINES)):
-        kept = len(issues)
-        widths = np.fromiter(map(len, batch), dtype=np.intp, count=len(batch))
-        for lo, hi in _spans(widths):
-            records = _parse_batch(batch[lo:hi], widths[lo:hi], first + lo, issues)
-            if records.size:
-                counted = True
-                yield records
-        log.n_issues += len(issues) - kept
-        del issues[_MAX_ISSUES:]
-        first += len(batch)
 
-    if not counted and not log.n_issues:
-        raise EmptyInputError("input contains no lines")
+def parse_blocks(blocks, log: ParseResult):
+    """parse_batches over text given as blocks of whole lines.
+
+    blocks is an iterable of str, each ending in "\\n" but the last; their
+    lines are those of the blocks joined, as str.splitlines gives them.
+    Yields and raises what parse_batches does for those lines.
+
+    A block of ASCII text, of at most _BATCH_CHARS characters and with no
+    line break but "\\n", is parsed from its bytes: numpy finds its lines,
+    and no str is made for a line that the bulk parser takes. Any other
+    block is split with str.splitlines and parsed as parse_batches parses
+    lines.
+    """
+    return _parse_texts(_block_texts(blocks), log)
 
 
 def parse_raw(lines) -> ParseResult:
@@ -179,6 +184,58 @@ def parse_raw(lines) -> ParseResult:
     if batches:
         result.records = np.concatenate(batches).view(np.recarray)
     return result
+
+
+def _parse_texts(texts, log: ParseResult):
+    """Parse each (text, data, starts) of texts (see _parse_text), numbering on."""
+    counted = False
+    first = 1  # the line number of the next text's first line
+    for text, data, starts in texts:
+        records = _parse_text(text, data, starts, first, log)
+        first += len(starts) - 1
+        if records.size:
+            counted = True
+            yield records
+    if not counted and not log.n_issues:
+        raise EmptyInputError("input contains no lines")
+
+
+def _joined_lines(lines):
+    """The lines, _BATCH_LINES at a time, as (text, data, starts) runs of _spans."""
+    pending = iter(lines)
+    while batch := list(islice(pending, _BATCH_LINES)):
+        widths = np.fromiter(map(len, batch), dtype=np.intp, count=len(batch))
+        for lo, hi in _spans(widths):
+            starts = np.zeros(hi - lo + 1, dtype=np.intp)
+            np.cumsum(widths[lo:hi] + 1, out=starts[1:])
+            if starts[-1] > _BATCH_CHARS:  # one long line, never canonical: no copy
+                yield batch[lo], None, starts
+                continue
+            # a non-ASCII character reads as one "?" byte, so line i keeps its offsets
+            text = "\n".join(batch[lo:hi]) + "\n"
+            yield text, _bytes_of(text.encode("ascii", "replace")), starts
+
+
+def _block_texts(blocks):
+    """Each block as (text, data, starts): numpy finds the lines of one that qualifies."""
+    for block in blocks:
+        if not block:
+            continue
+        if (len(block) > _BATCH_CHARS or not block.isascii()
+                or any(brk in block for brk in _OTHER_BREAKS)):
+            yield from _joined_lines(block.splitlines())
+            continue
+        if not block.endswith("\n"):
+            block += "\n"
+        data = _bytes_of(block.encode("ascii"))
+        # the first line starts at 0, every other one after a "\n"
+        starts = np.concatenate([[0], np.flatnonzero(data == _NL) + 1])
+        yield block, data, starts
+
+
+def _bytes_of(encoded: bytes) -> np.ndarray:
+    """A writable uint8 copy of encoded."""
+    return np.frombuffer(encoded, dtype=np.uint8).copy()
 
 
 def _spans(widths: np.ndarray):
@@ -196,11 +253,32 @@ def _spans(widths: np.ndarray):
         lo = hi
 
 
-def _parse_batch(lines: list, widths: np.ndarray, first: int, issues: list) -> np.ndarray:
-    """The RECORD_DTYPE records of lines, numbered from first; issues go to issues."""
-    bulk, records = _parse_bulk(lines, widths)
-    each: list = []
-    _parse_lines(((first + i, lines[i]) for i in np.flatnonzero(~bulk).tolist()), each, issues)
+def _parse_text(text: str, data, starts: np.ndarray, first: int, log: ParseResult) -> np.ndarray:
+    """The RECORD_DTYPE records of the lines of text, numbered from first.
+
+    Line i of text is text[starts[i]:starts[i + 1] - 1], and one terminator
+    character follows it. data is text's bytes, one per character, or None
+    when text is one line longer than _BATCH_CHARS (which then has no
+    terminator, so that no copy of it is made). The bulk parser takes the
+    lines it can from data; only every other line is sliced out of text,
+    for the per-line parser, _BATCH_LINES lines at a time, and the records
+    of both are merged back into line order. Issues go to log.
+    """
+    if data is None:
+        bulk, records = np.zeros(1, dtype=bool), np.empty(0, dtype=RECORD_DTYPE)
+    else:
+        bulk, records = _parse_bulk(data, starts)
+    others = np.flatnonzero(~bulk)
+    if not others.size:
+        return records
+    lines = ((first + i, text[lo:hi - 1]) for i, lo, hi in zip(
+        others.tolist(), starts[others].tolist(), starts[others + 1].tolist()))
+    issues, each = log.issues, []
+    while chunk := list(islice(lines, _BATCH_LINES)):
+        kept = len(issues)
+        _parse_lines(chunk, each, issues)
+        log.n_issues += len(issues) - kept
+        del issues[_MAX_ISSUES:]
     if each:
         # each per-line record goes after the bulk records of the lines before it
         at = np.searchsorted(np.flatnonzero(bulk), [row[0] - first for row in each])
@@ -208,28 +286,56 @@ def _parse_batch(lines: list, widths: np.ndarray, first: int, issues: list) -> n
     return records
 
 
-def _parse_bulk(lines: list, widths: np.ndarray):
+def _parse_bulk(data: np.ndarray, starts: np.ndarray):
     """Parse in numpy the lines that give one record and no issue.
 
-    Those are the canonical lines (see _canonical) with a square id above
-    0, a timestamp on the 10-minute grid and no later than _MAX_TS_MS, and
-    a finite activity sum. Every other line is left to the per-line parser,
-    which reports or refuses it, so this never raises.
+    data holds the lines as bytes, each followed by one terminator byte
+    (written to here): line i is data[starts[i]:starts[i + 1] - 1]. The
+    lines taken are the canonical ones with a square id above 0, a
+    timestamp on the 10-minute grid and no later than _MAX_TS_MS, and a
+    finite activity sum. A canonical line has exactly _MAX_FIELDS
+    tab-separated fields; every byte is a digit, "." or a tab; the square id
+    and the timestamp are 1 to _EXACT_DIGITS digits; each activity field is
+    empty or a decimal number (digits with at most one "."); and at least
+    one activity field is not empty. Every other line is left to the
+    per-line parser, which reports or refuses it, so this never raises.
 
     Returns (bulk, records): which lines were parsed here, and their
-    RECORD_DTYPE records in line order. Its numpy temporaries grow with the
-    lines' text, which _spans keeps within _BATCH_CHARS.
+    RECORD_DTYPE records in line order. Its numpy temporaries grow with
+    data, which the callers keep within _BATCH_CHARS.
     """
-    bulk = np.zeros(len(lines), dtype=bool)
-    if int(widths.sum()) + len(lines) <= _BATCH_CHARS:  # else one long line, never canonical
-        picked = _canonical(lines, widths)
-        bulk[picked] = True
-    if not bulk.any():
+    bulk = np.zeros(len(starts) - 1, dtype=bool)
+    ends = starts[1:] - 1
+    data[ends] = _TAB  # every line, and so every field, ends in a tab
+    marks = np.flatnonzero(data - _ZERO > 9)  # every byte but a digit
+    kind = data[marks]
+    others = np.searchsorted(marks[(kind != _TAB) & (kind != _DOT)], starts)
+    at_tab = np.flatnonzero(kind == _TAB)  # the tabs among the marks
+    tabs = marks[at_tab]
+    del marks, kind  # a block of tabs holds 8 bytes per byte in each
+    first_tab = np.searchsorted(tabs, starts)
+    picked = np.flatnonzero((np.diff(first_tab) == _MAX_FIELDS) & (np.diff(others) == 0))
+
+    # field k of data ends at tabs[k]. Every mark between two tabs of a
+    # picked line is a dot, so dots[k] counts the dots of field k there.
+    width, dots = _gaps(tabs), _gaps(at_tab)
+    is_int = (width > 0) & (width <= _EXACT_DIGITS) & (dots == 0)
+    is_value = (width == 0) | ((dots <= 1) & (width > dots))
+    field = first_tab[picked]  # field 0 of each picked line
+    ok = is_int[field] & is_int[field + 1]
+    filled = np.zeros(len(picked), dtype=bool)
+    for j in range(3, _MAX_FIELDS):  # the activity fields
+        ok &= is_value[field + j]
+        filled |= width[field + j] > 0
+    picked = picked[ok & filled]
+    if not picked.size:
         return bulk, np.empty(0, dtype=RECORD_DTYPE)
 
     # the picked lines, one per row, with a 0 in front of every field but the
     # first: an empty field reads 0, and no number changes its value
-    text = "\n".join(compress(lines, bulk.tolist())).encode("ascii").replace(b"\t", b"\t0")
+    bulk[picked] = True
+    data[ends] = _NL
+    text = data[np.repeat(bulk, np.diff(starts))].tobytes().replace(b"\t", b"\t0")
     values = np.loadtxt(io.BytesIO(text), delimiter=_FIELD_DELIMITER, comments=None,
                         usecols=(0, 1, *range(3, _MAX_FIELDS)), ndmin=2)
 
@@ -247,44 +353,6 @@ def _parse_bulk(lines: list, widths: np.ndarray):
     records["slot_start_ms"] = slot_start[ok]
     records["activity_sum"] = total[ok]
     return bulk, records
-
-
-def _canonical(lines: list, widths: np.ndarray) -> np.ndarray:
-    """The indices of the canonical lines among lines, found from their bytes.
-
-    A canonical line is ASCII and has exactly _MAX_FIELDS tab-separated
-    fields; every byte is a digit, "." or a tab; the square id and the
-    timestamp are 1 to _EXACT_DIGITS digits; each activity field is empty
-    or a decimal number (digits with at most one "."); and at least one
-    activity field is not empty.
-    """
-    # every line, and so every field, ends in a tab: line i is
-    # data[starts[i]:starts[i + 1]]. A non-ASCII character reads as "?".
-    data = np.frombuffer((_FIELD_DELIMITER.join(lines) + _FIELD_DELIMITER)
-                         .encode("ascii", "replace"), dtype=np.uint8)
-    starts = np.zeros(len(lines) + 1, dtype=np.intp)
-    np.cumsum(widths + 1, out=starts[1:])
-    marks = np.flatnonzero(data - _ZERO > 9)  # every byte but a digit
-    kind = data[marks]
-    others = np.searchsorted(marks[(kind != _TAB) & (kind != _DOT)], starts)
-    at_tab = np.flatnonzero(kind == _TAB)  # the tabs among the marks
-    tabs = marks[at_tab]
-    del marks, kind  # a batch of tabs holds 8 bytes per character in each
-    first_tab = np.searchsorted(tabs, starts)
-    picked = np.flatnonzero((np.diff(first_tab) == _MAX_FIELDS) & (np.diff(others) == 0))
-
-    # field k of the batch ends at tabs[k]. Every mark between two tabs of a
-    # picked line is a dot, so dots[k] counts the dots of field k there.
-    width, dots = _gaps(tabs), _gaps(at_tab)
-    is_int = (width > 0) & (width <= _EXACT_DIGITS) & (dots == 0)
-    is_value = (width == 0) | ((dots <= 1) & (width > dots))
-    field = first_tab[picked]  # field 0 of each picked line
-    ok = is_int[field] & is_int[field + 1]
-    filled = np.zeros(len(picked), dtype=bool)
-    for j in range(3, _MAX_FIELDS):  # the activity fields
-        ok &= is_value[field + j]
-        filled |= width[field + j] > 0
-    return picked[ok & filled]
 
 
 def _gaps(ends: np.ndarray) -> np.ndarray:

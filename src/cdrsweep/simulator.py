@@ -21,6 +21,7 @@ and yields their rows one run at a time, and report_csv joins them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -556,6 +557,34 @@ def report_csv(ues: UeDraw, runs) -> str:
     return b"".join(report_bytes(ues, runs)).decode("utf-8", "surrogatepass")
 
 
+def _median_and_p95(pool: np.ndarray):
+    """np.median(pool) and np.percentile(pool, 95), to the bit, from one partition.
+
+    pool is a non-empty float64 array, reordered here. The values are
+    numpy's own: the median is the mean of the middle one or two values, and
+    the 95th percentile numpy's "linear" lerp between the neighbours of the
+    place (n - 1) * 0.95; a NaN gives NaN for both. One exception: in a
+    pool that holds both -0.0 and 0.0, which zero a partition leaves where
+    depends on its calls, so a zero percentile may differ in sign (no delay
+    is -0.0). np.median and np.percentile import numpy.ma on their first
+    call in a process, about 1 MB that stays; this takes none of it.
+    """
+    n = pool.size
+    middle = [(n - 1) // 2, n // 2]  # one place when n is odd
+    at = (n - 1) * 0.95
+    lo = math.floor(at)
+    # the last place (n = 1) is read at index -1 for both neighbours, as numpy does
+    lo, hi = (lo, lo + 1) if at < n - 1 else (-1, -1)
+    # a NaN sorts last, so the last place holds one if any value is NaN
+    pool.partition(sorted({*middle, lo % n, hi % n, n - 1}))
+    if np.isnan(pool[-1]):
+        return pool[-1], pool[-1]
+    median = pool[middle[0]:middle[1] + 1].mean()
+    a, b, t = float(pool[lo]), float(pool[hi]), at - lo
+    p95 = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return median, p95
+
+
 def summary_csv(reports) -> str:
     """Pooled per-policy stats: policy,mean_us,median_us,p95_us,n."""
     pooled: dict[str, list] = {}
@@ -568,8 +597,7 @@ def summary_csv(reports) -> str:
             mean = delays.mean()
             # order statistics depend only on the values, so the pooled copy,
             # and never a report's delays, may be reordered to find them
-            median = np.median(delays, overwrite_input=True)
-            p95 = np.percentile(delays, 95, overwrite_input=True)
+            median, p95 = _median_and_p95(delays)
             lines.append(f"{pol},{mean:.3f},{median:.3f},{p95:.3f},{delays.size}")
         else:
             lines.append(f"{pol},nan,nan,nan,0")

@@ -219,20 +219,32 @@ def backward(p: GruParams, trace: ForwardTrace, y: np.ndarray) -> tuple[float, G
     return loss, g
 
 
+def _unmoved_stacks(p: GruParams) -> dict:
+    """Each tensor of p broadcast, without a copy, to the largest stack of
+    models that _perturbed_losses runs at once; a chunk takes a slice of it.
+
+    K models take K * 5H floats per slot in the time walk's buffers: the
+    stack is split so that one slot of it fits in CHUNK_BYTES, as
+    final_state's is, into chunks of per_chunk scalars and 2 * per_chunk
+    models.
+    """
+    per_chunk = max(1, gru.CHUNK_BYTES // (8 * 5 * p.hidden_dim) // 2)
+    return {f: np.broadcast_to(a, (2 * per_chunk,) + a.shape) for f, a in p.arrays().items()}
+
+
 def _perturbed_losses(p: GruParams, xs: np.ndarray, y: np.ndarray, name: str,
-                      epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+                      epsilon: float, unmoved: dict) -> tuple[np.ndarray, np.ndarray]:
     """The MSE of p on (xs, y) with each scalar of tensor name moved by +epsilon
     and by -epsilon, one scalar at a time; both come back shaped like the tensor.
 
     The moved models are slices of one stack, run through one stacked
     forward per chunk: the +epsilon models of a chunk of scalars, then
-    their -epsilon twins. p itself is never written to.
+    their -epsilon twins. unmoved is _unmoved_stacks(p); every other
+    tensor of a chunk's stack is a slice of it. p itself is never written to.
     """
     base = getattr(p, name)
     flat = base.reshape(-1)
-    # K models take K * 5H floats per slot in the time walk's buffers: split
-    # the stack so that one slot of it fits in CHUNK_BYTES, as final_state's does
-    per_chunk = max(1, gru.CHUNK_BYTES // (8 * 5 * p.hidden_dim) // 2)
+    per_chunk = len(unmoved[name]) // 2
     losses = np.empty((2, flat.size))
     for start in range(0, flat.size, per_chunk):
         idx = np.arange(start, min(flat.size, start + per_chunk))
@@ -240,7 +252,7 @@ def _perturbed_losses(p: GruParams, xs: np.ndarray, y: np.ndarray, name: str,
         moved = np.repeat(flat[None], 2 * k, axis=0)
         moved[np.arange(k), idx] = flat[idx] + epsilon
         moved[np.arange(k, 2 * k), idx] = flat[idx] - epsilon
-        stack = {f: np.broadcast_to(a, (2 * k,) + a.shape) for f, a in p.arrays().items()}
+        stack = {f: a[:2 * k] for f, a in unmoved.items()}
         stack[name] = moved.reshape((2 * k,) + base.shape)
         stack = GruParams(**stack)
         h = gru.stacked_final_state(stack, xs)
@@ -267,10 +279,11 @@ def grad_check_by_tensor(p: GruParams, sample, epsilon: float) -> dict[str, floa
     _, analytic = backward(p, gru.forward(p, h0, xs), y)
 
     worst: dict[str, float] = {}
+    unmoved = _unmoved_stacks(p)
     # a large epsilon can overflow a moved loss: its error is then infinite
     with np.errstate(over="ignore", invalid="ignore"):
         for name, a in analytic.arrays().items():
-            loss_plus, loss_minus = _perturbed_losses(p, xs, y, name, epsilon)
+            loss_plus, loss_minus = _perturbed_losses(p, xs, y, name, epsilon, unmoved)
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
             denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-12)
             rel = np.abs(a - numeric) / denom

@@ -119,9 +119,34 @@ def test_ingest_out_of_range_input_is_a_validation_error(workdir, name, raw, arg
     assert not (workdir / f"{name}.csv").exists()
 
 
-def test_ingest_reads_the_same_lines_from_the_file_as_parse_raw(workdir):
-    """The file is read line by line; every line break str.splitlines knows
-    must end a line there too, so issue line numbers match parse_raw(text)."""
+def _raw_text(sep="\n", blank=False, non_ascii=False, long_line=0, final_newline=True):
+    """300 raw lines, about 1% of them malformed, joined by sep (every 7th
+    line break is "\n" instead, so both kinds meet in one block)."""
+    rng = np.random.default_rng(29)
+    squares = [5060, 5061, 5160, 5161]
+    lines = []
+    for i in range(300):
+        slot = T0 + int(rng.integers(0, 6)) * 600_000
+        values = [str(v) if v >= 0 else "" for v in rng.integers(-2, 90, size=5) / 4]
+        lines.append(f"{squares[i % 4]}\t{slot}\t39\t" + "\t".join(values))
+        if i % 100 == 50:
+            lines.append(f"5060\t{slot + 7}\t39\tn/a")  # an issue
+        elif i % 100 == 80:
+            lines.append(f"5061\t{slot + 7}\t39\t1.5")  # an issue, and a record
+        elif i % 100 == 95:
+            lines.append("x")  # an issue
+        if blank and i % 40 == 0:
+            lines += ["", "   ", "\t"]
+        if non_ascii and i % 30 == 0:
+            lines.append(f"5161\t{slot}\t\u00dc\t2.5")
+    if long_line:
+        lines[120:120] = [f"5160\t{T0}\t39\t1.5" + " " * long_line, "x" * long_line]
+    text = "".join(ln + ("\n" if i % 7 == 6 else sep) for i, ln in enumerate(lines))
+    return text if final_newline else text[:-len(sep)]
+
+
+def _every_break_text():
+    """Records and issues after every line break str.splitlines knows, in turn."""
     separators = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                   "\u2028", "\u2029", "\n\n", "\r\n\r\n", "\n  \n"]
     squares = [5060, 5061, 5160, 5161]
@@ -134,18 +159,57 @@ def test_ingest_reads_the_same_lines_from_the_file_as_parse_raw(workdir):
             parts.append(f"{squares[i % 4]}\t{slot + 7}\t39\tn/a")  # an issue after it
             parts.append(sep)
     parts.append(f"5161\t{T0}\t39\t2.5")  # no newline at the end
-    text = "".join(parts)
-    (workdir / "seps.tsv").write_bytes(text.encode("utf-8"))
+    return "".join(parts)
 
-    proc = run_cli(["ingest", "--raw", "seps.tsv", "--out", "seps.csv",
-                    "--count-mode", "activity_sum"], cwd=workdir)
-    assert proc.returncode == 0, proc.stderr
+
+_RAW_CASES = {
+    "every-break": _every_break_text(),
+    "lf": _raw_text(),
+    "crlf": _raw_text("\r\n"),
+    "cr": _raw_text("\r"),
+    **{f"u{ord(sep):04x}": _raw_text(sep)
+       for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")},
+    "non-ascii": _raw_text(non_ascii=True),
+    "blank-lines": _raw_text(blank=True),
+    "no-final-newline": _raw_text(final_newline=False),
+    "crlf-no-final-newline": _raw_text("\r\n", final_newline=False),
+    # longer than every block below, the default one included
+    "long-line": _raw_text(long_line=70_000),
+}
+
+
+@pytest.mark.parametrize("block", [7, 100, 1000, None], ids=["7", "100", "1000", "default"])
+@pytest.mark.parametrize("case", _RAW_CASES)
+def test_ingest_reads_the_same_lines_from_the_file_as_parse_raw(
+        tmp_path, monkeypatch, capsys, case, block):
+    """The file is read in blocks; every line break str.splitlines knows must
+    end a line there too, so issue line numbers match parse_raw(text)."""
+    text = _RAW_CASES[case]
+    raw = tmp_path / "raw.tsv"
+    raw.write_bytes(text.encode("utf-8"))
+    if block is not None:
+        # read blocks and the parser's batches of this many characters
+        monkeypatch.setattr(cli, "_READ_CHARS", block)
+        monkeypatch.setattr(ingest_mod, "_BATCH_CHARS", block)
     parsed = parse_raw(text)
-    assert 0 < len(parsed.issues) <= 20
-    shown = [ln for ln in proc.stderr.splitlines() if ln.startswith("line ")]
-    assert shown == [f"line {i.line_no}: {i.reason}" for i in parsed.issues]
+    assert 0 < parsed.n_issues
+
+    log = ingest_mod.ParseResult()
+    with open(raw, encoding="utf-8") as fh:
+        records = np.concatenate(list(ingest_mod.parse_blocks(cli._read_blocks(fh), log)))
+    assert [(i.line_no, i.reason) for i in log.issues] == \
+        [(i.line_no, i.reason) for i in parsed.issues]
+    assert log.n_issues == parsed.n_issues
+    assert records.tobytes() == parsed.records.tobytes()
+
+    code = cli.main(["ingest", "--raw", str(raw), "--out", str(tmp_path / "series.csv"),
+                     "--count-mode", "activity_sum"])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == [f"line {i.line_no}: {i.reason}" for i in parsed.issues[:20]] + (
+        [f"... {parsed.n_issues - 20} more issues"] if parsed.n_issues > 20 else [])
     series = aggregate(parsed.records, demo_sector_map(), count_mode="activity_sum")
-    assert (workdir / "seps.csv").read_text() == write_sector_series(series)
+    assert (tmp_path / "series.csv").read_text() == write_sector_series(series)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
@@ -153,6 +217,18 @@ def test_ingest_reads_the_same_lines_across_block_boundaries(monkeypatch, block)
     text = "5060\t1\r\n\r\n5061\t2\x0b5160\t3\r5161\t4\u2028\n\n  \n5060\t5" * 3
     monkeypatch.setattr(cli, "_READ_CHARS", block)
     assert list(cli._read_lines(io.StringIO(text, newline=None))) == text.splitlines()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 300])
+def test_read_blocks_cut_after_a_newline_and_outgrow_the_size_only_for_a_long_line(
+        monkeypatch, block):
+    text = "5060\t1\n" * 40 + "x" * 100 + "\n" + "5161\t2\r\n" * 40 + "no newline"
+    monkeypatch.setattr(cli, "_READ_CHARS", block)
+    blocks = list(cli._read_blocks(io.StringIO(text, newline="")))
+    assert "".join(blocks) == text
+    assert all(b.endswith("\n") for b in blocks[:-1])
+    # a block holds no more characters than a read unless a line alone does
+    assert all(len(b) <= block or max(map(len, b.splitlines(True))) >= block for b in blocks)
 
 
 def test_ingest_counts_the_gaps_of_a_wide_span(tmp_path):

@@ -10,6 +10,7 @@ from cdrsweep import (
     SECTOR_LABELS,
     EmptyInputError,
     OutOfRangeError,
+    ParseResult,
     SectorMap,
     SectorSeries,
     SeriesFormatError,
@@ -496,6 +497,75 @@ def test_only_lines_outside_the_canonical_grammar_reach_the_per_line_parser(monk
     _assert_parses_as_the_oracle(block)
     # and the lines that block draws off the grid without activity
     assert seen == sorted([4, _BATCH_LINES + 5] + list(range(1, len(block) + 1, 50)))
+
+
+def _cut_after_newlines(text, rng, most):
+    """text in blocks of at most most characters where that can be, each cut after a "\n"."""
+    blocks, lo = [], 0
+    while lo < len(text):
+        hi = text.rfind("\n", lo, lo + int(rng.integers(1, most + 1))) + 1
+        if hi <= lo:  # no "\n" in reach: the block runs to the next one
+            hi = text.find("\n", lo) + 1 or len(text)
+        blocks.append(text[lo:hi])
+        lo = hi
+    return blocks
+
+
+# seeds 4 and up draw mostly canonical lines; 2 and 6 end without a "\n"
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_blocks_gives_what_parse_raw_gives_for_the_joined_text(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    lines = _random_raw_lines(rng, 3000, unknown_square=False, canonical=seed >= 4)
+    text = "\n".join(lines) + ("" if seed % 4 == 2 else "\n")
+    want = parse_raw(text)
+    for most in (64, 4096, ingest._BATCH_CHARS):
+        # one block in ten is as long as a batch may be, or longer
+        monkeypatch.setattr(ingest, "_BATCH_CHARS", max(most // 2, 16))
+        log = ParseResult()
+        got = list(ingest.parse_blocks(_cut_after_newlines(text, rng, most), log))
+        assert all(batch.size for batch in got)
+        assert np.concatenate(got).tobytes() == want.records.tobytes()
+        assert [(i.line_no, i.reason) for i in log.issues] == \
+            [(i.line_no, i.reason) for i in want.issues]
+        assert log.n_issues == want.n_issues
+
+
+def test_parse_blocks_finds_the_lines_of_a_block_from_its_bytes(monkeypatch):
+    # an ASCII block with "\n" breaks only never makes a str of a bulk line
+    text = "".join(full(5060 + i % 2, T0 + i % 3 * SLOT, f"{i}.5") + "\n" for i in range(500))
+    bad = full(5060, T0, "n/a")
+    want = parse_raw((text + bad + "\n") * 2).records
+    seen = []
+    per_line = ingest._parse_lines
+
+    def spy(numbered, rows, issues):
+        numbered = list(numbered)
+        seen.extend(numbered)
+        return per_line(numbered, rows, issues)
+
+    monkeypatch.setattr(ingest, "_parse_lines", spy)
+    monkeypatch.setattr(ingest, "_joined_lines", None)  # no block may take that path
+    log = ParseResult()
+    got = list(ingest.parse_blocks([text, "", bad + "\n\n" + text, bad], log))
+    assert seen == [(501, bad), (502, ""), (1003, bad)]
+    assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+_GOOD = full(5060, T0, "1")
+
+
+@pytest.mark.parametrize("block", [
+    _GOOD + "\x0b" + _GOOD, _GOOD + "\r\n" + _GOOD, _GOOD.replace("39", "\u00dc") + "\n",
+    _GOOD + "\x85", _GOOD + "\u2028\n", _GOOD + "\n" + "x" * 70_000 + "\n",
+], ids=["vt", "crlf", "non-ascii", "nel", "line-separator", "longer-than-a-batch"])
+def test_parse_blocks_splits_any_other_block_with_splitlines(block, monkeypatch):
+    calls = []
+    joined = ingest._joined_lines
+    monkeypatch.setattr(ingest, "_joined_lines", lambda lines: calls.append(lines) or joined(lines))
+    log = ParseResult()
+    list(ingest.parse_blocks([block], log))
+    assert calls == [block.splitlines()]
+    assert log.n_issues == block.endswith("x\n")
 
 
 def test_both_parsers_add_the_activity_values_left_to_right(monkeypatch):

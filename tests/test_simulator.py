@@ -509,20 +509,38 @@ def test_report_csv_layout():
     assert summary[1].split(",")[4] == str(report.n_ues)
 
 
-@pytest.mark.parametrize("n_ues", [7, 8])   # pooled over three seeds: 21 and 24 UEs
+@pytest.mark.parametrize("n_ues", range(1, 65))   # pooled over three seeds
 def test_summary_csv_leaves_shared_delays_as_they_are(n_ues):
     # the CLI keeps each policy's delays in one buffer and reports views of it
-    kept = np.random.default_rng(n_ues).exponential(5000.0, size=(2, 3 * n_ues))
+    rng = np.random.default_rng(n_ues)
+    kept = rng.exponential(5000.0, size=(2, n_ues))
+    kept[1] = np.round(kept[1], -3)  # with ties
     before = kept.copy()
-    views = [SimReport(policy, seed, kept[p, seed * n_ues:(seed + 1) * n_ues])
+    cuts = [0, n_ues // 3, 2 * n_ues // 3, n_ues]  # a seed may hold no UE
+    views = [SimReport(policy, seed, kept[p, cuts[seed]:cuts[seed + 1]])
              for seed in range(3) for p, policy in enumerate(("first", "second"))]
     text = summary_csv(views)
     assert kept.tobytes() == before.tobytes()
     assert text == summary_csv([SimReport(r.policy, r.seed, r.delay_us.copy()) for r in views])
     assert text.splitlines()[1:] == [
         f"{policy},{delays.mean():.3f},{np.median(delays.copy()):.3f},"
-        f"{np.percentile(delays.copy(), 95):.3f},{3 * n_ues}"
+        f"{np.percentile(delays.copy(), 95):.3f},{n_ues}"
         for policy, delays in zip(("first", "second"), before)]
+
+
+def test_the_median_and_p95_of_a_pool_have_numpys_bits():
+    rng = np.random.default_rng(2029)
+    specials = np.array([0.0, np.inf, -np.inf, np.nan, 1.0, 5e-324, -1.0, 1e308])
+    pools = [draw(n) for n in range(1, 65) for draw in (
+        lambda n: rng.exponential(1e4, n), lambda n: rng.integers(0, 4, n).astype(float),
+        lambda n: rng.choice(specials, n), lambda n: -rng.choice(specials, n))]
+    pools += [rng.exponential(1e4, int(rng.integers(65, 5000))) * rng.choice([1e-300, 1, 1e300])
+              for _ in range(300)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for pool in pools:
+            want = np.median(pool.copy()), np.percentile(pool.copy(), 95)
+            got = sim_mod._median_and_p95(pool.copy())
+            assert np.array(got).tobytes() == np.array(want).tobytes(), pool
 
 
 @pytest.mark.parametrize("rates, n_slots", [

@@ -8,6 +8,8 @@ in the benchmark's own self-test.
 import importlib.util
 from pathlib import Path
 
+from _cli import run_python
+
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
@@ -32,3 +34,13 @@ def test_every_traced_name_and_alias_resolves():
             if bound is None or bound[2] is not found[2]:
                 absent.append(alias)
     assert absent == []
+
+
+def test_a_fresh_process_finds_every_traced_name_and_alias(tmp_path):
+    # as the tracer runs: only what `cli` imports is loaded before install,
+    # so an alias is bound only if its module imports before the name is wrapped
+    proc = run_python(["-c", "import sys; sys.path.insert(0, sys.argv[1]); import tracer; "
+                       "from cdrsweep import cli; t = tracer.Tracer(); tracer.install(t); "
+                       "print(t.absent)", TRACER.parent], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -240,8 +240,9 @@ def test_stacked_central_differences_match_the_per_scalar_loop_bit_for_bit(monke
         worst, losses = grad_check_loop(p, (xs, y), 1e-5)
         for chunk_bytes in (gru.CHUNK_BYTES, 8 * 5 * hidden * 6):
             monkeypatch.setattr(gru, "CHUNK_BYTES", chunk_bytes)
+            unmoved = training._unmoved_stacks(p)
             for name, (loss_plus, loss_minus) in losses.items():
-                got_plus, got_minus = training._perturbed_losses(p, xs, y, name, 1e-5)
+                got_plus, got_minus = training._perturbed_losses(p, xs, y, name, 1e-5, unmoved)
                 assert got_plus.tobytes() == loss_plus.tobytes(), (i, name)
                 assert got_minus.tobytes() == loss_minus.tobytes(), (i, name)
             assert grad_check_by_tensor(p, (xs, y), 1e-5) == worst
