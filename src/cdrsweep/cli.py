@@ -35,7 +35,6 @@ from .errors import CdrSweepError, DivergedLossError, InvalidConfigError
 # Each handler imports the other modules it runs, so a command loads only
 # what it needs: ingest runs on this module, errors and ingest alone.
 from .ingest import (
-    _BATCH_CHARS,
     COUNT_MODES,
     DEFAULT_SQUARES,
     MAX_SLOTS,
@@ -47,6 +46,8 @@ from .ingest import (
     load_sector_series,
     make_windows,
     parse_blocks,
+    read_blocks,
+    read_lines,
     sector_series_blocks,
 )
 # ingest streams through parse_blocks and a SlotGrid. parse_raw and
@@ -60,9 +61,6 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGED = 3
 
 POLICIES = ("sequential", "predicted", "oracle")
-# files are read in blocks of at most this many characters (unless one line
-# is longer): as many as the ingest parser takes from a block's bytes
-_READ_CHARS = _BATCH_CHARS
 
 # an option default: the flag (or its config key) must be given
 REQUIRED = object()
@@ -136,14 +134,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidConfigError(f"config line {line_no} is not key=value: {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(read_lines(fh), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise InvalidConfigError(f"config line {line_no} is not key=value: {line!r}")
+            key, value = line.split("=", 1)
+            values[key.strip()] = value.strip()
     return values
 
 
@@ -220,34 +219,7 @@ def _out_path(res: dict, name: str) -> Path:
 def _load_series(path: str):
     # read block by block: a refused row stops the read there
     with open(path, encoding="utf-8") as fh:
-        return load_sector_series(_read_lines(fh))
-
-
-def _read_blocks(fh):
-    """The text of fh in blocks of whole lines, each ending in "\n" but the last.
-
-    A block holds at most _READ_CHARS characters, unless a line is longer:
-    it is cut after its last "\n", which ends a line for str.splitlines
-    whatever follows it, and the rest begins the next block.
-    """
-    pending, size = [], 0  # the text read since the last "\n", and its length
-    while chunk := fh.read(_READ_CHARS - size if size < _READ_CHARS else _READ_CHARS):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            pending.append(chunk[:cut])
-            yield "".join(pending)
-            pending, size = [chunk[cut:]], len(chunk) - cut
-        else:
-            pending.append(chunk)
-            size += len(chunk)
-    if size:
-        yield "".join(pending)
-
-
-def _read_lines(fh):
-    """The lines of a text file as fh.read().splitlines() gives them, a block at a time."""
-    for block in _read_blocks(fh):
-        yield from block.splitlines()
+        return load_sector_series(read_lines(fh))
 
 
 def _cmd_ingest(res: dict) -> int:
@@ -255,7 +227,7 @@ def _cmd_ingest(res: dict) -> int:
     grid = SlotGrid(SectorMap.from_squares(res["squares"]), res["count_mode"])
     log = ParseResult()  # only its issues are filled
     with open(res["raw"], encoding="utf-8") as fh:
-        for records in parse_blocks(_read_blocks(fh), log):
+        for records in parse_blocks(read_blocks(fh), log):
             grid.add(records)
     for issue in log.issues[:20]:
         print(f"line {issue.line_no}: {issue.reason}", file=sys.stderr)

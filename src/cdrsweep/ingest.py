@@ -13,28 +13,31 @@ slot_start_ms // SLOT_MS, which starts on the 10-minute grid. The parser
 floors an off-grid timestamp to that slot's start (and reports it), and
 aggregation counts any slot start in that slot.
 
-Ingest reads its input once, a block of text or a batch of lines at a
-time. parse_blocks (blocks of whole lines, as the CLI reads a file) and
-parse_batches (lines) yield each block's counted lines as three numeric
-columns (square id, slot start, activity sum; see RECORD_DTYPE) and keep
-the reported issues, so the input text itself need never be held in
-memory. A SlotGrid adds each batch to its per-slot, per-sector cells as it
-arrives, so nothing is kept per line: what ingest holds depends on the slot
-span, not on the number of lines. The aggregated series covers every slot
-between the first and last record, and that span is bounded by MAX_SLOTS.
-parse_raw and aggregate are the same two steps over one whole input.
+Every text file cdrsweep reads (raw CDRs, series.csv, model.txt, config
+files) goes through read_blocks, in blocks of whole lines of at most
+_BATCH_CHARS characters, or read_lines, their lines; a reader that refuses
+a line reads no further. Ingest reads its input once. parse_blocks
+yields each block's counted lines as three numeric columns (square id,
+slot start, activity sum; see RECORD_DTYPE) and keeps the reported issues,
+so the input text itself need never be held in memory. A SlotGrid adds
+each batch to its per-slot, per-sector cells as it arrives, so nothing is
+kept per line: what ingest holds depends on the slot span, not on the
+number of lines. The aggregated series covers every slot between the first
+and last record, and that span is bounded by MAX_SLOTS. parse_raw and
+aggregate are the same two steps over one whole input given as lines.
 
-Both parse at most _BATCH_CHARS characters together, from their bytes:
-parse_blocks a block as it is, numpy finding its lines, and parse_batches
-up to _BATCH_LINES lines at a time, joined. A canonical line (see
+parse_blocks parses a block from its bytes, numpy finding its lines;
+parse_raw joins its lines into runs of at most _BATCH_LINES lines and
+_BATCH_CHARS characters, parsed the same way. A canonical line (see
 _parse_bulk) that gives one record and no issue is parsed in bulk with
-numpy, and no str is made for it. Every other line is sliced out and goes
-through the per-line parser _parse_lines, the one place where the rules
-for those lines are written and the one source of issues. Both give the
-same records, merged back into line order. Of the issues, the first
-_MAX_ISSUES are kept, plus a count of them all. A block's temporaries stay
-within about 40 bytes per character of its text: 2.5 MB at most for 64 Ki
-characters of tabs, about 0.9 MB for 64 Ki characters of a CDR extract.
+numpy, and no str is made for it. Every other line is sliced out,
+_BATCH_LINES at a time, and goes through the per-line parser _parse_lines,
+the one place where the rules for those lines are written and the one
+source of issues. Both give the same records, merged back into line order.
+Of the issues, the first _MAX_ISSUES are kept, plus a count of them all,
+and an issue quotes at most the first 40 characters of a field. Parsing a
+block of 64 Ki characters peaks at about 4.7 MB traced when every line is
+blank, the worst case measured, and at about 0.9 MB for a CDR extract.
 write_sector_series renders the series _WRITE_ROWS rows at a time
 (sector_series_blocks), so writing it adds a fixed amount too.
 """
@@ -44,8 +47,7 @@ from __future__ import annotations
 import io
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from itertools import islice
+from datetime import datetime, timedelta, timezone
 from math import isfinite
 
 import numpy as np
@@ -80,13 +82,13 @@ _MAX_TS_MS = 253_402_300_799_999
 # activity values, in field order
 RECORD_DTYPE = np.dtype([("square_id", np.int64), ("slot_start_ms", np.int64),
                          ("activity_sum", np.float64)])
-# parse_batches takes at most _BATCH_LINES lines from its input at a time, and
-# parses at most _BATCH_CHARS characters of them together (see _spans);
-# parse_blocks parses a block of at most _BATCH_CHARS characters from its
-# bytes, and the per-line parser takes at most _BATCH_LINES lines at a time
+# read_blocks cuts a file into blocks of at most _BATCH_CHARS characters,
+# as many as parse_blocks parses from their bytes; parse_raw joins at most
+# _BATCH_LINES lines of at most _BATCH_CHARS characters together, and the
+# per-line parser takes at most _BATCH_LINES lines at a time
 _BATCH_LINES = 1024
 _BATCH_CHARS = 64 * 1024
-# parse_batches keeps the first _MAX_ISSUES issues and counts the rest
+# the parsers keep the first _MAX_ISSUES issues and count the rest
 _MAX_ISSUES = 10_000
 _TAB, _DOT, _ZERO, _NL = b"\t.0\n"
 # the line breaks of str.splitlines, other than "\n", that are ASCII
@@ -117,7 +119,7 @@ class ParseIssue:
 class ParseResult:
     # one RECORD_DTYPE row per counted line, in line order; a record array, so
     # records.square_id and records[i].square_id work as records["square_id"].
-    # Left out, it is empty: parse_batches fills only the issue fields.
+    # Left out, it is empty: parse_blocks fills only the issue fields.
     records: np.recarray = field(
         default_factory=lambda: np.empty(0, dtype=RECORD_DTYPE).view(np.recarray))
     issues: list[ParseIssue] = field(default_factory=list)
@@ -130,57 +132,72 @@ class ParseResult:
             self.n_issues = len(self.issues)
 
 
-def parse_batches(lines, log: ParseResult):
-    """Parse tab-separated CDR lines in one pass, yielding columnar records.
+def read_blocks(fh):
+    """The text of fh in blocks of whole lines, each ending in "\\n" but the last.
 
-    lines is a str (split with str.splitlines) or any iterable of lines,
-    such as a generator over an open file, which is consumed once and never
-    held whole. Each counted line becomes one RECORD_DTYPE row; no per-line
-    object is kept. The rows come out a batch at a time, in line order,
-    each batch a RECORD_DTYPE array that is never empty.
+    A block holds at most _BATCH_CHARS characters, unless a line is longer:
+    it is cut after its last "\\n", which ends a line for str.splitlines
+    whatever follows it, and the rest begins the next block.
+    """
+    pending, size = [], 0  # the text read since the last "\n", and its length
+    while chunk := fh.read(_BATCH_CHARS - size if size < _BATCH_CHARS else _BATCH_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield "".join(pending)
+            pending, size = [chunk[cut:]], len(chunk) - cut
+        else:
+            pending.append(chunk)
+            size += len(chunk)
+    if size:
+        yield "".join(pending)
+
+
+def read_lines(fh):
+    """The lines of a text file as fh.read().splitlines() gives them, a block at a time."""
+    for block in read_blocks(fh):
+        yield from block.splitlines()
+
+
+def parse_blocks(blocks, log: ParseResult):
+    """Parse tab-separated CDR text in one pass, yielding columnar records.
+
+    blocks is an iterable of str, each ending in "\\n" but the last, such as
+    read_blocks gives; their lines are those of the blocks joined, as
+    str.splitlines gives them. It is consumed once and never held whole.
+    Each counted line becomes one RECORD_DTYPE row; no per-line object is
+    kept. The rows come out a batch at a time, in line order, each batch a
+    RECORD_DTYPE array that is never empty.
     Malformed lines become ParseIssue entries in log.issues, carrying their
     1-based line number, in line order; they are never silently dropped.
     The first _MAX_ISSUES of them are kept, and log.n_issues counts them
     all. log is a ParseResult, such as a new ParseResult(); its records
     are left as they are.
-    Raises EmptyInputError, once the lines are used up, when no line gave a
-    record or an issue (the input is empty or blank), and OutOfRangeError,
+    Raises EmptyInputError, once the blocks are used up, when no line gave
+    a record or an issue (the input is empty or blank), and OutOfRangeError,
     naming the line, for a square id that does not fit in int64 or a
     timestamp after the year 9999.
-
-    The lines are taken _BATCH_LINES at a time, and each run of them that
-    fits in _BATCH_CHARS is joined and parsed as parse_blocks parses a block.
-    """
-    if isinstance(lines, str):
-        lines = lines.splitlines()
-    return _parse_texts(_joined_lines(lines), log)
-
-
-def parse_blocks(blocks, log: ParseResult):
-    """parse_batches over text given as blocks of whole lines.
-
-    blocks is an iterable of str, each ending in "\\n" but the last; their
-    lines are those of the blocks joined, as str.splitlines gives them.
-    Yields and raises what parse_batches does for those lines.
 
     A block of ASCII text, of at most _BATCH_CHARS characters and with no
     line break but "\\n", is parsed from its bytes: numpy finds its lines,
     and no str is made for a line that the bulk parser takes. Any other
-    block is split with str.splitlines and parsed as parse_batches parses
-    lines.
+    block is split with str.splitlines and parsed as parse_raw parses lines.
     """
     return _parse_texts(_block_texts(blocks), log)
 
 
 def parse_raw(lines) -> ParseResult:
-    """parse_batches(lines) gathered into one ParseResult.
+    """Parse CDR lines as parse_blocks parses text, into one ParseResult.
 
-    Its records are every batch's, concatenated in line order; its issues
-    and n_issues are those parse_batches logged. Raises what parse_batches
-    raises.
+    lines is a str (split with str.splitlines) or any iterable of lines;
+    each element is one line, whatever characters it holds. Its records are
+    every batch's, concatenated in line order, and its issues and n_issues
+    those parse_blocks would log. Raises what parse_blocks raises.
     """
+    if isinstance(lines, str):
+        lines = lines.splitlines()
     result = ParseResult()
-    batches = list(parse_batches(lines, result))
+    batches = list(_parse_texts(_joined_lines(lines), result))
     if batches:
         result.records = np.concatenate(batches).view(np.recarray)
     return result
@@ -201,19 +218,28 @@ def _parse_texts(texts, log: ParseResult):
 
 
 def _joined_lines(lines):
-    """The lines, _BATCH_LINES at a time, as (text, data, starts) runs of _spans."""
-    pending = iter(lines)
-    while batch := list(islice(pending, _BATCH_LINES)):
-        widths = np.fromiter(map(len, batch), dtype=np.intp, count=len(batch))
-        for lo, hi in _spans(widths):
-            starts = np.zeros(hi - lo + 1, dtype=np.intp)
-            np.cumsum(widths[lo:hi] + 1, out=starts[1:])
-            if starts[-1] > _BATCH_CHARS:  # one long line, never canonical: no copy
-                yield batch[lo], None, starts
-                continue
-            # a non-ASCII character reads as one "?" byte, so line i keeps its offsets
-            text = "\n".join(batch[lo:hi]) + "\n"
-            yield text, _bytes_of(text.encode("ascii", "replace")), starts
+    """The lines in runs of at most _BATCH_LINES lines and _BATCH_CHARS
+    characters (a delimiter each), a longer line alone, as (text, data, starts)."""
+    run, size = [], 0
+    for line in lines:
+        size += len(line) + 1
+        if run and (size > _BATCH_CHARS or len(run) == _BATCH_LINES):
+            yield _joined(run)
+            run, size = [], len(line) + 1
+        run.append(line)
+    if run:
+        yield _joined(run)
+
+
+def _joined(run: list):
+    """The lines of run as one (text, data, starts)."""
+    starts = np.zeros(len(run) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, run), dtype=np.intp, count=len(run)) + 1, out=starts[1:])
+    if starts[-1] > _BATCH_CHARS:  # one long line, never canonical: no copy
+        return run[0], None, starts
+    # a non-ASCII character reads as one "?" byte, so line i keeps its offsets
+    text = "\n".join(run) + "\n"
+    return text, _bytes_of(text.encode("ascii", "replace")), starts
 
 
 def _block_texts(blocks):
@@ -238,21 +264,6 @@ def _bytes_of(encoded: bytes) -> np.ndarray:
     return np.frombuffer(encoded, dtype=np.uint8).copy()
 
 
-def _spans(widths: np.ndarray):
-    """(lo, hi) of consecutive runs of lines that fit in _BATCH_CHARS.
-
-    A line counts its width plus one delimiter. A line longer than
-    _BATCH_CHARS is a run of its own.
-    """
-    ends = np.cumsum(widths + 1)
-    lo = 0
-    while lo < len(widths):
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _BATCH_CHARS, side="right")))
-        yield lo, hi
-        lo = hi
-
-
 def _parse_text(text: str, data, starts: np.ndarray, first: int, log: ParseResult) -> np.ndarray:
     """The RECORD_DTYPE records of the lines of text, numbered from first.
 
@@ -269,14 +280,12 @@ def _parse_text(text: str, data, starts: np.ndarray, first: int, log: ParseResul
     else:
         bulk, records = _parse_bulk(data, starts)
     others = np.flatnonzero(~bulk)
-    if not others.size:
-        return records
-    lines = ((first + i, text[lo:hi - 1]) for i, lo, hi in zip(
-        others.tolist(), starts[others].tolist(), starts[others + 1].tolist()))
     issues, each = log.issues, []
-    while chunk := list(islice(lines, _BATCH_LINES)):
+    for lo in range(0, others.size, _BATCH_LINES):
+        some = others[lo:lo + _BATCH_LINES]
         kept = len(issues)
-        _parse_lines(chunk, each, issues)
+        _parse_lines([(first + i, text[a:b - 1]) for i, a, b in zip(
+            some.tolist(), starts[some].tolist(), starts[some + 1].tolist())], each, issues)
         log.n_issues += len(issues) - kept
         del issues[_MAX_ISSUES:]
     if each:
@@ -373,7 +382,7 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
 
     Appends (line_no, square_id, slot_start, activity_sum) to rows for
     each counted line and a ParseIssue to issues for each malformed one,
-    skips blank lines, and raises OutOfRangeError as parse_batches does.
+    skips blank lines, and raises OutOfRangeError as parse_blocks does.
     """
     for line_no, line in numbered:
         stripped = line.rstrip("\r\n")
@@ -391,10 +400,11 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
         try:
             square_id = int(parts[0].strip())
         except ValueError:
-            issues.append(ParseIssue(line_no, f"bad square id {parts[0]!r}"))
+            issues.append(ParseIssue(line_no, f"bad square id {_quoted(parts[0])}"))
             continue
         if square_id <= 0:
-            issues.append(ParseIssue(line_no, f"square id must be positive, got {square_id}"))
+            issues.append(ParseIssue(
+                line_no, f"square id must be positive, got {_quoted(square_id, str)}"))
             continue
         if square_id > _INT64_MAX:
             raise OutOfRangeError(f"line {line_no}: square id {square_id} does not fit in int64")
@@ -402,10 +412,10 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
         try:
             slot_start = int(parts[1].strip())
         except ValueError:
-            issues.append(ParseIssue(line_no, f"bad timestamp {parts[1]!r}"))
+            issues.append(ParseIssue(line_no, f"bad timestamp {_quoted(parts[1])}"))
             continue
         if slot_start < 0:
-            issues.append(ParseIssue(line_no, f"negative timestamp {slot_start}"))
+            issues.append(ParseIssue(line_no, f"negative timestamp {_quoted(slot_start, str)}"))
             continue
         if slot_start > _MAX_TS_MS:
             raise OutOfRangeError(f"line {line_no}: timestamp {slot_start} " + (
@@ -428,10 +438,11 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
             try:
                 value = float(text)
             except ValueError:
-                issues.append(ParseIssue(line_no, f"bad {name} value {text!r}"))
+                issues.append(ParseIssue(line_no, f"bad {name} value {_quoted(text)}"))
                 break
             if not isfinite(value) or value < 0:
-                issues.append(ParseIssue(line_no, f"{name} must be finite and >= 0, got {text}"))
+                issues.append(ParseIssue(
+                    line_no, f"{name} must be finite and >= 0, got {_quoted(text, str)}"))
                 break
             total += value
             counted = True
@@ -440,6 +451,17 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
                 issues.append(ParseIssue(line_no, "no activity fields; not a CDR event"))
                 continue
             rows.append((line_no, square_id, slot_start, total))
+
+
+def _quoted(value, form=repr) -> str:
+    """form(str(value)), or, past 40 characters, form of those and the length.
+
+    Up to _MAX_ISSUES issues are kept, so each quotes only a short prefix.
+    """
+    text = str(value)
+    if len(text) <= 40:
+        return form(text)
+    return f"{form(text[:40])}... ({len(text):,} characters)"
 
 
 @dataclass
@@ -516,7 +538,7 @@ class SectorSeries:
 class SlotGrid:
     """Per-slot, per-sector cells that RECORD_DTYPE batches are added to as they arrive.
 
-    add(records) takes one batch, such as parse_batches yields, and
+    add(records) takes one batch, such as parse_blocks yields, and
     series() returns what aggregate returns for all the batches added, in
     order, as one array: every cell is summed in record order. The grid
     holds one cell per sector and slot of the span seen so far (a little
@@ -525,7 +547,7 @@ class SlotGrid:
     geometrically on the side a batch lands.
 
     A record goes to its absolute slot, slot_start_ms // SLOT_MS: the
-    10-minute slot that contains its slot start, the one parse_batches
+    10-minute slot that contains its slot start, the one the parser
     floors an off-grid timestamp to. The grid keeps only slot numbers. An
     error is found as the records arrive, after which the cells are dropped
     and only the first and last slot are followed; series() raises it. See
@@ -620,7 +642,7 @@ def aggregate(records, sector_map: SectorMap, count_mode: str = COUNT_MODES[0]) 
     records is a RECORD_DTYPE array such as ParseResult.records (or anything
     np.asarray turns into one). Each record goes to the slot that contains
     its slot start, slot_start_ms // SLOT_MS, so an off-grid slot start
-    counts as the slot start parse_batches floors it to, and t0_ms is on the
+    counts as the slot start the parser floors it to, and t0_ms is on the
     grid. record_count counts one per record (the default); activity_sum
     adds the records' activity sums into each cell in record order and
     rounds each cell to the nearest integer (ties to even). Slots between
@@ -741,7 +763,8 @@ def _parse_ts(text: str, row_no: int) -> int:
         raise SeriesFormatError(f"row {row_no}: bad timestamp {text!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp()) * 1000
+    # exact integer milliseconds, a fraction of one floored, before 1970 too
+    return (dt - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(milliseconds=1)
 
 
 def write_sector_series(series: SectorSeries) -> str:
@@ -775,10 +798,11 @@ def load_sector_series(text: str | Iterable[str]) -> SectorSeries:
     """Parse the normalized CSV back into a SectorSeries.
 
     text is the whole file, or its lines without line ends (as
-    str.splitlines gives them), which are read only up to the first row in
-    error. Validates the header, the 600-second stride and integer counts
-    from 0 to 2**63 - 1, and at most MAX_SLOTS data rows;
-    write_sector_series followed by load_sector_series is the identity.
+    str.splitlines or read_lines gives them), which are read only up to the
+    first row in error. Validates the header, the 600-second stride (to
+    the millisecond) and integer counts from 0 to 2**63 - 1, and at most
+    MAX_SLOTS data rows; write_sector_series followed by load_sector_series
+    is the identity.
     Blank lines are skipped, and an error names the file row (1-based,
     blank lines counted) where it occurred.
     """

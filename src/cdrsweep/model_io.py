@@ -28,6 +28,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .gru import GruParams, param_shapes
+from .ingest import read_lines
 from .training import Normalizer
 
 MAGIC = "GRUCDR"
@@ -56,25 +57,14 @@ def dumps_model(p: GruParams, norm: Normalizer) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next_line(self) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line:
-                return line
-        raise TruncatedFileError("unexpected end of model file")
-
-    def at_end(self) -> bool:
-        return all(not line.strip() for line in self.lines[self.pos:])
+def _next_line(lines) -> str:
+    for line in lines:
+        return line
+    raise TruncatedFileError("unexpected end of model file")
 
 
-def _read_array(reader: _Reader, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    header = reader.next_line().split()
+def _read_array(lines, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    header = _next_line(lines).split()
     if header[0] != name:
         raise ModelFormatError(f"expected array {name!r}, found {header[0]!r}")
     try:
@@ -87,7 +77,7 @@ def _read_array(reader: _Reader, name: str, shape: tuple[int, ...]) -> np.ndarra
     row_len = shape[-1]
     values = []
     for _ in range(n_rows):
-        parts = reader.next_line().split()
+        parts = _next_line(lines).split()
         if len(parts) != row_len:
             raise ModelFormatError(f"{name}: row has {len(parts)} values, expected {row_len}")
         try:
@@ -97,21 +87,27 @@ def _read_array(reader: _Reader, name: str, shape: tuple[int, ...]) -> np.ndarra
     return np.array(values, dtype=np.float64).reshape(shape)
 
 
-def loads_model(text: str) -> tuple[GruParams, Normalizer]:
-    reader = _Reader(text)
+def loads_model(text) -> tuple[GruParams, Normalizer]:
+    """The model and normalizer in text, checked line by line.
+
+    text is the whole file, or its lines without line ends (as
+    str.splitlines or read_lines gives them), which are read only up to the
+    first line in error: a file that is not a model is refused at line 1.
+    """
+    lines = text.splitlines() if isinstance(text, str) else text
+    lines = (stripped for stripped in map(str.strip, lines) if stripped)
     try:
-        header = reader.next_line().split()
+        header = _next_line(lines).split()
     except TruncatedFileError:
         raise BadMagicError("not a model file (empty)") from None
-    if not header or header[0] != MAGIC:
-        raise BadMagicError(f"not a model file (magic {header[0]!r})" if header
-                            else "not a model file (empty)")
+    if header[0] != MAGIC:
+        raise BadMagicError(f"not a model file (magic {header[0]!r})")
     if len(header) != 2 or not header[1].isdigit():
         raise ModelFormatError(f"malformed header: {' '.join(header)}")
     if int(header[1]) != VERSION:
         raise VersionMismatchError(f"unsupported model version {header[1]}")
 
-    dims_line = reader.next_line().split()
+    dims_line = _next_line(lines).split()
     if dims_line[0] != "dims" or len(dims_line) != 4:
         raise ModelFormatError("missing dims line")
     try:
@@ -122,10 +118,10 @@ def loads_model(text: str) -> tuple[GruParams, Normalizer]:
         raise DimensionMismatchError(f"dims must be positive, got {d} {h} {o}")
 
     shapes = {**param_shapes(d, h, o), "norm_offset": (d,), "norm_scale": (d,)}
-    arrays = {name: _read_array(reader, name, shape) for name, shape in shapes.items()}
-    if reader.next_line() != "end":
+    arrays = {name: _read_array(lines, name, shape) for name, shape in shapes.items()}
+    if _next_line(lines) != "end":
         raise ModelFormatError("missing end marker")
-    if not reader.at_end():
+    if next(lines, None) is not None:
         raise ModelFormatError("trailing content after end marker")
 
     norm = Normalizer(offset=arrays.pop("norm_offset"), scale=arrays.pop("norm_scale"))
@@ -140,5 +136,6 @@ def save_model(path, p: GruParams, norm: Normalizer) -> None:
 
 
 def load_model(path) -> tuple[GruParams, Normalizer]:
+    # read block by block: a refused line stops the read there
     with open(path, encoding="utf-8") as fh:
-        return loads_model(fh.read())
+        return loads_model(read_lines(fh))

@@ -189,14 +189,13 @@ def test_ingest_reads_the_same_lines_from_the_file_as_parse_raw(
     raw.write_bytes(text.encode("utf-8"))
     if block is not None:
         # read blocks and the parser's batches of this many characters
-        monkeypatch.setattr(cli, "_READ_CHARS", block)
         monkeypatch.setattr(ingest_mod, "_BATCH_CHARS", block)
     parsed = parse_raw(text)
     assert 0 < parsed.n_issues
 
     log = ingest_mod.ParseResult()
     with open(raw, encoding="utf-8") as fh:
-        records = np.concatenate(list(ingest_mod.parse_blocks(cli._read_blocks(fh), log)))
+        records = np.concatenate(list(ingest_mod.parse_blocks(ingest_mod.read_blocks(fh), log)))
     assert [(i.line_no, i.reason) for i in log.issues] == \
         [(i.line_no, i.reason) for i in parsed.issues]
     assert log.n_issues == parsed.n_issues
@@ -215,16 +214,16 @@ def test_ingest_reads_the_same_lines_from_the_file_as_parse_raw(
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
 def test_ingest_reads_the_same_lines_across_block_boundaries(monkeypatch, block):
     text = "5060\t1\r\n\r\n5061\t2\x0b5160\t3\r5161\t4\u2028\n\n  \n5060\t5" * 3
-    monkeypatch.setattr(cli, "_READ_CHARS", block)
-    assert list(cli._read_lines(io.StringIO(text, newline=None))) == text.splitlines()
+    monkeypatch.setattr(ingest_mod, "_BATCH_CHARS", block)
+    assert list(ingest_mod.read_lines(io.StringIO(text, newline=None))) == text.splitlines()
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 300])
 def test_read_blocks_cut_after_a_newline_and_outgrow_the_size_only_for_a_long_line(
         monkeypatch, block):
     text = "5060\t1\n" * 40 + "x" * 100 + "\n" + "5161\t2\r\n" * 40 + "no newline"
-    monkeypatch.setattr(cli, "_READ_CHARS", block)
-    blocks = list(cli._read_blocks(io.StringIO(text, newline="")))
+    monkeypatch.setattr(ingest_mod, "_BATCH_CHARS", block)
+    blocks = list(ingest_mod.read_blocks(io.StringIO(text, newline="")))
     assert "".join(blocks) == text
     assert all(b.endswith("\n") for b in blocks[:-1])
     # a block holds no more characters than a read unless a line alone does
@@ -868,6 +867,14 @@ def test_config_file_rejects_unknown_keys(workdir, tmp_path):
         cwd=tmp_path)
     assert proc.returncode == 2
     assert "turbo" in proc.stderr
+
+
+def test_config_file_is_refused_at_its_bad_line_and_read_no_further(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    # past the bad line, comments of several read blocks, then bytes that are not UTF-8
+    cfg.write_bytes(b"epochs=1\nturbo\n" + b"# comment\n" * 30_000 + b"\xff\n")
+    assert cli.main(["train", "--series", "series.csv", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: config line 2 is not key=value: 'turbo'\n"
 
 
 def test_bad_flag_value_is_a_validation_error(workdir):

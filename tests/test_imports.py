@@ -5,7 +5,9 @@ from its module on first use. A subcommand imports only the modules it
 runs, so `ingest` never compiles the GRU, the trainer or the simulator.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import cdrsweep
 from _cli import loaded_by_import, loaded_modules
@@ -82,3 +84,12 @@ def test_simulate_leaves_numpy_ma_unimported(tmp_path):
          "--n-seeds", "3", "--sim-slots", "6"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "cdrsweep.simulator" in loaded and "numpy.ma" not in loaded
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = [(path.name, alias.name)
+             for path in sorted(Path(cdrsweep.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []

@@ -99,6 +99,23 @@ def test_parse_reports_malformed_lines_with_numbers():
     assert reported_lines == [1, 3, 4, 5, 6, 7, 8, 9, 10]
 
 
+def test_an_issue_quotes_a_long_field_only_in_part():
+    long, digits = "x" * 100_000, "9" * 4000
+    lines = [line(long, T0, 1.0), line("-" + digits, T0, 1.0), line(5060, long, 1.0),
+             line(5060, "-" + digits, 1.0), line(5060, T0, long), line(5060, T0, "-" + digits)]
+    result = parse_raw(lines * 50)
+    assert [i.reason for i in result.issues[:6]] == [
+        f"bad square id {'x' * 40!r}... (100,000 characters)",
+        f"square id must be positive, got {'-' + '9' * 39}... (4,001 characters)",
+        f"bad timestamp {'x' * 40!r}... (100,000 characters)",
+        f"negative timestamp {'-' + '9' * 39}... (4,001 characters)",
+        f"bad sms_in value {'x' * 40!r}... (100,000 characters)",
+        f"sms_in must be finite and >= 0, got {'-' + '9' * 39}... (4,001 characters)"]
+    # whole fields would make 300 reasons of 4 kB to 100 kB each, 15.6 MB
+    assert result.n_issues == 300
+    assert sum(len(i.reason) for i in result.issues) < 32 * 1024
+
+
 def test_parse_floors_misaligned_timestamp_and_reports_it():
     result = parse_raw([line(5060, T0 + 123_456, 1.0)])
     assert len(result.records) == 1
@@ -554,6 +571,20 @@ def test_parse_blocks_finds_the_lines_of_a_block_from_its_bytes(monkeypatch):
 _GOOD = full(5060, T0, "1")
 
 
+@pytest.mark.parametrize("short", ["\n", "x\n", "\t\n"], ids=["blank", "x", "tab"])
+def test_a_block_of_short_lines_parses_within_a_fixed_peak(short):
+    block = short * ((ingest._BATCH_CHARS - 64) // len(short)) + _GOOD + "\n"
+    tracemalloc.start()
+    try:
+        records = list(ingest.parse_blocks([block], ParseResult()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(np.concatenate(records)) == 1
+    # with three lists of every line the per-line parser takes, blank lines peaked at 9.5 MB
+    assert peak < 5 * 2**20
+
+
 @pytest.mark.parametrize("block", [
     _GOOD + "\x0b" + _GOOD, _GOOD + "\r\n" + _GOOD, _GOOD.replace("39", "\u00dc") + "\n",
     _GOOD + "\x85", _GOOD + "\u2028\n", _GOOD + "\n" + "x" * 70_000 + "\n",
@@ -678,6 +709,8 @@ def test_series_csv_roundtrip():
     assert first.startswith("2013-11-17T22:10:00Z,")
     # a stamp without "Z" is read as UTC
     assert load_sector_series(text.replace("Z,", ",")).t0_ms == T0
+    # a fraction of a second counts to the millisecond, before 1970 too
+    assert load_sector_series(header + "\n1969-12-31T23:59:59.5Z,1,1,1,1\n").t0_ms == -500
 
 
 @pytest.mark.parametrize("series", [
@@ -705,6 +738,9 @@ def test_series_csv_rejects_bad_input():
         load_sector_series(good.replace("2013-11-17T22:20:00Z", "notatime"))
     with pytest.raises(SeriesFormatError):
         load_sector_series(good.replace("22:20", "22:21"))  # breaks the grid
+    with pytest.raises(SeriesFormatError, match=(
+            r"^row 3: timestamp 2013-11-17T22:20:00\.999Z breaks the 600 s grid$")):
+        load_sector_series(good.replace("22:20:00Z", "22:20:00.999Z"))
     with pytest.raises(SeriesFormatError):
         load_sector_series(good.replace("1,1,1,1", "1,1,x,1", 1))
     with pytest.raises(SeriesFormatError):

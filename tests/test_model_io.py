@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,20 @@ def test_bad_magic_and_version():
         loads_model(text.replace("GRUCDR 1", "GRUCDR 2", 1))
     with pytest.raises(BadMagicError):
         loads_model("")
+
+
+def test_load_model_refuses_a_file_that_is_not_a_model_at_line_1(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("time,A,B,C,D\n" + "2013-11-17T22:10:00Z,1,2,3,4\n" * 830_000)
+    assert path.stat().st_size > 24 * 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadMagicError, match="^not a model file \\(magic 'time,A,B,C,D'\\)$"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the whole file read first peaked at 154 MB
 
 
 def test_truncation_detected():
