@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CdrSweepError, DivergedLossError, InvalidConfigError
+from .errors import CdrSweepError, DivergedLossError, InvalidConfigError, quoted
 # Each handler imports the other modules it runs, so a command loads only
 # what it needs: ingest runs on this module, errors and ingest alone.
 from .ingest import (
@@ -76,9 +76,9 @@ def _bounded(convert, least=None, most=None):
     def check(text: str):
         value = convert(text)
         if least is not None and value < least:
-            raise InvalidConfigError(f"must be at least {least}, got {value}")
+            raise InvalidConfigError(f"must be at least {least}, got {quoted(value, str)}")
         if most is not None and value > most:
-            raise InvalidConfigError(f"must be at most {most}, got {value}")
+            raise InvalidConfigError(f"must be at most {most}, got {quoted(value, str)}")
         return value
     return check
 
@@ -93,7 +93,7 @@ def _positive_finite(text: str) -> float:
 def _one_of(choices):
     def check(text: str) -> str:
         if text not in choices:
-            raise InvalidConfigError(f"must be one of {', '.join(choices)}, got {text!r}")
+            raise InvalidConfigError(f"must be one of {', '.join(choices)}, got {quoted(text)}")
         return text
     return check
 
@@ -105,7 +105,7 @@ def _listed(item, unique=False):
         if not values:
             raise InvalidConfigError("must list at least one value")
         if unique and len(set(values)) < len(values):
-            raise InvalidConfigError(f"must not repeat a value, got {text!r}")
+            raise InvalidConfigError(f"must not repeat a value, got {quoted(text)}")
         return values
     return convert
 
@@ -140,7 +140,7 @@ def _read_config_file(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise InvalidConfigError(f"config line {line_no} is not key=value: {line!r}")
+                raise InvalidConfigError(f"config line {line_no} is not key=value: {quoted(line)}")
             key, value = line.split("=", 1)
             values[key.strip()] = value.strip()
     return values
@@ -152,7 +152,7 @@ def _resolve(args, opts) -> dict:
     known = {dest for dest, _, _ in spec}
     unknown = sorted(set(file_vals) - known)
     if unknown:
-        raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise InvalidConfigError(f"unknown config keys: {quoted(', '.join(unknown), str)}")
 
     resolved = {}
     for dest, convert, default in spec:
@@ -168,7 +168,7 @@ def _resolve(args, opts) -> dict:
         try:
             resolved[dest] = convert(raw)
         except ValueError as exc:
-            raise InvalidConfigError(f"bad value for {dest}: {raw!r}") from exc
+            raise InvalidConfigError(f"bad value for {dest}: {quoted(raw)}") from exc
         except InvalidConfigError as exc:
             raise InvalidConfigError(f"{flag} {exc}") from None
     return resolved

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the quote rule of their messages."""
+
+
+def quoted(value, form=repr) -> str:
+    """form(str(value)), or past 40 characters form of those and the length."""
+    text = str(value)
+    return form(text) if len(text) <= 40 else f"{form(text[:40])}... ({len(text):,} characters)"
 
 
 class CdrSweepError(Exception):

@@ -14,6 +14,7 @@ from .ingest import (
     DEFAULT_SQUARES,
     MAX_SLOTS,
     SLOT_MS,
+    SLOTS_PER_DAY,
     SectorMap,
     SectorSeries,
     check_shares,
@@ -31,7 +32,6 @@ DEMO_SLOT_COUNTS = (
 
 # Monday 2013-11-04 00:00 UTC
 SYNTHETIC_T0_MS = 1_383_523_200_000
-SLOTS_PER_DAY = 144
 # synthetic_series draws its counts this many slots at a time
 _DRAW_SLOTS = 4096
 

@@ -26,20 +26,16 @@ number of lines. The aggregated series covers every slot between the first
 and last record, and that span is bounded by MAX_SLOTS. parse_raw and
 aggregate are the same two steps over one whole input given as lines.
 
-parse_blocks parses a block from its bytes, numpy finding its lines;
-parse_raw joins its lines into runs of at most _BATCH_LINES lines and
-_BATCH_CHARS characters, parsed the same way. A canonical line (see
-_parse_bulk) that gives one record and no issue is parsed in bulk with
-numpy, and no str is made for it. Every other line is sliced out,
-_BATCH_LINES at a time, and goes through the per-line parser _parse_lines,
-the one place where the rules for those lines are written and the one
-source of issues. Both give the same records, merged back into line order.
-Of the issues, the first _MAX_ISSUES are kept, plus a count of them all,
-and an issue quotes at most the first 40 characters of a field. Parsing a
-block of 64 Ki characters peaks at about 4.7 MB traced when every line is
-blank, the worst case measured, and at about 0.9 MB for a CDR extract.
-write_sector_series renders the series _WRITE_ROWS rows at a time
-(sector_series_blocks), so writing it adds a fixed amount too.
+parse_blocks and parse_raw parse in bulk, with numpy, each canonical line
+(see _parse_bulk) that gives one record and no issue; every other line
+goes through the per-line parser _parse_lines, the one source of issues,
+and the records are merged back into line order (see _parse_text). The
+first _MAX_ISSUES issues are kept, plus a count of them all, each quoting
+at most 40 characters of a field (errors.quoted). Parsing a block of
+64 Ki characters peaks at about 4.7 MB traced when every line is blank,
+the worst case measured, and at about 0.9 MB for a CDR extract.
+sector_series_blocks writes _WRITE_ROWS plain rows at a time, each
+stamped by one rule (_stamp), so writing the series adds a fixed amount too.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from __future__ import annotations
 import io
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from math import isfinite
 
 import numpy as np
@@ -59,12 +55,14 @@ from .errors import (
     SeriesFormatError,
     SeriesTooShortError,
     UnknownSquareError,
+    quoted,
 )
 
 SECTOR_LABELS = ("A", "B", "C", "D")
 # the four grid squares of the demo cell, sectors A..D in order; ingest's default
 DEFAULT_SQUARES = (5060, 5061, 5160, 5161)
 SLOT_MS = 600_000
+SLOTS_PER_DAY = 86_400_000 // SLOT_MS
 # the longest series aggregate builds: 1,000,000 ten-minute slots, about 19
 # years. A timestamp in microseconds among milliseconds would otherwise ask
 # for billions of slots.
@@ -76,8 +74,8 @@ _FIELD_DELIMITER = "\t"
 # square_id, slot_start, country code, then the five activity fields
 _MAX_FIELDS = 3 + len(ACTIVITY_NAMES)
 _INT64_MAX = 2**63 - 1
-# the last millisecond of the year 9999; series.csv cannot write a later time
-_MAX_TS_MS = 253_402_300_799_999
+# the first and the last millisecond of the years 1 to 9999, all a series.csv stamp can hold
+_MIN_TS_MS, _MAX_TS_MS = -62_135_596_800_000, 253_402_300_799_999
 # one row per counted line; activity_sum is sum() of the line's present
 # activity values, in field order
 RECORD_DTYPE = np.dtype([("square_id", np.int64), ("slot_start_ms", np.int64),
@@ -400,11 +398,11 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
         try:
             square_id = int(parts[0].strip())
         except ValueError:
-            issues.append(ParseIssue(line_no, f"bad square id {_quoted(parts[0])}"))
+            issues.append(ParseIssue(line_no, f"bad square id {quoted(parts[0])}"))
             continue
         if square_id <= 0:
             issues.append(ParseIssue(
-                line_no, f"square id must be positive, got {_quoted(square_id, str)}"))
+                line_no, f"square id must be positive, got {quoted(square_id, str)}"))
             continue
         if square_id > _INT64_MAX:
             raise OutOfRangeError(f"line {line_no}: square id {square_id} does not fit in int64")
@@ -412,10 +410,10 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
         try:
             slot_start = int(parts[1].strip())
         except ValueError:
-            issues.append(ParseIssue(line_no, f"bad timestamp {_quoted(parts[1])}"))
+            issues.append(ParseIssue(line_no, f"bad timestamp {quoted(parts[1])}"))
             continue
         if slot_start < 0:
-            issues.append(ParseIssue(line_no, f"negative timestamp {_quoted(slot_start, str)}"))
+            issues.append(ParseIssue(line_no, f"negative timestamp {quoted(slot_start, str)}"))
             continue
         if slot_start > _MAX_TS_MS:
             raise OutOfRangeError(f"line {line_no}: timestamp {slot_start} " + (
@@ -438,11 +436,11 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
             try:
                 value = float(text)
             except ValueError:
-                issues.append(ParseIssue(line_no, f"bad {name} value {_quoted(text)}"))
+                issues.append(ParseIssue(line_no, f"bad {name} value {quoted(text)}"))
                 break
             if not isfinite(value) or value < 0:
                 issues.append(ParseIssue(
-                    line_no, f"{name} must be finite and >= 0, got {_quoted(text, str)}"))
+                    line_no, f"{name} must be finite and >= 0, got {quoted(text, str)}"))
                 break
             total += value
             counted = True
@@ -451,17 +449,6 @@ def _parse_lines(numbered, rows: list, issues: list) -> None:
                 issues.append(ParseIssue(line_no, "no activity fields; not a CDR event"))
                 continue
             rows.append((line_no, square_id, slot_start, total))
-
-
-def _quoted(value, form=repr) -> str:
-    """form(str(value)), or, past 40 characters, form of those and the length.
-
-    Up to _MAX_ISSUES issues are kept, so each quotes only a short prefix.
-    """
-    text = str(value)
-    if len(text) <= 40:
-        return form(text)
-    return f"{form(text[:40])}... ({len(text):,} characters)"
 
 
 @dataclass
@@ -489,7 +476,7 @@ class SectorMap:
         """Map four square ids to A, B, C, D in the order given."""
         ids = list(square_ids)
         if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate square ids in {ids}")
+            raise ValueError(f"duplicate square ids in {quoted(ids, str)}")
         return cls(by_square=dict(zip(ids, SECTOR_LABELS)))
 
     def sector_indices(self, square_ids: np.ndarray) -> np.ndarray:
@@ -614,7 +601,7 @@ class SlotGrid:
             i, s = divmod(int(too_big[0]), len(SECTOR_LABELS))
             raise OutOfRangeError(
                 f"activity sum {sums[too_big[0]]} of sector {SECTOR_LABELS[s]} in slot "
-                f"{_format_ts(t0 + i * SLOT_MS)} does not fit in int64")
+                f"{_stamp(t0 + i * SLOT_MS)} does not fit in int64")
         return SectorSeries(t0_ms=t0, counts=sums.astype(np.int64).reshape(n_slots, -1))
 
     def _fit(self, first: int, last: int) -> None:
@@ -748,9 +735,12 @@ def make_windows(series: SectorSeries, window_len: int, train_fraction: float) -
     return WindowedDataset(window_len=window_len, rows=rows, split_index=split_index)
 
 
-def _format_ts(ms: int) -> str:
-    dt = datetime.fromtimestamp(ms // 1000, tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+def _stamp(ms: int) -> str:
+    """series.csv's stamp of the UTC time ms, to the second; ValueError outside the years 1-9999."""
+    if not _MIN_TS_MS <= ms <= _MAX_TS_MS:
+        raise ValueError(f"time {ms} ms falls outside the years 1 to 9999")
+    day, s = divmod(int(ms) // 1000, 86_400)
+    return f"{date(1970, 1, 1) + timedelta(day)}T{s // 3600:02}:{s // 60 % 60:02}:{s % 60:02}Z"
 
 
 def _parse_ts(text: str, row_no: int) -> int:
@@ -760,7 +750,7 @@ def _parse_ts(text: str, row_no: int) -> int:
     try:
         dt = datetime.fromisoformat(cleaned)
     except ValueError:
-        raise SeriesFormatError(f"row {row_no}: bad timestamp {text!r}") from None
+        raise SeriesFormatError(f"row {row_no}: bad timestamp {quoted(text)}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     # exact integer milliseconds, a fraction of one floored, before 1970 too
@@ -775,23 +765,24 @@ def write_sector_series(series: SectorSeries) -> str:
 def sector_series_blocks(series: SectorSeries):
     """Render the normalized CSV: header time,A,B,C,D then one row per slot.
 
-    Yields the header, then the rows _WRITE_ROWS at a time, each block
-    rendered with numpy string operations. A slot time outside the years
-    1 to 9999 raises as datetime does, before anything is yielded; a year
-    before 1000 is written with four digits.
+    Yields the header, then _WRITE_ROWS rows at a time: each slot's _stamp
+    (its day's date and a time of day from a table of a day's slots) and
+    counts. A slot outside the years 1 to 9999 raises ValueError before the header.
     """
-    if series.n_slots:
-        _format_ts(series.t0_ms)  # the first and the last slot time are in range
-        _format_ts(series.slot_time_ms(series.n_slots - 1))
-        digits = len(str(int(series.counts.max())))
+    if series.n_slots:  # the first and the last slot time are in range
+        _stamp(series.t0_ms), _stamp(series.slot_time_ms(series.n_slots - 1))
     yield "time," + ",".join(SECTOR_LABELS) + "\n"
+    # the first slot is slot `first` of its day, and every slot starts ms into its own
+    first, ms = divmod(series.t0_ms // 1000 * 1000 % (SLOTS_PER_DAY * SLOT_MS), SLOT_MS)
+    clocks = [_stamp(k * SLOT_MS + ms)[10:] + "," for k in range(SLOTS_PER_DAY)]
     for lo in range(0, series.n_slots, _WRITE_ROWS):
-        ms = series.t0_ms + np.arange(lo, min(lo + _WRITE_ROWS, series.n_slots)) * SLOT_MS
-        row = np.char.add(np.datetime_as_string((ms // 1000).astype("datetime64[s]"), unit="s"),
-                          "Z")
-        for column in series.counts[lo:lo + len(ms)].T.astype(f"U{digits}"):
-            row = np.char.add(np.char.add(row, ","), column)
-        yield "\n".join(row.tolist()) + "\n"
+        rows = []
+        for i, (a, b, c, d) in enumerate(series.counts[lo:lo + _WRITE_ROWS].tolist(), lo):
+            slot = (first + i) % SLOTS_PER_DAY
+            if slot == 0 or i == 0:  # a new date
+                today = _stamp(series.slot_time_ms(i))[:10]
+            rows.append(f"{today}{clocks[slot]}{a},{b},{c},{d}\n")
+        yield "".join(rows)
 
 
 def load_sector_series(text: str | Iterable[str]) -> SectorSeries:
@@ -812,7 +803,7 @@ def load_sector_series(text: str | Iterable[str]) -> SectorSeries:
     if not header:
         raise EmptyInputError("series file is empty")
     if header != "time," + ",".join(SECTOR_LABELS):
-        raise SeriesFormatError(f"unexpected header {header!r}")
+        raise SeriesFormatError(f"unexpected header {quoted(header)}")
 
     t0 = None
     counts = []
@@ -826,7 +817,8 @@ def load_sector_series(text: str | Iterable[str]) -> SectorSeries:
         if t0 is None:
             t0 = ts
         elif ts != t0 + slot * SLOT_MS:
-            raise SeriesFormatError(f"row {row_no}: timestamp {parts[0]} breaks the 600 s grid")
+            raise SeriesFormatError(
+                f"row {row_no}: timestamp {quoted(parts[0], str)} breaks the 600 s grid")
         try:
             values = [int(v) for v in parts[1:]]
         except ValueError:

@@ -26,6 +26,7 @@ from .errors import (
     ModelFormatError,
     TruncatedFileError,
     VersionMismatchError,
+    quoted,
 )
 from .gru import GruParams, param_shapes
 from .ingest import read_lines
@@ -66,11 +67,11 @@ def _next_line(lines) -> str:
 def _read_array(lines, name: str, shape: tuple[int, ...]) -> np.ndarray:
     header = _next_line(lines).split()
     if header[0] != name:
-        raise ModelFormatError(f"expected array {name!r}, found {header[0]!r}")
+        raise ModelFormatError(f"expected array {name!r}, found {quoted(header[0])}")
     try:
         dims = tuple(int(v) for v in header[1:])
     except ValueError as exc:
-        raise ModelFormatError(f"bad dimensions for {name}: {header[1:]}") from exc
+        raise ModelFormatError(f"bad dimensions for {name}: {quoted(header[1:], str)}") from exc
     if dims != shape:
         raise DimensionMismatchError(f"{name} has dims {dims}, expected {shape}")
     n_rows = 1 if len(shape) == 1 else shape[0]
@@ -101,9 +102,9 @@ def loads_model(text) -> tuple[GruParams, Normalizer]:
     except TruncatedFileError:
         raise BadMagicError("not a model file (empty)") from None
     if header[0] != MAGIC:
-        raise BadMagicError(f"not a model file (magic {header[0]!r})")
+        raise BadMagicError(f"not a model file (magic {quoted(header[0])})")
     if len(header) != 2 or not header[1].isdigit():
-        raise ModelFormatError(f"malformed header: {' '.join(header)}")
+        raise ModelFormatError(f"malformed header: {quoted(' '.join(header), str)}")
     if int(header[1]) != VERSION:
         raise VersionMismatchError(f"unsupported model version {header[1]}")
 
@@ -113,7 +114,7 @@ def loads_model(text) -> tuple[GruParams, Normalizer]:
     try:
         d, h, o = (int(v) for v in dims_line[1:])
     except ValueError as exc:
-        raise ModelFormatError(f"bad dims: {dims_line[1:]}") from exc
+        raise ModelFormatError(f"bad dims: {quoted(dims_line[1:], str)}") from exc
     if min(d, h, o) < 1:
         raise DimensionMismatchError(f"dims must be positive, got {d} {h} {o}")
 

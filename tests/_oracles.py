@@ -15,8 +15,10 @@ poisson and uniform use up the stream one element at a time, so these
 scalar calls draw the same values. grad_check_loop is the earlier
 gradient check, kept as it was (two gru.forward calls per moved scalar)
 except that it moves the scalars of a copy of the parameters.
-write_sector_series_scalar is the earlier series writer, kept as it was
-(one datetime and one str() per count, row by row).
+write_sector_series_scalar is the earlier series writer (one datetime and
+one str() per count, row by row), except that it renders each stamp's
+fields itself with a four-digit year: strftime's %Y wrote the year 999 as
+"999", where series.csv writes "0999".
 synthetic_counts_one_draw is the earlier fixture draw, kept as it was (the
 whole rate table, then one Poisson draw over it).
 forward_loop and backward_loop are the earlier GRU time loops, kept as they
@@ -27,6 +29,7 @@ pin the hoisted forward and backward to the same bits, not to a tolerance.
 
 import math
 from dataclasses import dataclass
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -42,7 +45,6 @@ from cdrsweep.ingest import (
     ParseResult,
     SectorMap,
     SectorSeries,
-    _format_ts,
 )
 
 
@@ -535,7 +537,10 @@ def write_sector_series_scalar(series: SectorSeries) -> str:
     lines = ["time," + ",".join(SECTOR_LABELS)]
     for i in range(series.n_slots):
         row = ",".join(str(int(v)) for v in series.counts[i])
-        lines.append(f"{_format_ts(series.slot_time_ms(i))},{row}")
+        t = datetime(1970, 1, 1) + timedelta(seconds=int(series.slot_time_ms(i)) // 1000)
+        stamp = (f"{t.year:04d}-{t.month:02d}-{t.day:02d}"
+                 f"T{t.hour:02d}:{t.minute:02d}:{t.second:02d}Z")
+        lines.append(f"{stamp},{row}")
     return "\n".join(lines) + "\n"
 
 

@@ -877,6 +877,19 @@ def test_config_file_is_refused_at_its_bad_line_and_read_no_further(tmp_path, ca
     assert capsys.readouterr().err == "error: config line 2 is not key=value: 'turbo'\n"
 
 
+@pytest.mark.parametrize("kind", ["model", "config", "series"])
+def test_a_one_mib_token_is_quoted_short_on_stderr(workdir, tmp_path, capsys, kind):
+    big = tmp_path / "big.txt"
+    big.write_text("x" * 2**20)  # one line, one token, no line break
+    paths = {"model": workdir / "model.txt", "series": workdir / "series.csv", "config": None}
+    paths[kind] = big
+    args = [f"--{name}={path}" for name, path in paths.items() if path is not None]
+    assert cli.main(["predict", *args]) == 2
+    err = capsys.readouterr().err
+    assert "'xxxxxxxx" in err and "... (1,048,576 characters)" in err
+    assert len(err.encode()) < 1024
+
+
 def test_bad_flag_value_is_a_validation_error(workdir):
     proc = run_cli(["train", "--series", "series.csv", "--epochs", "many"],
                    cwd=workdir)

@@ -35,6 +35,9 @@ FORMER_NAMES = {
         grad_check grad_check_by_tensor mse predict_next""",
 }
 
+# series.csv is written as plain text; numpy loads these on first use only
+NUMPY_STRING_MODULES = {"numpy.char", "numpy.strings"}
+
 
 def _package_modules(modules):
     return {m for m in modules if m == "cdrsweep" or m.startswith("cdrsweep.")}
@@ -52,6 +55,13 @@ def test_ingest_loads_only_the_modules_it_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert _package_modules(loaded) == {"cdrsweep", "cdrsweep.cli", "cdrsweep.errors",
                                         "cdrsweep.ingest"}
+    assert not loaded & NUMPY_STRING_MODULES
+
+
+def test_a_series_fixture_leaves_numpy_string_modules_unimported(tmp_path):
+    proc, loaded = loaded_modules(["fixture", "--kind", "series", "--slots", "300"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "cdrsweep.fixtures" in loaded and not loaded & NUMPY_STRING_MODULES
 
 
 def test_every_former_name_is_its_modules_own_and_listed():

@@ -30,6 +30,9 @@ from _oracles import aggregate_scalar, parse_raw_scalar, write_sector_series_sca
 T0 = 1_384_726_200_000
 SLOT = 600_000
 LAST_MS = 253_402_300_799_999  # 9999-12-31T23:59:59.999Z
+FIRST_MS = -62_135_596_800_000  # 0001-01-01T00:00:00Z
+Y999_MS = -30_610_224_600_000  # 0999-12-31T23:50:00Z, the last slot of the year 999
+Y1969_MS = -14_182_940_000  # 1969-07-20T20:17:40Z, off midnight and off the 10-minute grid
 
 
 def line(square, ts, *activities):
@@ -234,6 +237,16 @@ def test_aggregate_rejects_a_cell_sum_beyond_int64():
     records = parse_raw([line(5160, T0, 2.0**62), line(5160, T0, 2.0**62)]).records
     with pytest.raises(OutOfRangeError, match="sector C"):
         aggregate(records, smap, count_mode="activity_sum")
+
+
+def test_a_cell_sum_beyond_int64_names_its_slot_as_series_csv_writes_it():
+    records = np.array([(5061, Y999_MS, 1e308), (5061, Y999_MS, 1e308),
+                        (5060, Y999_MS + SLOT, 1.0)], dtype=RECORD_DTYPE)
+    series = aggregate(records, demo_sector_map())
+    assert write_sector_series(series).splitlines()[1:] == [
+        "0999-12-31T23:50:00Z,0,2,0,0", "1000-01-01T00:00:00Z,1,0,0,0"]
+    with pytest.raises(OutOfRangeError, match="inf of sector B in slot 0999-12-31T23:50:00Z "):
+        aggregate(records, demo_sector_map(), count_mode="activity_sum")
 
 
 def test_aggregate_adds_each_cell_in_record_order():
@@ -718,9 +731,24 @@ def test_series_csv_roundtrip():
     SectorSeries(t0_ms=0, counts=np.arange(40).reshape(10, 4)),
     synthetic_series(MAX_SLOTS, seed=7),
     SectorSeries(t0_ms=LAST_MS - LAST_MS % SLOT - 2 * SLOT, counts=np.ones((3, 4), dtype=np.int64)),
-], ids=["one-slot", "epoch", "max-slots", "year-9999"])
+    SectorSeries(t0_ms=Y999_MS, counts=np.arange(8).reshape(2, 4) * 2**40),
+    SectorSeries(t0_ms=Y1969_MS + 250, counts=np.arange(1200).reshape(300, 4)),
+], ids=["one-slot", "epoch", "max-slots", "year-9999", "year-999", "before-1970-off-midnight"])
 def test_series_writer_matches_the_per_row_writer(series):
     assert write_sector_series(series) == write_sector_series_scalar(series)
+
+
+@pytest.mark.parametrize("t0_ms, n_slots", [
+    (FIRST_MS - SLOT, 3),  # the first slot falls in the year 0
+    (LAST_MS - LAST_MS % SLOT, 2),  # the last slot falls in the year 10000
+    (-2**62, 1),
+    (2**62, 1),
+], ids=["year-0", "year-10000", "far-past", "far-future"])
+def test_the_writer_refuses_a_slot_outside_the_years_1_to_9999_before_the_header(t0_ms, n_slots):
+    blocks = ingest.sector_series_blocks(
+        SectorSeries(t0_ms=t0_ms, counts=np.ones((n_slots, 4), dtype=np.int64)))
+    with pytest.raises(ValueError, match="outside the years 1 to 9999"):
+        next(blocks)
 
 
 def test_series_csv_rejects_bad_input():
