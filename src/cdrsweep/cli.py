@@ -409,12 +409,13 @@ def _cmd_gradcheck(res: dict) -> int:
     rng = np.random.default_rng(res["seed"])
     hiddens = res["hidden"]
     worst = 0.0
+    n = len(SECTOR_LABELS)  # one input and one output per sector
     for i in range(res["models"]):
         h = hiddens[i % len(hiddens)]
         seq_len = int(rng.integers(3, res["max_len"] + 1))
-        params = gru.init_params(4, h, 4, rng)
-        xs = rng.normal(size=(seq_len, 4))
-        y = rng.normal(size=(4,))
+        params = gru.init_params(n, h, n, rng)
+        xs = rng.normal(size=(seq_len, n))
+        y = rng.normal(size=(n,))
         model_worst = training.grad_check(params, (xs, y), res["epsilon"])
         worst = max(worst, model_worst)
         print(f"model {i}: hidden={h} len={seq_len} max_rel_err={model_worst:.3e}")

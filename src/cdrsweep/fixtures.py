@@ -13,6 +13,7 @@ import numpy as np
 from .ingest import (
     DEFAULT_SQUARES,
     MAX_SLOTS,
+    SECTOR_LABELS,
     SLOT_MS,
     SLOTS_PER_DAY,
     SectorMap,
@@ -79,7 +80,7 @@ def synthetic_series(n_slots: int = 2016, seed: int = 2013,
     else:
         shares = check_shares(shares)
     rng = np.random.default_rng(seed)
-    counts = np.empty((n_slots, 4), dtype=np.int64)
+    counts = np.empty((n_slots, len(SECTOR_LABELS)), dtype=np.int64)
     for lo in range(0, n_slots, _DRAW_SLOTS):
         angle = 2.0 * np.pi * np.arange(lo, min(lo + _DRAW_SLOTS, n_slots)) / SLOTS_PER_DAY
         if shares is None:

@@ -26,14 +26,17 @@ number of lines. The aggregated series covers every slot between the first
 and last record, and that span is bounded by MAX_SLOTS. parse_raw and
 aggregate are the same two steps over one whole input given as lines.
 
-parse_blocks and parse_raw parse in bulk, with numpy, each canonical line
-(see _parse_bulk) that gives one record and no issue; every other line
-goes through the per-line parser _parse_lines, the one source of issues,
-and the records are merged back into line order (see _parse_text). The
-first _MAX_ISSUES issues are kept, plus a count of them all, each quoting
-at most 40 characters of a field (errors.quoted). Parsing a block of
-64 Ki characters peaks at about 4.7 MB traced when every line is blank,
-the worst case measured, and at about 0.9 MB for a CDR extract.
+parse_blocks parses a plain block (ASCII text of at most _BATCH_CHARS
+characters, with no line break but "\n") from its bytes: numpy parses each
+canonical line (see _parse_bulk) that gives one record and no issue, every
+other line goes through the per-line parser _parse_lines, the one source
+of issues, and the records are merged back into line order (see
+_parse_text). Every line of any other block, and every line parse_raw is
+given, goes through the per-line parser alone (_per_line). The first
+_MAX_ISSUES issues are kept, plus a count of them all, each quoting at
+most 40 characters of a field (errors.quoted). Parsing a block of 64 Ki
+characters peaks at about 4.7 MB traced when every line is blank, the
+worst case measured, and at about 0.9 MB for a CDR extract.
 sector_series_blocks writes _WRITE_ROWS plain rows at a time, each
 stamped by one rule (_stamp), so writing the series adds a fixed amount too.
 """
@@ -44,6 +47,7 @@ import io
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
+from itertools import islice
 from math import isfinite
 
 import numpy as np
@@ -81,9 +85,8 @@ _MIN_TS_MS, _MAX_TS_MS = -62_135_596_800_000, 253_402_300_799_999
 RECORD_DTYPE = np.dtype([("square_id", np.int64), ("slot_start_ms", np.int64),
                          ("activity_sum", np.float64)])
 # read_blocks cuts a file into blocks of at most _BATCH_CHARS characters,
-# as many as parse_blocks parses from their bytes; parse_raw joins at most
-# _BATCH_LINES lines of at most _BATCH_CHARS characters together, and the
-# per-line parser takes at most _BATCH_LINES lines at a time
+# as many as parse_blocks parses from their bytes; the per-line parser
+# takes at most _BATCH_LINES lines at a time
 _BATCH_LINES = 1024
 _BATCH_CHARS = 64 * 1024
 # the parsers keep the first _MAX_ISSUES issues and count the rest
@@ -176,38 +179,37 @@ def parse_blocks(blocks, log: ParseResult):
     naming the line, for a square id that does not fit in int64 or a
     timestamp after the year 9999.
 
-    A block of ASCII text, of at most _BATCH_CHARS characters and with no
-    line break but "\\n", is parsed from its bytes: numpy finds its lines,
-    and no str is made for a line that the bulk parser takes. Any other
-    block is split with str.splitlines and parsed as parse_raw parses lines.
+    A plain block, ASCII text of at most _BATCH_CHARS characters with no
+    line break but "\\n", is parsed from its bytes (see _parse_text). Any
+    other block is split with str.splitlines, and all of its lines go to
+    the per-line parser.
     """
-    return _parse_texts(_block_texts(blocks), log)
+    return _counted(_block_batches(blocks, log), log)
 
 
 def parse_raw(lines) -> ParseResult:
-    """Parse CDR lines as parse_blocks parses text, into one ParseResult.
+    """Parse CDR lines with the per-line parser alone, into one ParseResult.
 
     lines is a str (split with str.splitlines) or any iterable of lines;
-    each element is one line, whatever characters it holds. Its records are
-    every batch's, concatenated in line order, and its issues and n_issues
-    those parse_blocks would log. Raises what parse_blocks raises.
+    each element is one line, whatever characters it holds. Its records
+    are those of every line in line order, converted to RECORD_DTYPE
+    _BATCH_LINES lines at a time, and its issues and n_issues those
+    parse_blocks would log for the same lines. Raises what parse_blocks
+    raises.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
     result = ParseResult()
-    batches = list(_parse_texts(_joined_lines(lines), result))
+    batches = list(_counted(map(_records, _per_line(enumerate(lines, 1), result)), result))
     if batches:
         result.records = np.concatenate(batches).view(np.recarray)
     return result
 
 
-def _parse_texts(texts, log: ParseResult):
-    """Parse each (text, data, starts) of texts (see _parse_text), numbering on."""
+def _counted(batches, log: ParseResult):
+    """The batches that hold a record; EmptyInputError if none did and log has no issue."""
     counted = False
-    first = 1  # the line number of the next text's first line
-    for text, data, starts in texts:
-        records = _parse_text(text, data, starts, first, log)
-        first += len(starts) - 1
+    for records in batches:
         if records.size:
             counted = True
             yield records
@@ -215,82 +217,62 @@ def _parse_texts(texts, log: ParseResult):
         raise EmptyInputError("input contains no lines")
 
 
-def _joined_lines(lines):
-    """The lines in runs of at most _BATCH_LINES lines and _BATCH_CHARS
-    characters (a delimiter each), a longer line alone, as (text, data, starts)."""
-    run, size = [], 0
-    for line in lines:
-        size += len(line) + 1
-        if run and (size > _BATCH_CHARS or len(run) == _BATCH_LINES):
-            yield _joined(run)
-            run, size = [], len(line) + 1
-        run.append(line)
-    if run:
-        yield _joined(run)
-
-
-def _joined(run: list):
-    """The lines of run as one (text, data, starts)."""
-    starts = np.zeros(len(run) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, run), dtype=np.intp, count=len(run)) + 1, out=starts[1:])
-    if starts[-1] > _BATCH_CHARS:  # one long line, never canonical: no copy
-        return run[0], None, starts
-    # a non-ASCII character reads as one "?" byte, so line i keeps its offsets
-    text = "\n".join(run) + "\n"
-    return text, _bytes_of(text.encode("ascii", "replace")), starts
-
-
-def _block_texts(blocks):
-    """Each block as (text, data, starts): numpy finds the lines of one that qualifies."""
+def _block_batches(blocks, log: ParseResult):
+    """The records of each block's lines, numbered on from 1 (see parse_blocks)."""
+    first = 1  # the line number of the next block's first line
     for block in blocks:
-        if not block:
-            continue
         if (len(block) > _BATCH_CHARS or not block.isascii()
                 or any(brk in block for brk in _OTHER_BREAKS)):
-            yield from _joined_lines(block.splitlines())
-            continue
-        if not block.endswith("\n"):
-            block += "\n"
-        data = _bytes_of(block.encode("ascii"))
-        # the first line starts at 0, every other one after a "\n"
-        starts = np.concatenate([[0], np.flatnonzero(data == _NL) + 1])
-        yield block, data, starts
+            lines = block.splitlines()
+            yield from map(_records, _per_line(enumerate(lines, first), log))
+            first += len(lines)
+        elif block:
+            yield _parse_text(block, first, log)
+            first += block.count("\n") + (not block.endswith("\n"))
 
 
-def _bytes_of(encoded: bytes) -> np.ndarray:
-    """A writable uint8 copy of encoded."""
-    return np.frombuffer(encoded, dtype=np.uint8).copy()
+def _parse_text(text: str, first: int, log: ParseResult) -> np.ndarray:
+    """The RECORD_DTYPE records of a plain block's lines, numbered from first.
 
-
-def _parse_text(text: str, data, starts: np.ndarray, first: int, log: ParseResult) -> np.ndarray:
-    """The RECORD_DTYPE records of the lines of text, numbered from first.
-
-    Line i of text is text[starts[i]:starts[i + 1] - 1], and one terminator
-    character follows it. data is text's bytes, one per character, or None
-    when text is one line longer than _BATCH_CHARS (which then has no
-    terminator, so that no copy of it is made). The bulk parser takes the
-    lines it can from data; only every other line is sliced out of text,
-    for the per-line parser, _BATCH_LINES lines at a time, and the records
-    of both are merged back into line order. Issues go to log.
+    The bulk parser takes the lines it can from text's bytes; only every
+    other line is sliced out of text, for the per-line parser, and the
+    records of both are merged back into line order. Issues go to log.
     """
-    if data is None:
-        bulk, records = np.zeros(1, dtype=bool), np.empty(0, dtype=RECORD_DTYPE)
-    else:
-        bulk, records = _parse_bulk(data, starts)
-    others = np.flatnonzero(~bulk)
-    issues, each = log.issues, []
-    for lo in range(0, others.size, _BATCH_LINES):
-        some = others[lo:lo + _BATCH_LINES]
-        kept = len(issues)
-        _parse_lines([(first + i, text[a:b - 1]) for i, a, b in zip(
-            some.tolist(), starts[some].tolist(), starts[some + 1].tolist())], each, issues)
-        log.n_issues += len(issues) - kept
-        del issues[_MAX_ISSUES:]
+    if not text.endswith("\n"):
+        text += "\n"
+    data = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
+    # line i is text[starts[i]:starts[i + 1] - 1]: the first starts at 0,
+    # every other one after a "\n"
+    starts = np.concatenate([[0], np.flatnonzero(data == _NL) + 1])
+    bulk, records = _parse_bulk(data, starts)
+    others = ((first + i, text[starts[i]:starts[i + 1] - 1])
+              for i in map(int, np.flatnonzero(~bulk)))
+    each = [row for rows in _per_line(others, log) for row in rows]
     if each:
         # each per-line record goes after the bulk records of the lines before it
         at = np.searchsorted(np.flatnonzero(bulk), [row[0] - first for row in each])
-        records = np.insert(records, at, np.array([row[1:] for row in each], dtype=RECORD_DTYPE))
+        records = np.insert(records, at, _records(each))
     return records
+
+
+def _per_line(numbered, log: ParseResult):
+    """Run the per-line parser over (line number, line) pairs, _BATCH_LINES at a time.
+
+    Yields the rows of each chunk, as _parse_lines appends them. Issues go
+    to log: the first _MAX_ISSUES are kept, and n_issues counts them all.
+    """
+    numbered, issues = iter(numbered), log.issues
+    while chunk := list(islice(numbered, _BATCH_LINES)):
+        rows, kept = [], len(issues)
+        _parse_lines(chunk, rows, issues)
+        log.n_issues += len(issues) - kept
+        del issues[_MAX_ISSUES:]
+        yield rows
+
+
+def _records(rows: list) -> np.ndarray:
+    """The (line_no, square_id, slot_start, activity_sum) rows as RECORD_DTYPE, less line_no."""
+    return np.array([row[1:] for row in rows], dtype=RECORD_DTYPE)
 
 
 def _parse_bulk(data: np.ndarray, starts: np.ndarray):
@@ -309,7 +291,7 @@ def _parse_bulk(data: np.ndarray, starts: np.ndarray):
 
     Returns (bulk, records): which lines were parsed here, and their
     RECORD_DTYPE records in line order. Its numpy temporaries grow with
-    data, which the callers keep within _BATCH_CHARS.
+    data, which parse_blocks keeps within _BATCH_CHARS.
     """
     bulk = np.zeros(len(starts) - 1, dtype=bool)
     ends = starts[1:] - 1
@@ -462,8 +444,9 @@ class SectorMap:
     _sectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.by_square) != 4:
-            raise ValueError(f"sector map needs exactly 4 squares, got {len(self.by_square)}")
+        if len(self.by_square) != len(SECTOR_LABELS):
+            raise ValueError(f"sector map needs exactly {len(SECTOR_LABELS)} squares, "
+                             f"got {len(self.by_square)}")
         if sorted(self.by_square.values()) != sorted(SECTOR_LABELS):
             raise ValueError(f"sector labels must be exactly {SECTOR_LABELS}")
         squares = sorted(s for s in self.by_square if -2**63 <= s < 2**63)
@@ -506,7 +489,8 @@ class SectorSeries:
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.ndim != 2 or self.counts.shape[1] != len(SECTOR_LABELS):
-            raise ValueError(f"counts must be (S, 4), got {self.counts.shape}")
+            raise ValueError(
+                f"counts must be (S, {len(SECTOR_LABELS)}), got {self.counts.shape}")
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
 
@@ -812,7 +796,8 @@ def load_sector_series(text: str | Iterable[str]) -> SectorSeries:
             raise SeriesFormatError(f"row {row_no}: more than {MAX_SLOTS} data rows")
         parts = line.split(",")
         if len(parts) != 1 + len(SECTOR_LABELS):
-            raise SeriesFormatError(f"row {row_no}: expected 5 columns, got {len(parts)}")
+            raise SeriesFormatError(
+                f"row {row_no}: expected {1 + len(SECTOR_LABELS)} columns, got {len(parts)}")
         ts = _parse_ts(parts[0], row_no)
         if t0 is None:
             t0 = ts

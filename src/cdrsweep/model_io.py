@@ -58,33 +58,36 @@ def dumps_model(p: GruParams, norm: Normalizer) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _next_line(lines) -> str:
-    for line in lines:
-        return line
+def _next_line(lines) -> tuple[int, list[str]]:
+    """The next (line number, words) of lines; TruncatedFileError at the end."""
+    for numbered in lines:
+        return numbered
     raise TruncatedFileError("unexpected end of model file")
 
 
 def _read_array(lines, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    header = _next_line(lines).split()
+    no, header = _next_line(lines)
     if header[0] != name:
-        raise ModelFormatError(f"expected array {name!r}, found {quoted(header[0])}")
+        raise ModelFormatError(f"line {no}: expected array {name!r}, found {quoted(header[0])}")
     try:
         dims = tuple(int(v) for v in header[1:])
     except ValueError as exc:
-        raise ModelFormatError(f"bad dimensions for {name}: {quoted(header[1:], str)}") from exc
+        raise ModelFormatError(
+            f"line {no}: bad dimensions for {name}: {quoted(header[1:], str)}") from exc
     if dims != shape:
-        raise DimensionMismatchError(f"{name} has dims {dims}, expected {shape}")
+        raise DimensionMismatchError(f"line {no}: {name} has dims {dims}, expected {shape}")
     n_rows = 1 if len(shape) == 1 else shape[0]
     row_len = shape[-1]
     values = []
     for _ in range(n_rows):
-        parts = _next_line(lines).split()
+        no, parts = _next_line(lines)
         if len(parts) != row_len:
-            raise ModelFormatError(f"{name}: row has {len(parts)} values, expected {row_len}")
+            raise ModelFormatError(
+                f"line {no}: {name}: row has {len(parts)} values, expected {row_len}")
         try:
             values.append([float(v) for v in parts])
         except ValueError as exc:
-            raise ModelFormatError(f"{name}: unparseable float") from exc
+            raise ModelFormatError(f"line {no}: {name}: unparseable float") from exc
     return np.array(values, dtype=np.float64).reshape(shape)
 
 
@@ -94,36 +97,39 @@ def loads_model(text) -> tuple[GruParams, Normalizer]:
     text is the whole file, or its lines without line ends (as
     str.splitlines or read_lines gives them), which are read only up to the
     first line in error: a file that is not a model is refused at line 1.
+    A refusal made at a line names it (`line N: `), blank lines counted;
+    an empty file and one that ends early are refused as such.
     """
     lines = text.splitlines() if isinstance(text, str) else text
-    lines = (stripped for stripped in map(str.strip, lines) if stripped)
+    lines = ((no, words) for no, words in enumerate(map(str.split, lines), 1) if words)
     try:
-        header = _next_line(lines).split()
+        no, header = _next_line(lines)
     except TruncatedFileError:
         raise BadMagicError("not a model file (empty)") from None
     if header[0] != MAGIC:
-        raise BadMagicError(f"not a model file (magic {quoted(header[0])})")
+        raise BadMagicError(f"line {no}: not a model file (magic {quoted(header[0])})")
     if len(header) != 2 or not header[1].isdigit():
-        raise ModelFormatError(f"malformed header: {quoted(' '.join(header), str)}")
+        raise ModelFormatError(f"line {no}: malformed header: {quoted(' '.join(header), str)}")
     if int(header[1]) != VERSION:
-        raise VersionMismatchError(f"unsupported model version {header[1]}")
+        raise VersionMismatchError(f"line {no}: unsupported model version {header[1]}")
 
-    dims_line = _next_line(lines).split()
+    no, dims_line = _next_line(lines)
     if dims_line[0] != "dims" or len(dims_line) != 4:
-        raise ModelFormatError("missing dims line")
+        raise ModelFormatError(f"line {no}: missing dims line")
     try:
         d, h, o = (int(v) for v in dims_line[1:])
     except ValueError as exc:
-        raise ModelFormatError(f"bad dims: {quoted(dims_line[1:], str)}") from exc
+        raise ModelFormatError(f"line {no}: bad dims: {quoted(dims_line[1:], str)}") from exc
     if min(d, h, o) < 1:
-        raise DimensionMismatchError(f"dims must be positive, got {d} {h} {o}")
+        raise DimensionMismatchError(f"line {no}: dims must be positive, got {d} {h} {o}")
 
     shapes = {**param_shapes(d, h, o), "norm_offset": (d,), "norm_scale": (d,)}
     arrays = {name: _read_array(lines, name, shape) for name, shape in shapes.items()}
-    if _next_line(lines) != "end":
-        raise ModelFormatError("missing end marker")
-    if next(lines, None) is not None:
-        raise ModelFormatError("trailing content after end marker")
+    no, end = _next_line(lines)
+    if end != ["end"]:
+        raise ModelFormatError(f"line {no}: missing end marker")
+    if (extra := next(lines, None)) is not None:
+        raise ModelFormatError(f"line {extra[0]}: trailing content after end marker")
 
     norm = Normalizer(offset=arrays.pop("norm_offset"), scale=arrays.pop("norm_scale"))
     p = GruParams(**arrays)

@@ -34,8 +34,8 @@ def test_readme_library_example_runs(monkeypatch, tmp_path, capsys):
 
 def test_readme_states_the_ingest_limits_the_code_defines():
     text = " ".join(README.read_text(encoding="utf-8").split())
-    for phrase in (f"runs of at most {ingest._BATCH_LINES:,} lines and "
-                   f"{ingest._BATCH_CHARS // 1024} Ki characters",
+    for phrase in (f"sends every line to the per-line parser, {ingest._BATCH_LINES:,} lines "
+                   "at a time",
                    f"parses at most {ingest._BATCH_CHARS // 1024} Ki characters",
                    f"keeps the first {ingest._MAX_ISSUES:,} `ParseIssue`s",
                    f"is written {ingest._WRITE_ROWS:,} rows at a time"):

@@ -103,3 +103,27 @@ def test_no_module_imports_another_modules_private_name():
              if isinstance(node, ast.ImportFrom)
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def _call_sites(name):
+    """module.function, the innermost function, of every call of name in the package."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(cdrsweep.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sites
+
+
+def test_issues_come_from_the_per_line_parser_and_the_bulk_parser_has_one_caller():
+    # the one source of issues, and the one place the bulk parser is fed
+    assert set(_call_sites("ParseIssue")) == {"ingest._parse_lines"}
+    assert _call_sites("_parse_bulk") == ["ingest._parse_text"]

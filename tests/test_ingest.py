@@ -1,5 +1,8 @@
+import io
 import math
+import re
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -82,6 +85,21 @@ def test_parse_keeps_the_first_issues_and_counts_them_all():
     assert [i.line_no for i in result.issues] == list(range(1, _MAX_ISSUES + 1))
     assert result.records.tolist() == [(5060, T0, 1.0)]
     assert peak < 3 * 2**20  # one issue per line would be about 24 MB
+
+
+def test_parse_raw_peaks_within_a_small_multiple_of_its_records():
+    lines = [full(5060 + i % 2, T0 + i % 7 * SLOT, f"{i % 13}.25", "", i % 5)
+             for i in range(100_000)]
+    tracemalloc.start()
+    try:
+        records = parse_raw(lines).records
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(lines)
+    # keeping each chunk's line numbers peaked at 2.85 times the records'
+    # bytes, and keeping every row as a tuple at 12.5 times
+    assert peak < 2.5 * records.nbytes
 
 
 def test_parse_reports_malformed_lines_with_numbers():
@@ -428,15 +446,70 @@ def _random_raw_lines(rng, n, unknown_square, canonical=False):
     return out
 
 
-def _assert_parses_as_the_oracle(lines):
-    """parse_raw's issues and records (to the byte) equal parse_raw_scalar's."""
-    got, want = parse_raw(lines), parse_raw_scalar(lines)
+def _text_of(lines):
+    """lines as the text of a file, one "\\n" after each."""
+    return "\n".join(lines) + "\n"
+
+
+def _parse_log(blocks):
+    """parse_blocks' log of blocks, with their records."""
+    log = ParseResult()
+    batches = list(ingest.parse_blocks(blocks, log))
+    log.records = np.concatenate([np.empty(0, dtype=RECORD_DTYPE), *batches]).view(np.recarray)
+    return log
+
+
+def _read_as_a_file(text):
+    """text as a file opened in text mode reads it: every "\\r\\n" and "\\r" as "\\n",
+    which leaves its lines as they were."""
+    return io.StringIO(text, newline=None)
+
+
+def _parse_file_text(text):
+    """parse_blocks' log of text, read in blocks as a file is."""
+    return _parse_log(ingest.read_blocks(_read_as_a_file(text)))
+
+
+def _is_plain(part):
+    return part.isascii() and not any(brk in part for brk in ingest._OTHER_BREAKS)
+
+
+def _cut_around_other_lines(text):
+    """text, read as a file, cut after "\\n"s into blocks of at most 64 such
+    lines, each either plain or not, so that the bulk parser sees every plain line."""
+    parts = re.findall(r"[^\n]*\n|[^\n]+\Z", _read_as_a_file(text).read())
+    blocks = []
+    for _, group in groupby(parts, key=_is_plain):
+        group = list(group)
+        blocks += ["".join(group[lo:lo + 64]) for lo in range(0, len(group), 64)]
+    return blocks
+
+
+def _assert_same_parse(got, want):
+    """got's issues, n_issues and records (to the byte) are the oracle result want's."""
     assert [(i.line_no, i.reason) for i in got.issues] == \
         [(i.line_no, i.reason) for i in want.issues]
+    assert got.n_issues == len(want.issues)
     expected = np.array([(r.square_id, r.slot_start_ms, r.activity_sum()) for r in want.records],
                         dtype=RECORD_DTYPE)
     assert got.records.dtype == expected.dtype
     assert got.records.tobytes() == expected.tobytes()
+
+
+def _assert_parses_as_the_oracle(lines):
+    """parse_raw parses lines as parse_raw_scalar does, and parse_blocks their text.
+
+    The text is split as a file is, so an element holding a line break is
+    more than one of its lines: the bulk parser takes the plain blocks'
+    canonical lines, which parse_raw leaves to the per-line parser.
+    """
+    got, want = parse_raw(lines), parse_raw_scalar(lines)
+    _assert_same_parse(got, want)
+    text = _text_of(lines)
+    want_text = parse_raw_scalar(text)
+    _assert_same_parse(_parse_file_text(text), want_text)
+    # a file's block with a line that is not plain goes line by line whole
+    _assert_same_parse(_parse_log(_cut_around_other_lines(text)), want_text)
     return got, want
 
 
@@ -512,21 +585,36 @@ def test_an_out_of_range_line_is_named_wherever_it_sits_in_a_canonical_block(edg
             parse_raw(block[:at] + [edge] + block[at:])
 
 
-def test_only_lines_outside_the_canonical_grammar_reach_the_per_line_parser(monkeypatch):
-    seen = []
-    per_line = ingest._parse_lines
+def _spy_on_the_parsers(monkeypatch):
+    """Record what reaches each parser: the (line number, line) pairs given to
+    _parse_lines, and the number of lines of each _parse_bulk call."""
+    seen = {"per_line": [], "bulk": []}
+    per_line, bulk = ingest._parse_lines, ingest._parse_bulk
 
-    def spy(numbered, rows, issues):
+    def per_line_spy(numbered, rows, issues):
         numbered = list(numbered)
-        seen.extend(line_no for line_no, _ in numbered)
+        seen["per_line"].extend(numbered)
         return per_line(numbered, rows, issues)
 
-    monkeypatch.setattr(ingest, "_parse_lines", spy)
+    def bulk_spy(data, starts):
+        seen["bulk"].append(len(starts) - 1)
+        return bulk(data, starts)
+
+    monkeypatch.setattr(ingest, "_parse_lines", per_line_spy)
+    monkeypatch.setattr(ingest, "_parse_bulk", bulk_spy)
+    return seen
+
+
+def test_only_lines_outside_the_canonical_grammar_reach_the_per_line_parser(monkeypatch):
     block = _canonical_block()
     block[3], block[_BATCH_LINES + 4] = line(5060, T0, 1.0), full(5060, T0, "n/a")
     _assert_parses_as_the_oracle(block)
+    seen = _spy_on_the_parsers(monkeypatch)
+    _parse_file_text(_text_of(block))
     # and the lines that block draws off the grid without activity
-    assert seen == sorted([4, _BATCH_LINES + 5] + list(range(1, len(block) + 1, 50)))
+    assert [line_no for line_no, _ in seen["per_line"]] == sorted(
+        [4, _BATCH_LINES + 5] + list(range(1, len(block) + 1, 50)))
+    assert sum(seen["bulk"]) == len(block)
 
 
 def _cut_after_newlines(text, rng, most):
@@ -558,6 +646,7 @@ def test_parse_blocks_gives_what_parse_raw_gives_for_the_joined_text(seed, monke
         assert [(i.line_no, i.reason) for i in log.issues] == \
             [(i.line_no, i.reason) for i in want.issues]
         assert log.n_issues == want.n_issues
+    _assert_same_parse(_parse_log(_cut_around_other_lines(text)), parse_raw_scalar(text))
 
 
 def test_parse_blocks_finds_the_lines_of_a_block_from_its_bytes(monkeypatch):
@@ -565,19 +654,11 @@ def test_parse_blocks_finds_the_lines_of_a_block_from_its_bytes(monkeypatch):
     text = "".join(full(5060 + i % 2, T0 + i % 3 * SLOT, f"{i}.5") + "\n" for i in range(500))
     bad = full(5060, T0, "n/a")
     want = parse_raw((text + bad + "\n") * 2).records
-    seen = []
-    per_line = ingest._parse_lines
-
-    def spy(numbered, rows, issues):
-        numbered = list(numbered)
-        seen.extend(numbered)
-        return per_line(numbered, rows, issues)
-
-    monkeypatch.setattr(ingest, "_parse_lines", spy)
-    monkeypatch.setattr(ingest, "_joined_lines", None)  # no block may take that path
+    seen = _spy_on_the_parsers(monkeypatch)
     log = ParseResult()
     got = list(ingest.parse_blocks([text, "", bad + "\n\n" + text, bad], log))
-    assert seen == [(501, bad), (502, ""), (1003, bad)]
+    assert seen["per_line"] == [(501, bad), (502, ""), (1003, bad)]
+    assert seen["bulk"] == [500, 502, 1]  # each plain block is parsed from its bytes
     assert np.concatenate(got).tobytes() == want.tobytes()
 
 
@@ -603,12 +684,12 @@ def test_a_block_of_short_lines_parses_within_a_fixed_peak(short):
     _GOOD + "\x85", _GOOD + "\u2028\n", _GOOD + "\n" + "x" * 70_000 + "\n",
 ], ids=["vt", "crlf", "non-ascii", "nel", "line-separator", "longer-than-a-batch"])
 def test_parse_blocks_splits_any_other_block_with_splitlines(block, monkeypatch):
-    calls = []
-    joined = ingest._joined_lines
-    monkeypatch.setattr(ingest, "_joined_lines", lambda lines: calls.append(lines) or joined(lines))
+    seen = _spy_on_the_parsers(monkeypatch)
     log = ParseResult()
     list(ingest.parse_blocks([block], log))
-    assert calls == [block.splitlines()]
+    # every line goes to the per-line parser, and none to the bulk one
+    assert seen["per_line"] == list(enumerate(block.splitlines(), 1))
+    assert seen["bulk"] == []
     assert log.n_issues == block.endswith("x\n")
 
 
@@ -618,10 +699,14 @@ def test_both_parsers_add_the_activity_values_left_to_right(monkeypatch):
     clean = full(5060, T0, "10000000000000000", "1", "1")
     spaced = clean.replace("\t1\t", "\t 1\t", 1)  # outside the canonical grammar
     lines = [clean, spaced]
-    plain = parse_raw(lines).records
-    assert plain.activity_sum.tolist() == [1e16, 1e16]
+    seen = _spy_on_the_parsers(monkeypatch)
+    plain, bulk = parse_raw(lines).records, _parse_file_text(_text_of(lines)).records
+    # parse_raw parses both lines one at a time; parse_blocks the clean one in bulk
+    assert [line_no for line_no, _ in seen["per_line"]] == [1, 2, 2]
+    assert plain.activity_sum.tolist() == bulk.activity_sum.tolist() == [1e16, 1e16]
     monkeypatch.setattr(ingest, "sum", math.fsum, raising=False)
     assert parse_raw(lines).records.tobytes() == plain.tobytes()
+    assert _parse_file_text(_text_of(lines)).records.tobytes() == bulk.tobytes()
     _assert_parses_as_the_oracle(lines)
 
 

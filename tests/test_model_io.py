@@ -75,7 +75,8 @@ def test_load_model_refuses_a_file_that_is_not_a_model_at_line_1(tmp_path):
     assert path.stat().st_size > 24 * 10**6
     tracemalloc.start()
     try:
-        with pytest.raises(BadMagicError, match="^not a model file \\(magic 'time,A,B,C,D'\\)$"):
+        with pytest.raises(BadMagicError,
+                           match="^line 1: not a model file \\(magic 'time,A,B,C,D'\\)$"):
             load_model(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -108,11 +109,28 @@ def _edit_line(text, i, new):
     (2, lambda s: s + " x", r"bad dimensions for W_r: \['2', '2', 'x'\]"),
     (3, lambda s: s.rsplit(" ", 1)[0], "W_r: row has 1 values, expected 2"),
     (-1, lambda s: "fin", "missing end marker"),
+    (35, lambda s: s.replace("norm_scale", "norm_sc"),
+     "expected array 'norm_scale', found 'norm_sc'"),
 ])
 def test_each_format_error_names_what_is_wrong(i, edit, message):
     p, norm = make_pair(h=2)
-    with pytest.raises(ModelFormatError, match=f"^{message}$"):
-        loads_model(_edit_line(dumps_model(p, norm), i, edit))
+    text = dumps_model(p, norm)
+    line_no = range(1, len(text.splitlines()) + 1)[i]  # the edited line's
+    with pytest.raises(ModelFormatError, match=f"^line {line_no}: {message}$"):
+        loads_model(_edit_line(text, i, edit))
+
+
+def test_a_refusal_counts_the_blank_lines_before_its_line():
+    p, norm = make_pair(h=2)
+    lines = dumps_model(p, norm).splitlines()
+    text = "\n".join(["", "  "] + lines[:-1] + ["", "fin"]) + "\n"
+    with pytest.raises(ModelFormatError, match=f"^line {len(lines) + 3}: missing end marker$"):
+        loads_model(text)
+    # the empty file and the one that ends early keep their messages
+    with pytest.raises(BadMagicError, match=r"^not a model file \(empty\)$"):
+        loads_model("\n \n")
+    with pytest.raises(TruncatedFileError, match="^unexpected end of model file$"):
+        loads_model("\n".join(lines[:-1]))
 
 
 def test_dimension_mismatch_detected():
