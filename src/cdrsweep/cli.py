@@ -175,8 +175,16 @@ def _resolve(args, opts) -> dict:
 
 
 def _print_resolved(command: str, res: dict) -> None:
-    pairs = " ".join(f"{key}={res[key]}" for key in sorted(res))
+    pairs = " ".join(f"{key}={quoted(res[key], str)}" for key in sorted(res))
     print(f"[{command}] {pairs}", file=sys.stderr)
+
+
+def _os_error(exc: OSError) -> str:
+    """str(exc), with each file name in it quoted by errors.quoted."""
+    if exc.strerror is None or exc.filename is None:
+        return str(exc)
+    names = (quoted(name) for name in (exc.filename, exc.filename2) if name is not None)
+    return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
 
 
 def _write_atomic(path: Path, content) -> None:
@@ -520,7 +528,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_os_error(exc)}", file=sys.stderr)
         return EXIT_IO
     except (CdrSweepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

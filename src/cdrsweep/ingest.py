@@ -16,7 +16,8 @@ aggregation counts any slot start in that slot.
 Every text file cdrsweep reads (raw CDRs, series.csv, model.txt, config
 files) goes through read_blocks, in blocks of whole lines of at most
 _BATCH_CHARS characters, or read_lines, their lines; a reader that refuses
-a line reads no further. Ingest reads its input once. parse_blocks
+a line reads no further, except parse_blocks, which may have read one
+block past it. Ingest reads its input once. parse_blocks
 yields each block's counted lines as three numeric columns (square id,
 slot start, activity sum; see RECORD_DTYPE) and keeps the reported issues,
 so the input text itself need never be held in memory. A SlotGrid adds
@@ -37,23 +38,34 @@ _MAX_ISSUES issues are kept, plus a count of them all, each quoting at
 most 40 characters of a field (errors.quoted). Parsing a block of 64 Ki
 characters peaks at about 4.7 MB traced when every line is blank, the
 worst case measured, and at about 0.9 MB for a CDR extract.
+Where this process may run on more than one CPU, parse_blocks forks one
+worker once a second block arrives, and the two parse every other block
+each (see _block_batches): each holds at most one block in hand, and the
+worker has a peak of its own (VmHWM 25.7 MB on a 150,000-line extract,
+6.1 MB of it its own pages, the rest shared with this process). The
+records, issues and errors are those of one process, in line order.
 sector_series_blocks writes _WRITE_ROWS plain rows at a time, each
 stamped by one rule (_stamp), so writing the series adds a fixed amount too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
+import pickle
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from itertools import islice
+from itertools import chain, islice
 from math import isfinite
 
 import numpy as np
 
 from .errors import (
     BadSharesError,
+    CdrSweepError,
     EmptyInputError,
     OutOfRangeError,
     SeriesFormatError,
@@ -182,7 +194,10 @@ def parse_blocks(blocks, log: ParseResult):
     A plain block, ASCII text of at most _BATCH_CHARS characters with no
     line break but "\\n", is parsed from its bytes (see _parse_text). Any
     other block is split with str.splitlines, and all of its lines go to
-    the per-line parser.
+    the per-line parser. A forked worker may parse every other block (see
+    _block_batches), which leaves all of the above as it is, but for one
+    block more read past a refused line; however the iteration ends, no
+    process outlives it.
     """
     return _counted(_block_batches(blocks, log), log)
 
@@ -218,17 +233,173 @@ def _counted(batches, log: ParseResult):
 
 
 def _block_batches(blocks, log: ParseResult):
-    """The records of each block's lines, numbered on from 1 (see parse_blocks)."""
-    first = 1  # the line number of the next block's first line
+    """The records of each block's lines, numbered on from 1 (see parse_blocks).
+
+    Blocks are taken two at a time. Where a worker may run (see
+    _start_worker), one is forked when the second block arrives: from then
+    on this process sends it the second block of each pair and parses the
+    first while the worker parses that one, then takes the worker's records
+    and issues. Otherwise the same loop parses both blocks itself. Either
+    way each process holds at most one block in hand, the batches and
+    issues come out in line order, and an error is raised at its block's
+    turn. A pair is read before either block is parsed, so a refused line
+    may leave one block read past it.
+    """
+    numbered = _numbered(blocks)
+    head = list(islice(numbered, 2))
+    worker = _start_worker() if len(head) == 2 else None
+    numbered = chain(head, numbered)
+    try:
+        for mine in numbered:
+            theirs = next(numbered, None)
+            if theirs is not None and worker is not None:
+                worker.send(*theirs)
+            yield _parse_block(*mine, log)
+            if theirs is not None:
+                yield worker.receive(log) if worker is not None else _parse_block(*theirs, log)
+    finally:  # a normal end, an error in either process, or a consumer that stopped
+        if worker is not None:
+            worker.close()
+
+
+def _numbered(blocks):
+    """(first, block) for each block that is not empty, first the number of its first line."""
+    first = 1
     for block in blocks:
-        if (len(block) > _BATCH_CHARS or not block.isascii()
-                or any(brk in block for brk in _OTHER_BREAKS)):
-            lines = block.splitlines()
-            yield from map(_records, _per_line(enumerate(lines, first), log))
-            first += len(lines)
-        elif block:
-            yield _parse_text(block, first, log)
-            first += block.count("\n") + (not block.endswith("\n"))
+        if block:
+            yield first, block
+            first += _n_lines(block)
+
+
+def _n_lines(block: str) -> int:
+    """How many lines str.splitlines finds in block, which is not empty."""
+    if _only_newlines(block):
+        return block.count("\n") + (not block.endswith("\n"))
+    return len(block.splitlines())
+
+
+def _only_newlines(block: str) -> bool:
+    """Whether block is ASCII with no line break but "\\n"."""
+    return block.isascii() and not any(brk in block for brk in _OTHER_BREAKS)
+
+
+def _parse_block(first: int, block: str, log: ParseResult) -> np.ndarray:
+    """The RECORD_DTYPE records of a block's lines, numbered from first; issues go to log.
+
+    A plain block is parsed from its bytes (see _parse_text); the lines of
+    any other block all go to the per-line parser.
+    """
+    if len(block) <= _BATCH_CHARS and _only_newlines(block):
+        return _parse_text(block, first, log)
+    # a block that is not empty has a line, so _per_line yields a chunk
+    return np.concatenate(list(map(_records, _per_line(enumerate(block.splitlines(), first),
+                                                       log))))
+
+
+def _spare_cpu() -> bool:
+    """Whether this process may run on more than one CPU."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def _start_worker():
+    """A forked _Worker, or None where none may run or the fork fails.
+
+    One may run where os.fork exists, this process may run on more than
+    one CPU, and it has one Python thread (numpy's BLAS pool, if any, is
+    stopped and restarted around a fork by its own handlers).
+    """
+    if not (hasattr(os, "fork") and _spare_cpu() and threading.active_count() == 1):
+        return None
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    requests, to_worker, from_worker, replies = fds
+    if not pid:
+        _serve(requests, replies, (to_worker, from_worker))
+    os.close(requests)
+    os.close(replies)
+    return _Worker(pid, open(to_worker, "wb"), open(from_worker, "rb"))
+
+
+def _serve(requests: int, replies: int, others) -> None:
+    """The worker's body: parse each (first, block) read from requests, answer on replies.
+
+    Each answer is the block's (records, issues, n_issues), from a
+    ParseResult of its own, or the exception parsing it raised. It ends at
+    the end of requests, which comes when the parent closes its end or
+    exits. It never returns: os._exit ends it, so no caller's code, atexit
+    hook or inherited stdio buffer runs or is flushed in the worker.
+    """
+    status = 1
+    try:
+        for fd in others:  # the parent's ends
+            os.close(fd)
+        with open(requests, "rb") as source, open(replies, "wb") as sink:
+            while True:
+                try:
+                    first, block = pickle.load(source)
+                except EOFError:
+                    break
+                log = ParseResult()
+                try:
+                    reply = _parse_block(first, block, log), log.issues, log.n_issues
+                except Exception as exc:  # the parent raises it at this block's turn
+                    reply = exc
+                sink.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+                sink.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _Worker:
+    """The parent's end of a forked worker that parses one block at a time."""
+
+    def __init__(self, pid: int, requests, replies):
+        self.pid = pid
+        self._requests, self._replies = requests, replies
+        self._first = None  # the first line of the block in the worker's hands
+
+    def send(self, first: int, block: str) -> None:
+        """Hand the worker the block whose first line is line first."""
+        self._first = first
+        # a worker gone is reported by receive, which then finds no reply
+        with contextlib.suppress(BrokenPipeError):
+            self._requests.write(pickle.dumps((first, block), pickle.HIGHEST_PROTOCOL))
+            self._requests.flush()
+
+    def receive(self, log: ParseResult) -> np.ndarray:
+        """The records of the block sent last; its issues go to log.
+
+        The issues are kept and counted as one process keeps them. Raises
+        what parsing the block raised, and CdrSweepError, naming the block's
+        first line, if the worker ended before it replied.
+        """
+        try:
+            reply = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise CdrSweepError(f"line {self._first}: the parse worker ended before it "
+                                "parsed the block from this line") from None
+        if isinstance(reply, Exception):
+            raise reply
+        records, issues, n_issues = reply
+        log.issues += issues
+        del log.issues[_MAX_ISSUES:]
+        log.n_issues += n_issues
+        return records
+
+    def close(self) -> None:
+        """Close both pipes, so the worker ends after the block in its hands, and reap it."""
+        with contextlib.suppress(BrokenPipeError):  # what is left unsent
+            self._requests.close()
+        self._replies.close()
+        os.waitpid(self.pid, 0)
 
 
 def _parse_text(text: str, first: int, log: ParseResult) -> np.ndarray:

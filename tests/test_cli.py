@@ -890,6 +890,27 @@ def test_a_one_mib_token_is_quoted_short_on_stderr(workdir, tmp_path, capsys, ki
     assert len(err.encode()) < 1024
 
 
+def test_a_long_out_path_is_quoted_short_in_the_echo_and_the_io_error(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("raw.tsv").write_text("5060\t1384726200000\t39\t1\n")
+    echoed = {}
+    for out in ("s" * 36 + ".csv", "s" * 37 + ".csv"):  # 40 and 41 characters
+        assert cli.main(["ingest", "--raw", "raw.tsv", "--out", out]) == 0
+        echoed[out] = capsys.readouterr().err.split()
+    assert "out=" + "s" * 36 + ".csv" in echoed["s" * 36 + ".csv"]
+    assert "out=" + "s" * 37 in " ".join(echoed["s" * 37 + ".csv"])
+    assert "(41 characters)" in " ".join(echoed["s" * 37 + ".csv"])
+    # a path too long for the file system: echoed whole, then named whole in
+    # the error, it made 200,138 characters of stderr
+    Path("long.cfg").write_text("out=" + "x" * 100_000 + "\n")
+    assert cli.main(["ingest", "--raw", "raw.tsv", "--config", "long.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert "out=" + "x" * 40 + "... (100,000 characters)" in err
+    assert err.splitlines()[-1].startswith("error: [Errno ")
+
+
 def test_bad_flag_value_is_a_validation_error(workdir):
     proc = run_cli(["train", "--series", "series.csv", "--epochs", "many"],
                    cwd=workdir)

@@ -1,6 +1,8 @@
 import io
 import math
+import os
 import re
+import time
 import tracemalloc
 from itertools import groupby
 
@@ -11,6 +13,7 @@ from cdrsweep import (
     MAX_SLOTS,
     RECORD_DTYPE,
     SECTOR_LABELS,
+    CdrSweepError,
     EmptyInputError,
     OutOfRangeError,
     ParseResult,
@@ -25,9 +28,10 @@ from cdrsweep import (
     parse_raw,
     write_sector_series,
 )
-from cdrsweep import ingest
+from cdrsweep import cli, ingest
 from cdrsweep.fixtures import demo_raw_lines, demo_sector_map, DEMO_SLOT_COUNTS, synthetic_series
 from cdrsweep.ingest import _BATCH_LINES, _MAX_ISSUES, SlotGrid, cut_windows
+from _cli import run_python
 from _oracles import aggregate_scalar, parse_raw_scalar, write_sector_series_scalar
 
 T0 = 1_384_726_200_000
@@ -393,11 +397,12 @@ def test_the_grid_raises_the_span_error_before_an_unknown_square_naming_the_whol
 _SQUARES = ("5060", "5061", "5160", "5161", " 5161 ", "+5060")
 _BAD_SQUARES = ("x12", "", "-4", "0", "5.0")
 _STAMPS_BAD = ("notatime", "", "-600000", "1.5e12")
+# "1.2.3", "1..2", "." and ".." are decimal near-misses: float() refuses them
 _VALUES = ("1.5", "0.25", "7", "0.1", "0.2", "0.3333333333333333", "2.675", "1e-3",
-           " 0.7 ", "", " ", "\x0b")
+           " 0.7 ", "", " ", "\x0b", "1.2.3", "1..2", ".", "..")
 _BAD_VALUES = ("nan", "inf", "-1.5", "1e", "n/a", "-inf", "NaN")
 _CANONICAL_VALUES = ("1.5", "0.25", "7", "0.1", "2.675", "5.", ".5", "007", "",
-                     "0.3333333333333333", "12345678901234567")
+                     "0.3333333333333333", "12345678901234567", "1.2.3", "1..2", ".", "..")
 
 
 def _random_raw_lines(rng, n, unknown_square, canonical=False):
@@ -587,7 +592,9 @@ def test_an_out_of_range_line_is_named_wherever_it_sits_in_a_canonical_block(edg
 
 def _spy_on_the_parsers(monkeypatch):
     """Record what reaches each parser: the (line number, line) pairs given to
-    _parse_lines, and the number of lines of each _parse_bulk call."""
+    _parse_lines, and the number of lines of each _parse_bulk call. The spies
+    see this process only, so no worker is forked."""
+    monkeypatch.setattr(ingest, "_spare_cpu", lambda: False)
     seen = {"per_line": [], "bulk": []}
     per_line, bulk = ingest._parse_lines, ingest._parse_bulk
 
@@ -708,6 +715,191 @@ def test_both_parsers_add_the_activity_values_left_to_right(monkeypatch):
     assert parse_raw(lines).records.tobytes() == plain.tobytes()
     assert _parse_file_text(_text_of(lines)).records.tobytes() == bulk.tobytes()
     _assert_parses_as_the_oracle(lines)
+
+
+def _with_worker(monkeypatch, spare=True):
+    """Let parse_blocks fork a worker where spare, on any host, and none
+    otherwise; the list returned gathers what each _start_worker call gave."""
+    monkeypatch.setattr(ingest, "_spare_cpu", lambda: spare)
+    started, start = [], ingest._start_worker
+
+    def start_spy():
+        started.append(start())
+        return started[-1]
+
+    monkeypatch.setattr(ingest, "_start_worker", start_spy)
+    return started
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _log_tuple(log):
+    return [(i.line_no, i.reason) for i in log.issues], log.n_issues, log.records.tobytes()
+
+
+# seeds 3 and up draw mostly canonical lines; the blocks hold 2 Ki characters
+@pytest.mark.parametrize("seed", range(6))
+def test_the_worker_parses_every_other_block_as_one_process_does(seed, monkeypatch):
+    rng = np.random.default_rng(100 + seed)
+    text = _text_of(_random_raw_lines(rng, 1500, unknown_square=False, canonical=seed >= 3))
+    monkeypatch.setattr(ingest, "_BATCH_CHARS", 2048)
+    runs = {}
+    for spare in (True, False):
+        started = _with_worker(monkeypatch, spare)
+        runs[spare] = [_parse_file_text(text), _parse_log(_cut_around_other_lines(text))]
+        assert len(started) == 2 and all(bool(worker) == spare for worker in started)
+        _assert_no_child_left()
+    want = parse_raw_scalar(text)
+    for two, one in zip(runs[True], runs[False]):
+        _assert_same_parse(two, want)
+        assert _log_tuple(two) == _log_tuple(one)
+    # the first issues kept, whichever process found them, and every one counted
+    monkeypatch.setattr(ingest, "_MAX_ISSUES", 7)
+    for spare in (True, False):
+        _with_worker(monkeypatch, spare)
+        runs[spare] = _parse_file_text(text)
+    assert _log_tuple(runs[True]) == _log_tuple(runs[False])
+    assert len(runs[True].issues) == 7 and runs[True].n_issues == len(want.issues)
+
+
+def _blocks_with(line_at, owner):
+    """Six blocks of 50 canonical lines, line_at first in block 2 (this
+    process parses it) or block 3 (the worker does), as owner names."""
+    blocks = ["".join(full(5060, T0 + i % 7 * SLOT, f"{b}.5") + "\n" for i in range(50))
+              for b in range(6)]
+    at = {"parent": 2, "worker": 3}[owner]
+    blocks[at] = line_at + "\n" + blocks[at]
+    return blocks, 50 * at + 1
+
+
+@pytest.mark.parametrize("owner", ["parent", "worker"])
+@pytest.mark.parametrize("bad, message", [
+    (full(10**19 + 7, T0, "1"), "square id 10000000000000000007 does not fit in int64"),
+    (full(5060, LAST_MS + 1, "1"), f"timestamp {LAST_MS + 1} is after the year 9999"),
+], ids=["20-digit-square", "past-last-ms"])
+def test_an_out_of_range_line_raises_as_one_process_does_in_either_process(
+        bad, message, owner, monkeypatch):
+    blocks, line_no = _blocks_with(bad, owner)
+    for spare in (False, True):
+        started, log, got = _with_worker(monkeypatch, spare), ParseResult(), []
+        with pytest.raises(OutOfRangeError, match=f"^line {line_no}: {message}$"):
+            got.extend(ingest.parse_blocks(blocks, log))
+        assert bool(started[0]) == spare
+        _assert_no_child_left()
+        # every block before the refused one came out, and no line of it
+        assert sum(map(len, got)) == line_no - 1
+
+
+def test_a_consumer_that_stops_early_leaves_no_worker(monkeypatch):
+    started = _with_worker(monkeypatch)
+    batches = ingest.parse_blocks(_blocks_with(_GOOD, "worker")[0], ParseResult())
+    next(batches)
+    batches.close()
+    assert started[0]
+    _assert_no_child_left()
+
+
+def _in_each_process(monkeypatch, parent, worker):
+    """Make _parse_block call parent(first) in this process and worker(first)
+    in a forked worker before it parses the block whose first line is first."""
+    pid, parse = os.getpid(), ingest._parse_block
+
+    def parse_after(first, block, log):
+        (parent if os.getpid() == pid else worker)(first)
+        return parse(first, block, log)
+
+    monkeypatch.setattr(ingest, "_parse_block", parse_after)
+
+
+def _interrupt_at(line_no):
+    def interrupt(first):
+        if first == line_no:
+            raise KeyboardInterrupt
+    return interrupt
+
+
+def _exit_now(first):
+    os._exit(3)
+
+
+def test_an_interrupt_leaves_no_worker_whichever_block_it_stops(monkeypatch):
+    blocks = _blocks_with(_GOOD, "worker")[0]
+
+    def reading():  # an interrupt while the next pair of blocks is read
+        yield from blocks[:3]
+        raise KeyboardInterrupt
+
+    # and one while this process parses block 2, with block 3 in the worker's hands
+    for source, line_no in ((reading(), None), (blocks, 101)):
+        started = _with_worker(monkeypatch)
+        _in_each_process(monkeypatch, _interrupt_at(line_no), lambda first: None)
+        with pytest.raises(KeyboardInterrupt):
+            list(ingest.parse_blocks(source, ParseResult()))
+        assert started[0]
+        _assert_no_child_left()
+
+
+def test_a_worker_that_dies_is_named_by_its_blocks_first_line(monkeypatch):
+    blocks, _ = _blocks_with(_GOOD, "worker")
+    _with_worker(monkeypatch)
+    _in_each_process(monkeypatch, lambda first: None, _exit_now)
+    with pytest.raises(CdrSweepError, match="^line 51: the parse worker ended before it "
+                                            "parsed the block from this line$"):
+        list(ingest.parse_blocks(blocks, ParseResult()))
+    _assert_no_child_left()
+
+
+def test_a_worker_that_dies_ends_ingest_with_an_error_line(tmp_path, monkeypatch, capsys):
+    (tmp_path / "raw.tsv").write_text("".join(_blocks_with(_GOOD, "worker")[0]))
+    monkeypatch.setattr(ingest, "_BATCH_CHARS", 2048)
+    _with_worker(monkeypatch)
+    _in_each_process(monkeypatch, lambda first: None, _exit_now)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["ingest", "--raw", "raw.tsv"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: line ") and "parse worker ended" in err[-1]
+    assert not any("Traceback" in line for line in err)
+    assert not (tmp_path / "series.csv").exists()
+    _assert_no_child_left()
+
+
+def test_the_worker_ends_at_the_end_of_its_input(monkeypatch):
+    monkeypatch.setattr(ingest, "_spare_cpu", lambda: True)
+    worker = ingest._start_worker()
+    try:
+        worker.send(1, _GOOD + "\n")
+        assert len(worker.receive(ParseResult())) == 1
+        worker._requests.close()  # as the parent's exit would
+        deadline = time.monotonic() + 30
+        while not (done := os.waitpid(worker.pid, os.WNOHANG))[0]:
+            assert time.monotonic() < deadline, "the worker outlived its input"
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+    finally:
+        worker._replies.close()
+    _assert_no_child_left()
+
+
+_RUN_WITH_A_WORKER = """\
+import atexit, io
+from cdrsweep import ingest
+out = open(1, "w", closefd=False)  # block-buffered, whatever PYTHONUNBUFFERED says
+atexit.register(out.write, "atexit\\n")
+out.write("unflushed ")  # still in out's buffer when the worker is forked
+ingest._BATCH_CHARS, ingest._spare_cpu = 256, lambda: True
+text = "5060\\t1384726200000\\t39\\t1\\n" * 200
+batches = ingest.parse_blocks(ingest.read_blocks(io.StringIO(text)), ingest.ParseResult())
+out.write(f"{sum(map(len, batches))}\\n")
+"""
+
+
+def test_the_worker_neither_flushes_inherited_output_nor_runs_exit_hooks(tmp_path):
+    proc = run_python(["-c", _RUN_WITH_A_WORKER], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("unflushed 200\natexit\n", "")
 
 
 def test_demo_fixture_reproduces_expected_counts():
