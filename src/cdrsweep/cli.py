@@ -235,7 +235,7 @@ def _cmd_ingest(res: dict) -> int:
     grid = SlotGrid(SectorMap.from_squares(res["squares"]), res["count_mode"])
     log = ParseResult()  # only its issues are filled
     with open(res["raw"], encoding="utf-8") as fh:
-        for records in parse_blocks(read_blocks(fh), log):
+        for records in parse_blocks(read_blocks(fh), log, os.fstat(fh.fileno()).st_size):
             grid.add(records)
     for issue in log.issues[:20]:
         print(f"line {issue.line_no}: {issue.reason}", file=sys.stderr)

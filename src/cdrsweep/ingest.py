@@ -38,11 +38,12 @@ _MAX_ISSUES issues are kept, plus a count of them all, each quoting at
 most 40 characters of a field (errors.quoted). Parsing a block of 64 Ki
 characters peaks at about 4.7 MB traced when every line is blank, the
 worst case measured, and at about 0.9 MB for a CDR extract.
-Where this process may run on more than one CPU, parse_blocks forks one
-worker once a second block arrives, and the two parse every other block
-each (see _block_batches): each holds at most one block in hand, and the
-worker has a peak of its own (VmHWM 25.7 MB on a 150,000-line extract,
-6.1 MB of it its own pages, the rest shared with this process). The
+Where this process may run on more than one CPU and the input is known to
+hold _FORK_BLOCKS blocks' worth or more, parse_blocks forks one worker
+once a second block arrives, and the two parse every other block each (see
+_block_batches): each holds at most one block in hand, and the
+worker has a peak of its own (VmHWM 25.4 MB on a 150,000-line extract,
+5.7 MB of it its own pages, the rest shared with this process). The
 records, issues and errors are those of one process, in line order.
 sector_series_blocks writes _WRITE_ROWS plain rows at a time, each
 stamped by one rule (_stamp), so writing the series adds a fixed amount too.
@@ -58,7 +59,7 @@ import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from itertools import chain, islice
+from itertools import islice
 from math import isfinite
 
 import numpy as np
@@ -110,6 +111,12 @@ _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 _EXACT_DIGITS = 15
 # sector_series_blocks renders this many rows at a time
 _WRITE_ROWS = 512
+# parse_blocks forks a worker only for an input its caller says holds this
+# many blocks' worth of characters or more: a shorter one does not repay the fork
+_FORK_BLOCKS = 8
+# the _Workers this process has forked and not yet reaped: at most one, since
+# a worker forked beside a live one would hold that one's request pipe open
+_workers_alive = 0
 
 
 def check_shares(shares) -> np.ndarray:
@@ -172,7 +179,7 @@ def read_lines(fh):
         yield from block.splitlines()
 
 
-def parse_blocks(blocks, log: ParseResult):
+def parse_blocks(blocks, log: ParseResult, size: int | None = None):
     """Parse tab-separated CDR text in one pass, yielding columnar records.
 
     blocks is an iterable of str, each ending in "\\n" but the last, such as
@@ -194,12 +201,15 @@ def parse_blocks(blocks, log: ParseResult):
     A plain block, ASCII text of at most _BATCH_CHARS characters with no
     line break but "\\n", is parsed from its bytes (see _parse_text). Any
     other block is split with str.splitlines, and all of its lines go to
-    the per-line parser. A forked worker may parse every other block (see
-    _block_batches), which leaves all of the above as it is, but for one
-    block more read past a refused line; however the iteration ends, no
-    process outlives it.
+    the per-line parser. size is how many characters the blocks hold, or
+    about that many (a file's size in bytes, say), where known. Where it is
+    at least _FORK_BLOCKS blocks' worth, a forked worker may parse every
+    other block (see _block_batches), which leaves all of the above as it
+    is, but for one block more read past a refused line; however the
+    iteration ends, no process outlives it.
     """
-    return _counted(_block_batches(blocks, log), log)
+    fork = size is not None and size >= _FORK_BLOCKS * _BATCH_CHARS
+    return _counted(_block_batches(blocks, log, fork), log)
 
 
 def parse_raw(lines) -> ParseResult:
@@ -232,28 +242,27 @@ def _counted(batches, log: ParseResult):
         raise EmptyInputError("input contains no lines")
 
 
-def _block_batches(blocks, log: ParseResult):
+def _block_batches(blocks, log: ParseResult, fork: bool):
     """The records of each block's lines, numbered on from 1 (see parse_blocks).
 
-    Blocks are taken two at a time. Where a worker may run (see
-    _start_worker), one is forked when the second block arrives: from then
-    on this process sends it the second block of each pair and parses the
-    first while the worker parses that one, then takes the worker's records
-    and issues. Otherwise the same loop parses both blocks itself. Either
-    way each process holds at most one block in hand, the batches and
-    issues come out in line order, and an error is raised at its block's
-    turn. A pair is read before either block is parsed, so a refused line
-    may leave one block read past it.
+    Blocks are taken two at a time. Where fork is true and a worker may run
+    (see _start_worker), one is forked when the second block arrives: from
+    then on this process sends it the second block of each pair and parses
+    the first while the worker parses that one, then takes the worker's
+    records and issues. Otherwise the same loop parses both blocks itself.
+    Either way each process holds at most one block in hand, the batches
+    and issues come out in line order, and an error is raised at its
+    block's turn. A pair is read before either block is parsed, so a
+    refused line may leave one block read past it.
     """
-    numbered = _numbered(blocks)
-    head = list(islice(numbered, 2))
-    worker = _start_worker() if len(head) == 2 else None
-    numbered = chain(head, numbered)
+    numbered, worker = _numbered(blocks), None
     try:
         for mine in numbered:
             theirs = next(numbered, None)
+            if theirs is not None and fork:
+                worker, fork = _start_worker(), False
             if theirs is not None and worker is not None:
-                worker.send(*theirs)
+                worker.send(*theirs, room=_MAX_ISSUES - len(log.issues))
             yield _parse_block(*mine, log)
             if theirs is not None:
                 yield worker.receive(log) if worker is not None else _parse_block(*theirs, log)
@@ -263,33 +272,28 @@ def _block_batches(blocks, log: ParseResult):
 
 
 def _numbered(blocks):
-    """(first, block) for each block that is not empty, first the number of its first line."""
+    """(first, block, plain) for each block that is not empty.
+
+    first is the number of the block's first line, and plain whether the
+    block is plain: ASCII text of at most _BATCH_CHARS characters with no
+    line break but "\\n". The lines are those str.splitlines finds.
+    """
     first = 1
     for block in blocks:
         if block:
-            yield first, block
-            first += _n_lines(block)
+            only_newlines = block.isascii() and not any(brk in block for brk in _OTHER_BREAKS)
+            yield first, block, only_newlines and len(block) <= _BATCH_CHARS
+            first += (block.count("\n") + (not block.endswith("\n")) if only_newlines
+                      else len(block.splitlines()))
 
 
-def _n_lines(block: str) -> int:
-    """How many lines str.splitlines finds in block, which is not empty."""
-    if _only_newlines(block):
-        return block.count("\n") + (not block.endswith("\n"))
-    return len(block.splitlines())
-
-
-def _only_newlines(block: str) -> bool:
-    """Whether block is ASCII with no line break but "\\n"."""
-    return block.isascii() and not any(brk in block for brk in _OTHER_BREAKS)
-
-
-def _parse_block(first: int, block: str, log: ParseResult) -> np.ndarray:
+def _parse_block(first: int, block: str, plain: bool, log: ParseResult) -> np.ndarray:
     """The RECORD_DTYPE records of a block's lines, numbered from first; issues go to log.
 
-    A plain block is parsed from its bytes (see _parse_text); the lines of
-    any other block all go to the per-line parser.
+    A plain block (see _numbered) is parsed from its bytes (see
+    _parse_text); the lines of any other block all go to the per-line parser.
     """
-    if len(block) <= _BATCH_CHARS and _only_newlines(block):
+    if plain:
         return _parse_text(block, first, log)
     # a block that is not empty has a line, so _per_line yields a chunk
     return np.concatenate(list(map(_records, _per_line(enumerate(block.splitlines(), first),
@@ -305,10 +309,12 @@ def _start_worker():
     """A forked _Worker, or None where none may run or the fork fails.
 
     One may run where os.fork exists, this process may run on more than
-    one CPU, and it has one Python thread (numpy's BLAS pool, if any, is
-    stopped and restarted around a fork by its own handlers).
+    one CPU, it has one Python thread (numpy's BLAS pool, if any, is
+    stopped and restarted around a fork by its own handlers), and no other
+    worker of it is alive.
     """
-    if not (hasattr(os, "fork") and _spare_cpu() and threading.active_count() == 1):
+    if not (hasattr(os, "fork") and _spare_cpu() and threading.active_count() == 1
+            and not _workers_alive):
         return None
     fds = []
     try:
@@ -328,10 +334,11 @@ def _start_worker():
 
 
 def _serve(requests: int, replies: int, others) -> None:
-    """The worker's body: parse each (first, block) read from requests, answer on replies.
+    """The worker's body: parse each block read from requests, answer on replies.
 
-    Each answer is the block's (records, issues, n_issues), from a
-    ParseResult of its own, or the exception parsing it raised. It ends at
+    Each request is (first, block, plain, room), and each answer the
+    block's (records, issues, n_issues), from a ParseResult of its own, with
+    at most room of the issues; or the exception parsing it raised. It ends at
     the end of requests, which comes when the parent closes its end or
     exits. It never returns: os._exit ends it, so no caller's code, atexit
     hook or inherited stdio buffer runs or is flushed in the worker.
@@ -343,12 +350,12 @@ def _serve(requests: int, replies: int, others) -> None:
         with open(requests, "rb") as source, open(replies, "wb") as sink:
             while True:
                 try:
-                    first, block = pickle.load(source)
+                    first, block, plain, room = pickle.load(source)
                 except EOFError:
                     break
                 log = ParseResult()
                 try:
-                    reply = _parse_block(first, block, log), log.issues, log.n_issues
+                    reply = _parse_block(first, block, plain, log), log.issues[:room], log.n_issues
                 except Exception as exc:  # the parent raises it at this block's turn
                     reply = exc
                 sink.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
@@ -362,16 +369,23 @@ class _Worker:
     """The parent's end of a forked worker that parses one block at a time."""
 
     def __init__(self, pid: int, requests, replies):
+        global _workers_alive
+        _workers_alive += 1
         self.pid = pid
         self._requests, self._replies = requests, replies
         self._first = None  # the first line of the block in the worker's hands
 
-    def send(self, first: int, block: str) -> None:
-        """Hand the worker the block whose first line is line first."""
+    def send(self, first: int, block: str, plain: bool, room: int) -> None:
+        """Hand the worker the block whose first line is line first.
+
+        plain is as _numbered gives it, and room how many of the block's
+        issues the log may still keep.
+        """
         self._first = first
         # a worker gone is reported by receive, which then finds no reply
         with contextlib.suppress(BrokenPipeError):
-            self._requests.write(pickle.dumps((first, block), pickle.HIGHEST_PROTOCOL))
+            self._requests.write(pickle.dumps((first, block, plain, room),
+                                              pickle.HIGHEST_PROTOCOL))
             self._requests.flush()
 
     def receive(self, log: ParseResult) -> np.ndarray:
@@ -396,10 +410,14 @@ class _Worker:
 
     def close(self) -> None:
         """Close both pipes, so the worker ends after the block in its hands, and reap it."""
-        with contextlib.suppress(BrokenPipeError):  # what is left unsent
-            self._requests.close()
-        self._replies.close()
-        os.waitpid(self.pid, 0)
+        global _workers_alive
+        try:
+            with contextlib.suppress(BrokenPipeError):  # what is left unsent
+                self._requests.close()
+            self._replies.close()
+            os.waitpid(self.pid, 0)
+        finally:
+            _workers_alive -= 1
 
 
 def _parse_text(text: str, first: int, log: ParseResult) -> np.ndarray:

@@ -50,8 +50,8 @@ def test_importing_the_package_loads_no_module_and_no_numpy(tmp_path):
 
 
 def test_ingest_loads_only_the_modules_it_runs(tmp_path):
-    # two read blocks, so a worker is forked where more than one CPU is free
-    (tmp_path / "raw.tsv").write_text("5060\t1384726200000\t39\t1\n" * 3000)
+    # fifteen read blocks, so a worker is forked where more than one CPU is free
+    (tmp_path / "raw.tsv").write_text("5060\t1384726200000\t39\t1\n" * 40_000)
     proc, loaded = loaded_modules(["ingest", "--raw", "raw.tsv"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert _package_modules(loaded) == {"cdrsweep", "cdrsweep.cli", "cdrsweep.errors",

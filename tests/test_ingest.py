@@ -1,7 +1,9 @@
+import contextlib
 import io
 import math
 import os
 import re
+import signal
 import time
 import tracemalloc
 from itertools import groupby
@@ -456,10 +458,10 @@ def _text_of(lines):
     return "\n".join(lines) + "\n"
 
 
-def _parse_log(blocks):
-    """parse_blocks' log of blocks, with their records."""
+def _parse_log(blocks, size=None):
+    """parse_blocks' log of blocks, told they hold size characters, with their records."""
     log = ParseResult()
-    batches = list(ingest.parse_blocks(blocks, log))
+    batches = list(ingest.parse_blocks(blocks, log, size))
     log.records = np.concatenate([np.empty(0, dtype=RECORD_DTYPE), *batches]).view(np.recarray)
     return log
 
@@ -471,8 +473,8 @@ def _read_as_a_file(text):
 
 
 def _parse_file_text(text):
-    """parse_blocks' log of text, read in blocks as a file is."""
-    return _parse_log(ingest.read_blocks(_read_as_a_file(text)))
+    """parse_blocks' log of text, read in blocks as a file is, its size known."""
+    return _parse_log(ingest.read_blocks(_read_as_a_file(text)), len(text))
 
 
 def _is_plain(part):
@@ -717,10 +719,12 @@ def test_both_parsers_add_the_activity_values_left_to_right(monkeypatch):
     _assert_parses_as_the_oracle(lines)
 
 
-def _with_worker(monkeypatch, spare=True):
-    """Let parse_blocks fork a worker where spare, on any host, and none
-    otherwise; the list returned gathers what each _start_worker call gave."""
+def _with_worker(monkeypatch, spare=True, fork_blocks=0):
+    """Let parse_blocks fork a worker where spare, on any host, for an input
+    it is told holds fork_blocks blocks or more, and none otherwise; the
+    list returned gathers what each _start_worker call gave."""
     monkeypatch.setattr(ingest, "_spare_cpu", lambda: spare)
+    monkeypatch.setattr(ingest, "_FORK_BLOCKS", fork_blocks)
     started, start = [], ingest._start_worker
 
     def start_spy():
@@ -749,7 +753,8 @@ def test_the_worker_parses_every_other_block_as_one_process_does(seed, monkeypat
     runs = {}
     for spare in (True, False):
         started = _with_worker(monkeypatch, spare)
-        runs[spare] = [_parse_file_text(text), _parse_log(_cut_around_other_lines(text))]
+        runs[spare] = [_parse_file_text(text),
+                       _parse_log(_cut_around_other_lines(text), len(text))]
         assert len(started) == 2 and all(bool(worker) == spare for worker in started)
         _assert_no_child_left()
     want = parse_raw_scalar(text)
@@ -763,6 +768,28 @@ def test_the_worker_parses_every_other_block_as_one_process_does(seed, monkeypat
         runs[spare] = _parse_file_text(text)
     assert _log_tuple(runs[True]) == _log_tuple(runs[False])
     assert len(runs[True].issues) == 7 and runs[True].n_issues == len(want.issues)
+
+
+def test_the_worker_sends_only_the_issues_the_log_has_room_for(monkeypatch):
+    # ten issues over six blocks: the cap falls in a block of either process,
+    # and a worker's block with issues follows one of this process with none
+    bad = full(5060, T0, "n/a") + "\n"
+    blocks = [bad * n + _GOOD + "\n" for n in (2, 3, 0, 4, 1, 0)]
+    for cap in range(1, 11):
+        monkeypatch.setattr(ingest, "_MAX_ISSUES", cap)
+        runs = []
+        for spare in (True, False):
+            started, log = _with_worker(monkeypatch, spare), ParseResult()
+            list(ingest.parse_blocks(blocks, log, _size(blocks)))
+            assert bool(started[0]) == spare
+            runs.append(_log_tuple(log))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == cap and runs[0][1] == 10
+    _assert_no_child_left()
+
+
+def _size(blocks):
+    return sum(map(len, blocks))
 
 
 def _blocks_with(line_at, owner):
@@ -786,16 +813,69 @@ def test_an_out_of_range_line_raises_as_one_process_does_in_either_process(
     for spare in (False, True):
         started, log, got = _with_worker(monkeypatch, spare), ParseResult(), []
         with pytest.raises(OutOfRangeError, match=f"^line {line_no}: {message}$"):
-            got.extend(ingest.parse_blocks(blocks, log))
+            got.extend(ingest.parse_blocks(blocks, log, _size(blocks)))
         assert bool(started[0]) == spare
         _assert_no_child_left()
         # every block before the refused one came out, and no line of it
         assert sum(map(len, got)) == line_no - 1
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this thread if the block runs for more than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 6])
+def test_only_an_input_known_to_hold_enough_blocks_forks_a_worker(n_blocks, monkeypatch):
+    # a worker repays its fork only over a long enough input; a shorter one,
+    # or one of unknown size, is parsed here alone
+    blocks = _blocks_with(_GOOD, "worker")[0][:n_blocks]
+    want = parse_raw("".join(blocks)).records.tobytes()
+    enough = ingest._FORK_BLOCKS * ingest._BATCH_CHARS
+    for size in (None, 0, enough - 1, enough):
+        started = _with_worker(monkeypatch, fork_blocks=ingest._FORK_BLOCKS)
+        got = np.concatenate(list(ingest.parse_blocks(blocks, ParseResult(), size)))
+        assert got.tobytes() == want
+        _assert_no_child_left()
+        # at most one try, when the second block arrives
+        assert len(started) == (size == enough and n_blocks >= 2) and all(started)
+
+
+def test_two_live_parses_fork_one_worker_and_both_end(monkeypatch):
+    # a worker forked beside a live one would hold its request pipe open, so
+    # the first parse, used up while the second runs, would wait for it forever
+    started = _with_worker(monkeypatch)
+    blocks = _blocks_with(_GOOD, "worker")[0]
+    logs = ParseResult(), ParseResult()
+    with _deadline(30):
+        short, whole = (ingest.parse_blocks(b, log, _size(b))
+                        for b, log in zip((blocks[:4], blocks), logs))
+        pairs = list(zip(short, whole))
+        got = [a for a, _ in pairs], [b for _, b in pairs] + list(whole)
+    assert started[0] and started[1] is None
+    _assert_no_child_left()
+    for batches, text in zip(got, ("".join(blocks[:4]), "".join(blocks))):
+        assert np.concatenate(batches).tobytes() == parse_raw(text).records.tobytes()
+    # once the first is reaped, the next parse forks again
+    list(ingest.parse_blocks(blocks, ParseResult(), _size(blocks)))
+    assert started[2]
+    _assert_no_child_left()
+
+
 def test_a_consumer_that_stops_early_leaves_no_worker(monkeypatch):
     started = _with_worker(monkeypatch)
-    batches = ingest.parse_blocks(_blocks_with(_GOOD, "worker")[0], ParseResult())
+    blocks = _blocks_with(_GOOD, "worker")[0]
+    batches = ingest.parse_blocks(blocks, ParseResult(), _size(blocks))
     next(batches)
     batches.close()
     assert started[0]
@@ -807,9 +887,9 @@ def _in_each_process(monkeypatch, parent, worker):
     in a forked worker before it parses the block whose first line is first."""
     pid, parse = os.getpid(), ingest._parse_block
 
-    def parse_after(first, block, log):
+    def parse_after(first, block, plain, log):
         (parent if os.getpid() == pid else worker)(first)
-        return parse(first, block, log)
+        return parse(first, block, plain, log)
 
     monkeypatch.setattr(ingest, "_parse_block", parse_after)
 
@@ -837,7 +917,7 @@ def test_an_interrupt_leaves_no_worker_whichever_block_it_stops(monkeypatch):
         started = _with_worker(monkeypatch)
         _in_each_process(monkeypatch, _interrupt_at(line_no), lambda first: None)
         with pytest.raises(KeyboardInterrupt):
-            list(ingest.parse_blocks(source, ParseResult()))
+            list(ingest.parse_blocks(source, ParseResult(), _size(blocks)))
         assert started[0]
         _assert_no_child_left()
 
@@ -848,7 +928,7 @@ def test_a_worker_that_dies_is_named_by_its_blocks_first_line(monkeypatch):
     _in_each_process(monkeypatch, lambda first: None, _exit_now)
     with pytest.raises(CdrSweepError, match="^line 51: the parse worker ended before it "
                                             "parsed the block from this line$"):
-        list(ingest.parse_blocks(blocks, ParseResult()))
+        list(ingest.parse_blocks(blocks, ParseResult(), _size(blocks)))
     _assert_no_child_left()
 
 
@@ -868,9 +948,11 @@ def test_a_worker_that_dies_ends_ingest_with_an_error_line(tmp_path, monkeypatch
 
 def test_the_worker_ends_at_the_end_of_its_input(monkeypatch):
     monkeypatch.setattr(ingest, "_spare_cpu", lambda: True)
+    # this worker is reaped here, not by _Worker.close, so leave its count as it was
+    monkeypatch.setattr(ingest, "_workers_alive", ingest._workers_alive)
     worker = ingest._start_worker()
     try:
-        worker.send(1, _GOOD + "\n")
+        worker.send(1, _GOOD + "\n", True, _MAX_ISSUES)
         assert len(worker.receive(ParseResult())) == 1
         worker._requests.close()  # as the parent's exit would
         deadline = time.monotonic() + 30
@@ -891,7 +973,8 @@ atexit.register(out.write, "atexit\\n")
 out.write("unflushed ")  # still in out's buffer when the worker is forked
 ingest._BATCH_CHARS, ingest._spare_cpu = 256, lambda: True
 text = "5060\\t1384726200000\\t39\\t1\\n" * 200
-batches = ingest.parse_blocks(ingest.read_blocks(io.StringIO(text)), ingest.ParseResult())
+batches = ingest.parse_blocks(ingest.read_blocks(io.StringIO(text)), ingest.ParseResult(),
+                              len(text))
 out.write(f"{sum(map(len, batches))}\\n")
 """
 
